@@ -12,168 +12,17 @@ from .errors import (
     RankError,
     ValidationError,
 )
-from .features import (
-    CorrespondenceMap,
-    LocalFeatureSet,
-    correspondence_map,
-    extract_local_features,
-)
-from .multires import (
-    ImageRepresentation,
-    ResolutionConfig,
-    iter_parts,
-    multires_representation,
-    partition_blocks,
-)
-from .network import (
-    ConvLayerSpec,
-    ConvStage,
-    MaxPoolStage,
-    NetworkSpec,
-    ReluStage,
-    conv_forward,
-    lcg_uniform,
-    maxpool_forward,
-    min_input_extent,
-    parse_network_file,
-    relu_forward,
-    run_network,
-    write_network_file,
-)
-from .pipeline import (
-    DatasetManifest,
-    ManifestEntry,
-    PipelineConfig,
-    average_precision,
-    compare_schemes,
-    load_config,
-    parse_manifest,
-    run_pipeline,
-)
-from .pooling import (
-    IndicatorWeights,
-    PooledVector,
-    cross_layer_pool,
-    direct_max_pool,
-    direct_sum_sqrt_pool,
-    gather_indicator_weights,
-    indicator_pool,
-    spp_pool,
-)
-from .postproc import (
-    PackedSignVector,
-    PcaModel,
-    load_pca,
-    load_sign_stack,
-    load_signs,
-    packed_dot,
-    pca_fit,
-    pca_project,
-    power_normalize,
-    save_pca,
-    save_sign_stack,
-    save_signs,
-    sign_quantize,
-    sign_unpack,
-)
-from .svm import (
-    GramMatrix,
-    SvmModel,
-    gram_matrix,
-    gram_matrix_packed,
-    kernel_rows,
-    load_svm,
-    packed_rows,
-    save_svm,
-    svm_predict,
-    svm_train,
-)
-from .tensor import (
-    ActivationTensor,
-    FeatureMatrix,
-    load_features,
-    load_tensor,
-    save_features,
-    save_tensor,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationTensor",
     "ConfigError",
     "ContractError",
-    "ConvLayerSpec",
-    "ConvStage",
-    "CorrespondenceMap",
     "CorruptionError",
     "CrossPoolError",
-    "DatasetManifest",
-    "FeatureMatrix",
     "FormatError",
     "GeometryError",
-    "GramMatrix",
-    "ImageRepresentation",
-    "IndicatorWeights",
-    "LocalFeatureSet",
-    "ManifestEntry",
-    "MaxPoolStage",
-    "NetworkSpec",
-    "PackedSignVector",
-    "PcaModel",
-    "PipelineConfig",
-    "PooledVector",
     "RankError",
-    "ReluStage",
-    "ResolutionConfig",
-    "SvmModel",
     "ValidationError",
-    "average_precision",
-    "compare_schemes",
-    "conv_forward",
-    "correspondence_map",
-    "cross_layer_pool",
-    "direct_max_pool",
-    "direct_sum_sqrt_pool",
-    "extract_local_features",
-    "gather_indicator_weights",
-    "gram_matrix",
-    "gram_matrix_packed",
-    "indicator_pool",
-    "iter_parts",
-    "kernel_rows",
-    "lcg_uniform",
-    "load_config",
-    "load_features",
-    "load_pca",
-    "load_sign_stack",
-    "load_signs",
-    "load_svm",
-    "load_tensor",
-    "maxpool_forward",
-    "min_input_extent",
-    "multires_representation",
-    "packed_dot",
-    "packed_rows",
-    "parse_manifest",
-    "parse_network_file",
-    "partition_blocks",
-    "pca_fit",
-    "pca_project",
-    "power_normalize",
-    "relu_forward",
-    "run_network",
-    "run_pipeline",
-    "save_features",
-    "save_pca",
-    "save_sign_stack",
-    "save_signs",
-    "save_svm",
-    "save_tensor",
-    "sign_quantize",
-    "sign_unpack",
-    "spp_pool",
-    "svm_predict",
-    "svm_train",
-    "write_network_file",
+    "__version__",
 ]

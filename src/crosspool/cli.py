@@ -25,8 +25,8 @@ from .errors import (
     RankError,
     ValidationError,
 )
-from .features import correspondence_map, extract_local_features
-from .network import ConvLayerSpec, ConvStage, MaxPoolStage, parse_network_file, run_network
+from .features import extract_local_features
+from .network import ConvStage, MaxPoolStage, parse_network_file, run_network
 from .pipeline import (
     PipelineConfig,
     RESOLUTION_PRESETS,
@@ -37,7 +37,13 @@ from .pipeline import (
     resolve_resolution,
     run_pipeline,
 )
-from .pooling import cross_layer_pool, direct_max_pool, direct_sum_sqrt_pool, spp_pool
+from .pooling import (
+    cross_layer_pool,
+    direct_max_pool,
+    direct_sum_sqrt_pool,
+    spp_pool,
+    unit_offset,
+)
 from .postproc import (
     load_pca,
     load_sign_stack,
@@ -126,13 +132,10 @@ def cmd_pool(args) -> int:
         layer_t1 = load_tensor(args.layer_t1)
         wh, ww = _parse_pair(args.window, "--window")
         feats = extract_local_features(layer_t, wh, ww, args.stride)
-        next_spec = ConvLayerSpec(
-            kernel_h=wh, kernel_w=ww, in_depth=layer_t.depth,
-            out_depth=layer_t1.depth, stride=args.stride, pad=args.pad,
-        )
-        cmap = correspondence_map(feats, next_spec, (layer_t1.height, layer_t1.width))
         pca = load_pca(args.pca) if args.pca else None
-        vector = cross_layer_pool(layer_t, layer_t1, cmap, pca=pca).values
+        vector = cross_layer_pool(
+            feats, layer_t1, unit_offset(args.pad, args.stride), pca=pca
+        )
     elif args.scheme in ("direct-max", "direct-sum-sqrt"):
         if not args.features:
             raise ConfigError(f"{args.scheme} pooling needs --features")

@@ -1,4 +1,4 @@
-"""Sliding-window local features and their next-layer correspondence.
+"""Sliding-window local features.
 
 A local feature is one window of a layer's activations, flattened in
 (window row, window column, channel) order, so entry
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, GeometryError, ValidationError
-from .network import ConvLayerSpec, window_stack
+from .errors import GeometryError, ValidationError
+from .network import window_stack
 from .tensor import ActivationTensor, FeatureMatrix
 
 
@@ -55,29 +55,6 @@ class LocalFeatureSet:
         return self.features.dim
 
 
-@dataclass
-class CorrespondenceMap:
-    """Feature index -> next-layer (row, column), with the window geometry
-    that produced the features it applies to."""
-
-    pairs: np.ndarray
-    window_h: int
-    window_w: int
-    stride: int
-
-    def __post_init__(self):
-        pairs = np.ascontiguousarray(np.asarray(self.pairs, dtype=np.int64))
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValidationError(f"pairs must have shape (count, 2), got {pairs.shape}")
-        if pairs.size and pairs.min() < 0:
-            raise ValidationError("correspondence pairs must be nonnegative")
-        self.pairs = pairs
-
-    @property
-    def count(self) -> int:
-        return self.pairs.shape[0]
-
-
 def extract_local_features(
     tensor: ActivationTensor, window_h: int, window_w: int, stride: int = 1
 ) -> LocalFeatureSet:
@@ -109,46 +86,3 @@ def extract_local_features(
         grid_w=grid_w,
     )
 
-
-def correspondence_map(
-    feature_set: LocalFeatureSet,
-    next_layer: ConvLayerSpec,
-    next_dims: tuple[int, int],
-) -> CorrespondenceMap:
-    """Map each feature to the next-layer unit whose receptive field is its
-    window.
-
-    A unit (u, v) of a convolution with stride s and padding p covers input
-    rows [u*s - p, u*s - p + kernel_h); solving for the anchor gives
-    u = (r + p) / s, and likewise for columns.
-    """
-    if (feature_set.window_h, feature_set.window_w) != (
-        next_layer.kernel_h,
-        next_layer.kernel_w,
-    ):
-        raise ContractError(
-            f"feature window {feature_set.window_h}x{feature_set.window_w} does not "
-            f"match next-layer kernel {next_layer.kernel_h}x{next_layer.kernel_w}"
-        )
-    if feature_set.stride != next_layer.stride:
-        raise ContractError(
-            f"feature stride {feature_set.stride} does not match next-layer "
-            f"stride {next_layer.stride}"
-        )
-    shifted = feature_set.anchors + next_layer.pad
-    if np.any(shifted % next_layer.stride):
-        raise GeometryError(
-            f"padding {next_layer.pad} is not aligned with stride {next_layer.stride}"
-        )
-    pairs = shifted // next_layer.stride
-    next_h, next_w = next_dims
-    if pairs.size and (pairs[:, 0].max() >= next_h or pairs[:, 1].max() >= next_w):
-        raise GeometryError(
-            f"correspondence exceeds next-layer dims {next_h}x{next_w}"
-        )
-    return CorrespondenceMap(
-        pairs=pairs,
-        window_h=feature_set.window_h,
-        window_w=feature_set.window_w,
-        stride=feature_set.stride,
-    )

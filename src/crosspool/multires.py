@@ -4,20 +4,16 @@ Blocks tile the image row-major.  Nominal block height is height // M; the
 last row of blocks absorbs the remainder, and likewise for columns.  A
 positive overlap fraction f extends every block by floor(f * nominal) units
 on each side that faces another block, clamped to the image, so outer edges
-never grow.  Each part is pushed through the network and encoded on its
-own; the final vector is the concatenation, with a part table recording
-(label, offset, length).
+never grow.  The pipeline pushes each part through the network and encodes
+it on its own; an image's vector is the concatenation, with a part table
+recording (label, offset, length).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .network import NetworkSpec, min_input_extent, run_network
 from .tensor import ActivationTensor
 
 
@@ -47,35 +43,6 @@ class ResolutionConfig:
     @property
     def block_count(self) -> int:
         return self.blocks_m * self.blocks_n
-
-
-@dataclass
-class ImageRepresentation:
-    """Concatenated per-part vectors plus the layout that produced them."""
-
-    values: np.ndarray
-    parts: list[tuple[str, int, int]]
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64)).ravel()
-        offset = 0
-        for label, start, length in self.parts:
-            if start != offset or length < 1:
-                raise ValidationError(
-                    f"part {label!r} at ({start}, {length}) breaks the tiling at {offset}"
-                )
-            offset += length
-        if offset != values.size:
-            raise ValidationError(
-                f"parts cover {offset} values, vector holds {values.size}"
-            )
-        self.values = values
-
-    def part(self, label: str) -> np.ndarray:
-        for name, start, length in self.parts:
-            if name == label:
-                return self.values[start : start + length]
-        raise KeyError(label)
 
 
 def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:
@@ -141,38 +108,3 @@ def iter_parts(
         parts.append((f"block({i},{j})", "block", block))
     return parts
 
-
-def multires_representation(
-    image: ActivationTensor,
-    net: NetworkSpec,
-    config: ResolutionConfig,
-    encode: Callable[[Sequence[ActivationTensor], str], np.ndarray],
-) -> ImageRepresentation:
-    """Run the network on every part and concatenate the encodings.
-
-    ``encode(stage_outputs, resolution)`` maps one part's activations to a
-    1-d vector; ``resolution`` is "whole" or "block" so the caller can apply
-    the PCA model fitted for that resolution.
-    """
-    min_h, min_w = min_input_extent(net)
-    chunks = []
-    layout = []
-    offset = 0
-    for label, resolution, part in iter_parts(image, config, min_h, min_w):
-        vector = np.asarray(encode(run_network(part, net), resolution), dtype=np.float64)
-        vector = vector.ravel()
-        chunks.append(vector)
-        layout.append((label, offset, vector.size))
-        offset += vector.size
-    return ImageRepresentation(values=np.concatenate(chunks), parts=layout)
-
-
-def resize_nearest(tensor: ActivationTensor, out_h: int, out_w: int) -> ActivationTensor:
-    """Nearest-neighbor spatial resize, for configs that need a fixed input."""
-    if out_h < 1 or out_w < 1:
-        raise ValidationError("resize target must be positive")
-    rows = (np.arange(out_h) * tensor.height) // out_h
-    cols = (np.arange(out_w) * tensor.width) // out_w
-    return ActivationTensor(
-        tensor.data[np.ix_(rows, cols)], rectified=tensor.rectified
-    )

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, ValidationError
-from .features import correspondence_map, extract_local_features
+from .features import extract_local_features
 from .multires import ResolutionConfig, iter_parts
 from .network import (
     ConvStage,
@@ -49,6 +49,7 @@ from .pooling import (
     direct_max_pool,
     direct_sum_sqrt_pool,
     spp_pool,
+    unit_offset,
 )
 from .postproc import (
     pca_fit,
@@ -252,6 +253,7 @@ class _Geometry:
     depth_t: int            # channel depth of the local-feature layer
     window: tuple[int, int]
     stride: int
+    offset: int | None      # cross-layer: layer t+1 unit over the first window
 
     @property
     def local_dim(self) -> int:
@@ -280,6 +282,7 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
     if window[0] < 1 or window[1] < 1 or stride < 1:
         raise ConfigError("window and stride must be positive")
     t1_index = t1_conv_index
+    offset = None
     if config.scheme == "cross-layer":
         if t1_conv_index != t_index + 1:
             raise ConfigError(
@@ -304,14 +307,21 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
             raise ConfigError(
                 "cross-layer pooling needs a ReLU after the second convolution"
             )
-    return _Geometry(
+        offset = unit_offset(t1_spec.pad, t1_spec.stride)
+    geometry = _Geometry(
         t_index=t_index,
         t1_index=t1_index,
         t1_spec=t1_spec,
         depth_t=t_spec.out_depth,
         window=window,
         stride=stride,
+        offset=offset,
     )
+    if config.scheme == "cross-layer" and config.pca_dim > geometry.local_dim:
+        raise ConfigError(
+            f"pca_dim {config.pca_dim} exceeds local feature dim {geometry.local_dim}"
+        )
+    return geometry
 
 
 def network_digest(net: NetworkSpec) -> str:
@@ -360,19 +370,38 @@ def _round_f32(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float32).astype(np.float64)
 
 
-def _encode_part(outputs, resolution, geometry, config, pca_models):
-    """Encode one part's stage outputs into a vector under the config's scheme."""
-    layer_t = outputs[geometry.t_index]
-    feats = extract_local_features(
-        layer_t, geometry.window[0], geometry.window[1], geometry.stride
-    )
-    if config.scheme == "cross-layer":
-        layer_t1 = outputs[geometry.t1_index]
-        cmap = correspondence_map(
-            feats, geometry.t1_spec, (layer_t1.height, layer_t1.width)
+def _map(fn, items, workers):
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _forward_parts(entry, net, geometry, config, min_hw):
+    """Load one image and push each part through the network once.
+
+    Yields, part by part, (label, resolution, layer-t local features, layer
+    t+1 output, forward seconds, extraction seconds).
+    """
+    image = load_tensor(entry.path)
+    for label, resolution, part in iter_parts(image, config.resolution, *min_hw):
+        t0 = time.perf_counter()
+        outputs = run_network(part, net)
+        t1 = time.perf_counter()
+        feats = extract_local_features(
+            outputs[geometry.t_index], geometry.window[0], geometry.window[1],
+            geometry.stride,
         )
-        pooled = cross_layer_pool(layer_t, layer_t1, cmap, pca=pca_models.get(resolution))
-        vector = pooled.values
+        yield (label, resolution, feats, outputs[geometry.t1_index], t1 - t0,
+               time.perf_counter() - t1)
+
+
+def _encode_part(feats, layer_t1, resolution, geometry, config, pca_models):
+    """Encode one part's local features into a vector under the config's scheme."""
+    if config.scheme == "cross-layer":
+        vector = cross_layer_pool(
+            feats, layer_t1, geometry.offset, pca=pca_models.get(resolution)
+        )
     elif config.scheme == "direct-max":
         vector = direct_max_pool(feats)
     elif config.scheme == "direct-sum-sqrt":
@@ -384,25 +413,13 @@ def _encode_part(outputs, resolution, geometry, config, pca_models):
     return np.asarray(vector, dtype=np.float64).ravel()
 
 
-def _fit_pca_models(train_entries, net, geometry, config, min_hw):
+def _fit_pca_models(forwarded, config):
     """One PCA model per participating resolution, fitted on a seeded
-    subsample of the training images' local features."""
-    if config.scheme != "cross-layer" or config.pca_dim == 0:
-        return {}, 0.0
-    if config.pca_dim > geometry.local_dim:
-        raise ConfigError(
-            f"pca_dim {config.pca_dim} exceeds local feature dim {geometry.local_dim}"
-        )
+    subsample of the training parts' local features."""
     start = time.perf_counter()
     buckets: dict[str, list[np.ndarray]] = {}
-    for entry in train_entries:
-        image = load_tensor(entry.path)
-        for _, resolution, part in iter_parts(image, config.resolution, *min_hw):
-            outputs = run_network(part, net)
-            layer_t = outputs[geometry.t_index]
-            feats = extract_local_features(
-                layer_t, geometry.window[0], geometry.window[1], geometry.stride
-            )
+    for parts in forwarded:
+        for _, resolution, feats, *_ in parts:
             buckets.setdefault(resolution, []).append(feats.features.data)
     models = {}
     for resolution in sorted(buckets):
@@ -415,39 +432,41 @@ def _fit_pca_models(train_entries, net, geometry, config, min_hw):
     return models, time.perf_counter() - start
 
 
-def _represent_images(entries, net, geometry, config, pca_models, min_hw, workers):
-    """Float32 representation rows plus summed per-image stage timings."""
+def _represent_images(entries, net, geometry, config, pca_models, min_hw, workers,
+                      forwarded=None):
+    """Float32 representation rows plus summed per-image stage timings.
 
-    def work(entry):
-        image = load_tensor(entry.path)
+    ``forwarded`` holds the images' forward passes when the caller has
+    already run them; otherwise each worker loads one image at a time and
+    encodes each part as soon as it leaves the network.
+    """
+
+    def work(index):
+        if forwarded is None:
+            parts = _forward_parts(entries[index], net, geometry, config, min_hw)
+        else:
+            parts = forwarded[index]
         forward_s = 0.0
         pool_s = 0.0
         chunks = []
         layout = []
         offset = 0
-        for label, resolution, part in iter_parts(image, config.resolution, *min_hw):
+        for label, resolution, feats, layer_t1, part_forward_s, extract_s in parts:
             t0 = time.perf_counter()
-            outputs = run_network(part, net)
-            t1 = time.perf_counter()
-            vector = _encode_part(outputs, resolution, geometry, config, pca_models)
-            t2 = time.perf_counter()
-            forward_s += t1 - t0
-            pool_s += t2 - t1
+            vector = _encode_part(feats, layer_t1, resolution, geometry, config, pca_models)
+            forward_s += part_forward_s
+            pool_s += extract_s + time.perf_counter() - t0
             chunks.append(vector)
             layout.append([label, offset, vector.size])
             offset += vector.size
         return np.concatenate(chunks), layout, forward_s, pool_s
 
-    if workers <= 1:
-        results = [work(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, entries))
+    results = _map(work, range(len(entries)), workers)
     layout = results[0][1]
     for _, other, _, _ in results[1:]:
         if other != layout:
             raise ContractError("images produce inconsistent representation layouts")
-    vectors = np.stack([r[0] for r in results]).astype(np.float32)
+    vectors = np.stack([r[0] for r in results], dtype=np.float32)
     timing = {
         "extraction": sum(r[2] for r in results),
         "pooling": sum(r[3] for r in results),
@@ -459,11 +478,19 @@ def _compute_representations(config, manifest, net, geometry, directory, workers
     min_hw = min_input_extent(net)
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
-    pca_models, pca_seconds = _fit_pca_models(
-        train_entries, net, geometry, config, min_hw
-    )
+    forwarded = None
+    pca_models, pca_seconds = {}, 0.0
+    if config.scheme == "cross-layer" and config.pca_dim:
+        # One forward pass per training image feeds both the PCA fit and the
+        # encoding, so the training set's features stay in memory until both
+        # are done.
+        forwarded = _map(
+            lambda entry: list(_forward_parts(entry, net, geometry, config, min_hw)),
+            train_entries, workers,
+        )
+        pca_models, pca_seconds = _fit_pca_models(forwarded, config)
     train, layout, timing_train = _represent_images(
-        train_entries, net, geometry, config, pca_models, min_hw, workers
+        train_entries, net, geometry, config, pca_models, min_hw, workers, forwarded
     )
     test, test_layout, timing_test = _represent_images(
         test_entries, net, geometry, config, pca_models, min_hw, workers

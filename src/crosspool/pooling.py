@@ -1,67 +1,40 @@
 """Pooling of local features into one image-part vector.
 
-The central scheme weights every local feature of one layer by the
-activations of the following layer: with descriptors x_1..x_N and indicator
-weights a[i, k], channel k pools to
+The central scheme weights every local feature of layer t by the
+activations of layer t+1: with descriptors x_1..x_N and indicator weights
+a[i, k], channel k pools to
 
     P_k = sum_i x_i * a[i, k]
 
 and the final vector concatenates P_1..P_K, so channel k occupies the slice
 [k*d, (k+1)*d) of the output.  The sum is deliberately unnormalized; signed
-square-rooting later compresses the magnitudes.  Direct max pooling, direct
-sum-sqrt pooling, and spatial pyramid pooling over the anchor grid are kept
-as reference schemes.
+square-rooting later compresses the magnitudes.
+
+Feature i's weights are the K activations of the layer t+1 unit whose
+receptive field is its window.  When the window equals the next
+convolution's kernel and the window stride equals its stride s, a unit
+(u, v) with padding p covers the window anchored at (u*s - p, v*s - p), so
+the window with grid index (i, j) maps to unit (i + o, j + o) with
+o = p / s, defined when s divides p.  Windows are listed row-major, so the
+weights are the slice A[o:o+gh, o:o+gw] of layer t+1 in row-major order
+and the whole scheme is one product:
+
+    A[o:o+gh, o:o+gw].reshape(-1, K).T @ X
+
+Direct max pooling, direct sum-sqrt pooling, and spatial pyramid pooling
+over the anchor grid are kept as reference schemes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, GeometryError, ValidationError
-from .features import CorrespondenceMap, LocalFeatureSet, extract_local_features
+from .features import LocalFeatureSet
 from .postproc import PcaModel, pca_project
 from .tensor import ActivationTensor, FeatureMatrix
-
-
-@dataclass
-class IndicatorWeights:
-    """Per-feature pooling weights, one column per indicator channel."""
-
-    weights: FeatureMatrix
-
-    @property
-    def count(self) -> int:
-        return self.weights.count
-
-    @property
-    def channels(self) -> int:
-        return self.weights.dim
-
-
-@dataclass
-class PooledVector:
-    """Concatenation of per-channel pooled descriptors."""
-
-    values: np.ndarray
-    channel_dim: int
-    channels: int
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64)).ravel()
-        if self.channel_dim < 1 or self.channels < 1:
-            raise ValidationError("pooled vector needs positive channel_dim and channels")
-        if values.size != self.channel_dim * self.channels:
-            raise ValidationError(
-                f"pooled vector holds {values.size} values, expected "
-                f"{self.channel_dim} * {self.channels}"
-            )
-        self.values = values
-
-    def channel(self, k: int) -> np.ndarray:
-        return self.values[k * self.channel_dim : (k + 1) * self.channel_dim]
 
 
 def _as_matrix(features) -> np.ndarray:
@@ -75,67 +48,35 @@ def _as_matrix(features) -> np.ndarray:
     return arr
 
 
-def indicator_pool(features, weights: IndicatorWeights) -> PooledVector:
-    """Weighted sum of descriptors per indicator channel, concatenated."""
-    matrix = _as_matrix(features)
-    if matrix.shape[0] != weights.count:
-        raise ContractError(
-            f"{matrix.shape[0]} descriptors but {weights.count} weight rows"
-        )
-    if matrix.shape[0] < 1:
-        raise ContractError("cannot pool an empty feature set")
-    pooled = weights.weights.data.astype(np.float64).T @ matrix.astype(np.float64)
-    return PooledVector(
-        values=pooled.ravel(), channel_dim=matrix.shape[1], channels=weights.channels
-    )
-
-
-def gather_indicator_weights(
-    next_layer: ActivationTensor, cmap: CorrespondenceMap | np.ndarray
-) -> IndicatorWeights:
-    """Read each mapped unit's channel vector out of the next layer.
-
-    Accepts a full correspondence map or a bare (N, 2) array of unit
-    coordinates."""
-    if not next_layer.rectified:
-        raise ContractError("indicator weights must come from a rectified layer")
-    pairs = cmap.pairs if isinstance(cmap, CorrespondenceMap) else np.asarray(cmap)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ContractError("correspondence pairs must be an (N, 2) array")
-    if pairs.size and (
-        pairs[:, 0].max() >= next_layer.height or pairs[:, 1].max() >= next_layer.width
-    ):
-        raise GeometryError(
-            f"correspondence exceeds indicator layer {next_layer.height}x{next_layer.width}"
-        )
-    gathered = next_layer.data[pairs[:, 0], pairs[:, 1], :]
-    return IndicatorWeights(weights=FeatureMatrix(np.asarray(gathered, dtype=np.float64)))
+def unit_offset(pad: int, stride: int) -> int:
+    """Offset o = pad / stride of the layer t+1 unit over the first window."""
+    if pad % stride:
+        raise GeometryError(f"padding {pad} is not aligned with stride {stride}")
+    return pad // stride
 
 
 def cross_layer_pool(
-    layer_t: ActivationTensor,
+    feature_set: LocalFeatureSet,
     layer_t1: ActivationTensor,
-    cmap: CorrespondenceMap,
+    offset: int,
     pca: PcaModel | None = None,
-) -> PooledVector:
-    """Extract local features of layer t, optionally PCA-project them, and
-    pool them weighted by the layer t+1 activations under ``cmap``."""
-    feature_set = extract_local_features(
-        layer_t, cmap.window_h, cmap.window_w, cmap.stride
-    )
-    if feature_set.count != cmap.count:
-        raise ContractError(
-            f"correspondence covers {cmap.count} features, extracted {feature_set.count}"
+) -> np.ndarray:
+    """Pool layer t's local features, PCA-projected when a model is given,
+    weighted by the rectified layer t+1 units from ``offset`` on."""
+    if not layer_t1.rectified:
+        raise ContractError("indicator weights must come from a rectified layer")
+    gh, gw = feature_set.grid_h, feature_set.grid_w
+    if offset < 0 or offset + gh > layer_t1.height or offset + gw > layer_t1.width:
+        raise GeometryError(
+            f"{gh}x{gw} windows at offset {offset} exceed indicator layer "
+            f"{layer_t1.height}x{layer_t1.width}"
         )
-    matrix = feature_set.features
+    matrix = feature_set.features.data
     if pca is not None:
-        if pca.input_dim != matrix.dim:
-            raise ContractError(
-                f"PCA expects dim {pca.input_dim}, local features have {matrix.dim}"
-            )
-        matrix = pca_project(pca, matrix)
-    weights = gather_indicator_weights(layer_t1, cmap)
-    return indicator_pool(matrix, weights)
+        matrix = pca_project(pca, feature_set.features)
+    weights = layer_t1.data[offset : offset + gh, offset : offset + gw]
+    weights = weights.reshape(-1, layer_t1.depth).astype(np.float64)
+    return (weights.T @ matrix.astype(np.float64, copy=False)).ravel()
 
 
 def direct_max_pool(features) -> np.ndarray:

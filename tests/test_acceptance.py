@@ -15,10 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from crosspool.features import correspondence_map, extract_local_features
+from crosspool.features import extract_local_features
 from crosspool.network import ConvLayerSpec, conv_forward, relu_forward
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
-from crosspool.pooling import IndicatorWeights, cross_layer_pool, indicator_pool
+from crosspool.pooling import cross_layer_pool
 from crosspool.postproc import pca_fit, pca_project, sign_quantize, sign_unpack
 from crosspool.svm import GramMatrix, gram_matrix, svm_predict, svm_train
 from crosspool.synth import generate
@@ -82,11 +82,16 @@ def test_criterion_03_representation_dimension():
     assert 500 * 256 == 128000
 
     rng = np.random.default_rng(3)
-    features = FeatureMatrix(rng.normal(size=(30, 20)))
-    weights = IndicatorWeights(FeatureMatrix(np.abs(rng.normal(size=(30, 8)))))
-    pooled = indicator_pool(features, weights)
-    assert pooled.values.shape == (160,)
-    assert pooled.channel_dim == 20 and pooled.channels == 8
+    t = ActivationTensor(rng.random((7, 7, 4)).astype(np.float32), rectified=True)
+    spec = ConvLayerSpec(
+        kernel_h=3, kernel_w=3, in_depth=4, out_depth=8,
+        weights=rng.normal(size=(8, 3, 3, 4)),
+    )
+    t1 = relu_forward(conv_forward(t, spec))
+    feats = extract_local_features(t, 3, 3, 1)
+    pca = pca_fit(feats.features, 20)
+    pooled = cross_layer_pool(feats, t1, 0, pca=pca)
+    assert pooled.shape == (160,)
     assert time.perf_counter() - start < 1.0
     report_line(3, "128000 = 500*256 asserted; d=20, K=8 pools to 160 dims")
 
@@ -95,6 +100,7 @@ def test_criterion_04_cross_layer_oracle_equivalence():
     """200 random instances agree with the naive triple loop within 1e-6."""
     start = time.perf_counter()
     rng = np.random.default_rng(4)
+    geometries = set()
     for trial in range(200):
         wh = int(rng.integers(1, 4))
         ww = int(rng.integers(1, 4))
@@ -104,36 +110,40 @@ def test_criterion_04_cross_layer_oracle_equivalence():
         h = wh + int(rng.integers(1, 7))
         w = ww + int(rng.integers(1, 7))
         channels = int(rng.integers(1, 9))
-        pad = int(rng.integers(0, 2))
+        stride = int(rng.integers(1, 3))
+        pad = stride * int(rng.integers(0, 2))
+        geometries.add((stride, pad))
 
         data = rng.random((h, w, depth)).astype(np.float32)
         t = ActivationTensor(data, rectified=True)
         spec = ConvLayerSpec(
             kernel_h=wh, kernel_w=ww, in_depth=depth, out_depth=channels,
-            stride=1, pad=pad,
+            stride=stride, pad=pad,
             weights=rng.normal(size=(channels, wh, ww, depth)),
         )
         t1 = relu_forward(conv_forward(t, spec))
-        feats = extract_local_features(t, wh, ww, 1)
+        feats = extract_local_features(t, wh, ww, stride)
         assert feats.count <= 50
-        cmap = correspondence_map(feats, spec, spec.output_dims(h, w))
-        pooled = cross_layer_pool(t, t1, cmap)
+        pooled = cross_layer_pool(feats, t1, pad // stride)
 
+        # The oracle walks the windows itself and pairs the window anchored
+        # at (r, c) with the unit whose receptive field starts there.
         dim = wh * ww * depth
         expect = np.zeros(dim * channels)
-        for idx in range(feats.count):
-            r, c = feats.anchors[idx]
-            desc = np.zeros(dim)
-            pos = 0
-            for i in range(wh):
-                for j in range(ww):
-                    for k in range(depth):
-                        desc[pos] = data[r + i, c + j, k]
-                        pos += 1
-            ur, uc = cmap.pairs[idx]
-            for ch in range(channels):
-                expect[ch * dim : (ch + 1) * dim] += desc * float(t1.data[ur, uc, ch])
-        np.testing.assert_allclose(pooled.values, expect, rtol=1e-6, atol=1e-9)
+        for r in range(0, h - wh + 1, stride):
+            for c in range(0, w - ww + 1, stride):
+                desc = np.zeros(dim)
+                pos = 0
+                for i in range(wh):
+                    for j in range(ww):
+                        for k in range(depth):
+                            desc[pos] = data[r + i, c + j, k]
+                            pos += 1
+                ur, uc = (r + pad) // stride, (c + pad) // stride
+                for ch in range(channels):
+                    expect[ch * dim : (ch + 1) * dim] += desc * float(t1.data[ur, uc, ch])
+        np.testing.assert_allclose(pooled, expect, rtol=1e-6, atol=1e-9)
+    assert geometries == {(1, 0), (1, 1), (2, 0), (2, 2)}
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report_line(4, f"200 instances match the triple loop (in {elapsed:.2f}s)")

@@ -175,6 +175,29 @@ def test_pool_cross_layer_files(tmp_path):
     assert pooled.dim == (3 * 3 * 2) * 3
 
 
+def test_exit_code_pad_not_aligned_with_stride(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    layer_t = tmp_path / "t.tens"
+    layer_t1 = tmp_path / "t1.tens"
+    save_tensor(
+        ActivationTensor(rng.random((8, 8, 2)).astype(np.float32), rectified=True),
+        layer_t,
+    )
+    save_tensor(
+        ActivationTensor(rng.random((4, 4, 3)).astype(np.float32), rectified=True),
+        layer_t1,
+    )
+    code = run_cli(
+        "pool", "--scheme", "cross-layer",
+        "--layer-t", layer_t, "--layer-t1", layer_t1,
+        "--window", "2x2", "--stride", "2", "--pad", "1",
+        "--out", tmp_path / "v.fmat",
+    )
+    assert code == 3
+    assert "not aligned" in capsys.readouterr().err
+    assert not (tmp_path / "v.fmat").exists()
+
+
 def test_exit_code_config_error(dataset, tmp_path, capsys):
     manifest, net, _ = dataset
     code = run_cli(

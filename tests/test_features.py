@@ -1,20 +1,27 @@
-"""Sliding-window extraction and layer-to-layer correspondence tests.
+"""Sliding-window extraction tests, and the window-to-unit correspondence
+that cross-layer pooling applies.
 
-The correspondence map is validated with matched-filter probes: plant a
-patch at a known anchor, convolve with that patch as the kernel, and the
-mapped unit in the next layer must be the response peak.
+The correspondence is read back from ``cross_layer_pool`` with a coordinate
+probe and validated with matched-filter probes: plant a patch at a known
+anchor, convolve with that patch as the kernel, and the unit paired with
+that anchor's window must be the response peak.  The conditions under
+which the correspondence exists (window = next kernel, same stride, stride
+dividing the padding) are checked where the pipeline enforces them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from crosspool.errors import ContractError, GeometryError, ValidationError
-from crosspool.features import (
-    correspondence_map,
-    extract_local_features,
-)
+from crosspool import pipeline
+from crosspool.errors import ConfigError, GeometryError, ValidationError
+from crosspool.features import extract_local_features
 from crosspool.network import ConvLayerSpec, conv_forward
-from crosspool.tensor import ActivationTensor
+from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
+from crosspool.pooling import cross_layer_pool
+from crosspool.synth import generate
+from crosspool.tensor import ActivationTensor, FeatureMatrix
 
 
 def extraction_oracle(data, wh, ww, stride):
@@ -98,56 +105,87 @@ def next_spec(wh, ww, in_depth, out_depth, stride, pad, weights=None):
     )
 
 
+def paired_units(feats, next_dims, offset):
+    """(count, 2) layer t+1 units that cross_layer_pool pairs with each
+    feature: identity features pooled against a layer whose two channels
+    hold each unit's row and column."""
+    rows, cols = np.meshgrid(*(np.arange(n) for n in next_dims), indexing="ij")
+    coords = ActivationTensor(
+        np.stack([rows, cols], axis=2).astype(np.float32), rectified=True
+    )
+    probe = dataclasses.replace(feats, features=FeatureMatrix(np.eye(feats.count)))
+    pooled = cross_layer_pool(probe, coords, offset)
+    return pooled.reshape(2, feats.count).T.astype(np.int64)
+
+
 def test_correspondence_shift_stride1_pad1():
     t = ActivationTensor(np.zeros((10, 10, 2), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 1)
     spec = next_spec(3, 3, 2, 1, stride=1, pad=1)
-    dims = spec.output_dims(10, 10)
-    cmap = correspondence_map(feats, spec, dims)
-    np.testing.assert_array_equal(cmap.pairs, feats.anchors + 1)
+    pairs = paired_units(feats, spec.output_dims(10, 10), 1)
+    np.testing.assert_array_equal(pairs, feats.anchors + 1)
 
 
 def test_correspondence_stride2_pad0():
     t = ActivationTensor(np.zeros((12, 12, 1), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 2)
     spec = next_spec(3, 3, 1, 1, stride=2, pad=0)
-    cmap = correspondence_map(feats, spec, spec.output_dims(12, 12))
+    pairs = paired_units(feats, spec.output_dims(12, 12), 0)
     where = np.flatnonzero((feats.anchors == [4, 6]).all(axis=1))
     assert where.size == 1
-    np.testing.assert_array_equal(cmap.pairs[where[0]], [2, 3])
+    np.testing.assert_array_equal(pairs[where[0]], [2, 3])
 
 
-def test_correspondence_window_mismatch():
-    t = ActivationTensor(np.zeros((8, 8, 1), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 1)
-    spec = next_spec(5, 5, 1, 1, stride=1, pad=0)
-    with pytest.raises(ContractError):
-        correspondence_map(feats, spec, spec.output_dims(8, 8))
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("data")
+    manifest_path, net_path = generate(root, n_train=2, n_test=2, seed=12)
+    return parse_manifest(manifest_path), net_path
 
 
-def test_correspondence_stride_mismatch():
-    t = ActivationTensor(np.zeros((8, 8, 1), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 1)
-    spec = next_spec(3, 3, 1, 1, stride=2, pad=0)
-    with pytest.raises(ContractError):
-        correspondence_map(feats, spec, spec.output_dims(8, 8))
+def test_correspondence_window_mismatch(dataset, tmp_path):
+    """A window other than the next kernel has no unit to pair with."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, window=(2, 2))
+    with pytest.raises(ConfigError):
+        run_pipeline(config, manifest, tmp_path / "work")
 
 
-def test_correspondence_divisibility():
-    t = ActivationTensor(np.zeros((9, 9, 1), dtype=np.float32))
-    feats = extract_local_features(t, 2, 2, 2)
-    # pad 1 makes anchor row 0 map to fractional position 1/2
-    spec = next_spec(2, 2, 1, 1, stride=2, pad=1)
+def test_correspondence_stride_mismatch(dataset, tmp_path):
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, stride=2)
+    with pytest.raises(ConfigError):
+        run_pipeline(config, manifest, tmp_path / "work")
+
+
+def test_correspondence_divisibility(dataset, tmp_path, monkeypatch):
+    """Pad 1 at stride 2 puts anchor row 0 at unit 1/2: the pipeline rejects
+    it before any forward pass."""
+    manifest, _ = dataset
+    net_path = tmp_path / "net.spec"
+    net_path.write_text(
+        "input_depth = 6\nseed = 3\n"
+        "conv out_depth=4 kernel=1x1 stride=1 pad=0\nrelu\n"
+        "conv out_depth=3 kernel=2x2 stride=2 pad=1\nrelu\n"
+    )
+
+    def no_forward(*args):
+        raise AssertionError("forward pass ran before the geometry check")
+
+    monkeypatch.setattr(pipeline, "run_network", no_forward)
     with pytest.raises(GeometryError):
-        correspondence_map(feats, spec, spec.output_dims(9, 9))
+        run_pipeline(PipelineConfig(network=str(net_path)), manifest, tmp_path / "work")
+    # pad 2 aligns with stride 2, so the same run reaches the forward pass
+    net_path.write_text(net_path.read_text().replace("pad=1", "pad=2"))
+    with pytest.raises(AssertionError, match="forward pass ran"):
+        run_pipeline(PipelineConfig(network=str(net_path)), manifest, tmp_path / "work")
 
 
 def test_correspondence_bounds():
     t = ActivationTensor(np.zeros((8, 8, 1), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 1)
-    spec = next_spec(3, 3, 1, 1, stride=1, pad=0)
     with pytest.raises(GeometryError):
-        correspondence_map(feats, spec, (3, 3))
+        paired_units(feats, (3, 3), 0)
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
@@ -164,16 +202,12 @@ def test_matched_filter_probe(stride, pad):
     spec = next_spec(3, 3, 2, 1, stride=stride, pad=pad,
                      weights=patch[np.newaxis, ...])
     dims = spec.output_dims(h, w)
-    try:
-        cmap = correspondence_map(feats, spec, dims)
-    except GeometryError:
-        pytest.skip("geometry does not admit a full map for this stride/pad")
+    pairs = paired_units(feats, dims, pad // stride)
     response = conv_forward(t, spec)
     peak = np.unravel_index(np.argmax(response.data[:, :, 0]), dims)
     index = np.flatnonzero((feats.anchors == anchor).all(axis=1))
-    if index.size == 0:
-        pytest.skip("anchor not on the stride grid")
-    np.testing.assert_array_equal(cmap.pairs[index[0]], peak)
+    assert index.size == 1
+    np.testing.assert_array_equal(pairs[index[0]], peak)
 
 
 def test_perturbation_locality():
@@ -187,7 +221,7 @@ def test_perturbation_locality():
     )
     base = conv_forward(ActivationTensor(data), spec)
     feats = extract_local_features(ActivationTensor(data), 3, 3, 1)
-    cmap = correspondence_map(feats, spec, spec.output_dims(12, 12))
+    pairs = paired_units(feats, spec.output_dims(12, 12), 1)
 
     index = 47
     anchor = feats.anchors[index]
@@ -196,7 +230,7 @@ def test_perturbation_locality():
     after = conv_forward(ActivationTensor(bumped), spec)
 
     changed = np.argwhere(np.any(after.data != base.data, axis=2))
-    center = cmap.pairs[index]
+    center = pairs[index]
     radius = np.abs(changed - center).max(axis=1)
     assert changed.size > 0
     # a 3x3 kernel can feel the window from at most 2 units away

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from crosspool.errors import GeometryError, ValidationError
-from crosspool.multires import (
-    ImageRepresentation,
-    ResolutionConfig,
-    iter_parts,
-    multires_representation,
-    partition_blocks,
-    resize_nearest,
+from crosspool.multires import ResolutionConfig, iter_parts, partition_blocks
+from crosspool.network import (
+    ConvLayerSpec,
+    ConvStage,
+    NetworkSpec,
+    ReluStage,
+    min_input_extent,
+    run_network,
 )
-from crosspool.network import ConvLayerSpec, ConvStage, NetworkSpec, ReluStage
-from crosspool.tensor import ActivationTensor
+from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
+from crosspool.synth import generate
+from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_tensor
 
 
 def tensor(h, w, d=1, seed=0):
@@ -124,10 +126,6 @@ def test_iter_parts_blocks_only():
     ]
 
 
-def encode_sum(stage_outputs, resolution):
-    return stage_outputs[-1].data.sum(axis=(0, 1)).astype(np.float64)
-
-
 def small_net():
     return NetworkSpec(
         stages=[
@@ -138,53 +136,44 @@ def small_net():
     )
 
 
-def test_multires_representation_layout():
-    t = tensor(30, 30, 1, seed=5)
-    rep = multires_representation(t, small_net(), ResolutionConfig(blocks_m=2, blocks_n=2), encode_sum)
-    assert isinstance(rep, ImageRepresentation)
-    assert [label for label, _, _ in rep.parts] == [
+def test_parts_encoded_independently(tmp_path):
+    """Each part's slice of a representation equals the representation of
+    that part run on its own as a whole image."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=2, n_test=2, seed=6)
+    manifest = parse_manifest(manifest_path)
+    config = PipelineConfig(network=net_path, resolution="both")
+    report = run_pipeline(config, manifest, tmp_path / "parts", stages="representations")
+    image_path = manifest.split("train")[0].path
+    image = load_tensor(image_path)
+    lines = [f"{image_path}\ttrain\tx"]
+    for (i, j), block in partition_blocks(image, config.resolution):
+        path = tmp_path / f"block_{i}{j}.tens"
+        save_tensor(block, path)
+        lines.append(f"{path}\ttrain\tx")
+    lines.append(f"{image_path}\ttest\tx")
+    alone_manifest = tmp_path / "alone.tsv"
+    alone_manifest.write_text("\n".join(lines) + "\n")
+    alone = run_pipeline(
+        PipelineConfig(network=net_path, resolution="whole"),
+        parse_manifest(alone_manifest), tmp_path / "alone", stages="representations",
+    )
+
+    rows = load_features(f"{report['artifacts']['representations']}/train.fmat").data
+    alone_rows = load_features(f"{alone['artifacts']['representations']}/train.fmat").data
+    parts = report["dims"]["parts"]
+    assert [label for label, _, _ in parts] == [
         "whole", "block(0,0)", "block(0,1)", "block(1,0)", "block(1,1)"
     ]
-    assert rep.values.shape == (10,)
-    np.testing.assert_array_equal(rep.part("whole"), rep.values[:2])
-
-
-def test_parts_encoded_independently():
-    """Each block's slice equals encoding that block on its own."""
-    t = tensor(28, 28, 1, seed=6)
-    net = small_net()
-    config = ResolutionConfig(blocks_m=2, blocks_n=2)
-    rep = multires_representation(t, net, config, encode_sum)
-    for key, block in partition_blocks(t, config):
-        label = f"block({key[0]},{key[1]})"
-        from crosspool.network import run_network
-
-        alone = encode_sum(run_network(block, net), "block")
-        np.testing.assert_allclose(rep.part(label), alone, rtol=1e-6)
+    for k, (_, start, length) in enumerate(parts):
+        np.testing.assert_array_equal(rows[0, start : start + length], alone_rows[k])
 
 
 def test_blocks_below_network_minimum_rejected():
     t = tensor(8, 8, 1, seed=7)
     with pytest.raises(GeometryError):
-        multires_representation(
-            t, small_net(), ResolutionConfig(blocks_m=4, blocks_n=4), encode_sum
+        iter_parts(
+            t, ResolutionConfig(blocks_m=4, blocks_n=4), *min_input_extent(small_net())
         )
-
-
-def test_representation_parts_must_tile():
-    with pytest.raises(ValidationError):
-        ImageRepresentation(values=np.zeros(5), parts=[("whole", 0, 3)])
-
-
-def test_resize_nearest():
-    data = np.arange(4, dtype=np.float32).reshape(2, 2, 1)
-    out = resize_nearest(ActivationTensor(data), 4, 4)
-    assert out.data.shape == (4, 4, 1)
-    # floor index mapping: output row r reads source row r * 2 // 4
-    np.testing.assert_array_equal(out.data[:2, :2, 0], [[0, 0], [0, 0]])
-    np.testing.assert_array_equal(out.data[2:, 2:, 0], [[3, 3], [3, 3]])
-    down = resize_nearest(ActivationTensor(out.data), 2, 2)
-    np.testing.assert_array_equal(down.data, data)
 
 
 def test_block_grid_doubles_spatial_units():
@@ -198,8 +187,6 @@ def test_block_grid_doubles_spatial_units():
         ],
         seed=1,
     )
-    from crosspool.network import run_network
-
     total = 0
     for _, block in blocks:
         out = run_network(block, net)[-1]

@@ -197,7 +197,7 @@ def test_run_pipeline_representations_stage_only(dataset, tmp_path):
     assert "total" in report["timing"]["per_image"]
 
 
-def test_multires_representation_dim(dataset, tmp_path):
+def test_multipart_representation_dim(dataset, tmp_path):
     manifest, net_path = dataset
     config = PipelineConfig(
         network=net_path,
@@ -205,10 +205,13 @@ def test_multires_representation_dim(dataset, tmp_path):
         resolution=ResolutionConfig(blocks_m=2, blocks_n=2, include_whole_image=True),
     )
     report = run_pipeline(config, manifest, tmp_path / "work")
-    # five parts, each 6 x 3 channels
+    # five parts, each 6 x 3 channels, tiling the vector in order
     assert report["dims"]["representation_dim"] == 5 * 6 * 3
-    assert [part[0] for part in report["dims"]["parts"]] == [
-        "whole", "block(0,0)", "block(0,1)", "block(1,0)", "block(1,1)"
+    assert report["dims"]["parts"] == [
+        [label, 18 * k, 18]
+        for k, label in enumerate(
+            ["whole", "block(0,0)", "block(0,1)", "block(1,0)", "block(1,1)"]
+        )
     ]
 
 

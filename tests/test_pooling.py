@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from crosspool.errors import ContractError, GeometryError
-from crosspool.features import correspondence_map, extract_local_features
+from crosspool.features import LocalFeatureSet, extract_local_features
 from crosspool.network import ConvLayerSpec, conv_forward, relu_forward
 from crosspool.pooling import (
-    IndicatorWeights,
     cross_layer_pool,
     direct_max_pool,
     direct_sum_sqrt_pool,
-    gather_indicator_weights,
-    indicator_pool,
     spp_pool,
 )
 from crosspool.postproc import pca_fit
@@ -30,38 +27,63 @@ def pool_oracle(features, weights):
     return out
 
 
-def test_indicator_pool_matches_oracle():
+def on_grid(features, grid_h, grid_w):
+    """An (N, d) matrix as the features of a grid_h x grid_w window grid."""
+    rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
+    return LocalFeatureSet(
+        features=FeatureMatrix(features), anchors=np.stack([rows, cols], axis=1),
+        window_h=1, window_w=1, stride=1, grid_h=grid_h, grid_w=grid_w,
+    )
+
+
+def weight_layer(weights, grid_h, grid_w, offset=0):
+    """A rectified layer t+1 holding weight row i at unit i of the grid,
+    shifted by ``offset`` inside a border of other values."""
+    k = weights.shape[1]
+    data = np.full((grid_h + 2 * offset, grid_w + 2 * offset, k), 7.0, dtype=np.float32)
+    data[offset : offset + grid_h, offset : offset + grid_w] = weights.reshape(
+        grid_h, grid_w, k
+    )
+    return ActivationTensor(data, rectified=True)
+
+
+def pool(features, weights, grid_h, grid_w, offset=0):
+    return cross_layer_pool(
+        on_grid(features, grid_h, grid_w),
+        weight_layer(weights, grid_h, grid_w, offset),
+        offset,
+    )
+
+
+def test_weighted_pool_matches_oracle():
     rng = np.random.default_rng(31)
     features = rng.normal(size=(20, 5))
-    weights = np.abs(rng.normal(size=(20, 3)))
-    pooled = indicator_pool(FeatureMatrix(features), IndicatorWeights(FeatureMatrix(weights)))
-    assert pooled.values.shape == (15,)
-    assert pooled.channel_dim == 5 and pooled.channels == 3
-    np.testing.assert_allclose(pooled.values, pool_oracle(features, weights), rtol=1e-12)
+    weights = np.abs(rng.normal(size=(20, 3))).astype(np.float32)
+    for offset in (0, 1, 2):
+        pooled = pool(features, weights, 4, 5, offset)
+        assert pooled.shape == (15,)
+        np.testing.assert_allclose(pooled, pool_oracle(features, weights), rtol=1e-12)
 
 
 def test_channel_slices():
     rng = np.random.default_rng(32)
     features = rng.normal(size=(8, 4))
-    weights = np.abs(rng.normal(size=(8, 2)))
-    pooled = indicator_pool(FeatureMatrix(features), IndicatorWeights(FeatureMatrix(weights)))
+    weights = np.abs(rng.normal(size=(8, 2))).astype(np.float32)
+    pooled = pool(features, weights, 2, 4)
     for k in range(2):
         np.testing.assert_allclose(
-            pooled.channel(k), features.T @ weights[:, k], rtol=1e-12
-        )
-        np.testing.assert_array_equal(
-            pooled.channel(k), pooled.values[k * 4 : (k + 1) * 4]
+            pooled[k * 4 : (k + 1) * 4], features.T @ weights[:, k], rtol=1e-12
         )
 
 
 def test_pooling_is_linear_in_weights():
     rng = np.random.default_rng(33)
-    features = FeatureMatrix(rng.normal(size=(15, 6)))
+    features = rng.normal(size=(15, 6))
     w1 = np.abs(rng.normal(size=(15, 2)))
     w2 = np.abs(rng.normal(size=(15, 2)))
-    a = indicator_pool(features, IndicatorWeights(FeatureMatrix(w1))).values
-    b = indicator_pool(features, IndicatorWeights(FeatureMatrix(w2))).values
-    both = indicator_pool(features, IndicatorWeights(FeatureMatrix(w1 + w2))).values
+    a = pool(features, w1, 3, 5)
+    b = pool(features, w2, 3, 5)
+    both = pool(features, w1 + w2, 3, 5)
     np.testing.assert_allclose(both, a + b, rtol=1e-5, atol=1e-8)
 
 
@@ -71,43 +93,43 @@ def test_pooling_permutation_equivariance():
     features = rng.normal(size=(12, 4))
     weights = np.abs(rng.normal(size=(12, 3)))
     perm = rng.permutation(12)
-    a = indicator_pool(FeatureMatrix(features), IndicatorWeights(FeatureMatrix(weights)))
-    b = indicator_pool(
-        FeatureMatrix(features[perm]), IndicatorWeights(FeatureMatrix(weights[perm]))
-    )
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-6, atol=1e-9)
+    a = pool(features, weights, 3, 4)
+    b = pool(features[perm], weights[perm], 3, 4)
+    np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
 
 
 def test_pool_count_mismatch():
-    features = FeatureMatrix(np.ones((5, 2)))
-    weights = IndicatorWeights(FeatureMatrix(np.ones((4, 2))))
-    with pytest.raises(ContractError):
-        indicator_pool(features, weights)
+    """A layer t+1 with fewer units than there are windows is rejected."""
+    feats = on_grid(np.ones((6, 2)), 2, 3)
+    layer = ActivationTensor(np.ones((2, 2, 2), dtype=np.float32), rectified=True)
+    with pytest.raises(GeometryError):
+        cross_layer_pool(feats, layer, 0)
 
 
 def test_gather_requires_rectified():
+    feats = on_grid(np.ones((4, 2)), 2, 2)
     t = ActivationTensor(np.ones((4, 4, 2), dtype=np.float32) * -1.0, rectified=False)
-    pairs = np.zeros((3, 2), dtype=np.int64)
     with pytest.raises(ContractError):
-        gather_indicator_weights(t, pairs)
+        cross_layer_pool(feats, t, 0)
 
 
 def test_gather_bounds():
+    feats = on_grid(np.ones((4, 2)), 2, 2)
     t = ActivationTensor(np.ones((4, 4, 2), dtype=np.float32), rectified=True)
-    pairs = np.array([[0, 0], [4, 0]], dtype=np.int64)
-    with pytest.raises(GeometryError):
-        gather_indicator_weights(t, pairs)
+    for offset in (-1, 3):
+        with pytest.raises(GeometryError):
+            cross_layer_pool(feats, t, offset)
 
 
 def test_gather_values():
+    """One-hot features read back the weights: the layer t+1 units from
+    the offset on, row-major."""
     rng = np.random.default_rng(35)
     data = np.abs(rng.normal(size=(5, 6, 3))).astype(np.float32)
     t = ActivationTensor(data, rectified=True)
-    pairs = np.array([[0, 0], [2, 3], [4, 5]], dtype=np.int64)
-    got = gather_indicator_weights(t, pairs)
-    assert got.count == 3 and got.channels == 3
-    for row, (r, c) in enumerate(pairs):
-        np.testing.assert_array_equal(got.weights.data[row], data[r, c])
+    pooled = cross_layer_pool(on_grid(np.eye(6), 2, 3), t, 2)
+    gathered = pooled.reshape(3, 6).T
+    np.testing.assert_array_equal(gathered, data[2:4, 2:5].reshape(6, 3))
 
 
 def cross_layer_oracle(layer_t, layer_t1, window, stride, pad):
@@ -144,10 +166,9 @@ def test_cross_layer_pool_matches_oracle(stride, pad):
     )
     t1 = relu_forward(conv_forward(t, spec))
     feats = extract_local_features(t, 3, 3, stride)
-    cmap = correspondence_map(feats, spec, spec.output_dims(9, 9))
-    pooled = cross_layer_pool(t, t1, cmap)
+    pooled = cross_layer_pool(feats, t1, pad // stride)
     expect = cross_layer_oracle(data, t1.data, (3, 3), stride, pad)
-    np.testing.assert_allclose(pooled.values, expect, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(pooled, expect, rtol=1e-4, atol=1e-4)
 
 
 def test_cross_layer_pool_with_pca():
@@ -161,15 +182,15 @@ def test_cross_layer_pool_with_pca():
     )
     t1 = relu_forward(conv_forward(t, spec))
     feats = extract_local_features(t, 3, 3, 1)
-    cmap = correspondence_map(feats, spec, spec.output_dims(10, 10))
     pca = pca_fit(feats.features, 5)
-    pooled = cross_layer_pool(t, t1, cmap, pca=pca)
-    assert pooled.channel_dim == 5 and pooled.channels == 3
+    pooled = cross_layer_pool(feats, t1, 0, pca=pca)
+    assert pooled.shape == (5 * 3,)
 
     projected = (feats.features.data.astype(np.float64) - pca.mean) @ pca.basis.T
-    weights = gather_indicator_weights(t1, cmap.pairs)
-    expect = indicator_pool(FeatureMatrix(projected), weights)
-    np.testing.assert_allclose(pooled.values, expect.values, rtol=1e-5, atol=1e-6)
+    weights = t1.data[: feats.grid_h, : feats.grid_w].reshape(-1, 3)
+    np.testing.assert_allclose(
+        pooled, pool_oracle(projected, weights), rtol=1e-5, atol=1e-6
+    )
 
 
 def test_direct_max_pool():
