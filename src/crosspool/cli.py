@@ -53,7 +53,7 @@ from .postproc import (
     save_sign_stack,
     sign_quantize,
 )
-from .svm import GramMatrix, gram_matrix, gram_matrix_packed, load_svm, save_svm, svm_predict, svm_train
+from .svm import GramMatrix, gram_matrix, load_svm, save_svm, sign_kernel_rows, svm_predict, svm_train
 from .tensor import (
     FeatureMatrix,
     MATRIX_MAGIC,
@@ -162,8 +162,7 @@ def cmd_pool(args) -> int:
 
 def cmd_quantize(args) -> int:
     matrix = load_features(args.input)
-    signs = [sign_quantize(row) for row in matrix.data]
-    save_sign_stack(signs, args.out)
+    save_sign_stack(sign_quantize(matrix.data), matrix.dim, args.out)
     bytes_per = (matrix.dim + 3) // 4
     print(f"{matrix.count} vectors quantized to {bytes_per} bytes each -> {args.out}")
     return 0
@@ -177,10 +176,10 @@ def _magic_of(path) -> bytes:
 def cmd_gram(args) -> int:
     magic = _magic_of(args.reps)
     if magic == SIGN_STACK_MAGIC:
-        signs = load_sign_stack(args.reps)
-        gram = gram_matrix_packed(signs, workers=args.workers)
+        codes, _ = load_sign_stack(args.reps)
+        gram = GramMatrix(sign_kernel_rows(codes, codes))
     elif magic == MATRIX_MAGIC:
-        gram = gram_matrix(load_features(args.reps), workers=args.workers)
+        gram = gram_matrix(load_features(args.reps))
     else:
         raise FormatError(f"{args.reps}: expected a feature matrix or sign stack")
     save_features(FeatureMatrix(gram.values), args.out)
@@ -203,7 +202,7 @@ def _read_labels(path) -> list:
 def cmd_train(args) -> int:
     gram = GramMatrix(load_features(args.gram).data.astype(np.float64))
     labels = _read_labels(args.labels)
-    model = svm_train(gram, labels, c=args.c, tol=args.tol, workers=args.workers)
+    model = svm_train(gram, labels, c=args.c, tol=args.tol)
     save_svm(model, args.out)
     print(f"trained {len(model.classes)} one-vs-rest classifiers on "
           f"{model.train_count} examples -> {args.out}")

@@ -61,11 +61,10 @@ from .postproc import (
 from .svm import (
     GramMatrix,
     gram_matrix,
-    gram_matrix_packed,
     kernel_rows,
     load_svm,
-    packed_rows,
     save_svm,
+    sign_kernel_rows,
     svm_predict,
     svm_train,
 )
@@ -625,15 +624,15 @@ def run_pipeline(
         os.makedirs(kernel_dir, exist_ok=True)
         t0 = time.perf_counter()
         if config.quantize:
-            train_signs = [sign_quantize(row) for row in train.data]
-            test_signs = [sign_quantize(row) for row in test.data]
-            save_sign_stack(train_signs, os.path.join(kernel_dir, "train.signs"))
-            save_sign_stack(test_signs, os.path.join(kernel_dir, "test.signs"))
-            raw_gram = gram_matrix_packed(train_signs, workers=workers)
-            raw_rows = packed_rows(test_signs, train_signs, workers=workers)
+            train_codes = sign_quantize(train.data)
+            test_codes = sign_quantize(test.data)
+            save_sign_stack(train_codes, train.dim, os.path.join(kernel_dir, "train.signs"))
+            save_sign_stack(test_codes, test.dim, os.path.join(kernel_dir, "test.signs"))
+            raw_gram = GramMatrix(sign_kernel_rows(train_codes, train_codes))
+            raw_rows = sign_kernel_rows(test_codes, train_codes)
         else:
-            raw_gram = gram_matrix(train, workers=workers)
-            raw_rows = kernel_rows(test, train, workers=workers)
+            raw_gram = gram_matrix(train)
+            raw_rows = kernel_rows(test, train)
         kernel_seconds = time.perf_counter() - t0
         save_features(FeatureMatrix(raw_gram.values), gram_path)
         save_features(FeatureMatrix(raw_rows), rows_path)
@@ -667,7 +666,6 @@ def run_pipeline(
             [e.labels for e in train_entries],
             c=config.svm_c,
             tol=config.svm_tol,
-            workers=workers,
         )
         train_seconds = time.perf_counter() - t0
         save_svm(model, model_path)

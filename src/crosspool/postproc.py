@@ -4,16 +4,23 @@ Quantization keeps only the sign of each dimension, two bits per dimension,
 four dimensions per byte: code 00 for zero, 01 for positive, 10 for
 negative; 11 never appears.  Dimension j occupies bits 2*(j % 4) and
 2*(j % 4) + 1 of byte j // 4, and padding bits in the last byte are zero.
-``packed_dot`` evaluates the inner product of two sign vectors directly on
-the packed bytes with bit masks and a popcount table.
+``sign_quantize`` turns a (count, dim) matrix into a (count, ceil(dim/4))
+uint8 code matrix, comparing in the input's own dtype.  ``sign_unpack``
+expands codes back to float32 -1/0/+1 through a 256-entry byte table, four
+dimensions per byte.  Because padding codes are zero, an unpacked block of
+whole bytes can enter an inner product as is: ``svm.sign_kernel_rows``
+unpacks the codes one column block at a time and multiplies each block
+with one BLAS product, which is exact (see ``svm``).
 
 File containers (integers unsigned 32-bit little-endian):
 
-    sign vector   magic ``CPSIGN01`` | dim | ceil(dim/4) packed bytes
     sign stack    magic ``CPSIGS01`` | count | dim | count*ceil(dim/4) bytes
     PCA model     magic ``CPPCA001`` | input_dim | output_dim | mean
                   (input_dim float32) | basis (output_dim*input_dim float32,
                   row-major) | eigenvalues (output_dim float32)
+
+A sign stack holding the code 11 or nonzero padding bits is rejected on
+load, since the kernel would count the padding as phantom dimensions.
 """
 
 from __future__ import annotations
@@ -23,21 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    CorruptionError,
-    FormatError,
-    RankError,
-    ValidationError,
-)
-from .tensor import FeatureMatrix
+from .errors import ContractError, RankError, ValidationError
+from .tensor import FeatureMatrix, read_header, read_payload
 
-SIGN_MAGIC = b"CPSIGN01"
 SIGN_STACK_MAGIC = b"CPSIGS01"
 PCA_MAGIC = b"CPPCA001"
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_HEADER = struct.Struct("<II")  # count, dim or input_dim, output_dim
 _LOW_BITS = 0b01010101
+# row b holds the four dimensions of byte b as float32 signs
+_BYTE_CODES = (np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 0b11
+_BYTE_SIGNS = (_BYTE_CODES == 0b01).astype(np.float32) - (_BYTE_CODES == 0b10)
 
 
 @dataclass
@@ -89,37 +92,6 @@ class PcaModel:
     @property
     def output_dim(self) -> int:
         return self.basis.shape[0]
-
-
-@dataclass
-class PackedSignVector:
-    """A sign vector stored two bits per dimension."""
-
-    dim: int
-    bits: bytes
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("sign vector dimension must be positive")
-        raw = bytes(bytearray(np.asarray(self.bits, dtype=np.uint8).ravel())
-                    if isinstance(self.bits, np.ndarray) else self.bits)
-        expected = (self.dim + 3) // 4
-        if len(raw) != expected:
-            raise ValidationError(
-                f"{len(raw)} packed bytes for dim {self.dim}, expected {expected}"
-            )
-        arr = np.frombuffer(raw, dtype=np.uint8)
-        if np.any(arr & (arr >> 1) & _LOW_BITS):
-            raise ValidationError("packed sign vector contains the invalid code 11")
-        # padding codes past dim must be zero or whole-byte dot products
-        # would count phantom dimensions
-        spare = self.dim % 4
-        if spare and raw[-1] >> (2 * spare):
-            raise ValidationError("packed sign vector has nonzero padding bits")
-        self.bits = raw
-
-    def as_array(self) -> np.ndarray:
-        return np.frombuffer(self.bits, dtype=np.uint8)
 
 
 def pca_fit(sample: FeatureMatrix, output_dim: int) -> PcaModel:
@@ -178,135 +150,72 @@ def power_normalize(values: np.ndarray) -> np.ndarray:
     return np.sign(arr) * np.sqrt(np.abs(arr))
 
 
-def sign_quantize(values: np.ndarray) -> PackedSignVector:
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size < 1:
-        raise ValidationError("cannot quantize an empty vector")
-    codes = np.zeros(arr.size, dtype=np.uint8)
-    codes[arr > 0] = 0b01
-    codes[arr < 0] = 0b10
-    padded = np.zeros(((arr.size + 3) // 4) * 4, dtype=np.uint8)
-    padded[: arr.size] = codes
-    quads = padded.reshape(-1, 4)
-    packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    return PackedSignVector(dim=arr.size, bits=packed)
+def sign_quantize(values: np.ndarray) -> np.ndarray:
+    """Codes of each row of a (count, dim) matrix, shape (count, ceil(dim/4))."""
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValidationError(f"cannot quantize an array of shape {arr.shape}")
+    count, dim = arr.shape
+    codes = np.zeros((count, (dim + 3) // 4 * 4), dtype=np.uint8)
+    codes[:, :dim] = arr > 0
+    codes[:, :dim] |= (arr < 0).view(np.uint8) << 1
+    quads = codes.reshape(count, -1, 4)
+    return quads[..., 0] | quads[..., 1] << 2 | quads[..., 2] << 4 | quads[..., 3] << 6
 
 
-def sign_unpack(packed: PackedSignVector) -> np.ndarray:
-    """Recover the sign vector as floats in {-1.0, 0.0, +1.0}."""
-    bits = packed.as_array()
-    quads = np.empty((bits.size, 4), dtype=np.uint8)
-    for j in range(4):
-        quads[:, j] = (bits >> (2 * j)) & 0b11
-    codes = quads.ravel()[: packed.dim]
-    out = np.zeros(packed.dim, dtype=np.float64)
-    out[codes == 0b01] = 1.0
-    out[codes == 0b10] = -1.0
-    return out
+def sign_unpack(codes: np.ndarray) -> np.ndarray:
+    """Expand a code matrix to float32 -1/0/+1, four columns per byte; the
+    columns past dim are the zero padding."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    return _BYTE_SIGNS[codes].reshape(codes.shape[0], -1)
 
 
-def packed_dot(a: PackedSignVector, b: PackedSignVector) -> int:
-    """Inner product of two sign vectors, evaluated on the packed bytes."""
-    if a.dim != b.dim:
-        raise ContractError(f"sign vectors disagree on dim: {a.dim} vs {b.dim}")
-    bits_a, bits_b = a.as_array(), b.as_array()
-    pos_a = bits_a & _LOW_BITS
-    neg_a = (bits_a >> 1) & _LOW_BITS
-    pos_b = bits_b & _LOW_BITS
-    neg_b = (bits_b >> 1) & _LOW_BITS
-    agree = (pos_a & pos_b) | (neg_a & neg_b)
-    differ = (pos_a & neg_b) | (neg_a & pos_b)
-    return int(_POPCOUNT[agree].sum() - _POPCOUNT[differ].sum())
-
-
-def save_signs(packed: PackedSignVector, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(SIGN_MAGIC)
-        fh.write(struct.pack("<I", packed.dim))
-        fh.write(packed.bits)
-
-
-def load_signs(path) -> PackedSignVector:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(SIGN_MAGIC) + 4:
-        raise FormatError(f"{path}: file too short for a sign-vector header")
-    if blob[: len(SIGN_MAGIC)] != SIGN_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {SIGN_MAGIC!r}")
-    (dim,) = struct.unpack_from("<I", blob, len(SIGN_MAGIC))
-    if dim < 1:
-        raise ValidationError(f"{path}: header declares zero dimension")
-    body = blob[len(SIGN_MAGIC) + 4 :]
-    expected = (dim + 3) // 4
-    if len(body) != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, header promises {expected}"
-        )
-    return PackedSignVector(dim=dim, bits=bytes(body))
-
-
-def save_sign_stack(vectors: list[PackedSignVector], path) -> None:
-    if not vectors:
+def save_sign_stack(codes: np.ndarray, dim: int, path) -> None:
+    """Write a (count, ceil(dim/4)) code matrix as a CPSIGS01 file."""
+    if codes.ndim != 2 or codes.shape[0] < 1 or dim < 1:
         raise ValidationError("cannot save an empty sign stack")
-    dim = vectors[0].dim
-    for v in vectors:
-        if v.dim != dim:
-            raise ContractError("sign stack vectors disagree on dim")
+    if codes.shape[1] != (dim + 3) // 4:
+        raise ContractError(
+            f"{codes.shape[1]} code bytes per row do not hold dim {dim}"
+        )
     with open(path, "wb") as fh:
         fh.write(SIGN_STACK_MAGIC)
-        fh.write(struct.pack("<II", len(vectors), dim))
-        for v in vectors:
-            fh.write(v.bits)
+        fh.write(_HEADER.pack(codes.shape[0], dim))
+        fh.write(np.ascontiguousarray(codes, dtype=np.uint8).tobytes())
 
 
-def load_sign_stack(path) -> list[PackedSignVector]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(SIGN_STACK_MAGIC) + 8:
-        raise FormatError(f"{path}: file too short for a sign-stack header")
-    if blob[: len(SIGN_STACK_MAGIC)] != SIGN_STACK_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {SIGN_STACK_MAGIC!r}")
-    count, dim = struct.unpack_from("<II", blob, len(SIGN_STACK_MAGIC))
-    if dim < 1 or count < 1:
-        raise ValidationError(f"{path}: header declares an empty stack")
-    stride = (dim + 3) // 4
-    body = blob[len(SIGN_STACK_MAGIC) + 8 :]
-    if len(body) != count * stride:
-        raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, header promises {count * stride}"
-        )
-    return [
-        PackedSignVector(dim=dim, bits=body[i * stride : (i + 1) * stride])
-        for i in range(count)
-    ]
+def load_sign_stack(path) -> tuple[np.ndarray, int]:
+    """Read a CPSIGS01 file; returns its code matrix and dim."""
+    with open(path, "rb", buffering=0) as fh:
+        count, dim = read_header(fh, path, SIGN_STACK_MAGIC, _HEADER, "sign-stack")
+        if dim < 1 or count < 1:
+            raise ValidationError(f"{path}: header declares an empty stack")
+        codes = read_payload(fh, path, np.uint8, (count, (dim + 3) // 4))
+    if np.any(codes & (codes >> 1) & _LOW_BITS):
+        raise ValidationError(f"{path}: sign stack contains the invalid code 11")
+    spare = dim % 4
+    if spare and np.any(codes[:, -1] >> (2 * spare)):
+        raise ValidationError(f"{path}: sign stack has nonzero padding bits")
+    return codes, dim
 
 
 def save_pca(model: PcaModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(PCA_MAGIC)
-        fh.write(struct.pack("<II", model.input_dim, model.output_dim))
+        fh.write(_HEADER.pack(model.input_dim, model.output_dim))
         fh.write(model.mean.astype("<f4").tobytes())
         fh.write(model.basis.astype("<f4").tobytes())
         fh.write(model.eigenvalues.astype("<f4").tobytes())
 
 
 def load_pca(path) -> PcaModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(PCA_MAGIC) + 8:
-        raise FormatError(f"{path}: file too short for a PCA header")
-    if blob[: len(PCA_MAGIC)] != PCA_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {PCA_MAGIC!r}")
-    input_dim, output_dim = struct.unpack_from("<II", blob, len(PCA_MAGIC))
-    if input_dim < 1 or output_dim < 1:
-        raise ValidationError(f"{path}: header declares a zero dimension")
-    body = blob[len(PCA_MAGIC) + 8 :]
-    expected = 4 * (input_dim + output_dim * input_dim + output_dim)
-    if len(body) != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, header promises {expected}"
-        )
-    floats = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    with open(path, "rb", buffering=0) as fh:
+        input_dim, output_dim = read_header(fh, path, PCA_MAGIC, _HEADER, "PCA")
+        if input_dim < 1 or output_dim < 1:
+            raise ValidationError(f"{path}: header declares a zero dimension")
+        floats = read_payload(
+            fh, path, "<f4", (input_dim + output_dim * input_dim + output_dim,)
+        ).astype(np.float64)
     mean = floats[:input_dim]
     basis = floats[input_dim : input_dim + output_dim * input_dim]
     eigenvalues = floats[input_dim + output_dim * input_dim :]

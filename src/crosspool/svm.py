@@ -1,8 +1,16 @@
 """Linear classification from precomputed kernels.
 
-Kernels are plain inner products.  Every Gram entry is produced by the same
-per-row ``dot`` call no matter how many workers split the rows, so the
-matrix is bitwise identical for any worker count.
+Every kernel is one BLAS matrix product.  Float representations are upcast
+to float64 and multiplied as ``q @ t.T``.  Sign codes (see ``postproc``)
+are multiplied from their packed code matrices in fixed column blocks of
+``SIGN_BLOCK_BYTES`` bytes: each block is unpacked to float32 -1/0/+1 and
+its product added into a float64 result.  The sum is exact at any
+dimension.  A block spans at most 4 * SIGN_BLOCK_BYTES = 4096 dimensions,
+so every partial sum inside a block's product is an integer of magnitude
+at most 4096, well below the 2**24 that float32 holds exactly, and the
+float64 sum over blocks stays exact up to 2**53.  Unpacking block by block
+bounds the float32 copy at count * 4 * SIGN_BLOCK_BYTES values, where
+unpacking the whole matrix would take count * dim.
 
 Training is one-vs-rest.  Each binary problem is the box-constrained dual
 
@@ -10,7 +18,9 @@ Training is one-vs-rest.  Each binary problem is the box-constrained dual
     Q[i, j] = y_i y_j (K[i, j] + c0),      c0 = trace(K) / n,
 
 solved by coordinate ascent in a fixed cyclic sweep until every projected
-gradient is within tol.  The c0 offset is the usual augmented-bias trick
+gradient is within tol or the sweep cap is reached.  When the largest
+projected gradient at the returned alpha is above tol, training warns.
+The c0 offset is the usual augmented-bias trick
 (one constant pseudo-feature of squared norm c0), giving bias
 c0 * sum(alpha * y); tying c0 to the kernel's own scale keeps decisions
 exactly invariant under rescaling representations by s with C / s**2.
@@ -25,7 +35,7 @@ Model container (integers unsigned 32-bit LE, floats IEEE binary64 LE):
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +47,7 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .postproc import PackedSignVector, _LOW_BITS, _POPCOUNT
+from .postproc import sign_unpack
 from .tensor import FeatureMatrix
 
 SVM_MAGIC = b"CPSVM001"
@@ -45,6 +55,7 @@ SVM_MAGIC = b"CPSVM001"
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-4
 MAX_SWEEPS = 2000
+SIGN_BLOCK_BYTES = 1024
 
 
 @dataclass
@@ -100,86 +111,39 @@ class SvmModel:
         return self.dual_coeffs.shape[1]
 
 
-def _rows(task, n: int, workers: int) -> list:
-    if workers <= 1:
-        return [task(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(n)))
-
-
-def gram_matrix(reps: FeatureMatrix, workers: int = 1) -> GramMatrix:
+def gram_matrix(reps: FeatureMatrix) -> GramMatrix:
     """Pairwise inner products of the representation rows."""
     if reps.count < 1:
         raise ContractError("Gram matrix needs at least one representation")
-    data = reps.data.astype(np.float64, copy=False)
-
-    def row(i: int) -> np.ndarray:
-        return data @ data[i]
-
-    return GramMatrix(np.stack(_rows(row, reps.count, workers)))
+    return GramMatrix(kernel_rows(reps, reps))
 
 
-def kernel_rows(queries: FeatureMatrix, train: FeatureMatrix, workers: int = 1) -> np.ndarray:
+def kernel_rows(queries: FeatureMatrix, train: FeatureMatrix) -> np.ndarray:
     """Inner products of each query row against every training row."""
     if queries.dim != train.dim:
         raise ContractError(
             f"query dim {queries.dim} does not match training dim {train.dim}"
         )
     q = queries.data.astype(np.float64, copy=False)
-    t = train.data.astype(np.float64, copy=False)
-
-    def row(i: int) -> np.ndarray:
-        return t @ q[i]
-
-    return np.stack(_rows(row, queries.count, workers))
+    t = q if train is queries else train.data.astype(np.float64, copy=False)
+    return q @ t.T
 
 
-def _split_bits(signs: Sequence[PackedSignVector]) -> tuple[np.ndarray, np.ndarray]:
-    stack = np.stack([v.as_array() for v in signs])
-    return stack & _LOW_BITS, (stack >> 1) & _LOW_BITS
-
-
-def gram_matrix_packed(signs: Sequence[PackedSignVector], workers: int = 1) -> GramMatrix:
-    """Exact integer Gram matrix of packed sign vectors."""
-    if len(signs) < 1:
-        raise ContractError("Gram matrix needs at least one representation")
-    dim = signs[0].dim
-    for v in signs:
-        if v.dim != dim:
-            raise ContractError("packed sign vectors disagree on dim")
-    pos, neg = _split_bits(signs)
-
-    def row(i: int) -> np.ndarray:
-        agree = (pos & pos[i]) | (neg & neg[i])
-        differ = (pos & neg[i]) | (neg & pos[i])
-        return (_POPCOUNT[agree].sum(axis=1) - _POPCOUNT[differ].sum(axis=1)).astype(
-            np.float64
+def sign_kernel_rows(q_codes: np.ndarray, t_codes: np.ndarray) -> np.ndarray:
+    """Exact inner products of each query sign vector against every training
+    sign vector, from their (count, ceil(dim/4)) packed code matrices."""
+    if q_codes.shape[0] < 1 or t_codes.shape[0] < 1:
+        raise ContractError("sign kernel rows need nonempty inputs")
+    if q_codes.shape[1] != t_codes.shape[1]:
+        raise ContractError(
+            f"query codes hold {q_codes.shape[1]} bytes per row, "
+            f"training codes {t_codes.shape[1]}"
         )
-
-    return GramMatrix(np.stack(_rows(row, len(signs), workers)))
-
-
-def packed_rows(
-    queries: Sequence[PackedSignVector],
-    train: Sequence[PackedSignVector],
-    workers: int = 1,
-) -> np.ndarray:
-    """Sign-vector kernel rows of each query against every training vector."""
-    if not queries or not train:
-        raise ContractError("packed kernel rows need nonempty inputs")
-    if queries[0].dim != train[0].dim:
-        raise ContractError("query and training sign vectors disagree on dim")
-    qpos, qneg = _split_bits(queries)
-    tpos, tneg = _split_bits(train)
-
-    def row(i: int) -> np.ndarray:
-        agree = (tpos & qpos[i]) | (tneg & qneg[i])
-        differ = (tpos & qneg[i]) | (tneg & qpos[i])
-        return (_POPCOUNT[agree].sum(axis=1) - _POPCOUNT[differ].sum(axis=1)).astype(
-            np.float64
-        )
-
-    return np.stack(_rows(row, len(queries), workers))
+    out = np.zeros((q_codes.shape[0], t_codes.shape[0]))
+    for lo in range(0, q_codes.shape[1], SIGN_BLOCK_BYTES):
+        block = slice(lo, lo + SIGN_BLOCK_BYTES)
+        out += sign_unpack(q_codes[:, block]) @ sign_unpack(t_codes[:, block]).T
+    return out
 
 
 def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:
@@ -202,8 +166,14 @@ def _solve_binary(
     c: float,
     tol: float,
     max_sweeps: int,
-) -> np.ndarray:
-    """Cyclic coordinate ascent on the box-constrained dual; returns alpha."""
+) -> tuple[np.ndarray, float]:
+    """Cyclic coordinate ascent on the box-constrained dual; returns alpha
+    and the largest projected gradient at that alpha.
+
+    A sweep stops the loop when no coordinate it visits has a projected
+    gradient above tol; later updates in that sweep move the earlier
+    coordinates' gradients, so the returned value is measured afresh.
+    """
     n = y.size
     alpha = np.zeros(n)
     pooled = np.zeros(n)  # augmented @ (alpha * y)
@@ -230,7 +200,11 @@ def _solve_binary(
                 pooled += (delta * y[i]) * augmented[i]
         if worst <= tol:
             break
-    return alpha
+    grad = y * pooled - 1.0
+    projected = np.where(
+        alpha <= 0.0, np.minimum(grad, 0.0), np.where(alpha >= c, np.maximum(grad, 0.0), grad)
+    )
+    return alpha, float(np.abs(projected).max())
 
 
 def svm_train(
@@ -239,13 +213,13 @@ def svm_train(
     c: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = MAX_SWEEPS,
-    workers: int = 1,
 ) -> SvmModel:
     """Train one-vs-rest classifiers on a precomputed training kernel.
 
     ``labels`` holds one label per training row, or an iterable of labels
     for multi-label data; a class's binary problem takes every example that
-    carries the class as positive.
+    carries the class as positive.  A class whose solver stops with a
+    projected gradient above ``tol`` raises a RuntimeWarning.
     """
     n = gram.n
     if len(labels) != n:
@@ -262,18 +236,25 @@ def svm_train(
     augmented = gram.values + offset
     diag = augmented.diagonal().copy()
 
-    def solve(class_index: int) -> tuple[np.ndarray, float]:
-        name = classes[class_index]
+    dual, biases = [], []
+    for name in classes:
         y = np.where([name in s for s in label_sets], 1.0, -1.0)
-        alpha = _solve_binary(augmented, diag, y, c, tol, max_sweeps)
+        alpha, gradient = _solve_binary(augmented, diag, y, c, tol, max_sweeps)
+        if gradient > tol:
+            warnings.warn(
+                f"class {name!r} not converged: max projected gradient "
+                f"{gradient:.3g} above tol {tol:g} (sweep cap {max_sweeps})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         beta = alpha * y
-        return beta, offset * float(beta.sum())
-
-    results = _rows(solve, len(classes), workers)
-    dual = np.stack([beta for beta, _ in results])
-    biases = np.array([bias for _, bias in results])
+        dual.append(beta)
+        biases.append(offset * float(beta.sum()))
     return SvmModel(
-        classes=classes, dual_coeffs=dual, biases=biases, regularization_c=c
+        classes=classes,
+        dual_coeffs=np.stack(dual),
+        biases=np.array(biases),
+        regularization_c=c,
     )
 
 

@@ -10,10 +10,16 @@ little-endian, floats are IEEE 754 binary32 little-endian):
 Payloads are row-major: tensors iterate (row, column, channel), matrices
 iterate (row, column).  The tensor layout keeps each spatial unit's channel
 vector contiguous, which is the access pattern of every consumer here.
+
+Loaders of these and the other containers share ``read_header`` and
+``read_payload``: the payload is read straight into its array, so a loaded
+file is held in memory once.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -92,6 +98,43 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
+def read_header(fh, path, magic: bytes, header: struct.Struct, what: str) -> tuple:
+    """Check a container's magic and unpack the fixed header that follows."""
+    head = fh.read(len(magic) + header.size)
+    if len(head) < len(magic) + header.size:
+        raise FormatError(f"{path}: file too short for a {what} header")
+    if head[: len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic, expected {magic!r}")
+    return header.unpack_from(head, len(magic))
+
+
+def read_payload(fh, path, dtype, shape) -> np.ndarray:
+    """Read the rest of an open container straight into a new array.
+
+    The size the header promises is checked against the file's size before
+    anything is allocated, and against the bytes actually read after, so a
+    truncated or overlong file raises CorruptionError and the payload is
+    held in memory once.  The loaders open their files unbuffered, so the
+    payload goes from the kernel into the array without a second copy.
+    """
+    dtype = np.dtype(dtype)
+    expected = dtype.itemsize * math.prod(shape)
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held != expected:
+        raise CorruptionError(
+            f"{path}: payload holds {held} bytes, header promises {expected}"
+        )
+    out = np.empty(shape, dtype=dtype)
+    view = out.reshape(-1).view(np.uint8)
+    got = 0
+    # one read returns at most about 2 GiB on Linux
+    while got < expected and (count := fh.readinto(view[got:])):
+        got += count
+    if got != expected:
+        raise CorruptionError(f"{path}: read {got} payload bytes, header promises {expected}")
+    return out
+
+
 def save_tensor(tensor: ActivationTensor, path) -> None:
     payload = tensor.data.astype("<f4", copy=False).tobytes()
     header = TENSOR_MAGIC + _TENSOR_HEADER.pack(
@@ -103,25 +146,16 @@ def save_tensor(tensor: ActivationTensor, path) -> None:
 
 
 def load_tensor(path) -> ActivationTensor:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(TENSOR_MAGIC) + _TENSOR_HEADER.size:
-        raise FormatError(f"{path}: file too short for a tensor header")
-    if blob[: len(TENSOR_MAGIC)] != TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {TENSOR_MAGIC!r}")
-    h, w, d, flag = _TENSOR_HEADER.unpack_from(blob, len(TENSOR_MAGIC))
-    if min(h, w, d) < 1:
-        raise ValidationError(f"{path}: header declares a zero dimension ({h}, {w}, {d})")
-    if flag not in (0, 1):
-        raise FormatError(f"{path}: rectified flag must be 0 or 1, got {flag}")
-    body = blob[len(TENSOR_MAGIC) + _TENSOR_HEADER.size :]
-    expected = 4 * h * w * d
-    if len(body) != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, header promises {expected}"
-        )
-    values = np.frombuffer(body, dtype="<f4").astype(np.float32, copy=True)
-    return ActivationTensor(values.reshape(h, w, d), rectified=bool(flag))
+    with open(path, "rb", buffering=0) as fh:
+        h, w, d, flag = read_header(fh, path, TENSOR_MAGIC, _TENSOR_HEADER, "tensor")
+        if min(h, w, d) < 1:
+            raise ValidationError(
+                f"{path}: header declares a zero dimension ({h}, {w}, {d})"
+            )
+        if flag not in (0, 1):
+            raise FormatError(f"{path}: rectified flag must be 0 or 1, got {flag}")
+        values = read_payload(fh, path, "<f4", (h, w, d))
+    return ActivationTensor(values, rectified=bool(flag))
 
 
 def save_features(matrix: FeatureMatrix, path) -> None:
@@ -133,20 +167,9 @@ def save_features(matrix: FeatureMatrix, path) -> None:
 
 
 def load_features(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MATRIX_MAGIC) + _MATRIX_HEADER.size:
-        raise FormatError(f"{path}: file too short for a feature-matrix header")
-    if blob[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {MATRIX_MAGIC!r}")
-    count, dim = _MATRIX_HEADER.unpack_from(blob, len(MATRIX_MAGIC))
-    if dim < 1:
-        raise ValidationError(f"{path}: header declares zero feature dimension")
-    body = blob[len(MATRIX_MAGIC) + _MATRIX_HEADER.size :]
-    expected = 4 * count * dim
-    if len(body) != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, header promises {expected}"
-        )
-    values = np.frombuffer(body, dtype="<f4").astype(np.float32, copy=True)
-    return FeatureMatrix(values.reshape(count, dim))
+    with open(path, "rb", buffering=0) as fh:
+        count, dim = read_header(fh, path, MATRIX_MAGIC, _MATRIX_HEADER, "feature-matrix")
+        if dim < 1:
+            raise ValidationError(f"{path}: header declares zero feature dimension")
+        values = read_payload(fh, path, "<f4", (count, dim))
+    return FeatureMatrix(values)

@@ -11,6 +11,7 @@ cross-layer product and not in any per-channel max or sum statistic.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,13 +177,13 @@ def test_criterion_06_quantization_round_trip():
     """unpack(pack(v)) recovers sign(v) on 1000 vectors; size is ceil(dim/4)."""
     start = time.perf_counter()
     rng = np.random.default_rng(6)
-    for _ in range(1000):
-        dim = int(rng.integers(1, 80))
-        v = rng.normal(size=dim)
-        v[rng.random(dim) < 0.25] = 0.0
+    dims = rng.integers(1, 80, size=1000)
+    for dim in np.unique(dims):
+        v = rng.normal(size=(int(np.sum(dims == dim)), dim))
+        v[rng.random(v.shape) < 0.25] = 0.0
         packed = sign_quantize(v)
-        assert len(packed.bits) == (dim + 3) // 4
-        np.testing.assert_array_equal(sign_unpack(packed), np.sign(v))
+        assert packed.shape == (v.shape[0], (dim + 3) // 4)
+        np.testing.assert_array_equal(sign_unpack(packed)[:, :dim], np.sign(v))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report_line(6, "1000 sign round-trips exact at 2 bits per dimension")
@@ -232,15 +233,24 @@ def test_criterion_08_scheme_ordering(synth300):
     )
 
 
-def test_criterion_09_gram_determinism_and_svm_sanity():
-    """Bitwise-equal grams across workers; separable 100%; QP oracle agreement."""
+def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
+    """Bitwise-equal kernels across workers; separable 100%; QP oracle agreement."""
     start = time.perf_counter()
     rng = np.random.default_rng(9)
 
     reps = FeatureMatrix(rng.normal(size=(60, 24)))
-    base = gram_matrix(reps, workers=1)
-    for workers in (2, 4, 7):
-        assert np.array_equal(base.values, gram_matrix(reps, workers=workers).values)
+    assert np.array_equal(gram_matrix(reps).values, reps.data @ reps.data.T)
+    manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=9)
+    manifest = parse_manifest(manifest_path)
+    for quantize in (False, True):
+        config = PipelineConfig(network=net_path, pca_dim=8, seed=9, quantize=quantize)
+        kernels = []
+        for workers in (1, 2):
+            report = run_pipeline(config, manifest, tmp_path / f"w{workers}", workers=workers)
+            kernel_dir = report["artifacts"]["kernel"]
+            kernels.append([(Path(kernel_dir) / name).read_bytes()
+                            for name in ("gram.fmat", "rows.fmat")])
+        assert kernels[0] == kernels[1]
 
     sep = np.vstack([rng.normal(size=(30, 5)) + 4, rng.normal(size=(30, 5)) - 4])
     sep_labels = ["a"] * 30 + ["b"] * 30

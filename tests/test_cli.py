@@ -1,6 +1,7 @@
 """Exercises the console entry point in-process, including exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -112,8 +113,8 @@ def test_pool_quantize_gram_train_predict_chain(dataset, tmp_path, capsys):
     save_features(FeatureMatrix(data), reps)
 
     assert run_cli("quantize", "--input", reps, "--out", tmp_path / "q.sgns") == 0
-    stack = load_sign_stack(tmp_path / "q.sgns")
-    assert len(stack) == 12 and stack[0].dim == 8
+    codes, dim = load_sign_stack(tmp_path / "q.sgns")
+    assert codes.shape == (12, 2) and dim == 8
 
     assert run_cli("gram", "--reps", reps, "--out", tmp_path / "k.fmat") == 0
     gram = load_features(tmp_path / "k.fmat")
@@ -226,6 +227,20 @@ def test_exit_code_corrupt_tensor(dataset, tmp_path, capsys):
     code = run_cli("extract", "--input", blob, "--window", "1x1",
                    "--out", tmp_path / "f.fmat")
     assert code == 3
+
+
+@pytest.mark.parametrize("dim,payload", [
+    (1, [0b11]),        # code 11
+    (1, [0b0100]),      # nonzero padding past dim
+    (8, [0b01]),        # truncated: 2 bytes promised
+    (8, [0b01, 0, 0]),  # overlong
+])
+def test_exit_code_corrupt_sign_stack(tmp_path, capsys, dim, payload):
+    path = tmp_path / "bad.sgns"
+    path.write_bytes(b"CPSIGS01" + struct.pack("<II", 1, dim) + bytes(payload))
+    assert run_cli("gram", "--reps", path, "--out", tmp_path / "k.fmat") == 3
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "k.fmat").exists()
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """PCA, power normalization, and 2-bit sign code tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,13 @@ from crosspool.errors import (
     ValidationError,
 )
 from crosspool.postproc import (
-    PackedSignVector,
     load_pca,
     load_sign_stack,
-    load_signs,
-    packed_dot,
     pca_fit,
     pca_project,
     power_normalize,
     save_pca,
     save_sign_stack,
-    save_signs,
     sign_quantize,
     sign_unpack,
 )
@@ -160,83 +158,78 @@ def test_power_normalize_monotone_and_odd():
 
 
 def test_sign_quantize_example():
-    q = sign_quantize(np.array([2.5, -0.1, 0.0, 7.0]))
-    assert q.dim == 4
-    assert len(q.bits) == 1
-    np.testing.assert_array_equal(sign_unpack(q), [1.0, -1.0, 0.0, 1.0])
+    q = sign_quantize(np.array([[2.5, -0.1, 0.0, 7.0]]))
+    assert q.shape == (1, 1) and q.dtype == np.uint8
+    assert q[0, 0] == 0b01_00_10_01
+    np.testing.assert_array_equal(sign_unpack(q), [[1.0, -1.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("dim,nbytes", [(1, 1), (4, 1), (5, 2), (8, 2), (9, 3), (160, 40)])
 def test_packed_size(dim, nbytes):
-    q = sign_quantize(np.zeros(dim))
-    assert len(q.bits) == nbytes
+    q = sign_quantize(np.zeros((3, dim)))
+    assert q.shape == (3, nbytes)
+    assert not q.any()
 
 
 def test_sign_round_trip_random():
     rng = np.random.default_rng(81)
     for _ in range(50):
-        dim = int(rng.integers(1, 40))
-        v = rng.choice([-1.0, 0.0, 1.0], size=dim) * rng.uniform(0.1, 5.0, size=dim)
-        v[rng.random(dim) < 0.2] = 0.0
-        np.testing.assert_array_equal(sign_unpack(sign_quantize(v)), np.sign(v))
+        count, dim = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        v = rng.choice([-1.0, 0.0, 1.0], size=(count, dim))
+        v *= rng.uniform(0.1, 5.0, size=(count, dim))
+        v[rng.random((count, dim)) < 0.2] = 0.0
+        for dtype in (np.float32, np.float64):
+            signs = sign_unpack(sign_quantize(v.astype(dtype)))
+            np.testing.assert_array_equal(signs[:, :dim], np.sign(v))
+            assert not signs[:, dim:].any()
 
 
-def test_code_three_rejected():
+def test_sign_quantize_rejects_non_matrix():
+    for bad in (np.ones(3), np.ones((2, 0)), np.ones((1, 2, 2))):
+        with pytest.raises(ValidationError):
+            sign_quantize(bad)
+
+
+def _stack_file(path, count, dim, payload):
+    path.write_bytes(b"CPSIGS01" + struct.pack("<II", count, dim) + bytes(payload))
+    return path
+
+
+def test_code_three_rejected(tmp_path):
     with pytest.raises(ValidationError):
-        PackedSignVector(dim=1, bits=bytes([0b11]))
-
-
-def test_padding_bits_must_be_zero():
+        load_sign_stack(_stack_file(tmp_path / "c.sgns", 1, 1, [0b11]))
     with pytest.raises(ValidationError):
-        PackedSignVector(dim=1, bits=bytes([0b0100]))
+        load_sign_stack(_stack_file(tmp_path / "d.sgns", 2, 8, [0, 0, 0b1100_0000, 0]))
 
 
-def test_packed_dot_matches_unpacked():
-    rng = np.random.default_rng(82)
-    for _ in range(100):
-        dim = int(rng.integers(1, 60))
-        a = rng.choice([-1.0, 0.0, 1.0], size=dim)
-        b = rng.choice([-1.0, 0.0, 1.0], size=dim)
-        qa, qb = sign_quantize(a), sign_quantize(b)
-        assert packed_dot(qa, qb) == int(np.dot(np.sign(a), np.sign(b)))
+def test_padding_bits_must_be_zero(tmp_path):
+    with pytest.raises(ValidationError):
+        load_sign_stack(_stack_file(tmp_path / "p.sgns", 1, 1, [0b0100]))
+    # dim 6: the last byte holds two dimensions, its high nibble is padding
+    with pytest.raises(ValidationError):
+        load_sign_stack(_stack_file(tmp_path / "q.sgns", 2, 6, [0, 0b0101, 0, 0b01_0000]))
+    codes, dim = load_sign_stack(_stack_file(tmp_path / "ok.sgns", 2, 6, [0, 0b1001, 0, 0]))
+    assert dim == 6 and codes.tolist() == [[0, 0b1001], [0, 0]]
 
 
-def test_packed_dot_dim_mismatch():
-    with pytest.raises(ContractError):
-        packed_dot(sign_quantize(np.ones(3)), sign_quantize(np.ones(4)))
-
-
-def test_signs_file_round_trip(tmp_path):
-    rng = np.random.default_rng(83)
-    v = rng.normal(size=11)
-    q = sign_quantize(v)
-    path = tmp_path / "v.signs"
-    save_signs(q, path)
-    back = load_signs(path)
-    assert back.dim == 11
-    assert back.bits == q.bits
+@pytest.mark.parametrize("payload", [[1, 2, 1], [1, 2, 1, 2, 1]])
+def test_sign_stack_wrong_payload_size(tmp_path, payload):
+    with pytest.raises(CorruptionError):
+        load_sign_stack(_stack_file(tmp_path / "s.sgns", 2, 8, payload))
 
 
 def test_sign_stack_round_trip(tmp_path):
     rng = np.random.default_rng(84)
-    stack = [sign_quantize(rng.normal(size=9)) for _ in range(5)]
+    codes = sign_quantize(rng.normal(size=(5, 9)))
     path = tmp_path / "s.sgns"
-    save_sign_stack(stack, path)
-    back = load_sign_stack(path)
-    assert len(back) == 5
-    for a, b in zip(stack, back):
-        assert a.bits == b.bits and a.dim == b.dim
+    save_sign_stack(codes, 9, path)
+    assert path.stat().st_size == 8 + 8 + 5 * 3
+    back, dim = load_sign_stack(path)
+    assert dim == 9
+    np.testing.assert_array_equal(back, codes)
 
 
 def test_sign_stack_dim_mismatch(tmp_path):
-    stack = [sign_quantize(np.ones(4)), sign_quantize(np.ones(5))]
+    codes = sign_quantize(np.ones((2, 4)))
     with pytest.raises(ContractError):
-        save_sign_stack(stack, tmp_path / "bad.sgns")
-
-
-def test_signs_file_corruption(tmp_path):
-    path = tmp_path / "c.signs"
-    save_signs(sign_quantize(np.ones(9)), path)
-    path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(CorruptionError):
-        load_signs(path)
+        save_sign_stack(codes, 5, tmp_path / "bad.sgns")

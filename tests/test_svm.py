@@ -5,19 +5,22 @@ optimizing the same box-constrained objective, so both routes must land
 on the same stationary point for strictly convex problems.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from crosspool.errors import ContractError, CorruptionError, ValidationError
 from crosspool.postproc import sign_quantize, sign_unpack
 from crosspool.svm import (
+    SIGN_BLOCK_BYTES,
     GramMatrix,
+    _solve_binary,
     gram_matrix,
-    gram_matrix_packed,
     kernel_rows,
     load_svm,
-    packed_rows,
     save_svm,
+    sign_kernel_rows,
     svm_predict,
     svm_train,
 )
@@ -55,15 +58,6 @@ def test_gram_matches_matmul():
     np.testing.assert_allclose(gram.values, data @ data.T, rtol=1e-10)
 
 
-def test_gram_worker_counts_bitwise_identical():
-    rng = np.random.default_rng(91)
-    data = FeatureMatrix(rng.normal(size=(40, 16)))
-    base = gram_matrix(data, workers=1)
-    for workers in (2, 3, 8):
-        other = gram_matrix(data, workers=workers)
-        assert np.array_equal(base.values, other.values)
-
-
 def test_gram_positive_semidefinite():
     rng = np.random.default_rng(92)
     gram = gram_matrix(FeatureMatrix(rng.normal(size=(25, 7))))
@@ -74,18 +68,48 @@ def test_gram_positive_semidefinite():
 def test_kernel_rows_match_gram():
     rng = np.random.default_rng(93)
     train = FeatureMatrix(rng.normal(size=(10, 6)))
-    rows = kernel_rows(train, train, workers=2)
+    rows = kernel_rows(train, train)
     np.testing.assert_array_equal(rows, gram_matrix(train).values)
+    queries = FeatureMatrix(rng.normal(size=(4, 6)))
+    np.testing.assert_allclose(
+        kernel_rows(queries, train), queries.data @ train.data.T, rtol=1e-12
+    )
+    with pytest.raises(ContractError):
+        kernel_rows(FeatureMatrix(np.ones((2, 5))), train)
 
 
 def test_packed_gram_matches_unpacked_dot():
     rng = np.random.default_rng(94)
-    signs = [sign_quantize(rng.choice([-1.0, 0.0, 1.0], size=19)) for _ in range(15)]
-    gram = gram_matrix_packed(signs, workers=3)
-    dense = np.array([sign_unpack(s) for s in signs])
+    codes = sign_quantize(rng.choice([-1.0, 0.0, 1.0], size=(15, 19)))
+    gram = GramMatrix(sign_kernel_rows(codes, codes))
+    dense = sign_unpack(codes).astype(np.float64)
     np.testing.assert_array_equal(gram.values, dense @ dense.T)
-    rows = packed_rows(signs[:4], signs, workers=2)
+    rows = sign_kernel_rows(codes[:4], codes)
     np.testing.assert_array_equal(rows, gram.values[:4])
+
+
+@pytest.mark.parametrize("dim", [1, 7, 4 * SIGN_BLOCK_BYTES, 4 * SIGN_BLOCK_BYTES * 2 + 13])
+def test_sign_kernel_matches_float_signs(dim):
+    """Exact against sign(X) @ sign(Y).T in float64, across block edges and
+    with all-zero rows."""
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(9, dim))
+    y = rng.normal(size=(6, dim))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[2] = 0.0
+    y[4] = 0.0
+    expect = np.sign(x) @ np.sign(y).T
+    np.testing.assert_array_equal(sign_kernel_rows(sign_quantize(x), sign_quantize(y)), expect)
+    xq = sign_quantize(x)
+    np.testing.assert_array_equal(sign_kernel_rows(xq, xq), np.sign(x) @ np.sign(x).T)
+
+
+def test_sign_kernel_contract():
+    codes = sign_quantize(np.ones((3, 8)))
+    with pytest.raises(ContractError):
+        sign_kernel_rows(codes, sign_quantize(np.ones((3, 9))))
+    with pytest.raises(ContractError):
+        sign_kernel_rows(codes[:0], codes)
 
 
 def test_gram_requires_symmetry():
@@ -214,6 +238,43 @@ def test_multilabel_training():
     scores = np.array([svm_predict(model, gram.values[i])[1][big] for i in range(24)])
     assert scores[:8].min() > 0
     assert scores[8:].max() < 0
+
+
+def test_sweep_cap_warns():
+    """Stopping at the sweep cap above tol warns, naming class, gradient and tol."""
+    rng = np.random.default_rng(106)
+    mixed = np.vstack([rng.normal(size=(20, 3)) + 0.3, rng.normal(size=(20, 3)) - 0.3])
+    gram = gram_matrix(FeatureMatrix(mixed))
+    with pytest.warns(RuntimeWarning) as record:
+        svm_train(gram, ["pos"] * 20 + ["neg"] * 20, max_sweeps=1)
+    messages = sorted(str(w.message) for w in record)
+    assert [m.split()[1] for m in messages] == ["'neg'", "'pos'"]
+    for message in messages:
+        assert "not converged: max projected gradient" in message
+        assert message.endswith("above tol 0.0001 (sweep cap 1)")
+
+
+def test_solver_gradient_is_measured_at_returned_alpha():
+    rng = np.random.default_rng(108)
+    data = rng.normal(size=(30, 3))
+    gram = gram_matrix(FeatureMatrix(data)).values
+    augmented = gram + np.trace(gram) / 30
+    y = np.where(data[:, 0] > 0, 1.0, -1.0)
+    for sweeps in (1, 3, 2000):
+        alpha, gradient = _solve_binary(augmented, augmented.diagonal().copy(), y, 0.5,
+                                        1e-4, sweeps)
+        grad = y * (augmented @ (alpha * y)) - 1.0
+        projected = np.where(alpha <= 0.0, np.minimum(grad, 0.0),
+                             np.where(alpha >= 0.5, np.maximum(grad, 0.0), grad))
+        assert gradient == pytest.approx(np.abs(projected).max(), rel=1e-9, abs=1e-12)
+
+
+def test_converged_solver_does_not_warn():
+    rng = np.random.default_rng(107)
+    data, labels = separable_blobs(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svm_train(gram_matrix(FeatureMatrix(data)), labels)
 
 
 def test_train_requires_two_classes():
