@@ -39,13 +39,22 @@ STAGE_SALT = 0x9E3779B9
 
 
 def lcg_uniform(seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` floats in [-0.5, 0.5) from the documented LCG stream."""
-    out = np.empty(count, dtype=np.float64)
-    state = seed & 0xFFFFFFFF
-    for i in range(count):
-        state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & 0xFFFFFFFF
-        out[i] = state / 4294967296.0 - 0.5
-    return out
+    """Draw ``count`` floats in [-0.5, 0.5) from the documented LCG stream.
+
+    States are filled by jump-ahead doubling: with the first n states known,
+    the next n are x -> A*x + C (mod 2**32) applied to them, where (A, C) is
+    the n-step map; composing that map with itself gives the 2n-step one.
+    """
+    states = np.empty(count + 1, dtype=np.uint64)
+    states[0] = seed & 0xFFFFFFFF
+    mult, inc, done = LCG_MULTIPLIER, LCG_INCREMENT, 1
+    while done <= count:
+        step = min(done, count + 1 - done)
+        states[done : done + step] = (
+            states[:step] * np.uint64(mult) + np.uint64(inc)
+        ) & np.uint64(0xFFFFFFFF)
+        mult, inc, done = mult * mult & 0xFFFFFFFF, (mult * inc + inc) & 0xFFFFFFFF, 2 * done
+    return states[1:] / 4294967296.0 - 0.5
 
 
 @dataclass

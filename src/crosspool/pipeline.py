@@ -10,11 +10,16 @@ reuses the cached artifacts:
     model/<key>/             model.svm
     report/<key>.json
 
-Representations and kernels pass through float32 containers whether or not
-they come from cache, so a cached rerun reproduces a fresh run's metrics
-exactly.  Timings in the report are informational and vary between runs;
-everything under ``metrics`` and ``dims`` is deterministic for a fixed
-config, manifest, and seed.
+The representation key covers the network weights, each tensor's path,
+size and mtime, the labels and the package version.  A stage is built in
+a fresh sibling directory whose name starts with ``.`` and renamed into
+place when complete, so a ``<stage>/<key>`` directory is always whole; the
+report goes through a temp file and a rename too.  Each stage reads its
+inputs back from its parent's published files, built or cached, so a
+cached rerun sees the same float32 values and reproduces a fresh run's
+metrics exactly.  Timings in the report are informational and vary between
+runs; everything under ``metrics`` and ``dims`` is deterministic for a
+fixed config, manifest, and seed.
 
 Manifest lines are ``path<TAB>split<TAB>labels`` with comma-separated
 labels and split either ``train`` or ``test``; tensor paths are resolved
@@ -27,12 +32,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, ContractError, ValidationError
 from .features import extract_local_features
 from .multires import ResolutionConfig, iter_parts
@@ -343,9 +352,14 @@ def network_digest(net: NetworkSpec) -> str:
 
 
 def manifest_digest(manifest: DatasetManifest) -> str:
+    """Hash of each entry's path, split, labels, and tensor file size and mtime."""
     h = hashlib.sha256()
     for e in manifest.entries:
-        h.update(f"{e.path}\t{e.split}\t{','.join(sorted(e.labels))}\n".encode())
+        st = os.stat(e.path)
+        h.update(
+            f"{e.path}\t{e.split}\t{','.join(sorted(e.labels))}\t"
+            f"{st.st_size}\t{st.st_mtime_ns}\n".encode()
+        )
     return h.hexdigest()
 
 
@@ -355,18 +369,32 @@ def _key(payload: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _is_done(directory: str) -> bool:
-    return os.path.isfile(os.path.join(directory, ".done"))
+def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, str]:
+    """Reuse or build one stage; returns its directory and "hit" or "miss".
 
-
-def _mark_done(directory: str) -> None:
-    with open(os.path.join(directory, ".done"), "w", encoding="utf-8") as fh:
-        fh.write("ok\n")
-
-
-def _round_f32(values: np.ndarray) -> np.ndarray:
-    """Round through float32 so in-memory results match their container."""
-    return values.astype(np.float32).astype(np.float64)
+    A finished stage is the directory ``<stage>/<key>``.  On a miss
+    ``build(tmp)`` writes the artifacts into a fresh sibling directory whose
+    name starts with ``.``, which is then renamed into place; a failed build
+    leaves nothing behind.
+    """
+    directory = os.path.join(workdir, stage, key)
+    if use_cache and os.path.isdir(directory):
+        return directory, "hit"
+    os.makedirs(os.path.dirname(directory), exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{key}-", dir=os.path.dirname(directory))
+    try:
+        build(tmp)
+        if not use_cache:
+            shutil.rmtree(directory, ignore_errors=True)
+        try:
+            os.replace(tmp, directory)
+        except OSError:
+            # a concurrent run published the same key first
+            if not os.path.isdir(directory):
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return directory, "miss"
 
 
 def _map(fn, items, workers):
@@ -402,9 +430,9 @@ def _encode_part(feats, layer_t1, resolution, geometry, config, pca_models):
             feats, layer_t1, geometry.offset, pca=pca_models.get(resolution)
         )
     elif config.scheme == "direct-max":
-        vector = direct_max_pool(feats)
+        vector = direct_max_pool(feats.features)
     elif config.scheme == "direct-sum-sqrt":
-        vector = direct_sum_sqrt_pool(feats)
+        vector = direct_sum_sqrt_pool(feats.features)
     else:
         vector = spp_pool(feats, config.spp_levels)
     if config.power_norm:
@@ -474,6 +502,7 @@ def _represent_images(entries, net, geometry, config, pca_models, min_hw, worker
 
 
 def _compute_representations(config, manifest, net, geometry, directory, workers):
+    """Write the representation stage's artifacts into ``directory``."""
     min_hw = min_input_extent(net)
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
@@ -496,7 +525,6 @@ def _compute_representations(config, manifest, net, geometry, directory, workers
     )
     if test_layout != layout:
         raise ContractError("train and test images produce different layouts")
-    os.makedirs(directory, exist_ok=True)
     save_features(train, os.path.join(directory, "train.fmat"))
     save_features(test, os.path.join(directory, "test.fmat"))
     for resolution, model in pca_models.items():
@@ -526,8 +554,6 @@ def _compute_representations(config, manifest, net, geometry, directory, workers
     }
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    _mark_done(directory)
-    return train, test, meta
 
 
 def run_pipeline(
@@ -549,11 +575,10 @@ def run_pipeline(
     workdir = os.path.abspath(workdir)
     net = parse_network_file(config.network)
     geometry = _resolve_geometry(net, config)
-    cache = {}
-
     rep_key = _key(
         {
             "stage": "representations",
+            "version": __version__,
             "network": network_digest(net),
             "manifest": manifest_digest(manifest),
             "layer_pair": config.layer_pair,
@@ -568,21 +593,17 @@ def run_pipeline(
             "seed": config.seed,
         }
     )
-    rep_dir = os.path.join(workdir, "representations", rep_key)
-    if use_cache and _is_done(rep_dir):
-        train = load_features(os.path.join(rep_dir, "train.fmat"))
-        test = load_features(os.path.join(rep_dir, "test.fmat"))
-        with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        cache["representations"] = "hit"
-    else:
-        train, test, meta = _compute_representations(
-            config, manifest, net, geometry, rep_dir, workers
-        )
-        cache["representations"] = "miss"
+    cache = {}
+    rep_dir, cache["representations"] = _stage(
+        workdir, "representations", rep_key, use_cache,
+        lambda tmp: _compute_representations(config, manifest, net, geometry, tmp, workers),
+    )
+    with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
 
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
+    timing = meta["timing"]
     report = {
         "config_hash": rep_key,
         "scheme": config.scheme,
@@ -603,7 +624,7 @@ def run_pipeline(
             if config.quantize
             else None,
         },
-        "timing": dict(meta["timing"]),
+        "timing": timing,
         "cache": cache,
         "artifacts": {"representations": rep_dir},
     }
@@ -611,38 +632,40 @@ def run_pipeline(
         report["metrics"] = None
         return report
 
-    kernel_key = _key({"stage": "kernel", "parent": rep_key, "quantize": config.quantize})
-    kernel_dir = os.path.join(workdir, "kernel", kernel_key)
-    gram_path = os.path.join(kernel_dir, "gram.fmat")
-    rows_path = os.path.join(kernel_dir, "rows.fmat")
-    if use_cache and _is_done(kernel_dir):
-        gram = GramMatrix(load_features(gram_path).data.astype(np.float64))
-        rows = load_features(rows_path).data.astype(np.float64)
-        cache["kernel"] = "hit"
-        kernel_seconds = None
-    else:
-        os.makedirs(kernel_dir, exist_ok=True)
+    def build_kernel(tmp):
+        train = load_features(os.path.join(rep_dir, "train.fmat"))
+        test = load_features(os.path.join(rep_dir, "test.fmat"))
         t0 = time.perf_counter()
         if config.quantize:
             train_codes = sign_quantize(train.data)
             test_codes = sign_quantize(test.data)
-            save_sign_stack(train_codes, train.dim, os.path.join(kernel_dir, "train.signs"))
-            save_sign_stack(test_codes, test.dim, os.path.join(kernel_dir, "test.signs"))
-            raw_gram = GramMatrix(sign_kernel_rows(train_codes, train_codes))
-            raw_rows = sign_kernel_rows(test_codes, train_codes)
+            save_sign_stack(train_codes, train.dim, os.path.join(tmp, "train.signs"))
+            save_sign_stack(test_codes, test.dim, os.path.join(tmp, "test.signs"))
+            gram = GramMatrix(sign_kernel_rows(train_codes, train_codes))
+            rows = sign_kernel_rows(test_codes, train_codes)
         else:
-            raw_gram = gram_matrix(train)
-            raw_rows = kernel_rows(test, train)
-        kernel_seconds = time.perf_counter() - t0
-        save_features(FeatureMatrix(raw_gram.values), gram_path)
-        save_features(FeatureMatrix(raw_rows), rows_path)
-        _mark_done(kernel_dir)
-        # Round through float32 so this run matches any later cached rerun.
-        gram = GramMatrix(_round_f32(raw_gram.values))
-        rows = _round_f32(raw_rows)
-        cache["kernel"] = "miss"
+            gram = gram_matrix(train)
+            rows = kernel_rows(test, train)
+        timing["kernel_seconds"] = time.perf_counter() - t0
+        save_features(FeatureMatrix(gram.values), os.path.join(tmp, "gram.fmat"))
+        save_features(FeatureMatrix(rows), os.path.join(tmp, "rows.fmat"))
+
+    timing.update(kernel_seconds=None, train_seconds=None)
+    kernel_key = _key({"stage": "kernel", "parent": rep_key, "quantize": config.quantize})
+    kernel_dir, cache["kernel"] = _stage(workdir, "kernel", kernel_key, use_cache, build_kernel)
     report["artifacts"]["kernel"] = kernel_dir
-    report["timing"]["kernel_seconds"] = kernel_seconds
+
+    def build_model(tmp):
+        gram = GramMatrix(load_features(os.path.join(kernel_dir, "gram.fmat")).data)
+        t0 = time.perf_counter()
+        model = svm_train(
+            gram,
+            [e.labels for e in train_entries],
+            c=config.svm_c,
+            tol=config.svm_tol,
+        )
+        timing["train_seconds"] = time.perf_counter() - t0
+        save_svm(model, os.path.join(tmp, "model.svm"))
 
     model_key = _key(
         {
@@ -652,28 +675,11 @@ def run_pipeline(
             "svm_tol": config.svm_tol,
         }
     )
-    model_dir = os.path.join(workdir, "model", model_key)
-    model_path = os.path.join(model_dir, "model.svm")
-    if use_cache and _is_done(model_dir):
-        model = load_svm(model_path)
-        cache["model"] = "hit"
-        train_seconds = None
-    else:
-        os.makedirs(model_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        model = svm_train(
-            gram,
-            [e.labels for e in train_entries],
-            c=config.svm_c,
-            tol=config.svm_tol,
-        )
-        train_seconds = time.perf_counter() - t0
-        save_svm(model, model_path)
-        _mark_done(model_dir)
-        cache["model"] = "miss"
+    model_dir, cache["model"] = _stage(workdir, "model", model_key, use_cache, build_model)
     report["artifacts"]["model"] = model_dir
-    report["timing"]["train_seconds"] = train_seconds
 
+    model = load_svm(os.path.join(model_dir, "model.svm"))
+    rows = load_features(os.path.join(kernel_dir, "rows.fmat")).data.astype(np.float64)
     predictions = []
     scores = np.empty((len(test_entries), len(model.classes)))
     for i in range(rows.shape[0]):
@@ -688,9 +694,14 @@ def run_pipeline(
         manifest.single_label,
     )
     report_path = os.path.join(workdir, "report", f"{model_key}.json")
-    os.makedirs(os.path.dirname(report_path), exist_ok=True)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=str)
+    text = json.dumps(report, indent=2, default=str)
+    # a rerun that reproduces the report leaves the file as it is
+    if not os.path.isfile(report_path) or Path(report_path).read_text("utf-8") != text:
+        os.makedirs(os.path.dirname(report_path), exist_ok=True)
+        tmp_path = os.path.join(workdir, "report", f".{model_key}-{os.getpid()}.json")
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp_path, report_path)
     report["artifacts"]["report"] = report_path
     return report
 

@@ -37,17 +37,6 @@ from .postproc import PcaModel, pca_project
 from .tensor import ActivationTensor, FeatureMatrix
 
 
-def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, LocalFeatureSet):
-        return features.features.data
-    if isinstance(features, FeatureMatrix):
-        return features.data
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"features must be 2-d, got shape {arr.shape}")
-    return arr
-
-
 def unit_offset(pad: int, stride: int) -> int:
     """Offset o = pad / stride of the layer t+1 unit over the first window."""
     if pad % stride:
@@ -79,59 +68,37 @@ def cross_layer_pool(
     return (weights.T @ matrix.astype(np.float64, copy=False)).ravel()
 
 
-def direct_max_pool(features) -> np.ndarray:
-    matrix = _as_matrix(features)
+def direct_max_pool(features: FeatureMatrix) -> np.ndarray:
+    matrix = features.data
     if matrix.shape[0] < 1:
         raise ContractError("cannot max-pool an empty feature set")
     return matrix.max(axis=0).astype(np.float64)
 
 
-def direct_sum_sqrt_pool(features, square_before_sum: bool = False) -> np.ndarray:
-    """Column sums compressed by a signed square root.
-
-    With ``square_before_sum`` the entries are squared before summation, so
-    the result is the columnwise L2 norm; the default applies the signed
-    root to the plain sum.
-    """
-    matrix = _as_matrix(features).astype(np.float64)
+def direct_sum_sqrt_pool(features: FeatureMatrix) -> np.ndarray:
+    """Column sums compressed by a signed square root."""
+    matrix = features.data.astype(np.float64)
     if matrix.shape[0] < 1:
         raise ContractError("cannot sum-pool an empty feature set")
-    if square_before_sum:
-        return np.sqrt((matrix**2).sum(axis=0))
     total = matrix.sum(axis=0)
     return np.sign(total) * np.sqrt(np.abs(total))
 
 
-def spp_pool(
-    feature_set: LocalFeatureSet,
-    levels: Sequence[int],
-    values: np.ndarray | None = None,
-    cell_pool: str = "max",
-) -> np.ndarray:
-    """Spatial pyramid pooling over the anchor grid.
+def spp_pool(feature_set: LocalFeatureSet, levels: Sequence[int]) -> np.ndarray:
+    """Spatial pyramid max pooling of the descriptors over the anchor grid.
 
     For each level g the anchor grid is split into g x g cells: the anchor
     with grid index (i, j) in an R x C grid falls into cell
-    (i*g // R, j*g // C).  Cells are pooled independently (max by default)
-    and concatenated level by level, cells row-major; empty cells contribute
-    zeros.  ``values`` substitutes a projected matrix with one row per
-    anchor, otherwise the raw descriptors are pooled.
+    (i*g // R, j*g // C).  Each cell is max-pooled, and the cells are
+    concatenated level by level, row-major; empty cells contribute zeros.
     """
     if not levels:
         raise ContractError("spatial pyramid needs at least one level")
     if any(g < 1 for g in levels):
         raise ValidationError("pyramid levels must be positive")
-    if cell_pool not in ("max", "sum"):
-        raise ValidationError(f"unknown cell pool {cell_pool!r}")
-    matrix = feature_set.features.data if values is None else np.asarray(values)
-    if matrix.ndim != 2 or matrix.shape[0] != feature_set.count:
-        raise ContractError(
-            f"values must have one row per anchor ({feature_set.count}), "
-            f"got shape {matrix.shape}"
-        )
+    matrix = feature_set.features.data.astype(np.float64)
     if matrix.shape[0] < 1:
         raise ContractError("cannot pool an empty feature set")
-    matrix = matrix.astype(np.float64)
     rows = feature_set.anchors[:, 0] // feature_set.stride
     cols = feature_set.anchors[:, 1] // feature_set.stride
     dim = matrix.shape[1]
@@ -142,10 +109,8 @@ def spp_pool(
         for ci in range(g):
             for cj in range(g):
                 mask = (cell_r == ci) & (cell_c == cj)
-                if not mask.any():
-                    chunks.append(np.zeros(dim))
-                elif cell_pool == "max":
+                if mask.any():
                     chunks.append(matrix[mask].max(axis=0))
                 else:
-                    chunks.append(matrix[mask].sum(axis=0))
+                    chunks.append(np.zeros(dim))
     return np.concatenate(chunks)

@@ -71,8 +71,13 @@ def test_lcg_matches_recurrence():
             vals.append(state / 2**32 - 0.5)
         return np.array(vals, dtype=np.float64)
 
-    for seed in (0, 1, 42, 2**31):
-        np.testing.assert_array_equal(lcg_uniform(seed, 16), oracle(seed, 16))
+    for seed in (0, 1, 42, 2**31, 2**32 - 1):
+        for count in (0, 1, 2, 3, 16, 17, 4608):
+            vals = lcg_uniform(seed, count)
+            assert vals.dtype == np.float64 and vals.shape == (count,)
+            np.testing.assert_array_equal(
+                vals.view(np.uint64), oracle(seed, count).view(np.uint64)
+            )
 
 
 def test_lcg_range():

@@ -1,11 +1,13 @@
 """End-to-end pipeline tests on small synthetic datasets."""
 
+import builtins
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import crosspool.pipeline
 from crosspool.errors import ConfigError, ContractError, ValidationError
 from crosspool.multires import ResolutionConfig
 from crosspool.pipeline import (
@@ -17,7 +19,9 @@ from crosspool.pipeline import (
     run_pipeline,
 )
 from crosspool.synth import generate, make_image
-from crosspool.tensor import load_tensor
+from crosspool.tensor import ActivationTensor, load_tensor, save_tensor
+
+ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +170,97 @@ def test_run_pipeline_cache_hit_is_identical(dataset, tmp_path):
     assert first["cache"]["representations"] == "miss"
     assert second["cache"]["representations"] == "hit"
     assert first["metrics"] == second["metrics"]
+
+
+def test_failed_build_publishes_nothing(dataset, tmp_path, monkeypatch):
+    """A stage whose build raises partway leaves no directory under its
+    final name and no temp directory; the next run builds it afresh."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    workdir = tmp_path / "work"
+
+    def torn_save(model, path):
+        with open(path, "wb") as fh:
+            fh.write(b"CPSVM001")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(crosspool.pipeline, "save_svm", torn_save)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(config, manifest, workdir)
+    monkeypatch.undo()
+    assert list((workdir / "model").iterdir()) == []
+    assert not [p for p in workdir.rglob(".*")]
+
+    again = run_pipeline(config, manifest, workdir)
+    assert again["cache"] == {"representations": "hit", "kernel": "hit", "model": "miss"}
+    clean = run_pipeline(config, manifest, tmp_path / "clean")
+    assert again["metrics"] == clean["metrics"]
+
+
+def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch):
+    """With every stage cached, train.fmat and test.fmat are never opened."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "work")
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    second = run_pipeline(config, manifest, tmp_path / "work")
+    monkeypatch.undo()
+    assert second["cache"] == ALL_HIT
+    names = {name.rsplit("/", 1)[-1] for name in opened}
+    assert "rows.fmat" in names and "model.svm" in names
+    assert not names & {"train.fmat", "test.fmat"}
+    assert second["metrics"] == first["metrics"]
+    with open(second["artifacts"]["report"], encoding="utf-8") as fh:
+        assert json.load(fh)["cache"] == ALL_HIT
+
+
+def test_workdir_holds_only_published_stages(dataset, tmp_path):
+    """No marker or temp file is left, and a rebuild without the cache
+    replaces each stage directory in place."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1, quantize=True)
+    workdir = tmp_path / "work"
+    first = run_pipeline(config, manifest, workdir)
+    rebuilt = run_pipeline(config, manifest, workdir, use_cache=False)
+    assert set(rebuilt["cache"].values()) == {"miss"}
+    assert rebuilt["artifacts"] == first["artifacts"]
+    assert rebuilt["metrics"] == first["metrics"]
+    assert not [p for p in workdir.rglob(".*")]
+    contents = {
+        stage: sorted(p.name for p in (workdir / stage).rglob("*") if p.is_file())
+        for stage in ("representations", "kernel", "model", "report")
+    }
+    assert contents == {
+        "representations": ["meta.json", "pca_whole.pca", "test.fmat", "train.fmat"],
+        "kernel": ["gram.fmat", "rows.fmat", "test.signs", "train.signs"],
+        "model": ["model.svm"],
+        "report": [f"{first['artifacts']['model'].rsplit('/', 1)[-1]}.json"],
+    }
+
+
+def test_edited_tensors_miss_the_cache(tmp_path):
+    """Overwriting every tensor in place changes the representation key, so
+    a rerun in the same workdir matches a fresh workdir's metrics."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=9, n_test=9, seed=5)
+    manifest = parse_manifest(manifest_path)
+    config = PipelineConfig(network=str(net_path), pca_dim=6, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "work")
+    rng = np.random.default_rng(0)
+    for entry in manifest.entries:
+        shape = load_tensor(entry.path).data.shape
+        save_tensor(ActivationTensor(rng.uniform(0.0, 1.0, size=shape)), entry.path)
+    rerun = run_pipeline(config, manifest, tmp_path / "work")
+    fresh = run_pipeline(config, manifest, tmp_path / "fresh")
+    assert rerun["cache"]["representations"] == "miss"
+    assert rerun["config_hash"] != first["config_hash"]
+    assert rerun["metrics"] == fresh["metrics"]
 
 
 def test_run_pipeline_deterministic_across_workers(dataset, tmp_path):

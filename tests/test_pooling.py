@@ -205,12 +205,6 @@ def test_direct_sum_sqrt_signed():
     np.testing.assert_allclose(out, [-1.0, -np.sqrt(3.0)])
 
 
-def test_direct_sum_sqrt_square_mode():
-    data = np.array([[3.0, -1.0], [4.0, 1.0]])
-    out = direct_sum_sqrt_pool(FeatureMatrix(data), square_before_sum=True)
-    np.testing.assert_allclose(out, [5.0, np.sqrt(2.0)])
-
-
 def test_spp_level_one_equals_direct_max():
     rng = np.random.default_rng(51)
     data = rng.normal(size=(9, 9, 4)).astype(np.float32)
