@@ -211,11 +211,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_svm(args.model)
-    rows = load_features(args.rows).data.astype(np.float64)
+    labels, scores = svm_predict(model, load_features(args.rows).data)
     lines = ["index\tlabel\t" + "\t".join(model.classes)]
-    for i in range(rows.shape[0]):
-        label, scores = svm_predict(model, rows[i])
-        lines.append(f"{i}\t{label}\t" + "\t".join(f"{s:.6g}" for s in scores))
+    for i, (label, row) in enumerate(zip(labels, scores)):
+        lines.append(f"{i}\t{label}\t" + "\t".join(f"{s:.6g}" for s in row))
     text = "\n".join(lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ reuses the cached artifacts:
 
     representations/<key>/   train.fmat test.fmat meta.json pca_*.pca
     kernel/<key>/            gram.fmat rows.fmat [train.signs test.signs]
-    model/<key>/             model.svm
+    model/<key>/             model.svm solver.json
     report/<key>.json
 
 The representation key covers the network weights, each tensor's path,
@@ -398,10 +398,12 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
 
 
 def _map(fn, items, workers):
+    """Yield ``fn(item)`` for each item, in order, as the results arrive."""
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def _forward_parts(entry, net, geometry, config, min_hw):
@@ -465,7 +467,9 @@ def _represent_images(entries, net, geometry, config, pca_models, min_hw, worker
 
     ``forwarded`` holds the images' forward passes when the caller has
     already run them; otherwise each worker loads one image at a time and
-    encodes each part as soon as it leaves the network.
+    encodes each part as soon as it leaves the network.  Each image's part
+    vectors are written straight into its row of the float32 matrix as the
+    image's results arrive.
     """
 
     def work(index):
@@ -486,19 +490,22 @@ def _represent_images(entries, net, geometry, config, pca_models, min_hw, worker
             chunks.append(vector)
             layout.append([label, offset, vector.size])
             offset += vector.size
-        return np.concatenate(chunks), layout, forward_s, pool_s
+        return chunks, layout, forward_s, pool_s
 
-    results = _map(work, range(len(entries)), workers)
-    layout = results[0][1]
-    for _, other, _, _ in results[1:]:
-        if other != layout:
+    rows = layout = None
+    timing = {"extraction": 0.0, "pooling": 0.0}
+    for index, (chunks, other, forward_s, pool_s) in enumerate(
+        _map(work, range(len(entries)), workers)
+    ):
+        if rows is None:
+            layout = other
+            rows = np.empty((len(entries), sum(c.size for c in chunks)), dtype=np.float32)
+        elif other != layout:
             raise ContractError("images produce inconsistent representation layouts")
-    vectors = np.stack([r[0] for r in results], dtype=np.float32)
-    timing = {
-        "extraction": sum(r[2] for r in results),
-        "pooling": sum(r[3] for r in results),
-    }
-    return FeatureMatrix(vectors), layout, timing
+        np.concatenate(chunks, out=rows[index])
+        timing["extraction"] += forward_s
+        timing["pooling"] += pool_s
+    return FeatureMatrix(rows), layout, timing
 
 
 def _compute_representations(config, manifest, net, geometry, directory, workers):
@@ -512,10 +519,10 @@ def _compute_representations(config, manifest, net, geometry, directory, workers
         # One forward pass per training image feeds both the PCA fit and the
         # encoding, so the training set's features stay in memory until both
         # are done.
-        forwarded = _map(
+        forwarded = list(_map(
             lambda entry: list(_forward_parts(entry, net, geometry, config, min_hw)),
             train_entries, workers,
-        )
+        ))
         pca_models, pca_seconds = _fit_pca_models(forwarded, config)
     train, layout, timing_train = _represent_images(
         train_entries, net, geometry, config, pca_models, min_hw, workers, forwarded
@@ -666,26 +673,26 @@ def run_pipeline(
         )
         timing["train_seconds"] = time.perf_counter() - t0
         save_svm(model, os.path.join(tmp, "model.svm"))
+        with open(os.path.join(tmp, "solver.json"), "w", encoding="utf-8") as fh:
+            json.dump(model.solver, fh, indent=2)
 
     model_key = _key(
         {
             "stage": "model",
             "parent": kernel_key,
+            "solver": "interior-point",
             "svm_c": config.svm_c,
             "svm_tol": config.svm_tol,
         }
     )
     model_dir, cache["model"] = _stage(workdir, "model", model_key, use_cache, build_model)
     report["artifacts"]["model"] = model_dir
+    with open(os.path.join(model_dir, "solver.json"), "r", encoding="utf-8") as fh:
+        report["solver"] = json.load(fh)
 
     model = load_svm(os.path.join(model_dir, "model.svm"))
-    rows = load_features(os.path.join(kernel_dir, "rows.fmat")).data.astype(np.float64)
-    predictions = []
-    scores = np.empty((len(test_entries), len(model.classes)))
-    for i in range(rows.shape[0]):
-        label, row_scores = svm_predict(model, rows[i])
-        predictions.append(label)
-        scores[i] = row_scores
+    rows = load_features(os.path.join(kernel_dir, "rows.fmat")).data
+    predictions, scores = svm_predict(model, rows)
     report["metrics"] = _metrics(
         model.classes,
         predictions,

@@ -159,7 +159,8 @@ def load_tensor(path) -> ActivationTensor:
 
 
 def save_features(matrix: FeatureMatrix, path) -> None:
-    payload = matrix.data.astype("<f4", copy=False).tobytes()
+    # a float32 matrix is written from its own buffer, without a bytes copy
+    payload = matrix.data.astype("<f4", copy=False)
     header = MATRIX_MAGIC + _MATRIX_HEADER.pack(matrix.count, matrix.dim)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -256,7 +256,7 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     sep_labels = ["a"] * 30 + ["b"] * 30
     sep_gram = gram_matrix(FeatureMatrix(sep))
     sep_model = svm_train(sep_gram, sep_labels)
-    sep_preds = [svm_predict(sep_model, sep_gram.values[i])[0] for i in range(60)]
+    sep_preds = svm_predict(sep_model, sep_gram.values)[0]
     train_accuracy = np.mean([p == t for p, t in zip(sep_preds, sep_labels)])
     assert train_accuracy == 1.0
 
@@ -284,9 +284,10 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
         beta = alpha * y
         oracle_scores[cls] = augmented @ beta
     class_list = list(model.classes)
+    predictions = svm_predict(model, gram.values)[0]
     for i in range(60):
         oracle_label = max(class_list, key=lambda c: oracle_scores[c][i])
-        agree[i] = oracle_label == svm_predict(model, gram.values[i])[0]
+        agree[i] = oracle_label == predictions[i]
     agreement = agree.mean()
     assert agreement >= 0.95
     elapsed = time.perf_counter() - start

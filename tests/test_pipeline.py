@@ -18,6 +18,7 @@ from crosspool.pipeline import (
     parse_manifest,
     run_pipeline,
 )
+from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
 from crosspool.tensor import ActivationTensor, load_tensor, save_tensor
 
@@ -215,10 +216,35 @@ def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch):
     assert second["cache"] == ALL_HIT
     names = {name.rsplit("/", 1)[-1] for name in opened}
     assert "rows.fmat" in names and "model.svm" in names
+    assert sorted(name for name in opened if name.endswith("solver.json")) == [
+        f"{second['artifacts']['model']}/solver.json"
+    ]
     assert not names & {"train.fmat", "test.fmat"}
     assert second["metrics"] == first["metrics"]
     with open(second["artifacts"]["report"], encoding="utf-8") as fh:
         assert json.load(fh)["cache"] == ALL_HIT
+
+
+def test_solver_diagnostics_in_report(dataset, tmp_path):
+    """Each class's solver diagnostics go to model/<key>/solver.json and
+    into the report, the same on a miss and on a hit."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "work")
+    second = run_pipeline(config, manifest, tmp_path / "work")
+    assert second["cache"] == ALL_HIT
+    with open(f"{first['artifacts']['model']}/solver.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    assert first["solver"] == second["solver"] == stored
+    with open(second["artifacts"]["report"], encoding="utf-8") as fh:
+        assert json.load(fh)["solver"] == stored
+    model = load_svm(f"{first['artifacts']['model']}/model.svm")
+    assert [d["class"] for d in stored] == list(model.classes)
+    for d, beta in zip(stored, model.dual_coeffs):
+        assert d["converged"] and d["projected_gradient"] <= config.svm_tol
+        assert d["iterations"] >= 1
+        assert d["support_vectors"] == np.count_nonzero(beta)
+        assert d["bounded_support_vectors"] == np.count_nonzero(np.abs(beta) >= config.svm_c)
 
 
 def test_workdir_holds_only_published_stages(dataset, tmp_path):
@@ -240,7 +266,7 @@ def test_workdir_holds_only_published_stages(dataset, tmp_path):
     assert contents == {
         "representations": ["meta.json", "pca_whole.pca", "test.fmat", "train.fmat"],
         "kernel": ["gram.fmat", "rows.fmat", "test.signs", "train.signs"],
-        "model": ["model.svm"],
+        "model": ["model.svm", "solver.json"],
         "report": [f"{first['artifacts']['model'].rsplit('/', 1)[-1]}.json"],
     }
 

@@ -1,8 +1,10 @@
 """Kernel computation and one-vs-rest SVM tests.
 
-The dual solver is checked against a slow projected-gradient oracle
-optimizing the same box-constrained objective, so both routes must land
-on the same stationary point for strictly convex problems.
+The interior-point dual solver is checked against two slow oracles
+optimizing the same box-constrained objective: projected gradient descent,
+which must land on the same stationary point for strictly convex problems,
+and a cyclic coordinate-descent solver, whose objective the
+interior-point solver must match or beat.
 """
 
 import warnings
@@ -15,7 +17,8 @@ from crosspool.postproc import sign_quantize, sign_unpack
 from crosspool.svm import (
     SIGN_BLOCK_BYTES,
     GramMatrix,
-    _solve_binary,
+    SvmModel,
+    _solve_dual,
     gram_matrix,
     kernel_rows,
     load_svm,
@@ -41,6 +44,55 @@ def projected_gradient_oracle(q, c, steps=200000, lr=None):
             break
         alpha = new
     return alpha
+
+
+def solve_binary_cyclic(augmented, y, c, max_sweeps=2000, tol=1e-4):
+    """Cyclic coordinate descent on the box-constrained dual, one
+    coordinate at a time in a fixed order, until a sweep finds no projected
+    gradient above tol or the sweep cap is reached."""
+    n = y.size
+    diag = augmented.diagonal()
+    alpha = np.zeros(n)
+    pooled = np.zeros(n)  # augmented @ (alpha * y)
+    for _ in range(max_sweeps):
+        worst = 0.0
+        for i in range(n):
+            grad = y[i] * pooled[i] - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                projected = min(grad, 0.0)
+            elif a >= c:
+                projected = max(grad, 0.0)
+            else:
+                projected = grad
+            if projected == 0.0:
+                continue
+            worst = max(worst, abs(projected))
+            if diag[i] <= 0.0:
+                continue
+            updated = min(max(a - grad / diag[i], 0.0), c)
+            delta = updated - a
+            if delta != 0.0:
+                alpha[i] = updated
+                pooled += (delta * y[i]) * augmented[i]
+        if worst <= tol:
+            break
+    return alpha
+
+
+def dual_problem(gram, y):
+    augmented = gram + np.trace(gram) / gram.shape[0]
+    return augmented, np.outer(y, y) * augmented
+
+
+def objective(q, alpha):
+    return 0.5 * alpha @ q @ alpha - alpha.sum()
+
+
+def projected_gradient(q, alpha, c):
+    grad = q @ alpha - 1.0
+    return np.abs(np.where(alpha <= 0.0, np.minimum(grad, 0.0),
+                           np.where(alpha >= c, np.maximum(grad, 0.0), grad))).max()
 
 
 def separable_blobs(rng, n_per=10, dim=4, gap=6.0):
@@ -123,8 +175,7 @@ def test_train_separable_perfect():
     data, labels = separable_blobs(rng)
     gram = gram_matrix(FeatureMatrix(data))
     model = svm_train(gram, labels)
-    preds = [svm_predict(model, gram.values[i])[0] for i in range(len(labels))]
-    assert preds == labels
+    assert svm_predict(model, gram.values)[0] == labels
 
 
 def test_train_three_class():
@@ -135,8 +186,7 @@ def test_train_three_class():
     gram = gram_matrix(FeatureMatrix(data))
     model = svm_train(gram, labels)
     assert model.classes == ("c0", "c1", "c2")
-    preds = [svm_predict(model, gram.values[i])[0] for i in range(24)]
-    assert preds == labels
+    assert svm_predict(model, gram.values)[0] == labels
 
 
 def test_xor_is_not_linearly_separable():
@@ -145,7 +195,7 @@ def test_xor_is_not_linearly_separable():
     labels = ["a", "b", "b", "a"]
     gram = gram_matrix(FeatureMatrix(data))
     model = svm_train(gram, labels, c=100.0)
-    preds = [svm_predict(model, gram.values[i])[0] for i in range(4)]
+    preds = svm_predict(model, gram.values)[0]
     accuracy = np.mean([p == t for p, t in zip(preds, labels)])
     assert accuracy <= 0.75
 
@@ -187,10 +237,9 @@ def test_scale_covariance_power_of_two():
         m1 = svm_train(base, labels, c=1.0)
         m2 = svm_train(scaled, labels, c=1.0 / s2)
         np.testing.assert_array_equal(m1.dual_coeffs, m2.dual_coeffs * s2)
-        for i in range(base.n):
-            s_base = svm_predict(m1, base.values[i])[1]
-            s_scaled = svm_predict(m2, scaled.values[i])[1]
-            np.testing.assert_array_equal(s_base, s_scaled)
+        np.testing.assert_array_equal(
+            svm_predict(m1, base.values)[1], svm_predict(m2, scaled.values)[1]
+        )
 
 
 def test_scale_covariance_generic_scale():
@@ -209,13 +258,17 @@ def test_predict_tie_breaks_to_first_class():
     data, labels = separable_blobs(rng)
     gram = gram_matrix(FeatureMatrix(data))
     model = svm_train(gram, labels)
-    zero_row = np.zeros(gram.n)
-    label, scores = svm_predict(model, zero_row)
+    zero_row = np.zeros((1, gram.n))
+    (label,), (scores,) = svm_predict(model, zero_row)
     # with a zero kernel row the scores reduce to the biases; verify argmax
     expect = model.classes[int(np.argmax(scores))]
     assert label == expect
     ties = np.flatnonzero(scores == scores.max())
     assert label == model.classes[ties[0]]
+    # exact ties across classes go to the first class
+    tied = SvmModel(classes=("a", "b", "c"), dual_coeffs=np.zeros((3, 2)),
+                    biases=np.array([0.0, 1.0, 1.0]), regularization_c=1.0)
+    assert svm_predict(tied, np.zeros((2, 2)))[0] == ["b", "b"]
 
 
 def test_multilabel_training():
@@ -235,38 +288,112 @@ def test_multilabel_training():
     assert set(model.classes) == {"red", "big", "blue"}
     # the "big" classifier must fire on the first blob only
     big = model.classes.index("big")
-    scores = np.array([svm_predict(model, gram.values[i])[1][big] for i in range(24)])
+    scores = svm_predict(model, gram.values)[1][:, big]
     assert scores[:8].min() > 0
     assert scores[8:].max() < 0
 
 
 def test_sweep_cap_warns():
-    """Stopping at the sweep cap above tol warns, naming class, gradient and tol."""
+    """Stopping at the iteration cap above tol warns, naming class, gradient and tol."""
     rng = np.random.default_rng(106)
     mixed = np.vstack([rng.normal(size=(20, 3)) + 0.3, rng.normal(size=(20, 3)) - 0.3])
     gram = gram_matrix(FeatureMatrix(mixed))
     with pytest.warns(RuntimeWarning) as record:
-        svm_train(gram, ["pos"] * 20 + ["neg"] * 20, max_sweeps=1)
+        model = svm_train(gram, ["pos"] * 20 + ["neg"] * 20, max_sweeps=1)
     messages = sorted(str(w.message) for w in record)
     assert [m.split()[1] for m in messages] == ["'neg'", "'pos'"]
     for message in messages:
         assert "not converged: max projected gradient" in message
-        assert message.endswith("above tol 0.0001 (sweep cap 1)")
+        assert message.endswith("above tol 0.0001 (iteration cap 1)")
+    assert [d["converged"] for d in model.solver] == [False, False]
+    assert [d["iterations"] for d in model.solver] == [1, 1]
 
 
 def test_solver_gradient_is_measured_at_returned_alpha():
     rng = np.random.default_rng(108)
     data = rng.normal(size=(30, 3))
-    gram = gram_matrix(FeatureMatrix(data)).values
-    augmented = gram + np.trace(gram) / 30
     y = np.where(data[:, 0] > 0, 1.0, -1.0)
-    for sweeps in (1, 3, 2000):
-        alpha, gradient = _solve_binary(augmented, augmented.diagonal().copy(), y, 0.5,
-                                        1e-4, sweeps)
-        grad = y * (augmented @ (alpha * y)) - 1.0
-        projected = np.where(alpha <= 0.0, np.minimum(grad, 0.0),
-                             np.where(alpha >= 0.5, np.maximum(grad, 0.0), grad))
-        assert gradient == pytest.approx(np.abs(projected).max(), rel=1e-9, abs=1e-12)
+    _, q = dual_problem(gram_matrix(FeatureMatrix(data)).values, y)
+    for cap in (1, 3, 200):
+        alpha, gradient, iterations, _ = _solve_dual(q, 0.5, 1e-4, cap)
+        assert 1 <= iterations <= cap
+        assert alpha.min() >= 0.0 and alpha.max() <= 0.5
+        assert gradient == projected_gradient(q, alpha, 0.5)
+    assert gradient <= 1e-4
+
+
+def test_crossover_solves_the_face_exactly():
+    """Once the iterate names the right face, the exact solve on it lands
+    on the stationary point to rounding: 7 iterations here, where the
+    iterate moved onto its bounds needs 14 to get as close."""
+    rng = np.random.default_rng(113)
+    data = rng.normal(size=(40, 60))
+    y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    _, q = dual_problem(data @ data.T, y)
+    alpha, gradient, iterations, _ = _solve_dual(q, 0.05, 1e-13, 200)
+    assert gradient <= 1e-13 and iterations <= 10
+    free = (alpha > 0.0) & (alpha < 0.05)
+    assert free.any() and (alpha == 0.05).any()
+
+
+def low_rank_features(rng, n, dim, rank, offset):
+    """Rows spread over a rank-dimensional subspace around offset * ones."""
+    return offset + rng.normal(size=(n, rank)) @ rng.normal(size=(rank, dim))
+
+
+@pytest.mark.parametrize("rank", [None, 1, 3])
+@pytest.mark.parametrize("c", [0.1, 10.0])
+def test_solver_matches_cyclic_oracle(rank, c):
+    """On random full-rank and rank-deficient Grams the interior-point
+    solution reaches the cyclic oracle's objective and a projected gradient
+    within tol."""
+    rng = np.random.default_rng(110 + (rank or 0))
+    n = 40
+    data = rng.normal(size=(n, 60)) if rank is None else low_rank_features(rng, n, 8, rank, 2.0)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    augmented, q = dual_problem(data @ data.T, y)
+    alpha, gradient, _, _ = _solve_dual(q, c, 1e-4, 200)
+    oracle = solve_binary_cyclic(augmented, y, c)
+    assert gradient <= 1e-4
+    assert projected_gradient(q, alpha, c) == gradient
+    best = objective(q, oracle)
+    assert objective(q, alpha) <= best + 1e-9 * abs(best)
+
+
+def test_float32_low_rank_gram_converges():
+    """A large-scale Gram of rank 6 in 300 rows, rounded to float32 like
+    gram.fmat, is indefinite; every class still converges without a warning."""
+    rng = np.random.default_rng(112)
+    data = low_rank_features(rng, 300, 54, 5, 30.0) / 8.0
+    gram = (data @ data.T).astype(np.float32).astype(np.float64)
+    eigenvalues = np.linalg.eigvalsh(gram)
+    assert eigenvalues[0] < 0.0
+    assert eigenvalues[-7] < 1e-8 * eigenvalues[-1] < eigenvalues[-6]
+    labels = [f"c{i % 3}" for i in range(300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = svm_train(GramMatrix(gram), labels)
+    augmented = gram + np.trace(gram) / 300
+    for k, name in enumerate(model.classes):
+        y = np.where([lab == name for lab in labels], 1.0, -1.0)
+        alpha = model.dual_coeffs[k] * y
+        assert projected_gradient(np.outer(y, y) * augmented, alpha, 1.0) <= 1e-4
+        assert model.solver[k]["converged"]
+
+
+def test_solver_diagnostics():
+    rng = np.random.default_rng(109)
+    data = rng.normal(size=(30, 3))
+    labels = list(rng.choice(["u", "v", "w"], size=30))
+    c = 0.7
+    model = svm_train(gram_matrix(FeatureMatrix(data)), labels, c=c)
+    assert [d["class"] for d in model.solver] == list(model.classes)
+    for d, beta in zip(model.solver, model.dual_coeffs):
+        assert d["converged"] and d["projected_gradient"] <= 1e-4
+        assert d["iterations"] >= 1 and isinstance(d["regularized"], bool)
+        assert d["support_vectors"] == np.count_nonzero(beta)
+        assert d["bounded_support_vectors"] == np.count_nonzero(np.abs(beta) >= c)
+        assert 0 < d["bounded_support_vectors"] < d["support_vectors"]
 
 
 def test_converged_solver_does_not_warn():
@@ -307,11 +434,10 @@ def test_model_round_trip(tmp_path):
     assert back.regularization_c == model.regularization_c
     np.testing.assert_array_equal(back.dual_coeffs, model.dual_coeffs)
     np.testing.assert_array_equal(back.biases, model.biases)
-    for i in range(gram.n):
-        label_a, scores_a = svm_predict(back, gram.values[i])
-        label_b, scores_b = svm_predict(model, gram.values[i])
-        assert label_a == label_b
-        np.testing.assert_array_equal(scores_a, scores_b)
+    labels_a, scores_a = svm_predict(back, gram.values)
+    labels_b, scores_b = svm_predict(model, gram.values)
+    assert labels_a == labels_b
+    np.testing.assert_array_equal(scores_a, scores_b)
 
 
 def test_model_file_truncation(tmp_path):
@@ -330,4 +456,6 @@ def test_predict_row_length_checked():
     data, labels = separable_blobs(rng, n_per=4)
     model = svm_train(gram_matrix(FeatureMatrix(data)), labels)
     with pytest.raises(ContractError):
-        svm_predict(model, np.zeros(5))
+        svm_predict(model, np.zeros((1, 5)))
+    with pytest.raises(ContractError):
+        svm_predict(model, np.zeros(model.train_count))
