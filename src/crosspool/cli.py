@@ -287,7 +287,7 @@ def _print_metrics(report) -> None:
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     manifest = parse_manifest(args.manifest)
-    report = run_pipeline(config, manifest, args.workdir, workers=args.workers)
+    report = run_pipeline(config, manifest, args.workdir)
     _print_metrics(report)
     print(f"report: {report['artifacts']['report']}")
     return 0
@@ -297,7 +297,7 @@ def cmd_compare(args) -> int:
     config = _config_from_args(args)
     manifest = parse_manifest(args.manifest)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    rows = compare_schemes(config, manifest, args.workdir, schemes, workers=args.workers)
+    rows = compare_schemes(config, manifest, args.workdir, schemes)
     header = f"{'scheme':<16} {'accuracy':>9} {'mAP':>9} {'dim':>8} {'s/image':>10}"
     print(header)
     print("-" * len(header))
@@ -316,8 +316,7 @@ def cmd_bench(args) -> int:
     config = _config_from_args(args)
     manifest = parse_manifest(args.manifest)
     report = run_pipeline(
-        config, manifest, args.workdir, workers=args.workers,
-        use_cache=False, stages="representations",
+        config, manifest, args.workdir, use_cache=False, stages="representations"
     )
     timing = report["timing"]["per_image"]
     print(f"images: {report['timing']['images']}")
@@ -354,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="cross-layer pooled image representations and kernel SVM",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted and ignored; BLAS supplies the parallelism",
+    )
     parser.add_argument(
         "--workdir", default="crosspool-work", help="stage cache directory"
     )

@@ -5,7 +5,8 @@ A local feature is one window of a layer's activations, flattened in
 ``(i*window_w + j)*depth + k`` of a descriptor is the source value at
 ``(anchor_r + i, anchor_c + j, k)``.  Only windows that lie fully inside
 the tensor are extracted; anchors advance in stride steps and are listed
-row-major.
+row-major, so row k of a ``grid_h x grid_w`` set is the window anchored at
+``(k // grid_w * stride, k % grid_w * stride)``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class LocalFeatureSet:
     """Extracted descriptors plus the anchor grid they came from."""
 
     features: FeatureMatrix
-    anchors: np.ndarray
     window_h: int
     window_w: int
     stride: int
@@ -32,19 +32,11 @@ class LocalFeatureSet:
     grid_w: int
 
     def __post_init__(self):
-        anchors = np.ascontiguousarray(np.asarray(self.anchors, dtype=np.int64))
-        if anchors.ndim != 2 or anchors.shape[1] != 2:
-            raise ValidationError(f"anchors must have shape (count, 2), got {anchors.shape}")
-        if anchors.shape[0] != self.features.count:
-            raise ValidationError(
-                f"{anchors.shape[0]} anchors for {self.features.count} descriptors"
-            )
         if self.grid_h * self.grid_w != self.features.count:
             raise ValidationError(
                 f"grid {self.grid_h}x{self.grid_w} does not cover "
                 f"{self.features.count} descriptors"
             )
-        self.anchors = anchors
 
     @property
     def count(self) -> int:
@@ -72,13 +64,8 @@ def extract_local_features(
     grid_w = (tensor.width - window_w) // stride + 1
     patches = window_stack(tensor.data, window_h, window_w, stride)
     matrix = np.ascontiguousarray(patches).reshape(grid_h * grid_w, -1)
-    rows, cols = np.meshgrid(
-        np.arange(grid_h) * stride, np.arange(grid_w) * stride, indexing="ij"
-    )
-    anchors = np.stack([rows.ravel(), cols.ravel()], axis=1)
     return LocalFeatureSet(
         features=FeatureMatrix(matrix),
-        anchors=anchors,
         window_h=window_h,
         window_w=window_w,
         stride=stride,

@@ -35,7 +35,6 @@ import os
 import shutil
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,6 +166,8 @@ def load_config(path) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
@@ -224,28 +225,32 @@ class DatasetManifest:
 def parse_manifest(path) -> DatasetManifest:
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected path<TAB>split<TAB>labels"
-                )
-            rel, split, label_field = fields
-            if split not in ("train", "test"):
-                raise ValidationError(
-                    f"{path}:{line_no}: split must be train or test, got {split!r}"
-                )
-            labels = frozenset(
-                part.strip() for part in label_field.split(",") if part.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValidationError(
+                f"{path}:{line_no}: expected path<TAB>split<TAB>labels"
             )
-            if not labels:
-                raise ValidationError(f"{path}:{line_no}: no labels given")
-            tensor_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            entries.append(ManifestEntry(path=tensor_path, split=split, labels=labels))
+        rel, split, label_field = fields
+        if split not in ("train", "test"):
+            raise ValidationError(
+                f"{path}:{line_no}: split must be train or test, got {split!r}"
+            )
+        labels = frozenset(
+            part.strip() for part in label_field.split(",") if part.strip()
+        )
+        if not labels:
+            raise ValidationError(f"{path}:{line_no}: no labels given")
+        tensor_path = rel if os.path.isabs(rel) else os.path.join(base, rel)
+        entries.append(ManifestEntry(path=tensor_path, split=split, labels=labels))
     if not entries:
         raise ValidationError(f"{path}: manifest is empty")
     return DatasetManifest(entries=entries)
@@ -397,21 +402,14 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
     return directory, "miss"
 
 
-def _map(fn, items, workers):
-    """Yield ``fn(item)`` for each item, in order, as the results arrive."""
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
-
-
-def _forward_parts(entry, net, geometry, config, min_hw):
+def _forward_image(entry, net, geometry, config, min_hw, timing):
     """Load one image and push each part through the network once.
 
-    Yields, part by part, (label, resolution, layer-t local features, layer
-    t+1 output, forward seconds, extraction seconds).
+    Returns the image's (label, resolution, layer-t local features, layer
+    t+1 output) parts.  Forward seconds go to ``timing["extraction"]``,
+    local-feature extraction seconds to ``timing["pooling"]``.
     """
+    parts = []
     image = load_tensor(entry.path)
     for label, resolution, part in iter_parts(image, config.resolution, *min_hw):
         t0 = time.perf_counter()
@@ -421,8 +419,10 @@ def _forward_parts(entry, net, geometry, config, min_hw):
             outputs[geometry.t_index], geometry.window[0], geometry.window[1],
             geometry.stride,
         )
-        yield (label, resolution, feats, outputs[geometry.t1_index], t1 - t0,
-               time.perf_counter() - t1)
+        timing["extraction"] += t1 - t0
+        timing["pooling"] += time.perf_counter() - t1
+        parts.append((label, resolution, feats, outputs[geometry.t1_index]))
+    return parts
 
 
 def _encode_part(feats, layer_t1, resolution, geometry, config, pca_models):
@@ -442,13 +442,13 @@ def _encode_part(feats, layer_t1, resolution, geometry, config, pca_models):
     return np.asarray(vector, dtype=np.float64).ravel()
 
 
-def _fit_pca_models(forwarded, config):
+def _fit_pca_models(images, config):
     """One PCA model per participating resolution, fitted on a seeded
     subsample of the training parts' local features."""
     start = time.perf_counter()
     buckets: dict[str, list[np.ndarray]] = {}
-    for parts in forwarded:
-        for _, resolution, feats, *_ in parts:
+    for parts in images:
+        for _, resolution, feats, _ in parts:
             buckets.setdefault(resolution, []).append(feats.features.data)
     models = {}
     for resolution in sorted(buckets):
@@ -461,74 +461,65 @@ def _fit_pca_models(forwarded, config):
     return models, time.perf_counter() - start
 
 
-def _represent_images(entries, net, geometry, config, pca_models, min_hw, workers,
-                      forwarded=None):
-    """Float32 representation rows plus summed per-image stage timings.
+def _represent_images(images, count, geometry, config, pca_models, timing):
+    """Encode ``count`` images, each given as its ``_forward_image`` parts,
+    into the rows of one float32 matrix; returns it and the part layout.
 
-    ``forwarded`` holds the images' forward passes when the caller has
-    already run them; otherwise each worker loads one image at a time and
-    encodes each part as soon as it leaves the network.  Each image's part
-    vectors are written straight into its row of the float32 matrix as the
-    image's results arrive.
+    Each image's part vectors are written straight into its row as soon as
+    the image arrives, so a generator of images is held one at a time.
+    Encoding seconds go to ``timing["pooling"]``.
     """
-
-    def work(index):
-        if forwarded is None:
-            parts = _forward_parts(entries[index], net, geometry, config, min_hw)
-        else:
-            parts = forwarded[index]
-        forward_s = 0.0
-        pool_s = 0.0
-        chunks = []
-        layout = []
-        offset = 0
-        for label, resolution, feats, layer_t1, part_forward_s, extract_s in parts:
-            t0 = time.perf_counter()
-            vector = _encode_part(feats, layer_t1, resolution, geometry, config, pca_models)
-            forward_s += part_forward_s
-            pool_s += extract_s + time.perf_counter() - t0
-            chunks.append(vector)
-            layout.append([label, offset, vector.size])
-            offset += vector.size
-        return chunks, layout, forward_s, pool_s
-
     rows = layout = None
-    timing = {"extraction": 0.0, "pooling": 0.0}
-    for index, (chunks, other, forward_s, pool_s) in enumerate(
-        _map(work, range(len(entries)), workers)
-    ):
+    for index, parts in enumerate(images):
+        t0 = time.perf_counter()
+        chunks = []
+        image_layout = []
+        offset = 0
+        for label, resolution, feats, layer_t1 in parts:
+            vector = _encode_part(feats, layer_t1, resolution, geometry, config, pca_models)
+            chunks.append(vector)
+            image_layout.append([label, offset, vector.size])
+            offset += vector.size
         if rows is None:
-            layout = other
-            rows = np.empty((len(entries), sum(c.size for c in chunks)), dtype=np.float32)
-        elif other != layout:
+            layout = image_layout
+            rows = np.empty((count, offset), dtype=np.float32)
+        elif image_layout != layout:
             raise ContractError("images produce inconsistent representation layouts")
         np.concatenate(chunks, out=rows[index])
-        timing["extraction"] += forward_s
-        timing["pooling"] += pool_s
-    return FeatureMatrix(rows), layout, timing
+        timing["pooling"] += time.perf_counter() - t0
+    return FeatureMatrix(rows), layout
 
 
-def _compute_representations(config, manifest, net, geometry, directory, workers):
-    """Write the representation stage's artifacts into ``directory``."""
+def _compute_representations(config, manifest, net, geometry, directory):
+    """Write the representation stage's artifacts into ``directory``.
+
+    ``per_image.total`` is the stage's wall time per image, loading, the
+    PCA fit and saving included; ``extraction`` and ``pooling`` are the
+    forward and the extract-and-encode shares of it.
+    """
+    start = time.perf_counter()
     min_hw = min_input_extent(net)
+    timing = {"extraction": 0.0, "pooling": 0.0}
+
+    def forward(entries):
+        for entry in entries:
+            yield _forward_image(entry, net, geometry, config, min_hw, timing)
+
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
-    forwarded = None
+    train_images = forward(train_entries)
     pca_models, pca_seconds = {}, 0.0
     if config.scheme == "cross-layer" and config.pca_dim:
         # One forward pass per training image feeds both the PCA fit and the
-        # encoding, so the training set's features stay in memory until both
+        # encoding, so the training set's parts stay in memory until both
         # are done.
-        forwarded = list(_map(
-            lambda entry: list(_forward_parts(entry, net, geometry, config, min_hw)),
-            train_entries, workers,
-        ))
-        pca_models, pca_seconds = _fit_pca_models(forwarded, config)
-    train, layout, timing_train = _represent_images(
-        train_entries, net, geometry, config, pca_models, min_hw, workers, forwarded
+        train_images = list(train_images)
+        pca_models, pca_seconds = _fit_pca_models(train_images, config)
+    train, layout = _represent_images(
+        train_images, len(train_entries), geometry, config, pca_models, timing
     )
-    test, test_layout, timing_test = _represent_images(
-        test_entries, net, geometry, config, pca_models, min_hw, workers
+    test, test_layout = _represent_images(
+        forward(test_entries), len(test_entries), geometry, config, pca_models, timing
     )
     if test_layout != layout:
         raise ContractError("train and test images produce different layouts")
@@ -537,8 +528,6 @@ def _compute_representations(config, manifest, net, geometry, directory, workers
     for resolution, model in pca_models.items():
         save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
     images = len(train_entries) + len(test_entries)
-    extraction = timing_train["extraction"] + timing_test["extraction"]
-    pooling = timing_train["pooling"] + timing_test["pooling"]
     meta = {
         "representation_dim": train.dim,
         "parts": layout,
@@ -552,9 +541,9 @@ def _compute_representations(config, manifest, net, geometry, directory, workers
         "timing": {
             "images": images,
             "per_image": {
-                "extraction": extraction / images,
-                "pooling": pooling / images,
-                "total": (extraction + pooling) / images,
+                "extraction": timing["extraction"] / images,
+                "pooling": timing["pooling"] / images,
+                "total": (time.perf_counter() - start) / images,
             },
             "pca_fit_seconds": pca_seconds,
         },
@@ -575,7 +564,8 @@ def run_pipeline(
 
     ``stages="representations"`` stops after the representation stage
     (benchmarking uses this); otherwise the kernel, training, and
-    prediction stages follow.
+    prediction stages follow.  Every stage runs in the calling thread;
+    ``workers`` is accepted and ignored, and BLAS supplies any parallelism.
     """
     if stages not in ("all", "representations"):
         raise ConfigError(f"unknown stages selector {stages!r}")
@@ -603,7 +593,7 @@ def run_pipeline(
     cache = {}
     rep_dir, cache["representations"] = _stage(
         workdir, "representations", rep_key, use_cache,
-        lambda tmp: _compute_representations(config, manifest, net, geometry, tmp, workers),
+        lambda tmp: _compute_representations(config, manifest, net, geometry, tmp),
     )
     with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -750,7 +740,6 @@ def compare_schemes(
     manifest: DatasetManifest,
     workdir,
     schemes: list[str],
-    workers: int = 1,
 ) -> list[dict]:
     """Run the pipeline once per scheme and tabulate the results."""
     if len(schemes) < 2:
@@ -760,7 +749,7 @@ def compare_schemes(
     rows = []
     for scheme in schemes:
         variant = dataclasses.replace(config, scheme=scheme)
-        report = run_pipeline(variant, manifest, workdir, workers=workers)
+        report = run_pipeline(variant, manifest, workdir)
         rows.append(
             {
                 "scheme": scheme,

@@ -89,8 +89,10 @@ def spp_pool(feature_set: LocalFeatureSet, levels: Sequence[int]) -> np.ndarray:
 
     For each level g the anchor grid is split into g x g cells: the anchor
     with grid index (i, j) in an R x C grid falls into cell
-    (i*g // R, j*g // C).  Each cell is max-pooled, and the cells are
-    concatenated level by level, row-major; empty cells contribute zeros.
+    (i*g // R, j*g // C), so cell row ci spans grid rows
+    [ceil(ci*R/g), ceil((ci+1)*R/g)).  Each cell is max-pooled, and the
+    cells are concatenated level by level, row-major; empty cells
+    contribute zeros.
     """
     if not levels:
         raise ContractError("spatial pyramid needs at least one level")
@@ -99,18 +101,15 @@ def spp_pool(feature_set: LocalFeatureSet, levels: Sequence[int]) -> np.ndarray:
     matrix = feature_set.features.data.astype(np.float64)
     if matrix.shape[0] < 1:
         raise ContractError("cannot pool an empty feature set")
-    rows = feature_set.anchors[:, 0] // feature_set.stride
-    cols = feature_set.anchors[:, 1] // feature_set.stride
-    dim = matrix.shape[1]
+    gh, gw, dim = feature_set.grid_h, feature_set.grid_w, matrix.shape[1]
+    grid = matrix.reshape(gh, gw, dim)
     chunks = []
     for g in levels:
-        cell_r = rows * g // feature_set.grid_h
-        cell_c = cols * g // feature_set.grid_w
-        for ci in range(g):
-            for cj in range(g):
-                mask = (cell_r == ci) & (cell_c == cj)
-                if mask.any():
-                    chunks.append(matrix[mask].max(axis=0))
-                else:
-                    chunks.append(np.zeros(dim))
+        # ceil(c * n / g) as -(-c * n // g)
+        row_edges = [-(-c * gh // g) for c in range(g + 1)]
+        col_edges = [-(-c * gw // g) for c in range(g + 1)]
+        for r0, r1 in zip(row_edges, row_edges[1:]):
+            for c0, c1 in zip(col_edges, col_edges[1:]):
+                cell = grid[r0:r1, c0:c1]
+                chunks.append(cell.max(axis=(0, 1)) if cell.size else np.zeros(dim))
     return np.concatenate(chunks)

@@ -425,7 +425,10 @@ def load_svm(path) -> SvmModel:
         record = name_len + 8 + 8 * n_train
         if cursor + record > len(blob):
             raise CorruptionError(f"{path}: truncated class record")
-        classes.append(blob[cursor : cursor + name_len].decode("utf-8"))
+        try:
+            classes.append(blob[cursor : cursor + name_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: class label is not UTF-8") from None
         cursor += name_len
         (bias,) = struct.unpack_from("<d", blob, cursor)
         cursor += 8

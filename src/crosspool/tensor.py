@@ -39,8 +39,8 @@ class ActivationTensor:
     """One layer's activations on an (height, width, depth) float32 grid.
 
     ``rectified`` marks the tensor as the output of a ReLU stage; setting it
-    on data with negative entries is rejected.  The array is made read-only
-    so a tensor can be shared across worker threads safely.
+    on data with negative entries is rejected.  The array is made read-only,
+    so a tensor's values cannot change once it is built.
     """
 
     data: np.ndarray

@@ -8,7 +8,7 @@ import pytest
 
 from crosspool.cli import main
 from crosspool.postproc import load_sign_stack
-from crosspool.svm import load_svm
+from crosspool.svm import SvmModel, load_svm, save_svm
 from crosspool.synth import generate
 from crosspool.tensor import (
     ActivationTensor,
@@ -252,3 +252,36 @@ def test_exit_code_numerical_error(tmp_path, capsys):
                    "--out", tmp_path / "m.pca")
     assert code == 4
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,code,kind_of_error", [
+    ("manifest", 3, "data error"),
+    ("network", 2, "config error"),
+    ("config", 2, "config error"),
+    ("model", 3, "data error"),
+])
+def test_exit_code_non_utf8_input(dataset, tmp_path, capsys, kind, code, kind_of_error):
+    """A stray 0xff byte in a text input or a model's class label maps to
+    the documented exit code instead of a decoding traceback."""
+    manifest, net, _ = dataset
+    bad = tmp_path / "bad"
+    workdir = ("--workdir", tmp_path / "w")
+    if kind == "manifest":
+        bad.write_bytes(b"a.tens\ttrain\tcat\xff\n")
+        argv = [*workdir, "run", "--net", net, "--manifest", bad]
+    elif kind == "network":
+        bad.write_bytes(open(net, "rb").read() + b"# \xff\n")
+        argv = [*workdir, "run", "--net", bad, "--manifest", manifest]
+    elif kind == "config":
+        bad.write_bytes(b'{"network": "net.spec", "scheme": "cross-layer\xff"}')
+        argv = [*workdir, "run", "--config", bad, "--manifest", manifest]
+    else:
+        model = SvmModel(("a", "z"), np.zeros((2, 3)), np.zeros(2), 1.0)
+        save_svm(model, bad)
+        blob = bad.read_bytes()
+        bad.write_bytes(blob.replace(b"\x01\x00\x00\x00z", b"\x01\x00\x00\x00\xff"))
+        save_features(FeatureMatrix(np.zeros((1, 3))), tmp_path / "rows.fmat")
+        argv = ["predict", "--model", bad, "--rows", tmp_path / "rows.fmat"]
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert kind_of_error in err and "UTF-8" in err

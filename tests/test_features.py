@@ -50,14 +50,14 @@ def test_feature_count_13x13():
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_extraction_matches_loop_oracle(stride):
+def test_extraction_matches_loop_oracle(stride, anchors_of):
     rng = np.random.default_rng(40 + stride)
     data = rng.normal(size=(8, 10, 3)).astype(np.float32)
     feats = extract_local_features(ActivationTensor(data), 3, 2, stride)
     expect, anchors = extraction_oracle(data, 3, 2, stride)
     assert feats.count == expect.shape[0]
     np.testing.assert_array_equal(feats.features.data, expect.astype(np.float32))
-    np.testing.assert_array_equal(feats.anchors, anchors)
+    np.testing.assert_array_equal(anchors_of(feats), anchors)
 
 
 def test_descriptor_entry_indexing():
@@ -74,14 +74,20 @@ def test_descriptor_entry_indexing():
                 assert feats.features.data[index, entry] == data[r + i, c + j, k]
 
 
-def test_anchor_grid_row_major():
+def test_anchor_grid_row_major(anchors_of):
     t = ActivationTensor(np.zeros((7, 9, 1), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 2)
     assert (feats.grid_h, feats.grid_w) == (3, 4)
-    np.testing.assert_array_equal(feats.anchors[0], [0, 0])
-    np.testing.assert_array_equal(feats.anchors[1], [0, 2])
-    np.testing.assert_array_equal(feats.anchors[4], [2, 0])
-    np.testing.assert_array_equal(feats.anchors[-1], [4, 6])
+    anchors = anchors_of(feats)
+    np.testing.assert_array_equal(anchors[0], [0, 0])
+    np.testing.assert_array_equal(anchors[1], [0, 2])
+    np.testing.assert_array_equal(anchors[4], [2, 0])
+    np.testing.assert_array_equal(anchors[-1], [4, 6])
+    # and each anchored window is the descriptor in that row
+    data = np.arange(7 * 9, dtype=np.float32).reshape(7, 9, 1)
+    feats = extract_local_features(ActivationTensor(data), 3, 3, 2)
+    for row, (r, c) in zip(feats.features.data, anchors):
+        np.testing.assert_array_equal(row, data[r : r + 3, c : c + 3].ravel())
 
 
 def test_window_larger_than_tensor():
@@ -118,20 +124,20 @@ def paired_units(feats, next_dims, offset):
     return pooled.reshape(2, feats.count).T.astype(np.int64)
 
 
-def test_correspondence_shift_stride1_pad1():
+def test_correspondence_shift_stride1_pad1(anchors_of):
     t = ActivationTensor(np.zeros((10, 10, 2), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 1)
     spec = next_spec(3, 3, 2, 1, stride=1, pad=1)
     pairs = paired_units(feats, spec.output_dims(10, 10), 1)
-    np.testing.assert_array_equal(pairs, feats.anchors + 1)
+    np.testing.assert_array_equal(pairs, anchors_of(feats) + 1)
 
 
-def test_correspondence_stride2_pad0():
+def test_correspondence_stride2_pad0(anchors_of):
     t = ActivationTensor(np.zeros((12, 12, 1), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 2)
     spec = next_spec(3, 3, 1, 1, stride=2, pad=0)
     pairs = paired_units(feats, spec.output_dims(12, 12), 0)
-    where = np.flatnonzero((feats.anchors == [4, 6]).all(axis=1))
+    where = np.flatnonzero((anchors_of(feats) == [4, 6]).all(axis=1))
     assert where.size == 1
     np.testing.assert_array_equal(pairs[where[0]], [2, 3])
 
@@ -189,7 +195,7 @@ def test_correspondence_bounds():
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
-def test_matched_filter_probe(stride, pad):
+def test_matched_filter_probe(stride, pad, anchors_of):
     """The mapped unit is where the next conv sees the planted patch."""
     rng = np.random.default_rng(60 + stride + pad)
     h = w = 11
@@ -205,12 +211,12 @@ def test_matched_filter_probe(stride, pad):
     pairs = paired_units(feats, dims, pad // stride)
     response = conv_forward(t, spec)
     peak = np.unravel_index(np.argmax(response.data[:, :, 0]), dims)
-    index = np.flatnonzero((feats.anchors == anchor).all(axis=1))
+    index = np.flatnonzero((anchors_of(feats) == anchor).all(axis=1))
     assert index.size == 1
     np.testing.assert_array_equal(pairs[index[0]], peak)
 
 
-def test_perturbation_locality():
+def test_perturbation_locality(anchors_of):
     """Changing one window only moves next-layer units near its mapped unit."""
     rng = np.random.default_rng(77)
     data = rng.normal(size=(12, 12, 2)).astype(np.float32)
@@ -224,7 +230,7 @@ def test_perturbation_locality():
     pairs = paired_units(feats, spec.output_dims(12, 12), 1)
 
     index = 47
-    anchor = feats.anchors[index]
+    anchor = anchors_of(feats)[index]
     bumped = data.copy()
     bumped[anchor[0] : anchor[0] + 3, anchor[1] : anchor[1] + 3, :] += 1.0
     after = conv_forward(ActivationTensor(bumped), spec)

@@ -3,6 +3,8 @@
 import builtins
 import dataclasses
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -296,6 +298,40 @@ def test_run_pipeline_deterministic_across_workers(dataset, tmp_path):
     b = run_pipeline(config, manifest, tmp_path / "w4", workers=4)
     assert a["metrics"] == b["metrics"]
     assert a["config_hash"] == b["config_hash"]
+
+
+def test_representation_stage_starts_no_thread(dataset, tmp_path, monkeypatch):
+    """The whole pipeline runs in the calling thread, whatever ``workers``
+    asks for."""
+
+    def no_thread(self):
+        raise AssertionError("the pipeline started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    manifest, net_path = dataset
+    for config in (
+        PipelineConfig(network=net_path, pca_dim=8, seed=1),
+        PipelineConfig(network=net_path, scheme="direct-max", seed=1),
+    ):
+        report = run_pipeline(config, manifest, tmp_path / "work", workers=4)
+        assert report["cache"]["representations"] == "miss"
+
+
+def test_per_image_total_is_stage_wall_time(dataset, tmp_path):
+    """``per_image.total`` covers the whole representation stage, the PCA
+    fit included, and no more than the run it belongs to."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    start = time.perf_counter()
+    report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
+    elapsed = time.perf_counter() - start
+    timing = report["timing"]
+    per_image = timing["per_image"]
+    images = timing["images"]
+    assert timing["pca_fit_seconds"] > 0
+    inner = (per_image["extraction"] + per_image["pooling"]) * images
+    assert per_image["total"] * images >= inner + timing["pca_fit_seconds"] - 1e-9
+    assert per_image["total"] * images <= elapsed
 
 
 def test_run_pipeline_quantize_reports_bytes(dataset, tmp_path):

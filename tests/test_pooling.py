@@ -29,9 +29,8 @@ def pool_oracle(features, weights):
 
 def on_grid(features, grid_h, grid_w):
     """An (N, d) matrix as the features of a grid_h x grid_w window grid."""
-    rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
     return LocalFeatureSet(
-        features=FeatureMatrix(features), anchors=np.stack([rows, cols], axis=1),
+        features=FeatureMatrix(features),
         window_h=1, window_w=1, stride=1, grid_h=grid_h, grid_w=grid_w,
     )
 
@@ -214,7 +213,7 @@ def test_spp_level_one_equals_direct_max():
     )
 
 
-def test_spp_dims_and_cell_assignment():
+def test_spp_dims_and_cell_assignment(anchors_of):
     rng = np.random.default_rng(52)
     data = rng.normal(size=(13, 13, 2)).astype(np.float32)
     feats = extract_local_features(ActivationTensor(data), 1, 1, 1)
@@ -223,10 +222,9 @@ def test_spp_dims_and_cell_assignment():
 
     # anchor (12, 12) on the 13x13 grid belongs to cell (1, 1) of the 2x2 level
     cells = out[2:].reshape(2, 2, 2)
-    corner = feats.features.data[(feats.anchors == [12, 12]).all(axis=1)][0]
-    block = feats.features.data[
-        (feats.anchors[:, 0] >= 7) & (feats.anchors[:, 1] >= 7)
-    ]
+    anchors = anchors_of(feats)
+    corner = feats.features.data[(anchors == [12, 12]).all(axis=1)][0]
+    block = feats.features.data[(anchors[:, 0] >= 7) & (anchors[:, 1] >= 7)]
     np.testing.assert_array_equal(cells[1, 1], block.max(axis=0))
     assert np.all(cells[1, 1] >= corner - 1e-6)
 
