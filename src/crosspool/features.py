@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GeometryError, ValidationError
 from .network import window_stack
-from .tensor import ActivationTensor, FeatureMatrix
+from .tensor import ActivationTensor, FeatureMatrix, require_single
 
 
 @dataclass
@@ -51,6 +51,7 @@ def extract_local_features(
     tensor: ActivationTensor, window_h: int, window_w: int, stride: int = 1
 ) -> LocalFeatureSet:
     """All fully-interior window_h x window_w patches, stride steps apart."""
+    require_single(tensor, "extract_local_features")
     if window_h < 1 or window_w < 1:
         raise ValidationError("window dimensions must be positive")
     if stride < 1:

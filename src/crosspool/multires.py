@@ -4,9 +4,10 @@ Blocks tile the image row-major.  Nominal block height is height // M; the
 last row of blocks absorbs the remainder, and likewise for columns.  A
 positive overlap fraction f extends every block by floor(f * nominal) units
 on each side that faces another block, clamped to the image, so outer edges
-never grow.  The pipeline pushes each part through the network and encodes
-it on its own; an image's vector is the concatenation, with a part table
-recording (label, offset, length).
+never grow.  The pipeline pushes each part through the network (stacked
+with the same-shape parts of other images) and encodes it on its own; an
+image's vector is the concatenation, with a part table recording (label,
+offset, length).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GeometryError, ValidationError
-from .tensor import ActivationTensor
+from .tensor import ActivationTensor, require_single
 
 
 @dataclass
@@ -96,6 +97,7 @@ def iter_parts(
 ) -> list[tuple[str, str, ActivationTensor]]:
     """(label, resolution, tensor) triples: the whole image first when
     included, then blocks row-major."""
+    require_single(image, "iter_parts")
     parts = []
     if config.include_whole_image:
         if image.height < min_h or image.width < min_w:

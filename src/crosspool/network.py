@@ -8,6 +8,12 @@ state is salted per stage with ``seed + 0x9E3779B9 * (stage_index + 1)``.
 Each draw is mapped to [-0.5, 0.5); bias defaults to zero.  The same seed
 therefore always yields bitwise-identical activations.
 
+Every stage works on the last three (height, width, depth) axes, so a batch
+of same-shape images stacked as an (N, H, W, D) tensor goes through the
+network in one call.  Convolution is one float64 im2col product over all N
+images, and each image's output is bitwise identical to its own forward
+pass.
+
 Network files are plain text.  Header lines ``input_depth = D`` and
 ``seed = S`` come first, then one line per stage in forward order::
 
@@ -173,14 +179,16 @@ def _seeded_weights(spec: ConvLayerSpec, seed: int, stage_index: int) -> np.ndar
 
 
 def window_stack(data: np.ndarray, window_h: int, window_w: int, stride: int) -> np.ndarray:
-    """All stride-spaced (window_h, window_w) patches of an (H, W, D) array.
+    """All stride-spaced (window_h, window_w) patches of an (..., H, W, D) array.
 
-    Returns shape (grid_h, grid_w, window_h, window_w, D) where position
-    (i, j) holds the patch anchored at row i*stride, column j*stride.
+    Returns shape ``lead + (grid_h, grid_w, window_h, window_w, D)`` where
+    position (i, j) holds the patch anchored at row i*stride, column
+    j*stride.
     """
-    view = sliding_window_view(data, (window_h, window_w), axis=(0, 1))
-    view = view[::stride, ::stride]
-    return view.transpose(0, 1, 3, 4, 2)
+    view = sliding_window_view(data, (window_h, window_w), axis=(-3, -2))
+    view = view[..., ::stride, ::stride, :, :, :]
+    # (..., gh, gw, D, wh, ww) -> (..., gh, gw, wh, ww, D)
+    return view.swapaxes(-3, -1).swapaxes(-3, -2)
 
 
 def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTensor:
@@ -199,13 +207,15 @@ def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTe
             f"stride {layer.stride}, pad {layer.pad})"
         )
     data = tensor.data.astype(np.float64)
+    lead = data.shape[:-3]
     if layer.pad:
-        data = np.pad(data, ((layer.pad, layer.pad), (layer.pad, layer.pad), (0, 0)))
+        pad = (layer.pad, layer.pad)
+        data = np.pad(data, ((0, 0),) * len(lead) + (pad, pad, (0, 0)))
     patches = window_stack(data, layer.kernel_h, layer.kernel_w, layer.stride)
-    cols = np.ascontiguousarray(patches).reshape(oh * ow, -1)
     kernel = layer.weights.reshape(layer.out_depth, -1)
+    cols = np.ascontiguousarray(patches).reshape(-1, kernel.shape[1])
     out = cols @ kernel.T + layer.bias
-    return ActivationTensor(out.reshape(oh, ow, layer.out_depth), rectified=False)
+    return ActivationTensor(out.reshape(lead + (oh, ow, layer.out_depth)), rectified=False)
 
 
 def relu_forward(tensor: ActivationTensor) -> ActivationTensor:
@@ -221,7 +231,7 @@ def maxpool_forward(tensor: ActivationTensor, size: int, stride: int) -> Activat
     if stride < 1:
         raise ValidationError("maxpool stride must be positive")
     patches = window_stack(tensor.data, size, size, stride)
-    out = patches.max(axis=(2, 3))
+    out = patches.max(axis=(-3, -2))
     return ActivationTensor(out, rectified=tensor.rectified)
 
 

@@ -76,9 +76,19 @@ from .svm import (
     svm_predict,
     svm_train,
 )
-from .tensor import FeatureMatrix, load_features, load_tensor, save_features
+from .tensor import (
+    ActivationTensor,
+    FeatureMatrix,
+    load_features,
+    load_tensor,
+    save_features,
+)
 
 SCHEMES = ("cross-layer", "direct-max", "direct-sum-sqrt", "spp")
+
+# Input bytes of image parts that are forwarded together.  Larger batches
+# make fewer, bigger network calls but hold more activations at once.
+FORWARD_BATCH_BYTES = 64 * 1024
 
 RESOLUTION_PRESETS = {
     "whole": dict(blocks_m=0, blocks_n=0, overlap_fraction=0.0, include_whole_image=True),
@@ -402,27 +412,54 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
     return directory, "miss"
 
 
-def _forward_image(entry, net, geometry, config, min_hw, timing):
-    """Load one image and push each part through the network once.
+def _forward_images(entries, net, geometry, config, min_hw, timing):
+    """Yield each entry's (label, resolution, layer-t local features, layer
+    t+1 output) parts, in manifest order.
 
-    Returns the image's (label, resolution, layer-t local features, layer
-    t+1 output) parts.  Forward seconds go to ``timing["extraction"]``,
-    local-feature extraction seconds to ``timing["pooling"]``.
+    Images are read until their parts hold ``FORWARD_BATCH_BYTES`` of input
+    (always at least one image); the batch's parts are stacked by shape and
+    each stack goes through the network in one call.  Forward seconds go to
+    ``timing["extraction"]``, local-feature extraction seconds to
+    ``timing["pooling"]``; nothing is timed across a yield.
     """
-    parts = []
-    image = load_tensor(entry.path)
-    for label, resolution, part in iter_parts(image, config.resolution, *min_hw):
+    entries = iter(entries)
+    while True:
+        batch, held = [], 0
+        for entry in entries:
+            parts = iter_parts(load_tensor(entry.path), config.resolution, *min_hw)
+            batch.append(parts)
+            held += sum(part.data.nbytes for _, _, part in parts)
+            if held >= FORWARD_BATCH_BYTES:
+                break
+        if not batch:
+            return
         t0 = time.perf_counter()
-        outputs = run_network(part, net)
-        t1 = time.perf_counter()
-        feats = extract_local_features(
-            outputs[geometry.t_index], geometry.window[0], geometry.window[1],
-            geometry.stride,
-        )
-        timing["extraction"] += t1 - t0
-        timing["pooling"] += time.perf_counter() - t1
-        parts.append((label, resolution, feats, outputs[geometry.t1_index]))
-    return parts
+        stacks = {}
+        for i, parts in enumerate(batch):
+            for j, (_, _, part) in enumerate(parts):
+                stacks.setdefault((part.data.shape, part.rectified), []).append((i, j))
+        outputs = {}
+        for (_, rectified), members in stacks.items():
+            stacked = np.stack([batch[i][j][2].data for i, j in members])
+            result = run_network(ActivationTensor(stacked, rectified=rectified), net)
+            layer_t, layer_t1 = result[geometry.t_index], result[geometry.t1_index]
+            for n, member in enumerate(members):
+                outputs[member] = (
+                    ActivationTensor(layer_t.data[n], rectified=layer_t.rectified),
+                    ActivationTensor(layer_t1.data[n], rectified=layer_t1.rectified),
+                )
+        timing["extraction"] += time.perf_counter() - t0
+        for i, parts in enumerate(batch):
+            t0 = time.perf_counter()
+            image = []
+            for j, (label, resolution, _) in enumerate(parts):
+                layer_t, layer_t1 = outputs[i, j]
+                feats = extract_local_features(
+                    layer_t, geometry.window[0], geometry.window[1], geometry.stride
+                )
+                image.append((label, resolution, feats, layer_t1))
+            timing["pooling"] += time.perf_counter() - t0
+            yield image
 
 
 def _encode_part(feats, layer_t1, resolution, geometry, config, pca_models):
@@ -462,7 +499,7 @@ def _fit_pca_models(images, config):
 
 
 def _represent_images(images, count, geometry, config, pca_models, timing):
-    """Encode ``count`` images, each given as its ``_forward_image`` parts,
+    """Encode ``count`` images, each given as its ``_forward_images`` parts,
     into the rows of one float32 matrix; returns it and the part layout.
 
     Each image's part vectors are written straight into its row as soon as
@@ -500,17 +537,12 @@ def _compute_representations(config, manifest, net, geometry, directory):
     start = time.perf_counter()
     min_hw = min_input_extent(net)
     timing = {"extraction": 0.0, "pooling": 0.0}
-
-    def forward(entries):
-        for entry in entries:
-            yield _forward_image(entry, net, geometry, config, min_hw, timing)
-
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
-    train_images = forward(train_entries)
+    train_images = _forward_images(train_entries, net, geometry, config, min_hw, timing)
     pca_models, pca_seconds = {}, 0.0
     if config.scheme == "cross-layer" and config.pca_dim:
-        # One forward pass per training image feeds both the PCA fit and the
+        # One forward pass per training part feeds both the PCA fit and the
         # encoding, so the training set's parts stay in memory until both
         # are done.
         train_images = list(train_images)
@@ -518,8 +550,9 @@ def _compute_representations(config, manifest, net, geometry, directory):
     train, layout = _represent_images(
         train_images, len(train_entries), geometry, config, pca_models, timing
     )
+    test_images = _forward_images(test_entries, net, geometry, config, min_hw, timing)
     test, test_layout = _represent_images(
-        forward(test_entries), len(test_entries), geometry, config, pca_models, timing
+        test_images, len(test_entries), geometry, config, pca_models, timing
     )
     if test_layout != layout:
         raise ContractError("train and test images produce different layouts")

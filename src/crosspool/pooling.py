@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, GeometryError, ValidationError
 from .features import LocalFeatureSet
 from .postproc import PcaModel, pca_project
-from .tensor import ActivationTensor, FeatureMatrix
+from .tensor import ActivationTensor, FeatureMatrix, require_single
 
 
 def unit_offset(pad: int, stride: int) -> int:
@@ -52,6 +52,7 @@ def cross_layer_pool(
 ) -> np.ndarray:
     """Pool layer t's local features, PCA-projected when a model is given,
     weighted by the rectified layer t+1 units from ``offset`` on."""
+    require_single(layer_t1, "cross_layer_pool")
     if not layer_t1.rectified:
         raise ContractError("indicator weights must come from a rectified layer")
     gh, gw = feature_set.grid_h, feature_set.grid_w

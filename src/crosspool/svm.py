@@ -60,6 +60,7 @@ Model container (integers unsigned 32-bit LE, floats IEEE binary64 LE):
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -74,9 +75,10 @@ from .errors import (
     ValidationError,
 )
 from .postproc import sign_unpack
-from .tensor import FeatureMatrix
+from .tensor import FeatureMatrix, read_header
 
 SVM_MAGIC = b"CPSVM001"
+_SVM_HEADER = struct.Struct("<IId")
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-4
@@ -403,43 +405,36 @@ def save_svm(model: SvmModel, path) -> None:
 
 
 def load_svm(path) -> SvmModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = struct.Struct("<IId")
-    if len(blob) < len(SVM_MAGIC) + header.size:
-        raise FormatError(f"{path}: file too short for a model header")
-    if blob[: len(SVM_MAGIC)] != SVM_MAGIC:
-        raise FormatError(f"{path}: bad magic, expected {SVM_MAGIC!r}")
-    n_classes, n_train, c = header.unpack_from(blob, len(SVM_MAGIC))
-    if n_classes < 2:
-        raise ValidationError(f"{path}: model declares {n_classes} classes")
-    cursor = len(SVM_MAGIC) + header.size
-    classes = []
-    biases = []
-    rows = []
-    for _ in range(n_classes):
-        if cursor + 4 > len(blob):
+    with open(path, "rb", buffering=0) as fh:
+        n_classes, n_train, c = read_header(fh, path, SVM_MAGIC, _SVM_HEADER, "model")
+        if n_classes < 2:
+            raise ValidationError(f"{path}: model declares {n_classes} classes")
+        # a class record is a label length, the label, a bias and n_train floats
+        record = 4 + 8 + 8 * n_train
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < n_classes * record:
             raise CorruptionError(f"{path}: truncated class record")
-        (name_len,) = struct.unpack_from("<I", blob, cursor)
-        cursor += 4
-        record = name_len + 8 + 8 * n_train
-        if cursor + record > len(blob):
-            raise CorruptionError(f"{path}: truncated class record")
-        try:
-            classes.append(blob[cursor : cursor + name_len].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: class label is not UTF-8") from None
-        cursor += name_len
-        (bias,) = struct.unpack_from("<d", blob, cursor)
-        cursor += 8
-        biases.append(bias)
-        rows.append(np.frombuffer(blob, dtype="<f8", count=n_train, offset=cursor).copy())
-        cursor += 8 * n_train
-    if cursor != len(blob):
-        raise CorruptionError(f"{path}: {len(blob) - cursor} trailing bytes")
+        classes = []
+        biases = np.empty(n_classes)
+        dual_coeffs = np.empty((n_classes, n_train), dtype="<f8")
+        for k in range(n_classes):
+            (name_len,) = struct.unpack("<I", fh.read(4))
+            left -= record + name_len
+            if left < (n_classes - k - 1) * record:
+                raise CorruptionError(f"{path}: truncated class record")
+            label = fh.read(name_len + 8)
+            try:
+                classes.append(label[:name_len].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: class label is not UTF-8") from None
+            (biases[k],) = struct.unpack_from("<d", label, name_len)
+            if fh.readinto(dual_coeffs[k].view(np.uint8)) != 8 * n_train:
+                raise CorruptionError(f"{path}: truncated class record")
+    if left:
+        raise CorruptionError(f"{path}: {left} trailing bytes")
     return SvmModel(
         classes=classes,
-        dual_coeffs=np.stack(rows),
-        biases=np.array(biases),
+        dual_coeffs=dual_coeffs,
+        biases=biases,
         regularization_c=c,
     )

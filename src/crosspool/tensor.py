@@ -36,8 +36,12 @@ _MATRIX_HEADER = struct.Struct("<II")
 
 @dataclass
 class ActivationTensor:
-    """One layer's activations on an (height, width, depth) float32 grid.
+    """One layer's activations on an (height, width, depth) float32 grid,
+    or a batch of N such grids stacked as (N, height, width, depth).
 
+    ``height``, ``width`` and ``depth`` read the last three axes.  The
+    network's stages take either form; the per-image consumers (saving,
+    local-feature extraction, pooling, cutting into parts) reject a batch.
     ``rectified`` marks the tensor as the output of a ReLU stage; setting it
     on data with negative entries is rejected.  The array is made read-only,
     so a tensor's values cannot change once it is built.
@@ -48,9 +52,10 @@ class ActivationTensor:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float32))
-        if arr.ndim != 3:
+        if arr.ndim not in (3, 4):
             raise ValidationError(
-                f"tensor data must have shape (height, width, depth), got {arr.shape}"
+                "tensor data must have shape (height, width, depth) or "
+                f"(batch, height, width, depth), got {arr.shape}"
             )
         if min(arr.shape) < 1:
             raise ValidationError(f"tensor dimensions must be positive, got {arr.shape}")
@@ -61,15 +66,24 @@ class ActivationTensor:
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-3]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-2]
 
     @property
     def depth(self) -> int:
-        return self.data.shape[2]
+        return self.data.shape[-1]
+
+
+def require_single(tensor: ActivationTensor, what: str) -> None:
+    """Reject a batched tensor where one image's grid is expected."""
+    if tensor.data.ndim != 3:
+        raise ValidationError(
+            f"{what} takes one (height, width, depth) tensor, got shape "
+            f"{tensor.data.shape}"
+        )
 
 
 @dataclass
@@ -136,6 +150,7 @@ def read_payload(fh, path, dtype, shape) -> np.ndarray:
 
 
 def save_tensor(tensor: ActivationTensor, path) -> None:
+    require_single(tensor, "save_tensor")
     payload = tensor.data.astype("<f4", copy=False).tobytes()
     header = TENSOR_MAGIC + _TENSOR_HEADER.pack(
         tensor.height, tensor.width, tensor.depth, int(tensor.rectified)
@@ -155,6 +170,8 @@ def load_tensor(path) -> ActivationTensor:
         if flag not in (0, 1):
             raise FormatError(f"{path}: rectified flag must be 0 or 1, got {flag}")
         values = read_payload(fh, path, "<f4", (h, w, d))
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{path}: tensor holds NaN or infinite values")
     return ActivationTensor(values, rectified=bool(flag))
 
 

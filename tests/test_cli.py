@@ -229,6 +229,21 @@ def test_exit_code_corrupt_tensor(dataset, tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_non_finite_tensor(tmp_path, capsys):
+    """A NaN in one input tensor stops the run with exit 3 and names the
+    file, before any representation is computed."""
+    manifest, net = generate(tmp_path / "data", n_train=6, n_test=6, seed=5)
+    bad = sorted((tmp_path / "data" / "tensors").iterdir())[3]
+    blob = bytearray(bad.read_bytes())
+    blob[21:25] = struct.pack("<f", float("nan"))
+    bad.write_bytes(bytes(blob))
+    code = run_cli("--workdir", tmp_path / "w", "run", "--net", net, "--manifest", manifest)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and bad.name in err
+    assert not list((tmp_path / "w").glob("representations/*"))
+
+
 @pytest.mark.parametrize("dim,payload", [
     (1, [0b11]),        # code 11
     (1, [0b0100]),      # nonzero padding past dim

@@ -227,6 +227,31 @@ def test_run_network_stage_outputs():
     np.testing.assert_array_equal(outs[1].data, np.maximum(outs[0].data, 0.0))
 
 
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_batched_forward_matches_per_image(stride, pad, count):
+    """An (N, H, W, D) batch gives each image the bits of its own pass,
+    through a square and a rectangular conv, relu and maxpool."""
+    rng = np.random.default_rng(200 + 10 * stride + pad + count)
+    net = NetworkSpec(
+        stages=[
+            ConvStage(random_spec(rng, 3, 3, 3, 5, stride=stride, pad=pad)),
+            ReluStage(),
+            ConvStage(random_spec(rng, 2, 3, 5, 4, pad=pad)),
+            ReluStage(),
+            MaxPoolStage(size=2, stride=1),
+        ]
+    )
+    data = rng.normal(size=(count, 11, 9, 3)).astype(np.float32)
+    batched = run_network(ActivationTensor(data), net)
+    for n in range(count):
+        single = run_network(ActivationTensor(data[n]), net)
+        for b, s in zip(batched, single):
+            assert b.data.shape == (count,) + s.data.shape
+            assert b.rectified == s.rectified
+            np.testing.assert_array_equal(b.data[n].view(np.uint32), s.data.view(np.uint32))
+
+
 def test_min_input_extent():
     stages = [
         ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2)),

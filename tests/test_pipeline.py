@@ -11,8 +11,11 @@ import pytest
 
 import crosspool.pipeline
 from crosspool.errors import ConfigError, ContractError, ValidationError
-from crosspool.multires import ResolutionConfig
+from crosspool.features import extract_local_features
+from crosspool.multires import ResolutionConfig, iter_parts
+from crosspool.network import parse_network_file
 from crosspool.pipeline import (
+    DatasetManifest,
     PipelineConfig,
     average_precision,
     compare_schemes,
@@ -22,7 +25,7 @@ from crosspool.pipeline import (
 )
 from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
-from crosspool.tensor import ActivationTensor, load_tensor, save_tensor
+from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_tensor
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
 
@@ -319,19 +322,68 @@ def test_representation_stage_starts_no_thread(dataset, tmp_path, monkeypatch):
 
 def test_per_image_total_is_stage_wall_time(dataset, tmp_path):
     """``per_image.total`` covers the whole representation stage, the PCA
-    fit included, and no more than the run it belongs to."""
+    fit included, and no more than the run it belongs to; with and without
+    PCA, and with parts forwarded in batches."""
     manifest, net_path = dataset
-    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
-    start = time.perf_counter()
+    configs = [
+        PipelineConfig(network=net_path, pca_dim=8, seed=1),
+        PipelineConfig(network=net_path, resolution="both", seed=1),
+    ]
+    for config in configs:
+        start = time.perf_counter()
+        report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
+        elapsed = time.perf_counter() - start
+        timing = report["timing"]
+        per_image = timing["per_image"]
+        images = timing["images"]
+        assert (timing["pca_fit_seconds"] > 0) == bool(config.pca_dim)
+        inner = (per_image["extraction"] + per_image["pooling"]) * images
+        assert per_image["total"] * images >= inner + timing["pca_fit_seconds"] - 1e-9
+        assert per_image["total"] * images <= elapsed
+
+
+def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
+    """Parts of several images go through the network in one call per shape,
+    and every row equals the one a per-part forward pass gives, bit for bit,
+    on a manifest that mixes 20x20 and 26x26 images."""
+    sets = []
+    for sub, grid in (("small", 6), ("large", 8)):
+        path, net_path = generate(tmp_path / sub, n_train=6, n_test=6, seed=grid, grid=grid)
+        sets.append(parse_manifest(path).entries)
+    manifest = DatasetManifest([entry for pair in zip(*sets) for entry in pair])
+    config = PipelineConfig(network=net_path, resolution="both", seed=1)
+
+    calls = []
+    forward = crosspool.pipeline.run_network
+
+    def counted(tensor, net):
+        calls.append(tensor.data.shape)
+        return forward(tensor, net)
+
+    monkeypatch.setattr(crosspool.pipeline, "run_network", counted)
     report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
-    elapsed = time.perf_counter() - start
-    timing = report["timing"]
-    per_image = timing["per_image"]
-    images = timing["images"]
-    assert timing["pca_fit_seconds"] > 0
-    inner = (per_image["extraction"] + per_image["pooling"]) * images
-    assert per_image["total"] * images >= inner + timing["pca_fit_seconds"] - 1e-9
-    assert per_image["total"] * images <= elapsed
+    parts = 5 * len(manifest.entries)
+    assert sum(shape[0] for shape in calls) == parts
+    assert len(calls) < parts
+    assert {shape[1:3] for shape in calls} == {(20, 20), (10, 10), (26, 26), (13, 13)}
+
+    net = parse_network_file(net_path)
+    geometry = crosspool.pipeline._resolve_geometry(net, config)
+    for split in ("train", "test"):
+        rows = load_features(f"{report['artifacts']['representations']}/{split}.fmat").data
+        for row, entry in zip(rows, manifest.split(split), strict=True):
+            chunks = []
+            image = load_tensor(entry.path)
+            for _, resolution, part in iter_parts(image, config.resolution, 1, 1):
+                outputs = forward(part, net)
+                feats = extract_local_features(
+                    outputs[geometry.t_index], *geometry.window, geometry.stride
+                )
+                chunks.append(crosspool.pipeline._encode_part(
+                    feats, outputs[geometry.t1_index], resolution, geometry, config, {}
+                ))
+            want = np.concatenate(chunks).astype(np.float32)
+            np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
 
 
 def test_run_pipeline_quantize_reports_bytes(dataset, tmp_path):

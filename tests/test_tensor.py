@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from crosspool.errors import CorruptionError, FormatError, ValidationError
+from crosspool.features import extract_local_features
+from crosspool.multires import ResolutionConfig, iter_parts
+from crosspool.pooling import cross_layer_pool
 from crosspool.tensor import (
     ActivationTensor,
     FeatureMatrix,
@@ -41,6 +44,44 @@ def test_tensor_data_is_readonly():
     t = ActivationTensor(np.ones((2, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         t.data[0, 0, 0] = 5.0
+
+
+def test_tensor_takes_a_leading_batch_axis():
+    t = ActivationTensor(np.ones((5, 2, 3, 4), dtype=np.float32))
+    assert (t.height, t.width, t.depth) == (2, 3, 4)
+    with pytest.raises(ValidationError):
+        ActivationTensor(np.zeros((1, 1, 1, 1, 1), dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "consumer", ["save_tensor", "extract_local_features", "cross_layer_pool", "iter_parts"]
+)
+def test_per_image_consumers_reject_a_batch(tmp_path, consumer):
+    """A consumer of one image's grid refuses an (N, H, W, D) batch instead
+    of writing a wrong header or mixing the images together."""
+    single = ActivationTensor(np.ones((4, 4, 3), dtype=np.float32), rectified=True)
+    batch = ActivationTensor(np.ones((2, 4, 4, 3), dtype=np.float32), rectified=True)
+    calls = {
+        "save_tensor": lambda: save_tensor(batch, tmp_path / "b.tens"),
+        "extract_local_features": lambda: extract_local_features(batch, 2, 2),
+        "cross_layer_pool": lambda: cross_layer_pool(
+            extract_local_features(single, 2, 2), batch, 0
+        ),
+        "iter_parts": lambda: iter_parts(batch, ResolutionConfig()),
+    }
+    with pytest.raises(ValidationError, match=r"one \(height, width, depth\) tensor"):
+        calls[consumer]()
+    assert not (tmp_path / "b.tens").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_tensor_non_finite_rejected(tmp_path, value):
+    path = tmp_path / "bad.tens"
+    path.write_bytes(
+        b"CPTENS01" + struct.pack("<IIIB", 1, 2, 1, 0) + struct.pack("<2f", 1.0, value)
+    )
+    with pytest.raises(ValidationError, match="bad.tens"):
+        load_tensor(path)
 
 
 def test_minimal_tensor_file_is_25_bytes(tmp_path):
