@@ -53,7 +53,7 @@ from .postproc import (
     save_sign_stack,
     sign_quantize,
 )
-from .svm import GramMatrix, gram_matrix, load_svm, save_svm, sign_kernel_rows, svm_predict, svm_train
+from .svm import GramMatrix, kernels, load_svm, save_svm, svm_predict, svm_train
 from .tensor import (
     FeatureMatrix,
     MATRIX_MAGIC,
@@ -176,12 +176,12 @@ def _magic_of(path) -> bytes:
 def cmd_gram(args) -> int:
     magic = _magic_of(args.reps)
     if magic == SIGN_STACK_MAGIC:
-        codes, _ = load_sign_stack(args.reps)
-        gram = GramMatrix(sign_kernel_rows(codes, codes))
+        reps, _ = load_sign_stack(args.reps)
     elif magic == MATRIX_MAGIC:
-        gram = gram_matrix(load_features(args.reps))
+        reps = load_features(args.reps).data
     else:
         raise FormatError(f"{args.reps}: expected a feature matrix or sign stack")
+    gram, _ = kernels(reps, reps[:0])
     save_features(FeatureMatrix(gram.values), args.out)
     print(f"{gram.n}x{gram.n} Gram matrix -> {args.out}")
     return 0

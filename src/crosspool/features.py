@@ -25,9 +25,6 @@ class LocalFeatureSet:
     """Extracted descriptors plus the anchor grid they came from."""
 
     features: FeatureMatrix
-    window_h: int
-    window_w: int
-    stride: int
     grid_h: int
     grid_w: int
 
@@ -65,12 +62,5 @@ def extract_local_features(
     grid_w = (tensor.width - window_w) // stride + 1
     patches = window_stack(tensor.data, window_h, window_w, stride)
     matrix = np.ascontiguousarray(patches).reshape(grid_h * grid_w, -1)
-    return LocalFeatureSet(
-        features=FeatureMatrix(matrix),
-        window_h=window_h,
-        window_w=window_w,
-        stride=stride,
-        grid_h=grid_h,
-        grid_w=grid_w,
-    )
+    return LocalFeatureSet(FeatureMatrix(matrix), grid_h, grid_w)
 

@@ -41,10 +41,6 @@ class ResolutionConfig:
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValidationError("overlap fraction must lie in [0, 1)")
 
-    @property
-    def block_count(self) -> int:
-        return self.blocks_m * self.blocks_n
-
 
 def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:
     if blocks == 0:

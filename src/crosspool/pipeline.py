@@ -68,11 +68,9 @@ from .postproc import (
 )
 from .svm import (
     GramMatrix,
-    gram_matrix,
-    kernel_rows,
+    kernels,
     load_svm,
     save_svm,
-    sign_kernel_rows,
     svm_predict,
     svm_train,
 )
@@ -666,16 +664,12 @@ def run_pipeline(
         train = load_features(os.path.join(rep_dir, "train.fmat"))
         test = load_features(os.path.join(rep_dir, "test.fmat"))
         t0 = time.perf_counter()
+        train_reps, test_reps = train.data, test.data
         if config.quantize:
-            train_codes = sign_quantize(train.data)
-            test_codes = sign_quantize(test.data)
-            save_sign_stack(train_codes, train.dim, os.path.join(tmp, "train.signs"))
-            save_sign_stack(test_codes, test.dim, os.path.join(tmp, "test.signs"))
-            gram = GramMatrix(sign_kernel_rows(train_codes, train_codes))
-            rows = sign_kernel_rows(test_codes, train_codes)
-        else:
-            gram = gram_matrix(train)
-            rows = kernel_rows(test, train)
+            train_reps, test_reps = sign_quantize(train_reps), sign_quantize(test_reps)
+            save_sign_stack(train_reps, train.dim, os.path.join(tmp, "train.signs"))
+            save_sign_stack(test_reps, test.dim, os.path.join(tmp, "test.signs"))
+        gram, rows = kernels(train_reps, test_reps)
         timing["kernel_seconds"] = time.perf_counter() - t0
         save_features(FeatureMatrix(gram.values), os.path.join(tmp, "gram.fmat"))
         save_features(FeatureMatrix(rows), os.path.join(tmp, "rows.fmat"))

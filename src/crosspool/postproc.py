@@ -8,9 +8,9 @@ negative; 11 never appears.  Dimension j occupies bits 2*(j % 4) and
 uint8 code matrix, comparing in the input's own dtype.  ``sign_unpack``
 expands codes back to float32 -1/0/+1 through a 256-entry byte table, four
 dimensions per byte.  Because padding codes are zero, an unpacked block of
-whole bytes can enter an inner product as is: ``svm.sign_kernel_rows``
-unpacks the codes one column block at a time and multiplies each block
-with one BLAS product, which is exact (see ``svm``).
+whole bytes can enter an inner product as is: ``svm.kernels`` unpacks
+the codes one column block at a time and multiplies each block with one
+BLAS product, which is exact (see ``svm``).
 
 File containers (integers unsigned 32-bit little-endian):
 
@@ -167,7 +167,7 @@ def sign_unpack(codes: np.ndarray) -> np.ndarray:
     """Expand a code matrix to float32 -1/0/+1, four columns per byte; the
     columns past dim are the zero padding."""
     codes = np.asarray(codes, dtype=np.uint8)
-    return _BYTE_SIGNS[codes].reshape(codes.shape[0], -1)
+    return _BYTE_SIGNS[codes].reshape(codes.shape[0], 4 * codes.shape[1])
 
 
 def save_sign_stack(codes: np.ndarray, dim: int, path) -> None:

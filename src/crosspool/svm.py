@@ -1,16 +1,21 @@
 """Linear classification from precomputed kernels.
 
-Every kernel is one BLAS matrix product.  Float representations are upcast
-to float64 and multiplied as ``q @ t.T``.  Sign codes (see ``postproc``)
-are multiplied from their packed code matrices in fixed column blocks of
-``SIGN_BLOCK_BYTES`` bytes: each block is unpacked to float32 -1/0/+1 and
-its product added into a float64 result.  The sum is exact at any
-dimension.  A block spans at most 4 * SIGN_BLOCK_BYTES = 4096 dimensions,
-so every partial sum inside a block's product is an integer of magnitude
-at most 4096, well below the 2**24 that float32 holds exactly, and the
-float64 sum over blocks stays exact up to 2**53.  Unpacking block by block
-bounds the float32 copy at count * 4 * SIGN_BLOCK_BYTES values, where
-unpacking the whole matrix would take count * dim.
+``kernels(train, test)`` gives the training Gram matrix and the test rows
+from one pass over column blocks of ``BLOCK_DIMS`` = 4096 dimensions.  The
+inputs' storage says how a block is read: a float matrix's block is upcast
+to float64, and a sign code matrix's block (see ``postproc``; 1024 bytes,
+four dimensions per byte) is unpacked to float32 -1/0/+1.  Each training
+block is built once; ``t @ t.T`` is added into the Gram and ``q @ t.T``
+into the rows.
+
+The sign kernel is exact.  Every partial sum inside a block's float32
+product is an integer of magnitude at most 4096, well below the 2**24 that
+float32 holds exactly, and the float64 sum over blocks stays exact up to
+2**53.  The argument holds for any block below 2**24 dimensions; the block
+size is a memory bound, since only one block of each split is ever
+unpacked or upcast: count * 4096 values, where the whole matrix would take
+count * dim.  A float kernel of one block is the single product
+``q @ t.T``; across blocks it differs from that only in float64 rounding.
 
 Training is one-vs-rest.  Each binary problem is the box-constrained dual
 
@@ -83,7 +88,7 @@ _SVM_HEADER = struct.Struct("<IId")
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-4
 MAX_ITERATIONS = 200
-SIGN_BLOCK_BYTES = 1024
+BLOCK_DIMS = 4096
 
 
 @dataclass
@@ -144,39 +149,40 @@ class SvmModel:
         return self.dual_coeffs.shape[1]
 
 
+def kernels(train: np.ndarray, test: np.ndarray) -> tuple[GramMatrix, np.ndarray]:
+    """The Gram matrix of the training rows and the (test count, train
+    count) inner products of each test row against every training row.
+
+    Both inputs are float (count, dim) matrices or uint8 (count,
+    ceil(dim/4)) sign code matrices of one dtype and width.
+    """
+    if train.shape[0] < 1:
+        raise ContractError("the kernels need at least one training row")
+    if train.dtype != test.dtype:
+        raise ContractError(f"training rows are {train.dtype}, test rows {test.dtype}")
+    if train.shape[1] != test.shape[1]:
+        raise ContractError(
+            f"training rows hold {train.shape[1]} columns, test rows {test.shape[1]}"
+        )
+    codes = train.dtype == np.uint8
+    step = BLOCK_DIMS // 4 if codes else BLOCK_DIMS
+
+    def block(matrix, lo):
+        columns = matrix[:, lo : lo + step]
+        return sign_unpack(columns) if codes else columns.astype(np.float64)
+
+    gram = np.zeros((train.shape[0], train.shape[0]))
+    rows = np.zeros((test.shape[0], train.shape[0]))
+    for lo in range(0, train.shape[1], step):
+        t = block(train, lo)
+        gram += t @ t.T
+        rows += block(test, lo) @ t.T
+    return GramMatrix(gram), rows
+
+
 def gram_matrix(reps: FeatureMatrix) -> GramMatrix:
     """Pairwise inner products of the representation rows."""
-    if reps.count < 1:
-        raise ContractError("Gram matrix needs at least one representation")
-    return GramMatrix(kernel_rows(reps, reps))
-
-
-def kernel_rows(queries: FeatureMatrix, train: FeatureMatrix) -> np.ndarray:
-    """Inner products of each query row against every training row."""
-    if queries.dim != train.dim:
-        raise ContractError(
-            f"query dim {queries.dim} does not match training dim {train.dim}"
-        )
-    q = queries.data.astype(np.float64, copy=False)
-    t = q if train is queries else train.data.astype(np.float64, copy=False)
-    return q @ t.T
-
-
-def sign_kernel_rows(q_codes: np.ndarray, t_codes: np.ndarray) -> np.ndarray:
-    """Exact inner products of each query sign vector against every training
-    sign vector, from their (count, ceil(dim/4)) packed code matrices."""
-    if q_codes.shape[0] < 1 or t_codes.shape[0] < 1:
-        raise ContractError("sign kernel rows need nonempty inputs")
-    if q_codes.shape[1] != t_codes.shape[1]:
-        raise ContractError(
-            f"query codes hold {q_codes.shape[1]} bytes per row, "
-            f"training codes {t_codes.shape[1]}"
-        )
-    out = np.zeros((q_codes.shape[0], t_codes.shape[0]))
-    for lo in range(0, q_codes.shape[1], SIGN_BLOCK_BYTES):
-        block = slice(lo, lo + SIGN_BLOCK_BYTES)
-        out += sign_unpack(q_codes[:, block]) @ sign_unpack(t_codes[:, block]).T
-    return out
+    return kernels(reps.data, reps.data[:0])[0]
 
 
 def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:
@@ -310,13 +316,13 @@ def svm_train(
     labels: Sequence,
     c: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = MAX_ITERATIONS,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> SvmModel:
     """Train one-vs-rest classifiers on a precomputed training kernel.
 
     ``labels`` holds one label per training row, or an iterable of labels
     for multi-label data; a class's binary problem takes every example that
-    carries the class as positive.  ``max_sweeps`` caps the interior-point
+    carries the class as positive.  ``max_iterations`` caps the interior-point
     iterations per class.  A class whose solver stops with a projected
     gradient above ``tol`` raises a RuntimeWarning.  The model's ``solver``
     holds each class's diagnostics.
@@ -328,7 +334,7 @@ def svm_train(
         raise ValidationError("regularization C must be positive")
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
-    if max_sweeps < 1:
+    if max_iterations < 1:
         raise ValidationError("the iteration cap must be at least 1")
     label_sets = _normalize_labels(labels)
     classes = sorted(set().union(*label_sets))
@@ -341,12 +347,12 @@ def svm_train(
     for name in classes:
         y = np.where([name in s for s in label_sets], 1.0, -1.0)
         alpha, gradient, iterations, regularized = _solve_dual(
-            y[:, None] * augmented * y, c, tol, max_sweeps
+            y[:, None] * augmented * y, c, tol, max_iterations
         )
         if gradient > tol:
             warnings.warn(
                 f"class {name!r} not converged: max projected gradient "
-                f"{gradient:.3g} above tol {tol:g} (iteration cap {max_sweeps})",
+                f"{gradient:.3g} above tol {tol:g} (iteration cap {max_iterations})",
                 RuntimeWarning,
                 stacklevel=2,
             )

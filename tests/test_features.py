@@ -57,7 +57,7 @@ def test_extraction_matches_loop_oracle(stride, anchors_of):
     expect, anchors = extraction_oracle(data, 3, 2, stride)
     assert feats.count == expect.shape[0]
     np.testing.assert_array_equal(feats.features.data, expect.astype(np.float32))
-    np.testing.assert_array_equal(anchors_of(feats), anchors)
+    np.testing.assert_array_equal(anchors_of(feats, stride), anchors)
 
 
 def test_descriptor_entry_indexing():
@@ -78,7 +78,7 @@ def test_anchor_grid_row_major(anchors_of):
     t = ActivationTensor(np.zeros((7, 9, 1), dtype=np.float32))
     feats = extract_local_features(t, 3, 3, 2)
     assert (feats.grid_h, feats.grid_w) == (3, 4)
-    anchors = anchors_of(feats)
+    anchors = anchors_of(feats, 2)
     np.testing.assert_array_equal(anchors[0], [0, 0])
     np.testing.assert_array_equal(anchors[1], [0, 2])
     np.testing.assert_array_equal(anchors[4], [2, 0])
@@ -129,7 +129,7 @@ def test_correspondence_shift_stride1_pad1(anchors_of):
     feats = extract_local_features(t, 3, 3, 1)
     spec = next_spec(3, 3, 2, 1, stride=1, pad=1)
     pairs = paired_units(feats, spec.output_dims(10, 10), 1)
-    np.testing.assert_array_equal(pairs, anchors_of(feats) + 1)
+    np.testing.assert_array_equal(pairs, anchors_of(feats, 1) + 1)
 
 
 def test_correspondence_stride2_pad0(anchors_of):
@@ -137,7 +137,7 @@ def test_correspondence_stride2_pad0(anchors_of):
     feats = extract_local_features(t, 3, 3, 2)
     spec = next_spec(3, 3, 1, 1, stride=2, pad=0)
     pairs = paired_units(feats, spec.output_dims(12, 12), 0)
-    where = np.flatnonzero((anchors_of(feats) == [4, 6]).all(axis=1))
+    where = np.flatnonzero((anchors_of(feats, 2) == [4, 6]).all(axis=1))
     assert where.size == 1
     np.testing.assert_array_equal(pairs[where[0]], [2, 3])
 
@@ -211,7 +211,7 @@ def test_matched_filter_probe(stride, pad, anchors_of):
     pairs = paired_units(feats, dims, pad // stride)
     response = conv_forward(t, spec)
     peak = np.unravel_index(np.argmax(response.data[:, :, 0]), dims)
-    index = np.flatnonzero((anchors_of(feats) == anchor).all(axis=1))
+    index = np.flatnonzero((anchors_of(feats, stride) == anchor).all(axis=1))
     assert index.size == 1
     np.testing.assert_array_equal(pairs[index[0]], peak)
 
@@ -230,7 +230,7 @@ def test_perturbation_locality(anchors_of):
     pairs = paired_units(feats, spec.output_dims(12, 12), 1)
 
     index = 47
-    anchor = anchors_of(feats)[index]
+    anchor = anchors_of(feats, 1)[index]
     bumped = data.copy()
     bumped[anchor[0] : anchor[0] + 3, anchor[1] : anchor[1] + 3, :] += 1.0
     after = conv_forward(ActivationTensor(bumped), spec)

@@ -96,8 +96,7 @@ def test_config_validation():
         ResolutionConfig(blocks_m=0, blocks_n=0, include_whole_image=False)
     with pytest.raises(ValidationError):
         ResolutionConfig(overlap_fraction=1.0)
-    whole_only = ResolutionConfig(blocks_m=0, blocks_n=0)
-    assert whole_only.block_count == 0
+    ResolutionConfig(blocks_m=0, blocks_n=0)
 
 
 def test_iter_parts_order():

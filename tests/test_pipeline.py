@@ -5,11 +5,13 @@ import dataclasses
 import json
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crosspool.pipeline
+import crosspool.svm
 from crosspool.errors import ConfigError, ContractError, ValidationError
 from crosspool.features import extract_local_features
 from crosspool.multires import ResolutionConfig, iter_parts
@@ -392,6 +394,34 @@ def test_run_pipeline_quantize_reports_bytes(dataset, tmp_path):
     report = run_pipeline(config, manifest, tmp_path / "work")
     dim = report["dims"]["representation_dim"]
     assert report["dims"]["packed_bytes_per_image"] == (dim + 3) // 4
+
+
+def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch):
+    """One quantized run unpacks each column block of each split once, and
+    the kernel does not depend on the block size."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=0, resolution="both", quantize=True)
+    unpack = crosspool.svm.sign_unpack
+    calls = []
+
+    def counting(codes):
+        calls.append(codes.shape[1])
+        return unpack(codes)
+
+    monkeypatch.setattr(crosspool.svm, "sign_unpack", counting)
+    kernel_bytes = []
+    for block_dims in (crosspool.svm.BLOCK_DIMS, 64):
+        monkeypatch.setattr(crosspool.svm, "BLOCK_DIMS", block_dims)
+        calls.clear()
+        report = run_pipeline(config, manifest, tmp_path / str(block_dims))
+        blocks = -(-report["dims"]["packed_bytes_per_image"] // (block_dims // 4))
+        assert len(calls) == 2 * blocks
+        kernel_dir = report["artifacts"]["kernel"]
+        kernel_bytes.append([
+            (Path(kernel_dir) / name).read_bytes() for name in ("gram.fmat", "rows.fmat")
+        ])
+    assert blocks > 1
+    assert kernel_bytes[0] == kernel_bytes[1]
 
 
 def test_run_pipeline_representations_stage_only(dataset, tmp_path):

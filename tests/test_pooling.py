@@ -29,10 +29,7 @@ def pool_oracle(features, weights):
 
 def on_grid(features, grid_h, grid_w):
     """An (N, d) matrix as the features of a grid_h x grid_w window grid."""
-    return LocalFeatureSet(
-        features=FeatureMatrix(features),
-        window_h=1, window_w=1, stride=1, grid_h=grid_h, grid_w=grid_w,
-    )
+    return LocalFeatureSet(FeatureMatrix(features), grid_h=grid_h, grid_w=grid_w)
 
 
 def weight_layer(weights, grid_h, grid_w, offset=0):
@@ -222,7 +219,7 @@ def test_spp_dims_and_cell_assignment(anchors_of):
 
     # anchor (12, 12) on the 13x13 grid belongs to cell (1, 1) of the 2x2 level
     cells = out[2:].reshape(2, 2, 2)
-    anchors = anchors_of(feats)
+    anchors = anchors_of(feats, 1)
     corner = feats.features.data[(anchors == [12, 12]).all(axis=1)][0]
     block = feats.features.data[(anchors[:, 0] >= 7) & (anchors[:, 1] >= 7)]
     np.testing.assert_array_equal(cells[1, 1], block.max(axis=0))

@@ -7,6 +7,7 @@ and a cyclic coordinate-descent solver, whose objective the
 interior-point solver must match or beat.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,15 +16,14 @@ import pytest
 from crosspool.errors import ContractError, CorruptionError, ValidationError
 from crosspool.postproc import sign_quantize, sign_unpack
 from crosspool.svm import (
-    SIGN_BLOCK_BYTES,
+    BLOCK_DIMS,
     GramMatrix,
     SvmModel,
     _solve_dual,
     gram_matrix,
-    kernel_rows,
+    kernels,
     load_svm,
     save_svm,
-    sign_kernel_rows,
     svm_predict,
     svm_train,
 )
@@ -119,49 +119,73 @@ def test_gram_positive_semidefinite():
 
 def test_kernel_rows_match_gram():
     rng = np.random.default_rng(93)
-    train = FeatureMatrix(rng.normal(size=(10, 6)))
-    rows = kernel_rows(train, train)
-    np.testing.assert_array_equal(rows, gram_matrix(train).values)
-    queries = FeatureMatrix(rng.normal(size=(4, 6)))
-    np.testing.assert_allclose(
-        kernel_rows(queries, train), queries.data @ train.data.T, rtol=1e-12
-    )
-    with pytest.raises(ContractError):
-        kernel_rows(FeatureMatrix(np.ones((2, 5))), train)
+    train = rng.normal(size=(10, 6))
+    gram, rows = kernels(train, train)
+    np.testing.assert_array_equal(rows, gram.values)
+    np.testing.assert_array_equal(gram.values, gram_matrix(FeatureMatrix(train)).values)
+    queries = rng.normal(size=(4, 6))
+    np.testing.assert_allclose(kernels(train, queries)[1], queries @ train.T, rtol=1e-12)
+    assert kernels(train, queries[:0])[1].shape == (0, 10)
 
 
 def test_packed_gram_matches_unpacked_dot():
     rng = np.random.default_rng(94)
     codes = sign_quantize(rng.choice([-1.0, 0.0, 1.0], size=(15, 19)))
-    gram = GramMatrix(sign_kernel_rows(codes, codes))
+    gram, rows = kernels(codes, codes[:4])
     dense = sign_unpack(codes).astype(np.float64)
     np.testing.assert_array_equal(gram.values, dense @ dense.T)
-    rows = sign_kernel_rows(codes[:4], codes)
     np.testing.assert_array_equal(rows, gram.values[:4])
 
 
-@pytest.mark.parametrize("dim", [1, 7, 4 * SIGN_BLOCK_BYTES, 4 * SIGN_BLOCK_BYTES * 2 + 13])
+@pytest.mark.parametrize("dim", [1, 7, BLOCK_DIMS, 2 * BLOCK_DIMS + 13])
 def test_sign_kernel_matches_float_signs(dim):
-    """Exact against sign(X) @ sign(Y).T in float64, across block edges and
-    with all-zero rows."""
+    """Codes are exact against sign(X) @ sign(Y).T in float64, across block
+    edges and with all-zero rows; floats equal one product q @ t.T in one
+    block and agree with it to float64 rounding across blocks."""
     rng = np.random.default_rng(dim)
     x = rng.normal(size=(9, dim))
     y = rng.normal(size=(6, dim))
     x[rng.random(x.shape) < 0.3] = 0.0
     x[2] = 0.0
     y[4] = 0.0
-    expect = np.sign(x) @ np.sign(y).T
-    np.testing.assert_array_equal(sign_kernel_rows(sign_quantize(x), sign_quantize(y)), expect)
-    xq = sign_quantize(x)
-    np.testing.assert_array_equal(sign_kernel_rows(xq, xq), np.sign(x) @ np.sign(x).T)
+    gram, rows = kernels(sign_quantize(x), sign_quantize(y))
+    np.testing.assert_array_equal(gram.values, np.sign(x) @ np.sign(x).T)
+    np.testing.assert_array_equal(rows, np.sign(y) @ np.sign(x).T)
+    for dtype in (np.float64, np.float32):
+        gram, rows = kernels(x.astype(dtype), y.astype(dtype))
+        t, q = (v.astype(dtype).astype(np.float64) for v in (x, y))
+        for got, expect in ((gram.values, t @ t.T), (rows, q @ t.T)):
+            if dim <= BLOCK_DIMS:
+                np.testing.assert_array_equal(got, expect)
+            else:
+                scale = np.abs(expect).max()
+                np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_sign_kernel_contract():
     codes = sign_quantize(np.ones((3, 8)))
     with pytest.raises(ContractError):
-        sign_kernel_rows(codes, sign_quantize(np.ones((3, 9))))
+        kernels(codes, sign_quantize(np.ones((3, 9))))
     with pytest.raises(ContractError):
-        sign_kernel_rows(codes[:0], codes)
+        kernels(codes[:0], codes)
+    with pytest.raises(ContractError):
+        kernels(codes, np.ones((3, 2)))
+    with pytest.raises(ContractError):
+        kernels(np.ones((3, 8)), np.ones((3, 8), dtype=np.float32))
+    assert kernels(codes, codes[:0])[1].shape == (0, 3)
+
+
+def test_kernels_upcast_one_block_at_a_time():
+    """The float64 copies of 46 080-d float32 rows are never made whole."""
+    rng = np.random.default_rng(95)
+    train, test = rng.standard_normal((2, 40, 46080), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        kernels(train, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (train.size + test.size) * 8 / 4
 
 
 def test_gram_requires_symmetry():
@@ -299,7 +323,7 @@ def test_sweep_cap_warns():
     mixed = np.vstack([rng.normal(size=(20, 3)) + 0.3, rng.normal(size=(20, 3)) - 0.3])
     gram = gram_matrix(FeatureMatrix(mixed))
     with pytest.warns(RuntimeWarning) as record:
-        model = svm_train(gram, ["pos"] * 20 + ["neg"] * 20, max_sweeps=1)
+        model = svm_train(gram, ["pos"] * 20 + ["neg"] * 20, max_iterations=1)
     messages = sorted(str(w.message) for w in record)
     assert [m.split()[1] for m in messages] == ["'neg'", "'pos'"]
     for message in messages:
