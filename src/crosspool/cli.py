@@ -9,6 +9,7 @@ failure).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -34,6 +35,7 @@ from .pipeline import (
     compare_schemes,
     load_config,
     parse_manifest,
+    quantize_blocks,
     resolve_resolution,
     run_pipeline,
 )
@@ -51,10 +53,10 @@ from .postproc import (
     power_normalize,
     save_pca,
     save_sign_stack,
-    sign_quantize,
 )
 from .svm import GramMatrix, kernels, load_svm, save_svm, svm_predict, svm_train
 from .tensor import (
+    ColumnReader,
     FeatureMatrix,
     MATRIX_MAGIC,
     load_features,
@@ -161,10 +163,11 @@ def cmd_pool(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    matrix = load_features(args.input)
-    save_sign_stack(sign_quantize(matrix.data), matrix.dim, args.out)
-    bytes_per = (matrix.dim + 3) // 4
-    print(f"{matrix.count} vectors quantized to {bytes_per} bytes each -> {args.out}")
+    with ColumnReader(args.input) as matrix:
+        codes = quantize_blocks(matrix)
+    count, dim = matrix.shape
+    save_sign_stack(codes, dim, args.out)
+    print(f"{count} vectors quantized to {codes.shape[1]} bytes each -> {args.out}")
     return 0
 
 
@@ -175,13 +178,14 @@ def _magic_of(path) -> bytes:
 
 def cmd_gram(args) -> int:
     magic = _magic_of(args.reps)
-    if magic == SIGN_STACK_MAGIC:
-        reps, _ = load_sign_stack(args.reps)
-    elif magic == MATRIX_MAGIC:
-        reps = load_features(args.reps).data
-    else:
-        raise FormatError(f"{args.reps}: expected a feature matrix or sign stack")
-    gram, _ = kernels(reps, reps[:0])
+    with contextlib.ExitStack() as stack:
+        if magic == SIGN_STACK_MAGIC:
+            reps, _ = load_sign_stack(args.reps)
+        elif magic == MATRIX_MAGIC:
+            reps = stack.enter_context(ColumnReader(args.reps))
+        else:
+            raise FormatError(f"{args.reps}: expected a feature matrix or sign stack")
+        gram, _ = kernels(reps, np.empty((0, reps.shape[1]), reps.dtype))
     save_features(FeatureMatrix(gram.values), args.out)
     print(f"{gram.n}x{gram.n} Gram matrix -> {args.out}")
     return 0

@@ -21,6 +21,18 @@ metrics exactly.  Timings in the report are informational and vary between
 runs; everything under ``metrics`` and ``dims`` is deterministic for a
 fixed config, manifest, and seed.
 
+No stage holds a whole (count, dim) representation matrix.  The
+representation stage forwards images in batches of about
+``FORWARD_BATCH_BYTES`` of part input and writes each image's row into
+train.fmat or test.fmat as soon as it is encoded, so without PCA it holds
+one forward batch and one row whatever the image count; a PCA config also
+holds every training image's parts until the fit and the encoding are
+done.  The kernel stage reads the two files through ``ColumnReader``, one
+``svm.BLOCK_DIMS`` column block at a time: it holds about
+count * BLOCK_DIMS values per split, plus the Gram matrix, the kernel rows
+and, when quantized, the sign codes, 1/16 of the floats.  The model stage
+holds the Gram matrix and prediction the kernel rows.
+
 Manifest lines are ``path<TAB>split<TAB>labels`` with comma-separated
 labels and split either ``train`` or ``test``; tensor paths are resolved
 relative to the manifest file.
@@ -40,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, svm
 from .errors import ConfigError, ContractError, ValidationError
 from .features import extract_local_features
 from .multires import ResolutionConfig, iter_parts
@@ -76,9 +88,11 @@ from .svm import (
 )
 from .tensor import (
     ActivationTensor,
+    ColumnReader,
     FeatureMatrix,
     load_features,
     load_tensor,
+    matrix_header,
     save_features,
 )
 
@@ -496,40 +510,45 @@ def _fit_pca_models(images, config):
     return models, time.perf_counter() - start
 
 
-def _represent_images(images, count, geometry, config, pca_models, timing):
+def _represent_images(images, count, geometry, config, pca_models, timing, path):
     """Encode ``count`` images, each given as its ``_forward_images`` parts,
-    into the rows of one float32 matrix; returns it and the part layout.
+    into the rows of a matrix file at ``path``; returns the part layout.
 
-    Each image's part vectors are written straight into its row as soon as
-    the image arrives, so a generator of images is held one at a time.
-    Encoding seconds go to ``timing["pooling"]``.
+    The first image fixes the layout, and with it the header; each image's
+    part vectors are then concatenated into one reused float32 row, which is
+    written as soon as the image arrives.  A generator of images is held one
+    at a time and the matrix is never held whole.  Encoding seconds go to
+    ``timing["pooling"]``; the row writes are not timed there.
     """
-    rows = layout = None
-    for index, parts in enumerate(images):
-        t0 = time.perf_counter()
-        chunks = []
-        image_layout = []
-        offset = 0
-        for label, resolution, feats, layer_t1 in parts:
-            vector = _encode_part(feats, layer_t1, resolution, geometry, config, pca_models)
-            chunks.append(vector)
-            image_layout.append([label, offset, vector.size])
-            offset += vector.size
-        if rows is None:
-            layout = image_layout
-            rows = np.empty((count, offset), dtype=np.float32)
-        elif image_layout != layout:
-            raise ContractError("images produce inconsistent representation layouts")
-        np.concatenate(chunks, out=rows[index])
-        timing["pooling"] += time.perf_counter() - t0
-    return FeatureMatrix(rows), layout
+    layout = None
+    with open(path, "wb") as fh:
+        for parts in images:
+            t0 = time.perf_counter()
+            chunks = []
+            image_layout = []
+            offset = 0
+            for label, resolution, feats, layer_t1 in parts:
+                vector = _encode_part(feats, layer_t1, resolution, geometry, config, pca_models)
+                chunks.append(vector)
+                image_layout.append([label, offset, vector.size])
+                offset += vector.size
+            if layout is None:
+                layout = image_layout
+                row = np.empty(offset, dtype=np.float32)
+                fh.write(matrix_header(count, offset))
+            elif image_layout != layout:
+                raise ContractError("images produce inconsistent representation layouts")
+            np.concatenate(chunks, out=row)
+            timing["pooling"] += time.perf_counter() - t0
+            fh.write(row)
+    return layout
 
 
 def _compute_representations(config, manifest, net, geometry, directory):
     """Write the representation stage's artifacts into ``directory``.
 
     ``per_image.total`` is the stage's wall time per image, loading, the
-    PCA fit and saving included; ``extraction`` and ``pooling`` are the
+    PCA fit and writing included; ``extraction`` and ``pooling`` are the
     forward and the extract-and-encode shares of it.
     """
     start = time.perf_counter()
@@ -545,22 +564,22 @@ def _compute_representations(config, manifest, net, geometry, directory):
         # are done.
         train_images = list(train_images)
         pca_models, pca_seconds = _fit_pca_models(train_images, config)
-    train, layout = _represent_images(
-        train_images, len(train_entries), geometry, config, pca_models, timing
+    layout = _represent_images(
+        train_images, len(train_entries), geometry, config, pca_models, timing,
+        os.path.join(directory, "train.fmat"),
     )
     test_images = _forward_images(test_entries, net, geometry, config, min_hw, timing)
-    test, test_layout = _represent_images(
-        test_images, len(test_entries), geometry, config, pca_models, timing
+    test_layout = _represent_images(
+        test_images, len(test_entries), geometry, config, pca_models, timing,
+        os.path.join(directory, "test.fmat"),
     )
     if test_layout != layout:
         raise ContractError("train and test images produce different layouts")
-    save_features(train, os.path.join(directory, "train.fmat"))
-    save_features(test, os.path.join(directory, "test.fmat"))
     for resolution, model in pca_models.items():
         save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
     images = len(train_entries) + len(test_entries)
     meta = {
-        "representation_dim": train.dim,
+        "representation_dim": sum(size for _, _, size in layout),
         "parts": layout,
         "projected_dim": config.pca_dim if pca_models else None,
         "channels": geometry.t1_spec.out_depth
@@ -581,6 +600,19 @@ def _compute_representations(config, manifest, net, geometry, directory):
     }
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
+
+
+def quantize_blocks(matrix) -> np.ndarray:
+    """``sign_quantize`` of a (count, dim) array or ``ColumnReader``, one
+    ``svm.BLOCK_DIMS`` column block at a time.  The block width is a
+    multiple of 4, so the blocks' codes join to exactly the whole matrix's
+    codes, and only one float block is held at a time."""
+    count, dim = matrix.shape
+    step = svm.BLOCK_DIMS
+    codes = np.empty((count, (dim + 3) // 4), dtype=np.uint8)
+    for lo in range(0, dim, step):
+        codes[:, lo // 4 : (lo + step) // 4] = sign_quantize(matrix[:, lo : lo + step])
+    return codes
 
 
 def run_pipeline(
@@ -661,15 +693,15 @@ def run_pipeline(
         return report
 
     def build_kernel(tmp):
-        train = load_features(os.path.join(rep_dir, "train.fmat"))
-        test = load_features(os.path.join(rep_dir, "test.fmat"))
         t0 = time.perf_counter()
-        train_reps, test_reps = train.data, test.data
-        if config.quantize:
-            train_reps, test_reps = sign_quantize(train_reps), sign_quantize(test_reps)
-            save_sign_stack(train_reps, train.dim, os.path.join(tmp, "train.signs"))
-            save_sign_stack(test_reps, test.dim, os.path.join(tmp, "test.signs"))
-        gram, rows = kernels(train_reps, test_reps)
+        with ColumnReader(os.path.join(rep_dir, "train.fmat")) as train, \
+                ColumnReader(os.path.join(rep_dir, "test.fmat")) as test:
+            train_reps, test_reps = train, test
+            if config.quantize:
+                train_reps, test_reps = quantize_blocks(train), quantize_blocks(test)
+                save_sign_stack(train_reps, train.shape[1], os.path.join(tmp, "train.signs"))
+                save_sign_stack(test_reps, test.shape[1], os.path.join(tmp, "test.signs"))
+            gram, rows = kernels(train_reps, test_reps)
         timing["kernel_seconds"] = time.perf_counter() - t0
         save_features(FeatureMatrix(gram.values), os.path.join(tmp, "gram.fmat"))
         save_features(FeatureMatrix(rows), os.path.join(tmp, "rows.fmat"))

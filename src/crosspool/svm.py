@@ -154,7 +154,11 @@ def kernels(train: np.ndarray, test: np.ndarray) -> tuple[GramMatrix, np.ndarray
     count) inner products of each test row against every training row.
 
     Both inputs are float (count, dim) matrices or uint8 (count,
-    ceil(dim/4)) sign code matrices of one dtype and width.
+    ceil(dim/4)) sign code matrices of one dtype and width.  Any matrix
+    with ``shape``, ``dtype`` and ``[:, lo:hi]`` column slicing serves, an
+    array or a ``tensor.ColumnReader`` over a matrix file alike; a reader's
+    blocks are read from the file as the loop reaches them, so the
+    pipeline's ``kernel_seconds`` includes that reading.
     """
     if train.shape[0] < 1:
         raise ContractError("the kernels need at least one training row")

@@ -13,7 +13,9 @@ vector contiguous, which is the access pattern of every consumer here.
 
 Loaders of these and the other containers share ``read_header`` and
 ``read_payload``: the payload is read straight into its array, so a loaded
-file is held in memory once.
+file is held in memory once.  ``ColumnReader`` reads a matrix file one
+column block at a time instead, so a caller that walks the columns holds
+one block, never the whole matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import ContractError, CorruptionError, FormatError, ValidationError
 
 TENSOR_MAGIC = b"CPTENS01"
 MATRIX_MAGIC = b"CPFMAT01"
@@ -122,6 +124,17 @@ def read_header(fh, path, magic: bytes, header: struct.Struct, what: str) -> tup
     return header.unpack_from(head, len(magic))
 
 
+def check_payload_size(fh, path, dtype, shape) -> None:
+    """Raise CorruptionError unless the rest of an open container holds
+    exactly the payload its header promises."""
+    expected = np.dtype(dtype).itemsize * math.prod(shape)
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held != expected:
+        raise CorruptionError(
+            f"{path}: payload holds {held} bytes, header promises {expected}"
+        )
+
+
 def read_payload(fh, path, dtype, shape) -> np.ndarray:
     """Read the rest of an open container straight into a new array.
 
@@ -131,21 +144,15 @@ def read_payload(fh, path, dtype, shape) -> np.ndarray:
     held in memory once.  The loaders open their files unbuffered, so the
     payload goes from the kernel into the array without a second copy.
     """
-    dtype = np.dtype(dtype)
-    expected = dtype.itemsize * math.prod(shape)
-    held = os.fstat(fh.fileno()).st_size - fh.tell()
-    if held != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {held} bytes, header promises {expected}"
-        )
+    check_payload_size(fh, path, dtype, shape)
     out = np.empty(shape, dtype=dtype)
     view = out.reshape(-1).view(np.uint8)
     got = 0
     # one read returns at most about 2 GiB on Linux
-    while got < expected and (count := fh.readinto(view[got:])):
+    while got < view.size and (count := fh.readinto(view[got:])):
         got += count
-    if got != expected:
-        raise CorruptionError(f"{path}: read {got} payload bytes, header promises {expected}")
+    if got != view.size:
+        raise CorruptionError(f"{path}: read {got} payload bytes, header promises {view.size}")
     return out
 
 
@@ -175,19 +182,76 @@ def load_tensor(path) -> ActivationTensor:
     return ActivationTensor(values, rectified=bool(flag))
 
 
+def matrix_header(count: int, dim: int) -> bytes:
+    """The magic and header that start a matrix file of count rows of dim."""
+    return MATRIX_MAGIC + _MATRIX_HEADER.pack(count, dim)
+
+
 def save_features(matrix: FeatureMatrix, path) -> None:
     # a float32 matrix is written from its own buffer, without a bytes copy
     payload = matrix.data.astype("<f4", copy=False)
-    header = MATRIX_MAGIC + _MATRIX_HEADER.pack(matrix.count, matrix.dim)
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(matrix_header(matrix.count, matrix.dim))
         fh.write(payload)
+
+
+def _read_matrix_header(fh, path) -> tuple[int, int]:
+    count, dim = read_header(fh, path, MATRIX_MAGIC, _MATRIX_HEADER, "feature-matrix")
+    if dim < 1:
+        raise ValidationError(f"{path}: header declares zero feature dimension")
+    return count, dim
 
 
 def load_features(path) -> FeatureMatrix:
     with open(path, "rb", buffering=0) as fh:
-        count, dim = read_header(fh, path, MATRIX_MAGIC, _MATRIX_HEADER, "feature-matrix")
-        if dim < 1:
-            raise ValidationError(f"{path}: header declares zero feature dimension")
-        values = read_payload(fh, path, "<f4", (count, dim))
+        shape = _read_matrix_header(fh, path)
+        values = read_payload(fh, path, "<f4", shape)
     return FeatureMatrix(values)
+
+
+class ColumnReader:
+    """An open matrix file that reads ``reader[:, lo:hi]`` column blocks.
+
+    Each block is a new (count, hi - lo) float32 array filled with one
+    ``os.preadv`` per row through the one descriptor the reader holds.  The
+    header and payload size are checked on opening, as ``load_features``
+    checks them.  Use it as a context manager, or call ``close``.
+    """
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb", buffering=0)
+        try:
+            self.shape = _read_matrix_header(self._fh, path)
+            check_payload_size(self._fh, path, self.dtype, self.shape)
+        except BaseException:
+            self._fh.close()
+            raise
+        self._start = self._fh.tell()
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] == slice(None)
+                and isinstance(key[1], slice) and key[1].step in (None, 1)):
+            raise ContractError("a column reader reads [:, lo:hi] blocks only")
+        count, dim = self.shape
+        lo, hi, _ = key[1].indices(dim)
+        out = np.empty((count, max(hi - lo, 0)), dtype=self.dtype)
+        for i, row in enumerate(out):
+            offset = self._start + self.dtype.itemsize * (i * dim + lo)
+            got = os.preadv(self._fh.fileno(), [row], offset)
+            if got != row.nbytes:
+                raise CorruptionError(
+                    f"{self.path}: read {got} bytes of row {i}, expected {row.nbytes}"
+                )
+        return out
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()

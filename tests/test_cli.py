@@ -2,13 +2,14 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crosspool.cli import main
-from crosspool.postproc import load_sign_stack
-from crosspool.svm import SvmModel, load_svm, save_svm
+from crosspool.postproc import load_sign_stack, save_sign_stack, sign_quantize
+from crosspool.svm import SvmModel, gram_matrix, kernels, load_svm, save_svm
 from crosspool.synth import generate
 from crosspool.tensor import (
     ActivationTensor,
@@ -103,6 +104,33 @@ def test_forward_and_extract(dataset, tmp_path, capsys):
     assert code == 0
     feats = load_features(tmp_path / "feats.fmat")
     assert feats.count == 18 * 18 and feats.dim == 9 * 6
+
+
+def test_quantize_and_gram_read_column_blocks(tmp_path, capsys):
+    """``quantize`` and ``gram`` on a 40-block matrix file write the bytes
+    of the whole-matrix computations and never hold the float matrix."""
+    rng = np.random.default_rng(8)
+    reps = tmp_path / "reps.fmat"
+    save_features(FeatureMatrix(rng.standard_normal((8, 163837), dtype=np.float32)), reps)
+    whole = load_features(reps)
+    save_sign_stack(sign_quantize(whole.data), whole.dim, tmp_path / "want.sgns")
+    save_features(FeatureMatrix(gram_matrix(whole).values), tmp_path / "want.fmat")
+    del whole
+    tracemalloc.start()
+    try:
+        assert run_cli("quantize", "--input", reps, "--out", tmp_path / "q.sgns") == 0
+        assert run_cli("gram", "--reps", reps, "--out", tmp_path / "k.fmat") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < reps.stat().st_size / 4
+    assert (tmp_path / "q.sgns").read_bytes() == (tmp_path / "want.sgns").read_bytes()
+    assert (tmp_path / "k.fmat").read_bytes() == (tmp_path / "want.fmat").read_bytes()
+    codes, _ = load_sign_stack(tmp_path / "q.sgns")
+    save_features(FeatureMatrix(kernels(codes, codes[:0])[0].values), tmp_path / "wantq.fmat")
+    assert run_cli("gram", "--reps", tmp_path / "q.sgns", "--out", tmp_path / "kq.fmat") == 0
+    assert (tmp_path / "kq.fmat").read_bytes() == (tmp_path / "wantq.fmat").read_bytes()
+    assert "8 vectors quantized to 40960 bytes each" in capsys.readouterr().out
 
 
 def test_pool_quantize_gram_train_predict_chain(dataset, tmp_path, capsys):

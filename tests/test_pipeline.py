@@ -3,8 +3,10 @@
 import builtins
 import dataclasses
 import json
+import os
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,18 +208,22 @@ def test_failed_build_publishes_nothing(dataset, tmp_path, monkeypatch):
 
 
 def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch):
-    """With every stage cached, train.fmat and test.fmat are never opened."""
+    """With every stage cached, train.fmat and test.fmat are never opened,
+    through ``open`` or through ``os.open``."""
     manifest, net_path = dataset
     config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
     first = run_pipeline(config, manifest, tmp_path / "work")
     opened = []
-    real_open = builtins.open
 
-    def recording_open(file, *args, **kwargs):
-        opened.append(str(file))
-        return real_open(file, *args, **kwargs)
+    def recording(real):
+        def record(file, *args, **kwargs):
+            opened.append(str(file))
+            return real(file, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "open", recording_open)
+        return record
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(os, "open", recording(os.open))
     second = run_pipeline(config, manifest, tmp_path / "work")
     monkeypatch.undo()
     assert second["cache"] == ALL_HIT
@@ -397,8 +403,8 @@ def test_run_pipeline_quantize_reports_bytes(dataset, tmp_path):
 
 
 def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch):
-    """One quantized run unpacks each column block of each split once, and
-    the kernel does not depend on the block size."""
+    """One quantized run quantizes and unpacks each column block of each
+    split once, and the kernel does not depend on the block size."""
     manifest, net_path = dataset
     config = PipelineConfig(network=net_path, pca_dim=0, resolution="both", quantize=True)
     unpack = crosspool.svm.sign_unpack
@@ -409,19 +415,123 @@ def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch
         return unpack(codes)
 
     monkeypatch.setattr(crosspool.svm, "sign_unpack", counting)
+    quantize = crosspool.pipeline.sign_quantize
+    quantized = []
+
+    def counting_quantize(values):
+        quantized.append(values.shape[1])
+        return quantize(values)
+
+    monkeypatch.setattr(crosspool.pipeline, "sign_quantize", counting_quantize)
     kernel_bytes = []
     for block_dims in (crosspool.svm.BLOCK_DIMS, 64):
         monkeypatch.setattr(crosspool.svm, "BLOCK_DIMS", block_dims)
         calls.clear()
+        quantized.clear()
         report = run_pipeline(config, manifest, tmp_path / str(block_dims))
         blocks = -(-report["dims"]["packed_bytes_per_image"] // (block_dims // 4))
         assert len(calls) == 2 * blocks
+        # the codes are built from the floats one column block at a time too
+        dim = report["dims"]["representation_dim"]
+        assert len(quantized) == 2 * blocks and max(quantized) == min(block_dims, dim)
         kernel_dir = report["artifacts"]["kernel"]
         kernel_bytes.append([
             (Path(kernel_dir) / name).read_bytes() for name in ("gram.fmat", "rows.fmat")
         ])
     assert blocks > 1
     assert kernel_bytes[0] == kernel_bytes[1]
+
+
+@pytest.fixture(scope="module")
+def wide_dataset(tmp_path_factory):
+    """64 training and 8 test 8x8x16 random images under a seeded 16 -> 32
+    -> 64 network; whole image plus 2x2 blocks give 92 160 dimensions,
+    over 8 * BLOCK_DIMS.  Returns a function of the training count that
+    writes a manifest of that many training images and every test image."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(31)
+    lines = []
+    for split, count in (("train", 64), ("test", 8)):
+        for i in range(count):
+            save_tensor(ActivationTensor(rng.uniform(0.0, 1.0, (8, 8, 16))),
+                        root / f"{split}{i}.tens")
+            lines.append((split, f"{split}{i}.tens\t{split}\tc{i % 2}"))
+    net = root / "net.spec"
+    net.write_text(
+        "input_depth = 16\nseed = 3\n"
+        "conv out_depth=32 kernel=3x3 stride=1 pad=1\nrelu\n"
+        "conv out_depth=64 kernel=3x3 stride=1 pad=1\nrelu\n"
+    )
+
+    def manifest(n_train):
+        path = root / f"manifest{n_train}.tsv"
+        chosen = [line for split, line in lines if split == "test"]
+        chosen += [line for split, line in lines if split == "train"][:n_train]
+        path.write_text("\n".join(chosen) + "\n")
+        return parse_manifest(path)
+
+    return manifest, PipelineConfig(network=str(net), pca_dim=0, resolution="both")
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_representation_memory_does_not_grow_with_images(wide_dataset, tmp_path):
+    """Without PCA the representation stage holds one forward batch and one
+    row: four times the training images leave its peak within 1.25x.  16
+    images fill a forward batch."""
+    manifest, config = wide_dataset
+    peaks = []
+    for n_train in (16, 64):
+        report, peak = _traced_peak(lambda: run_pipeline(
+            config, manifest(n_train), tmp_path / str(n_train), stages="representations"
+        ))
+        assert report["dims"]["representation_dim"] == 92160
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_kernel_stage_reads_column_blocks(wide_dataset, tmp_path, quantize):
+    """The kernel stage, and the model and report after it, peak below a
+    quarter of the two representation files at 22.5 column blocks."""
+    manifest, config = wide_dataset
+    config = dataclasses.replace(config, quantize=quantize)
+    reps = run_pipeline(config, manifest(8), tmp_path, stages="representations")
+    files = sum(
+        (Path(reps["artifacts"]["representations"]) / name).stat().st_size
+        for name in ("train.fmat", "test.fmat")
+    )
+    report, peak = _traced_peak(lambda: run_pipeline(config, manifest(8), tmp_path))
+    assert report["cache"]["kernel"] == "miss"
+    assert reps["dims"]["representation_dim"] >= 8 * crosspool.svm.BLOCK_DIMS
+    assert peak < files / 4
+
+
+def test_failed_representation_build_leaves_nothing(dataset, tmp_path, monkeypatch):
+    """A representation build that fails after rows were written closes
+    its file and leaves no stage or temp directory."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=0)
+    encode = crosspool.pipeline._encode_part
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 30:
+            raise OSError("disk full")
+        return encode(*args)
+
+    monkeypatch.setattr(crosspool.pipeline, "_encode_part", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(config, manifest, tmp_path / "work")
+    assert list((tmp_path / "work" / "representations").iterdir()) == []
 
 
 def test_run_pipeline_representations_stage_only(dataset, tmp_path):

@@ -20,6 +20,7 @@ from crosspool.postproc import (
 from crosspool.svm import SvmModel, load_svm, save_svm
 from crosspool.tensor import (
     ActivationTensor,
+    ColumnReader,
     FeatureMatrix,
     load_features,
     load_tensor,
@@ -129,16 +130,24 @@ def test_svm_file_round_trip(scratch, model):
 @given(data=matrices, tensor=tensors, pca=pca_models(), svm=svm_models(),
        cut=st.floats(0.0, 1.0, exclude_max=True))
 def test_truncated_files_rejected(scratch, data, tensor, pca, svm, cut):
-    fmat, sgns = scratch / "t.fmat", scratch / "t.sgns"
+    fmat, cols, sgns = scratch / "t.fmat", scratch / "c.fmat", scratch / "t.sgns"
     tens, pcaf, svmf = scratch / "t.tens", scratch / "t.pca", scratch / "t.svm"
     save_features(FeatureMatrix(data), fmat)
+    save_features(FeatureMatrix(data), cols)
     save_sign_stack(sign_quantize(data), data.shape[1], sgns)
     save_tensor(tensor, tens)
     save_pca(pca, pcaf)
     save_svm(svm, svmf)
-    for path, load in ((fmat, load_features), (sgns, load_sign_stack), (tens, load_tensor),
-                       (pcaf, load_pca), (svmf, load_svm)):
+    for path, load in ((fmat, load_features), (cols, ColumnReader), (sgns, load_sign_stack),
+                       (tens, load_tensor), (pcaf, load_pca), (svmf, load_svm)):
         blob = path.read_bytes()
         path.write_bytes(blob[: int(cut * len(blob))])
         with pytest.raises((CorruptionError, FormatError)):
             load(path)
+    # a matrix file with bytes past its payload is rejected as well
+    save_features(FeatureMatrix(data), fmat)
+    with open(fmat, "ab") as fh:
+        fh.write(bytes(1 + int(cut * 8)))
+    for load in (load_features, ColumnReader):
+        with pytest.raises(CorruptionError):
+            load(fmat)

@@ -1,16 +1,18 @@
 """Round-trip and corruption tests for the binary tensor and matrix formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crosspool.errors import CorruptionError, FormatError, ValidationError
+from crosspool.errors import ContractError, CorruptionError, FormatError, ValidationError
 from crosspool.features import extract_local_features
 from crosspool.multires import ResolutionConfig, iter_parts
 from crosspool.pooling import cross_layer_pool
 from crosspool.tensor import (
     ActivationTensor,
+    ColumnReader,
     FeatureMatrix,
     load_features,
     load_tensor,
@@ -194,6 +196,52 @@ def test_matrix_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(CorruptionError):
         load_features(path)
+
+
+@pytest.mark.parametrize("width", [1, 7, 4096, 8205])
+def test_column_reader_blocks_match_load(tmp_path, width):
+    """The column blocks of a walk, a last one that ends short included,
+    are bitwise the slices of the loaded matrix."""
+    rng = np.random.default_rng(22)
+    data = rng.standard_normal((3, 8205), dtype=np.float32)
+    path = tmp_path / "r.fmat"
+    save_features(FeatureMatrix(data), path)
+    whole = load_features(path).data
+    with ColumnReader(path) as reader:
+        assert reader.shape == whole.shape and reader.dtype == whole.dtype
+        blocks = [reader[:, lo : lo + width] for lo in range(0, 8205, width)]
+    assert [b.shape[1] for b in blocks] == [
+        whole[:, lo : lo + width].shape[1] for lo in range(0, 8205, width)
+    ]
+    joined = np.concatenate(blocks, axis=1)
+    assert joined.dtype == whole.dtype
+    np.testing.assert_array_equal(joined.view(np.uint32), whole.view(np.uint32))
+
+
+def test_column_reader_holds_one_block(tmp_path):
+    """Opening a reader and reading one block never holds the matrix."""
+    path = tmp_path / "r.fmat"
+    save_features(FeatureMatrix(np.ones((4, 65536), dtype=np.float32)), path)
+    tracemalloc.start()
+    try:
+        with ColumnReader(path) as reader:
+            block = reader[:, 100:4196]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (4, 4096) and (block == 1).all()
+    assert peak < 4 * 65536 * 4 / 4
+
+
+def test_column_reader_rejects_other_keys(tmp_path):
+    path = tmp_path / "r.fmat"
+    save_features(FeatureMatrix(np.ones((2, 5))), path)
+    with ColumnReader(path) as reader:
+        assert reader[:, 4:9].shape == (2, 1) and reader[:, 3:3].shape == (2, 0)
+        for key in (slice(0, 1), (0, slice(0, 2)), (slice(None), 1),
+                    (slice(None), slice(0, 4, 2))):
+            with pytest.raises(ContractError):
+                reader[key]
 
 
 def test_matrix_bad_magic(tmp_path):
