@@ -109,10 +109,10 @@ def cmd_forward(args) -> int:
 def cmd_extract(args) -> int:
     tensor = load_tensor(args.input)
     wh, ww = _parse_pair(args.window, "--window")
-    feats = extract_local_features(tensor, wh, ww, args.stride)
-    save_features(feats.features, args.out)
-    print(f"{feats.count} features of dim {feats.dim} "
-          f"({feats.grid_h}x{feats.grid_w} grid) -> {args.out}")
+    grid = extract_local_features(tensor, wh, ww, args.stride)
+    gh, gw, dim = grid.shape
+    save_features(FeatureMatrix(grid.reshape(gh * gw, dim)), args.out)
+    print(f"{gh * gw} features of dim {dim} ({gh}x{gw} grid) -> {args.out}")
     return 0
 
 
@@ -133,28 +133,23 @@ def cmd_pool(args) -> int:
         layer_t = load_tensor(args.layer_t)
         layer_t1 = load_tensor(args.layer_t1)
         wh, ww = _parse_pair(args.window, "--window")
-        feats = extract_local_features(layer_t, wh, ww, args.stride)
+        grid = extract_local_features(layer_t, wh, ww, args.stride)
         pca = load_pca(args.pca) if args.pca else None
         vector = cross_layer_pool(
-            feats, layer_t1, unit_offset(args.pad, args.stride), pca=pca
+            grid, layer_t1, unit_offset(args.pad, args.stride), pca=pca
         )
     elif args.scheme in ("direct-max", "direct-sum-sqrt"):
         if not args.features:
             raise ConfigError(f"{args.scheme} pooling needs --features")
-        feats = load_features(args.features)
-        if args.scheme == "direct-max":
-            vector = direct_max_pool(feats)
-        else:
-            vector = direct_sum_sqrt_pool(feats)
-    elif args.scheme == "spp":
+        pool = direct_max_pool if args.scheme == "direct-max" else direct_sum_sqrt_pool
+        vector = pool(load_features(args.features).data)
+    else:
         if not args.input:
             raise ConfigError("spp pooling needs --input")
         tensor = load_tensor(args.input)
         wh, ww = _parse_pair(args.window, "--window")
-        feats = extract_local_features(tensor, wh, ww, args.stride)
-        vector = spp_pool(feats, _parse_levels(args.levels))
-    else:
-        raise ConfigError(f"unknown scheme {args.scheme!r}")
+        grid = extract_local_features(tensor, wh, ww, args.stride)
+        vector = spp_pool(grid, _parse_levels(args.levels))
     if args.power_norm:
         vector = power_normalize(vector)
     save_features(FeatureMatrix(np.asarray(vector).reshape(1, -1)), args.out)
@@ -249,10 +244,8 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["pca_dim"] = args.pca_dim
     if args.levels:
         overrides["spp_levels"] = _parse_levels(args.levels)
-    if args.quantize:
-        overrides["quantize"] = True
-    if args.no_quantize:
-        overrides["quantize"] = False
+    if args.quantize is not None:
+        overrides["quantize"] = args.quantize
     if args.no_power_norm:
         overrides["power_norm"] = False
     if args.svm_c is not None:
@@ -341,8 +334,9 @@ def _add_pipeline_flags(sub) -> None:
     sub.add_argument("--stride", type=int)
     sub.add_argument("--pca-dim", type=int)
     sub.add_argument("--levels", help="spp levels, e.g. 1,2")
-    sub.add_argument("--quantize", action="store_true")
-    sub.add_argument("--no-quantize", action="store_true")
+    quantize = sub.add_mutually_exclusive_group()
+    quantize.add_argument("--quantize", action="store_true", default=None)
+    quantize.add_argument("--no-quantize", dest="quantize", action="store_false")
     sub.add_argument("--no-power-norm", action="store_true")
     sub.add_argument("--svm-c", type=float)
     sub.add_argument("--svm-tol", type=float)
@@ -357,10 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="cross-layer pooled image representations and kernel SVM",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted and ignored; BLAS supplies the parallelism",
-    )
     parser.add_argument(
         "--workdir", default="crosspool-work", help="stage cache directory"
     )

@@ -23,11 +23,13 @@ fixed config, manifest, and seed.
 
 No stage holds a whole (count, dim) representation matrix.  The
 representation stage forwards images in batches of about
-``FORWARD_BATCH_BYTES`` of part input and writes each image's row into
-train.fmat or test.fmat as soon as it is encoded, so without PCA it holds
-one forward batch and one row whatever the image count; a PCA config also
-holds every training image's parts until the fit and the encoding are
-done.  The kernel stage reads the two files through ``ColumnReader``, one
+``FORWARD_BATCH_BYTES`` of part input, one network call and one
+local-feature extraction per same-shape stack of parts, then pools each
+part and writes each image's row into train.fmat or test.fmat as soon as
+it is encoded.  So without PCA it holds one forward batch, its feature
+grids and one row whatever the image count; a PCA config also holds
+every training image's parts until the fit and the encoding are done.
+The kernel stage reads the two files through ``ColumnReader``, one
 ``svm.BLOCK_DIMS`` column block at a time: it holds about
 count * BLOCK_DIMS values per split, plus the Gram matrix, the kernel rows
 and, when quantized, the sign codes, 1/16 of the floats.  The model stage
@@ -43,6 +45,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import shutil
 import tempfile
@@ -159,28 +163,51 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for names, kind, what in (
+            (("pca_dim", "pca_sample_cap", "seed"), numbers.Integral, "an integer"),
+            (("power_norm", "quantize"), bool, "true or false"),
+            (("svm_c", "svm_tol"), numbers.Real, "a number"),
+        ):
+            for name in names:
+                _typed(name, getattr(self, name), kind, what)
+        if self.stride is not None:
+            _typed("stride", self.stride, numbers.Integral, "an integer")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, pick one of {SCHEMES}")
-        if len(self.layer_pair) != 2:
-            raise ConfigError("layer_pair must name exactly two conv ordinals")
         if self.pca_dim < 0:
             raise ConfigError("pca_dim must be nonnegative")
         if self.pca_sample_cap < 2:
             raise ConfigError("pca_sample_cap must be at least 2")
-        if self.svm_c <= 0 or self.svm_tol <= 0:
-            raise ConfigError("svm_c and svm_tol must be positive")
-        if not self.spp_levels:
-            raise ConfigError("spp_levels must not be empty")
-        self.layer_pair = (int(self.layer_pair[0]), int(self.layer_pair[1]))
+        for name, value in (("svm_c", self.svm_c), ("svm_tol", self.svm_tol)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        self.layer_pair = _integers("layer_pair", self.layer_pair, 2)
         if not 1 <= self.layer_pair[0] < self.layer_pair[1]:
             raise ConfigError(
                 f"layer_pair ordinals must increase from at least 1, "
                 f"got {self.layer_pair}"
             )
-        self.spp_levels = tuple(int(g) for g in self.spp_levels)
+        self.spp_levels = _integers("spp_levels", self.spp_levels)
+        if not self.spp_levels:
+            raise ConfigError("spp_levels must not be empty")
         if self.window is not None:
-            self.window = (int(self.window[0]), int(self.window[1]))
+            self.window = _integers("window", self.window, 2)
         self.resolution = resolve_resolution(self.resolution)
+
+
+def _typed(name: str, value, kind, what: str):
+    """``value`` if it is a ``kind``; a bool counts only where kind is bool."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _integers(name: str, values, count: int | None = None) -> tuple[int, ...]:
+    """A list or tuple of ``count`` (any number, if None) integers, as a tuple."""
+    if not isinstance(values, (list, tuple)) or count not in (None, len(values)):
+        raise ConfigError(f"{name} must be a list of {count or 'any number of'} "
+                          f"integers, got {values!r}")
+    return tuple(int(_typed(name, v, numbers.Integral, "integers")) for v in values)
 
 
 def load_config(path) -> PipelineConfig:
@@ -200,9 +227,6 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     if "network" not in raw:
         raise ConfigError(f"{path}: config needs a 'network' path")
-    for key in ("layer_pair", "window", "spp_levels"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
     network = raw.pop("network")
     if not os.path.isabs(network):
         network = os.path.join(os.path.dirname(os.path.abspath(path)), network)
@@ -425,12 +449,13 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
 
 
 def _forward_images(entries, net, geometry, config, min_hw, timing):
-    """Yield each entry's (label, resolution, layer-t local features, layer
+    """Yield each entry's (label, resolution, layer-t feature grid, layer
     t+1 output) parts, in manifest order.
 
     Images are read until their parts hold ``FORWARD_BATCH_BYTES`` of input
-    (always at least one image); the batch's parts are stacked by shape and
-    each stack goes through the network in one call.  Forward seconds go to
+    (always at least one image); the batch's parts are stacked by shape,
+    each stack goes through the network in one call, and its layer t
+    output is cut into local features in one more.  Forward seconds go to
     ``timing["extraction"]``, local-feature extraction seconds to
     ``timing["pooling"]``; nothing is timed across a yield.
     """
@@ -445,7 +470,7 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
                 break
         if not batch:
             return
-        t0 = time.perf_counter()
+        start, extract_seconds = time.perf_counter(), 0.0
         stacks = {}
         for i, parts in enumerate(batch):
             for j, (_, _, part) in enumerate(parts):
@@ -454,38 +479,38 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
         for (_, rectified), members in stacks.items():
             stacked = np.stack([batch[i][j][2].data for i, j in members])
             result = run_network(ActivationTensor(stacked, rectified=rectified), net)
-            layer_t, layer_t1 = result[geometry.t_index], result[geometry.t1_index]
+            t0 = time.perf_counter()
+            grids = extract_local_features(
+                result[geometry.t_index], *geometry.window, geometry.stride
+            )
+            extract_seconds += time.perf_counter() - t0
+            layer_t1 = result[geometry.t1_index]
             for n, member in enumerate(members):
                 outputs[member] = (
-                    ActivationTensor(layer_t.data[n], rectified=layer_t.rectified),
+                    grids[n],
                     ActivationTensor(layer_t1.data[n], rectified=layer_t1.rectified),
                 )
-        timing["extraction"] += time.perf_counter() - t0
+        timing["extraction"] += time.perf_counter() - start - extract_seconds
+        timing["pooling"] += extract_seconds
         for i, parts in enumerate(batch):
-            t0 = time.perf_counter()
-            image = []
-            for j, (label, resolution, _) in enumerate(parts):
-                layer_t, layer_t1 = outputs[i, j]
-                feats = extract_local_features(
-                    layer_t, geometry.window[0], geometry.window[1], geometry.stride
-                )
-                image.append((label, resolution, feats, layer_t1))
-            timing["pooling"] += time.perf_counter() - t0
-            yield image
+            yield [
+                (label, resolution, *outputs[i, j])
+                for j, (label, resolution, _) in enumerate(parts)
+            ]
 
 
-def _encode_part(feats, layer_t1, resolution, geometry, config, pca_models):
-    """Encode one part's local features into a vector under the config's scheme."""
+def _encode_part(grid, layer_t1, resolution, geometry, config, pca_models):
+    """Encode one part's feature grid into a vector under the config's scheme."""
     if config.scheme == "cross-layer":
         vector = cross_layer_pool(
-            feats, layer_t1, geometry.offset, pca=pca_models.get(resolution)
+            grid, layer_t1, geometry.offset, pca=pca_models.get(resolution)
         )
     elif config.scheme == "direct-max":
-        vector = direct_max_pool(feats.features)
+        vector = direct_max_pool(grid)
     elif config.scheme == "direct-sum-sqrt":
-        vector = direct_sum_sqrt_pool(feats.features)
+        vector = direct_sum_sqrt_pool(grid)
     else:
-        vector = spp_pool(feats, config.spp_levels)
+        vector = spp_pool(grid, config.spp_levels)
     if config.power_norm:
         vector = power_normalize(vector)
     return np.asarray(vector, dtype=np.float64).ravel()
@@ -497,8 +522,8 @@ def _fit_pca_models(images, config):
     start = time.perf_counter()
     buckets: dict[str, list[np.ndarray]] = {}
     for parts in images:
-        for _, resolution, feats, _ in parts:
-            buckets.setdefault(resolution, []).append(feats.features.data)
+        for _, resolution, grid, _ in parts:
+            buckets.setdefault(resolution, []).append(grid.reshape(-1, grid.shape[-1]))
     models = {}
     for resolution in sorted(buckets):
         stacked = np.concatenate(buckets[resolution], axis=0)
@@ -527,8 +552,8 @@ def _represent_images(images, count, geometry, config, pca_models, timing, path)
             chunks = []
             image_layout = []
             offset = 0
-            for label, resolution, feats, layer_t1 in parts:
-                vector = _encode_part(feats, layer_t1, resolution, geometry, config, pca_models)
+            for label, resolution, grid, layer_t1 in parts:
+                vector = _encode_part(grid, layer_t1, resolution, geometry, config, pca_models)
                 chunks.append(vector)
                 image_layout.append([label, offset, vector.size])
                 offset += vector.size

@@ -15,11 +15,11 @@ receptive field is its window.  When the window equals the next
 convolution's kernel and the window stride equals its stride s, a unit
 (u, v) with padding p covers the window anchored at (u*s - p, v*s - p), so
 the window with grid index (i, j) maps to unit (i + o, j + o) with
-o = p / s, defined when s divides p.  Windows are listed row-major, so the
-weights are the slice A[o:o+gh, o:o+gw] of layer t+1 in row-major order
-and the whole scheme is one product:
+o = p / s, defined when s divides p.  So the weights of a (gh, gw, d)
+feature grid X are the slice A[o:o+gh, o:o+gw] of layer t+1, and the
+whole scheme is one product of the two grids' rows:
 
-    A[o:o+gh, o:o+gw].reshape(-1, K).T @ X
+    A[o:o+gh, o:o+gw].reshape(-1, K).T @ X.reshape(-1, d)
 
 Direct max pooling, direct sum-sqrt pooling, and spatial pyramid pooling
 over the anchor grid are kept as reference schemes.
@@ -32,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, GeometryError, ValidationError
-from .features import LocalFeatureSet
 from .postproc import PcaModel, pca_project
-from .tensor import ActivationTensor, FeatureMatrix, require_single
+from .tensor import ActivationTensor, require_single
 
 
 def unit_offset(pad: int, stride: int) -> int:
@@ -45,48 +44,59 @@ def unit_offset(pad: int, stride: int) -> int:
 
 
 def cross_layer_pool(
-    feature_set: LocalFeatureSet,
+    grid: np.ndarray,
     layer_t1: ActivationTensor,
     offset: int,
     pca: PcaModel | None = None,
 ) -> np.ndarray:
-    """Pool layer t's local features, PCA-projected when a model is given,
-    weighted by the rectified layer t+1 units from ``offset`` on."""
+    """Pool layer t's (grid_h, grid_w, dim) local features, PCA-projected
+    when a model is given, weighted by the rectified layer t+1 units from
+    ``offset`` on."""
     require_single(layer_t1, "cross_layer_pool")
     if not layer_t1.rectified:
         raise ContractError("indicator weights must come from a rectified layer")
-    gh, gw = feature_set.grid_h, feature_set.grid_w
+    gh, gw, dim = _grid_shape(grid)
     if offset < 0 or offset + gh > layer_t1.height or offset + gw > layer_t1.width:
         raise GeometryError(
             f"{gh}x{gw} windows at offset {offset} exceed indicator layer "
             f"{layer_t1.height}x{layer_t1.width}"
         )
-    matrix = feature_set.features.data
+    matrix = grid.reshape(gh * gw, dim)
     if pca is not None:
-        matrix = pca_project(pca, feature_set.features)
+        matrix = pca_project(pca, matrix)
     weights = layer_t1.data[offset : offset + gh, offset : offset + gw]
     weights = weights.reshape(-1, layer_t1.depth).astype(np.float64)
     return (weights.T @ matrix.astype(np.float64, copy=False)).ravel()
 
 
-def direct_max_pool(features: FeatureMatrix) -> np.ndarray:
-    matrix = features.data
+def _grid_shape(grid: np.ndarray) -> tuple[int, int, int]:
+    if grid.ndim != 3:
+        raise ValidationError(
+            f"expected one (grid_h, grid_w, dim) feature grid, got shape {grid.shape}"
+        )
+    return grid.shape
+
+
+def direct_max_pool(features: np.ndarray) -> np.ndarray:
+    """Column maxima of the descriptors along the last axis."""
+    matrix = features.reshape(-1, features.shape[-1])
     if matrix.shape[0] < 1:
         raise ContractError("cannot max-pool an empty feature set")
     return matrix.max(axis=0).astype(np.float64)
 
 
-def direct_sum_sqrt_pool(features: FeatureMatrix) -> np.ndarray:
-    """Column sums compressed by a signed square root."""
-    matrix = features.data.astype(np.float64)
+def direct_sum_sqrt_pool(features: np.ndarray) -> np.ndarray:
+    """Column sums of the descriptors along the last axis, compressed by a
+    signed square root."""
+    matrix = features.reshape(-1, features.shape[-1]).astype(np.float64)
     if matrix.shape[0] < 1:
         raise ContractError("cannot sum-pool an empty feature set")
     total = matrix.sum(axis=0)
     return np.sign(total) * np.sqrt(np.abs(total))
 
 
-def spp_pool(feature_set: LocalFeatureSet, levels: Sequence[int]) -> np.ndarray:
-    """Spatial pyramid max pooling of the descriptors over the anchor grid.
+def spp_pool(grid: np.ndarray, levels: Sequence[int]) -> np.ndarray:
+    """Spatial pyramid max pooling of a (grid_h, grid_w, dim) feature grid.
 
     For each level g the anchor grid is split into g x g cells: the anchor
     with grid index (i, j) in an R x C grid falls into cell
@@ -99,11 +109,10 @@ def spp_pool(feature_set: LocalFeatureSet, levels: Sequence[int]) -> np.ndarray:
         raise ContractError("spatial pyramid needs at least one level")
     if any(g < 1 for g in levels):
         raise ValidationError("pyramid levels must be positive")
-    matrix = feature_set.features.data.astype(np.float64)
-    if matrix.shape[0] < 1:
+    gh, gw, dim = _grid_shape(grid)
+    if gh * gw < 1:
         raise ContractError("cannot pool an empty feature set")
-    gh, gw, dim = feature_set.grid_h, feature_set.grid_w, matrix.shape[1]
-    grid = matrix.reshape(gh, gw, dim)
+    grid = grid.astype(np.float64)
     chunks = []
     for g in levels:
         # ceil(c * n / g) as -(-c * n // g)

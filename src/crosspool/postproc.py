@@ -135,13 +135,15 @@ def pca_fit(sample: FeatureMatrix, output_dim: int) -> PcaModel:
     )
 
 
-def pca_project(model: PcaModel, features: FeatureMatrix) -> np.ndarray:
-    """Center by the model mean and project onto the basis rows."""
-    if features.dim != model.input_dim:
+def pca_project(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
+    """Center the (count, input_dim) rows by the model mean and project
+    them onto the basis rows."""
+    if matrix.ndim != 2 or matrix.shape[1] != model.input_dim:
         raise ContractError(
-            f"features have dim {features.dim}, model expects {model.input_dim}"
+            f"features of shape {matrix.shape} do not have the model's "
+            f"input dim {model.input_dim}"
         )
-    return (features.data.astype(np.float64, copy=False) - model.mean) @ model.basis.T
+    return (matrix.astype(np.float64, copy=False) - model.mean) @ model.basis.T
 
 
 def power_normalize(values: np.ndarray) -> np.ndarray:

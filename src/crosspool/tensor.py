@@ -42,8 +42,8 @@ class ActivationTensor:
     or a batch of N such grids stacked as (N, height, width, depth).
 
     ``height``, ``width`` and ``depth`` read the last three axes.  The
-    network's stages take either form; the per-image consumers (saving,
-    local-feature extraction, pooling, cutting into parts) reject a batch.
+    network's stages and local-feature extraction take either form; the
+    per-image consumers (saving, pooling, cutting into parts) reject a batch.
     ``rectified`` marks the tensor as the output of a ReLU stage; setting it
     on data with negative entries is rejected.  The array is made read-only,
     so a tensor's values cannot change once it is built.

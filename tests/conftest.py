@@ -6,12 +6,13 @@ import pytest
 
 @pytest.fixture
 def anchors_of():
-    """Anchors of a LocalFeatureSet extracted at ``stride``, derived from the
-    row index: row k of a grid_h x grid_w set is the window at
-    (k // grid_w * stride, k % grid_w * stride)."""
+    """Anchors of a (grid_h, grid_w, dim) feature grid extracted at
+    ``stride``, in row-major order: entry (i, j) is the window at
+    (i * stride, j * stride)."""
 
-    def anchors(feats, stride):
-        rows, cols = np.divmod(np.arange(feats.count), feats.grid_w)
+    def anchors(grid, stride):
+        grid_h, grid_w = grid.shape[:2]
+        rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
         return np.stack([rows, cols], axis=1) * stride
 
     return anchors

@@ -10,12 +10,16 @@ same sites, so the pattern/context co-occurrence lives exactly in the
 cross-layer product and not in any per-channel max or sum statistic.
 """
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crosspool
 from crosspool.features import extract_local_features
 from crosspool.network import ConvLayerSpec, conv_forward, relu_forward
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
@@ -46,9 +50,8 @@ def test_criterion_01_extraction_count():
     for depth in (4, 256):
         rng = np.random.default_rng(depth)
         t = ActivationTensor(rng.random((13, 13, depth)).astype(np.float32))
-        feats = extract_local_features(t, 3, 3, 1)
-        assert feats.count == 121
-        assert feats.dim == 9 * depth
+        grid = extract_local_features(t, 3, 3, 1)
+        assert grid.shape == (11, 11, 9 * depth)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report_line(1, "121 features of dim 9*D from 13x13, 3x3 window, stride 1")
@@ -89,9 +92,9 @@ def test_criterion_03_representation_dimension():
         weights=rng.normal(size=(8, 3, 3, 4)),
     )
     t1 = relu_forward(conv_forward(t, spec))
-    feats = extract_local_features(t, 3, 3, 1)
-    pca = pca_fit(feats.features, 20)
-    pooled = cross_layer_pool(feats, t1, 0, pca=pca)
+    grid = extract_local_features(t, 3, 3, 1)
+    pca = pca_fit(FeatureMatrix(grid.reshape(-1, grid.shape[-1])), 20)
+    pooled = cross_layer_pool(grid, t1, 0, pca=pca)
     assert pooled.shape == (160,)
     assert time.perf_counter() - start < 1.0
     report_line(3, "128000 = 500*256 asserted; d=20, K=8 pools to 160 dims")
@@ -123,9 +126,9 @@ def test_criterion_04_cross_layer_oracle_equivalence():
             weights=rng.normal(size=(channels, wh, ww, depth)),
         )
         t1 = relu_forward(conv_forward(t, spec))
-        feats = extract_local_features(t, wh, ww, stride)
-        assert feats.count <= 50
-        pooled = cross_layer_pool(feats, t1, pad // stride)
+        grid = extract_local_features(t, wh, ww, stride)
+        assert grid.shape[0] * grid.shape[1] <= 50
+        pooled = cross_layer_pool(grid, t1, pad // stride)
 
         # The oracle walks the windows itself and pairs the window anchored
         # at (r, c) with the unit whose receptive field starts there.
@@ -162,7 +165,7 @@ def test_criterion_05_pca_against_bruteforce():
     errors = []
     for dim in (2, 5, 10, 20):
         model = pca_fit(FeatureMatrix(data), dim)
-        projected = pca_project(model, FeatureMatrix(data))
+        projected = pca_project(model, data)
         variances = projected.var(axis=0, ddof=1)
         np.testing.assert_allclose(variances, oracle_vals[:dim], rtol=1e-4)
         rebuilt = projected @ model.basis + model.mean
@@ -194,10 +197,10 @@ def test_criterion_07_quantization_degradation(synth300):
     manifest, net_path, workdir = synth300
     start = time.perf_counter()
     base = PipelineConfig(network=net_path, pca_dim=20, seed=7)
-    full = run_pipeline(base, manifest, workdir, workers=2)
+    full = run_pipeline(base, manifest, workdir)
     quantized = run_pipeline(
         PipelineConfig(network=net_path, pca_dim=20, seed=7, quantize=True),
-        manifest, workdir, workers=2,
+        manifest, workdir,
     )
     elapsed = time.perf_counter() - start
     acc_full = full["metrics"]["accuracy"]
@@ -220,8 +223,7 @@ def test_criterion_08_scheme_ordering(synth300):
     for scheme in ("cross-layer", "direct-max", "direct-sum-sqrt"):
         pca = 20 if scheme == "cross-layer" else 0
         config = PipelineConfig(network=net_path, scheme=scheme, pca_dim=pca, seed=7)
-        accuracy[scheme] = run_pipeline(config, manifest, workdir, workers=2)[
-            "metrics"]["accuracy"]
+        accuracy[scheme] = run_pipeline(config, manifest, workdir)["metrics"]["accuracy"]
     elapsed = time.perf_counter() - start
     assert accuracy["cross-layer"] >= accuracy["direct-max"]
     assert accuracy["cross-layer"] >= accuracy["direct-sum-sqrt"]
@@ -234,21 +236,30 @@ def test_criterion_08_scheme_ordering(synth300):
 
 
 def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
-    """Bitwise-equal kernels across workers; separable 100%; QP oracle agreement."""
+    """Bitwise-equal kernels across BLAS thread counts; separable 100%; QP
+    oracle agreement."""
     start = time.perf_counter()
     rng = np.random.default_rng(9)
 
     reps = FeatureMatrix(rng.normal(size=(60, 24)))
     assert np.array_equal(gram_matrix(reps).values, reps.data @ reps.data.T)
+    # The pipeline itself is single-threaded; its parallelism is BLAS's, so
+    # each run is a fresh process with OpenBLAS held to 1 or 2 threads.
     manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=9)
-    manifest = parse_manifest(manifest_path)
-    for quantize in (False, True):
-        config = PipelineConfig(network=net_path, pca_dim=8, seed=9, quantize=quantize)
+    src = str(Path(crosspool.__file__).parent.parent)
+    for flag in ("--no-quantize", "--quantize"):
         kernels = []
-        for workers in (1, 2):
-            report = run_pipeline(config, manifest, tmp_path / f"w{workers}", workers=workers)
-            kernel_dir = report["artifacts"]["kernel"]
-            kernels.append([(Path(kernel_dir) / name).read_bytes()
+        for threads in ("1", "2"):
+            workdir = tmp_path / f"{flag.strip('-')}-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "crosspool.cli", "--workdir", str(workdir),
+                 "--seed", "9", "run", "--net", net_path, "--manifest", manifest_path,
+                 "--pca-dim", "8", flag],
+                env=env, check=True, capture_output=True,
+            )
+            (kernel_dir,) = (workdir / "kernel").iterdir()
+            kernels.append([(kernel_dir / name).read_bytes()
                             for name in ("gram.fmat", "rows.fmat")])
         assert kernels[0] == kernels[1]
 
@@ -307,7 +318,7 @@ def test_criterion_10_timing_report_schema(synth300, capsys):
     start = time.perf_counter()
     report = run_pipeline(
         PipelineConfig(network=net_path, pca_dim=20, seed=7),
-        manifest_obj, workdir, workers=2, use_cache=False, stages="representations",
+        manifest_obj, workdir, use_cache=False, stages="representations",
     )
     timing = report["timing"]["per_image"]
     for column in ("extraction", "pooling", "total"):

@@ -63,7 +63,7 @@ def test_run_with_config_file(dataset, tmp_path, capsys):
 def test_compare_table(dataset, tmp_path, capsys):
     manifest, net, _ = dataset
     code = run_cli(
-        "--workdir", tmp_path / "work", "--workers", "2",
+        "--workdir", tmp_path / "work",
         "compare", "--net", net, "--manifest", manifest, "--pca-dim", "10",
         "--schemes", "cross-layer,direct-max,direct-sum-sqrt",
     )
@@ -102,6 +102,7 @@ def test_forward_and_extract(dataset, tmp_path, capsys):
         "--window", "3x3", "--out", tmp_path / "feats.fmat",
     )
     assert code == 0
+    assert "324 features of dim 54 (18x18 grid)" in capsys.readouterr().out
     feats = load_features(tmp_path / "feats.fmat")
     assert feats.count == 18 * 18 and feats.dim == 9 * 6
 
@@ -235,6 +236,58 @@ def test_exit_code_config_error(dataset, tmp_path, capsys):
     )
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("layer_pair", 3),
+    ("layer_pair", [1, "x"]),
+    ("window", ["a", "b"]),
+    ("spp_levels", ["a"]),
+    ("stride", "2"),
+    ("pca_dim", 2.5),
+    ("quantize", "no"),
+    ("seed", "abc"),
+    ("power_norm", 1),
+    ("svm_c", "1.0"),
+    ("svm_c", float("nan")),
+    ("svm_tol", float("inf")),
+    ("seed", True),
+])
+def test_exit_code_config_value_of_wrong_type(dataset, tmp_path, capsys, field, value):
+    """A config value of the wrong JSON type, or a NaN or infinite SVM
+    parameter, is a config error before any stage runs, not a traceback or
+    a silently different run."""
+    manifest, net, _ = dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": net, field: value}))
+    code = run_cli("--workdir", tmp_path / "w", "run", "--config", cfg, "--manifest", manifest)
+    assert code == 2
+    assert f"config error: {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_quantize_flags_exclude_each_other(dataset, tmp_path, capsys):
+    """``--quantize`` and ``--no-quantize`` together are a usage error;
+    either one alone overrides the config file."""
+    manifest, net, _ = dataset
+    run = ("--workdir", tmp_path / "w", "run", "--net", net, "--manifest", manifest)
+    assert run_cli(*run, "--quantize", "--no-quantize") == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": net, "quantize": True}))
+    run = ("--workdir", tmp_path / "w", "run", "--config", cfg, "--manifest", manifest)
+    assert run_cli(*run) == 0
+    assert "(quantized)" in capsys.readouterr().out
+    assert run_cli(*run, "--no-quantize") == 0
+    assert "(quantized)" not in capsys.readouterr().out
+
+
+def test_workers_flag_is_gone(dataset, tmp_path, capsys):
+    manifest, net, _ = dataset
+    code = run_cli("--workdir", tmp_path / "w",
+                   "run", "--net", net, "--manifest", manifest, "--workers", "2")
+    assert code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_exit_code_argparse(capsys):

@@ -9,8 +9,6 @@ which the correspondence exists (window = next kernel, same stride, stride
 dividing the padding) are checked where the pipeline enforces them.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from crosspool.network import ConvLayerSpec, conv_forward
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
 from crosspool.pooling import cross_layer_pool
 from crosspool.synth import generate
-from crosspool.tensor import ActivationTensor, FeatureMatrix
+from crosspool.tensor import ActivationTensor
 
 
 def extraction_oracle(data, wh, ww, stride):
@@ -43,50 +41,49 @@ def extraction_oracle(data, wh, ww, stride):
 
 def test_feature_count_13x13():
     t = ActivationTensor(np.zeros((13, 13, 4), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 1)
-    assert feats.count == 121
-    assert feats.dim == 36
-    assert (feats.grid_h, feats.grid_w) == (11, 11)
+    grid = extract_local_features(t, 3, 3, 1)
+    assert grid.shape == (11, 11, 36)
+    assert grid.dtype == np.float32 and grid.flags.c_contiguous
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_extraction_matches_loop_oracle(stride, anchors_of):
     rng = np.random.default_rng(40 + stride)
     data = rng.normal(size=(8, 10, 3)).astype(np.float32)
-    feats = extract_local_features(ActivationTensor(data), 3, 2, stride)
+    grid = extract_local_features(ActivationTensor(data), 3, 2, stride)
     expect, anchors = extraction_oracle(data, 3, 2, stride)
-    assert feats.count == expect.shape[0]
-    np.testing.assert_array_equal(feats.features.data, expect.astype(np.float32))
-    np.testing.assert_array_equal(anchors_of(feats, stride), anchors)
+    rows = grid.reshape(-1, grid.shape[-1])
+    assert rows.shape == expect.shape
+    np.testing.assert_array_equal(rows, expect.astype(np.float32))
+    np.testing.assert_array_equal(anchors_of(grid, stride), anchors)
 
 
 def test_descriptor_entry_indexing():
     """Entry (i*ww + j)*D + k holds channel k at window offset (i, j)."""
     h, w, d = 5, 5, 3
     data = np.arange(h * w * d, dtype=np.float32).reshape(h, w, d)
-    feats = extract_local_features(ActivationTensor(data), 2, 2, 1)
+    grid = extract_local_features(ActivationTensor(data), 2, 2, 1)
     r, c = 1, 2
-    index = r * feats.grid_w + c
     for i in range(2):
         for j in range(2):
             for k in range(d):
                 entry = (i * 2 + j) * d + k
-                assert feats.features.data[index, entry] == data[r + i, c + j, k]
+                assert grid[r, c, entry] == data[r + i, c + j, k]
 
 
 def test_anchor_grid_row_major(anchors_of):
     t = ActivationTensor(np.zeros((7, 9, 1), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 2)
-    assert (feats.grid_h, feats.grid_w) == (3, 4)
-    anchors = anchors_of(feats, 2)
+    grid = extract_local_features(t, 3, 3, 2)
+    assert grid.shape[:2] == (3, 4)
+    anchors = anchors_of(grid, 2)
     np.testing.assert_array_equal(anchors[0], [0, 0])
     np.testing.assert_array_equal(anchors[1], [0, 2])
     np.testing.assert_array_equal(anchors[4], [2, 0])
     np.testing.assert_array_equal(anchors[-1], [4, 6])
     # and each anchored window is the descriptor in that row
     data = np.arange(7 * 9, dtype=np.float32).reshape(7, 9, 1)
-    feats = extract_local_features(ActivationTensor(data), 3, 3, 2)
-    for row, (r, c) in zip(feats.features.data, anchors):
+    grid = extract_local_features(ActivationTensor(data), 3, 3, 2)
+    for row, (r, c) in zip(grid.reshape(-1, grid.shape[-1]), anchors):
         np.testing.assert_array_equal(row, data[r : r + 3, c : c + 3].ravel())
 
 
@@ -102,6 +99,24 @@ def test_bad_stride():
         extract_local_features(t, 2, 2, 0)
 
 
+@pytest.mark.parametrize("case", range(24))
+def test_stack_extraction_matches_each_image(case):
+    """One call on an (N, H, W, D) stack gives, for each n, bitwise the grid
+    of image n's own call."""
+    rng = np.random.default_rng(300 + case)
+    wh, ww = (int(v) for v in rng.integers(1, 4, size=2))
+    h, w = int(rng.integers(wh, 9)), int(rng.integers(ww, 9))
+    d, n, stride = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    stack = rng.normal(size=(n, h, w, d)).astype(np.float32)
+    grids = extract_local_features(ActivationTensor(stack), wh, ww, stride)
+    grid_h, grid_w = (h - wh) // stride + 1, (w - ww) // stride + 1
+    assert grids.shape == (n, grid_h, grid_w, wh * ww * d)
+    assert grids.dtype == np.float32 and grids.flags.c_contiguous
+    for i in range(n):
+        single = extract_local_features(ActivationTensor(stack[i]), wh, ww, stride)
+        assert grids[i].tobytes() == single.tobytes()
+
+
 def next_spec(wh, ww, in_depth, out_depth, stride, pad, weights=None):
     if weights is None:
         weights = np.zeros((out_depth, wh, ww, in_depth))
@@ -111,33 +126,35 @@ def next_spec(wh, ww, in_depth, out_depth, stride, pad, weights=None):
     )
 
 
-def paired_units(feats, next_dims, offset):
+def paired_units(grid, next_dims, offset):
     """(count, 2) layer t+1 units that cross_layer_pool pairs with each
-    feature: identity features pooled against a layer whose two channels
-    hold each unit's row and column."""
+    feature of a grid, in row-major order: identity features pooled against
+    a layer whose two channels hold each unit's row and column."""
     rows, cols = np.meshgrid(*(np.arange(n) for n in next_dims), indexing="ij")
     coords = ActivationTensor(
         np.stack([rows, cols], axis=2).astype(np.float32), rectified=True
     )
-    probe = dataclasses.replace(feats, features=FeatureMatrix(np.eye(feats.count)))
+    grid_h, grid_w = grid.shape[:2]
+    count = grid_h * grid_w
+    probe = np.eye(count).reshape(grid_h, grid_w, count)
     pooled = cross_layer_pool(probe, coords, offset)
-    return pooled.reshape(2, feats.count).T.astype(np.int64)
+    return pooled.reshape(2, count).T.astype(np.int64)
 
 
 def test_correspondence_shift_stride1_pad1(anchors_of):
     t = ActivationTensor(np.zeros((10, 10, 2), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 1)
+    grid = extract_local_features(t, 3, 3, 1)
     spec = next_spec(3, 3, 2, 1, stride=1, pad=1)
-    pairs = paired_units(feats, spec.output_dims(10, 10), 1)
-    np.testing.assert_array_equal(pairs, anchors_of(feats, 1) + 1)
+    pairs = paired_units(grid, spec.output_dims(10, 10), 1)
+    np.testing.assert_array_equal(pairs, anchors_of(grid, 1) + 1)
 
 
 def test_correspondence_stride2_pad0(anchors_of):
     t = ActivationTensor(np.zeros((12, 12, 1), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 2)
+    grid = extract_local_features(t, 3, 3, 2)
     spec = next_spec(3, 3, 1, 1, stride=2, pad=0)
-    pairs = paired_units(feats, spec.output_dims(12, 12), 0)
-    where = np.flatnonzero((anchors_of(feats, 2) == [4, 6]).all(axis=1))
+    pairs = paired_units(grid, spec.output_dims(12, 12), 0)
+    where = np.flatnonzero((anchors_of(grid, 2) == [4, 6]).all(axis=1))
     assert where.size == 1
     np.testing.assert_array_equal(pairs[where[0]], [2, 3])
 
@@ -189,9 +206,9 @@ def test_correspondence_divisibility(dataset, tmp_path, monkeypatch):
 
 def test_correspondence_bounds():
     t = ActivationTensor(np.zeros((8, 8, 1), dtype=np.float32))
-    feats = extract_local_features(t, 3, 3, 1)
+    grid = extract_local_features(t, 3, 3, 1)
     with pytest.raises(GeometryError):
-        paired_units(feats, (3, 3), 0)
+        paired_units(grid, (3, 3), 0)
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
@@ -204,14 +221,14 @@ def test_matched_filter_probe(stride, pad, anchors_of):
     anchor = (4, 6)
     data[anchor[0] : anchor[0] + 3, anchor[1] : anchor[1] + 3, :] = patch
     t = ActivationTensor(data)
-    feats = extract_local_features(t, 3, 3, stride)
+    grid = extract_local_features(t, 3, 3, stride)
     spec = next_spec(3, 3, 2, 1, stride=stride, pad=pad,
                      weights=patch[np.newaxis, ...])
     dims = spec.output_dims(h, w)
-    pairs = paired_units(feats, dims, pad // stride)
+    pairs = paired_units(grid, dims, pad // stride)
     response = conv_forward(t, spec)
     peak = np.unravel_index(np.argmax(response.data[:, :, 0]), dims)
-    index = np.flatnonzero((anchors_of(feats, stride) == anchor).all(axis=1))
+    index = np.flatnonzero((anchors_of(grid, stride) == anchor).all(axis=1))
     assert index.size == 1
     np.testing.assert_array_equal(pairs[index[0]], peak)
 
@@ -226,11 +243,11 @@ def test_perturbation_locality(anchors_of):
         stride=1, pad=1, weights=weights,
     )
     base = conv_forward(ActivationTensor(data), spec)
-    feats = extract_local_features(ActivationTensor(data), 3, 3, 1)
-    pairs = paired_units(feats, spec.output_dims(12, 12), 1)
+    grid = extract_local_features(ActivationTensor(data), 3, 3, 1)
+    pairs = paired_units(grid, spec.output_dims(12, 12), 1)
 
     index = 47
-    anchor = anchors_of(feats, 1)[index]
+    anchor = anchors_of(grid, 1)[index]
     bumped = data.copy()
     bumped[anchor[0] : anchor[0] + 3, anchor[1] : anchor[1] + 3, :] += 1.0
     after = conv_forward(ActivationTensor(bumped), spec)

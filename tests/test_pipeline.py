@@ -17,7 +17,7 @@ import crosspool.svm
 from crosspool.errors import ConfigError, ContractError, ValidationError
 from crosspool.features import extract_local_features
 from crosspool.multires import ResolutionConfig, iter_parts
-from crosspool.network import parse_network_file
+from crosspool.network import min_input_extent, parse_network_file, run_network
 from crosspool.pipeline import (
     DatasetManifest,
     PipelineConfig,
@@ -27,9 +27,16 @@ from crosspool.pipeline import (
     parse_manifest,
     run_pipeline,
 )
+from crosspool.postproc import load_pca
 from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
-from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_tensor
+from crosspool.tensor import (
+    ActivationTensor,
+    FeatureMatrix,
+    load_features,
+    load_tensor,
+    save_tensor,
+)
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
 
@@ -303,17 +310,18 @@ def test_edited_tensors_miss_the_cache(tmp_path):
 
 
 def test_run_pipeline_deterministic_across_workers(dataset, tmp_path):
+    """``run_pipeline`` still accepts ``workers=1``, the way
+    ``perfbench/run.py`` calls it, and the run equals one that does not pass it."""
     manifest, net_path = dataset
     config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
     a = run_pipeline(config, manifest, tmp_path / "w1", workers=1)
-    b = run_pipeline(config, manifest, tmp_path / "w4", workers=4)
+    b = run_pipeline(config, manifest, tmp_path / "w0")
     assert a["metrics"] == b["metrics"]
     assert a["config_hash"] == b["config_hash"]
 
 
 def test_representation_stage_starts_no_thread(dataset, tmp_path, monkeypatch):
-    """The whole pipeline runs in the calling thread, whatever ``workers``
-    asks for."""
+    """The whole pipeline runs in the calling thread."""
 
     def no_thread(self):
         raise AssertionError("the pipeline started a thread")
@@ -324,7 +332,7 @@ def test_representation_stage_starts_no_thread(dataset, tmp_path, monkeypatch):
         PipelineConfig(network=net_path, pca_dim=8, seed=1),
         PipelineConfig(network=net_path, scheme="direct-max", seed=1),
     ):
-        report = run_pipeline(config, manifest, tmp_path / "work", workers=4)
+        report = run_pipeline(config, manifest, tmp_path / "work")
         assert report["cache"]["representations"] == "miss"
 
 
@@ -352,8 +360,9 @@ def test_per_image_total_is_stage_wall_time(dataset, tmp_path):
 
 def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
     """Parts of several images go through the network in one call per shape,
-    and every row equals the one a per-part forward pass gives, bit for bit,
-    on a manifest that mixes 20x20 and 26x26 images."""
+    each stack's layer t is cut into local features in one more call, and
+    every row equals the one a per-part forward pass gives, bit for bit, on
+    a manifest that mixes 20x20 and 26x26 images."""
     sets = []
     for sub, grid in (("small", 6), ("large", 8)):
         path, net_path = generate(tmp_path / sub, n_train=6, n_test=6, seed=grid, grid=grid)
@@ -368,12 +377,21 @@ def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
         calls.append(tensor.data.shape)
         return forward(tensor, net)
 
+    extracts = []
+    extract = crosspool.pipeline.extract_local_features
+
+    def counted_extract(tensor, *args):
+        extracts.append(tensor.data.shape[0])
+        return extract(tensor, *args)
+
     monkeypatch.setattr(crosspool.pipeline, "run_network", counted)
+    monkeypatch.setattr(crosspool.pipeline, "extract_local_features", counted_extract)
     report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
     parts = 5 * len(manifest.entries)
     assert sum(shape[0] for shape in calls) == parts
     assert len(calls) < parts
     assert {shape[1:3] for shape in calls} == {(20, 20), (10, 10), (26, 26), (13, 13)}
+    assert extracts == [shape[0] for shape in calls]
 
     net = parse_network_file(net_path)
     geometry = crosspool.pipeline._resolve_geometry(net, config)
@@ -384,14 +402,69 @@ def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
             image = load_tensor(entry.path)
             for _, resolution, part in iter_parts(image, config.resolution, 1, 1):
                 outputs = forward(part, net)
-                feats = extract_local_features(
+                grid = extract_local_features(
                     outputs[geometry.t_index], *geometry.window, geometry.stride
                 )
                 chunks.append(crosspool.pipeline._encode_part(
-                    feats, outputs[geometry.t1_index], resolution, geometry, config, {}
+                    grid, outputs[geometry.t1_index], resolution, geometry, config, {}
                 ))
             want = np.concatenate(chunks).astype(np.float32)
             np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
+
+
+def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
+    """Past ``pca_sample_cap`` descriptors, each resolution's model is the
+    fit on the seeded ``rng.choice`` of the stacked training descriptors'
+    rows, in index order; another seed picks other rows."""
+    samples = []
+    fit = crosspool.pipeline.pca_fit
+
+    def recorded(sample, dim):
+        samples.append(sample.data)
+        return fit(sample, dim)
+
+    monkeypatch.setattr(crosspool.pipeline, "pca_fit", recorded)
+    manifest, net_path = dataset
+    config = PipelineConfig(
+        network=net_path, pca_dim=4, pca_sample_cap=60, resolution="both", seed=3
+    )
+    net = parse_network_file(net_path)
+    geometry = crosspool.pipeline._resolve_geometry(net, config)
+    buckets = {}
+    for entry in manifest.split("train"):
+        image = load_tensor(entry.path)
+        for _, resolution, part in iter_parts(image, config.resolution, *min_input_extent(net)):
+            grid = extract_local_features(
+                run_network(part, net)[geometry.t_index], *geometry.window, geometry.stride
+            )
+            buckets.setdefault(resolution, []).append(grid.reshape(-1, grid.shape[-1]))
+    assert len(buckets) == 2
+
+    models = {}
+    for seed in (3, 4):
+        samples.clear()
+        report = run_pipeline(
+            dataclasses.replace(config, seed=seed), manifest, tmp_path / "work",
+            stages="representations",
+        )
+        rep_dir = report["artifacts"]["representations"]
+        for resolution, sample in zip(sorted(buckets), samples, strict=True):
+            stacked = np.concatenate(buckets[resolution])
+            assert stacked.shape[0] > config.pca_sample_cap
+            chosen = np.random.default_rng(seed).choice(
+                stacked.shape[0], config.pca_sample_cap, replace=False
+            )
+            rows = stacked[np.sort(chosen)]
+            assert sample.tobytes() == rows.tobytes()
+            want = fit(FeatureMatrix(rows), config.pca_dim)
+            got = load_pca(os.path.join(rep_dir, f"pca_{resolution}.pca"))
+            for name in ("mean", "basis", "eigenvalues"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name).astype(np.float32)
+                )
+            models[seed, resolution] = got
+    for resolution in buckets:
+        assert not np.allclose(models[3, resolution].mean, models[4, resolution].mean)
 
 
 def test_run_pipeline_quantize_reports_bytes(dataset, tmp_path):

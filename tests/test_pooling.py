@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from crosspool.errors import ContractError, GeometryError
-from crosspool.features import LocalFeatureSet, extract_local_features
+from crosspool.errors import ContractError, GeometryError, ValidationError
+from crosspool.features import extract_local_features
 from crosspool.network import ConvLayerSpec, conv_forward, relu_forward
 from crosspool.pooling import (
     cross_layer_pool,
@@ -28,8 +28,9 @@ def pool_oracle(features, weights):
 
 
 def on_grid(features, grid_h, grid_w):
-    """An (N, d) matrix as the features of a grid_h x grid_w window grid."""
-    return LocalFeatureSet(FeatureMatrix(features), grid_h=grid_h, grid_w=grid_w)
+    """An (N, d) matrix as the row-major features of a grid_h x grid_w
+    window grid."""
+    return np.asarray(features).reshape(grid_h, grid_w, -1)
 
 
 def weight_layer(weights, grid_h, grid_w, offset=0):
@@ -96,25 +97,25 @@ def test_pooling_permutation_equivariance():
 
 def test_pool_count_mismatch():
     """A layer t+1 with fewer units than there are windows is rejected."""
-    feats = on_grid(np.ones((6, 2)), 2, 3)
+    grid = on_grid(np.ones((6, 2)), 2, 3)
     layer = ActivationTensor(np.ones((2, 2, 2), dtype=np.float32), rectified=True)
     with pytest.raises(GeometryError):
-        cross_layer_pool(feats, layer, 0)
+        cross_layer_pool(grid, layer, 0)
 
 
 def test_gather_requires_rectified():
-    feats = on_grid(np.ones((4, 2)), 2, 2)
+    grid = on_grid(np.ones((4, 2)), 2, 2)
     t = ActivationTensor(np.ones((4, 4, 2), dtype=np.float32) * -1.0, rectified=False)
     with pytest.raises(ContractError):
-        cross_layer_pool(feats, t, 0)
+        cross_layer_pool(grid, t, 0)
 
 
 def test_gather_bounds():
-    feats = on_grid(np.ones((4, 2)), 2, 2)
+    grid = on_grid(np.ones((4, 2)), 2, 2)
     t = ActivationTensor(np.ones((4, 4, 2), dtype=np.float32), rectified=True)
     for offset in (-1, 3):
         with pytest.raises(GeometryError):
-            cross_layer_pool(feats, t, offset)
+            cross_layer_pool(grid, t, offset)
 
 
 def test_gather_values():
@@ -161,8 +162,8 @@ def test_cross_layer_pool_matches_oracle(stride, pad):
         weights=rng.normal(size=(4, 3, 3, 2)),
     )
     t1 = relu_forward(conv_forward(t, spec))
-    feats = extract_local_features(t, 3, 3, stride)
-    pooled = cross_layer_pool(feats, t1, pad // stride)
+    grid = extract_local_features(t, 3, 3, stride)
+    pooled = cross_layer_pool(grid, t1, pad // stride)
     expect = cross_layer_oracle(data, t1.data, (3, 3), stride, pad)
     np.testing.assert_allclose(pooled, expect, rtol=1e-4, atol=1e-4)
 
@@ -177,13 +178,14 @@ def test_cross_layer_pool_with_pca():
         weights=rng.normal(size=(3, 3, 3, 2)),
     )
     t1 = relu_forward(conv_forward(t, spec))
-    feats = extract_local_features(t, 3, 3, 1)
-    pca = pca_fit(feats.features, 5)
-    pooled = cross_layer_pool(feats, t1, 0, pca=pca)
+    grid = extract_local_features(t, 3, 3, 1)
+    rows = grid.reshape(-1, grid.shape[-1])
+    pca = pca_fit(FeatureMatrix(rows), 5)
+    pooled = cross_layer_pool(grid, t1, 0, pca=pca)
     assert pooled.shape == (5 * 3,)
 
-    projected = (feats.features.data.astype(np.float64) - pca.mean) @ pca.basis.T
-    weights = t1.data[: feats.grid_h, : feats.grid_w].reshape(-1, 3)
+    projected = (rows.astype(np.float64) - pca.mean) @ pca.basis.T
+    weights = t1.data[: grid.shape[0], : grid.shape[1]].reshape(-1, 3)
     np.testing.assert_allclose(
         pooled, pool_oracle(projected, weights), rtol=1e-5, atol=1e-6
     )
@@ -191,37 +193,59 @@ def test_cross_layer_pool_with_pca():
 
 def test_direct_max_pool():
     data = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0]])
-    np.testing.assert_array_equal(direct_max_pool(FeatureMatrix(data)), [3.0, 4.0])
+    np.testing.assert_array_equal(direct_max_pool(data), [3.0, 4.0])
 
 
 def test_direct_sum_sqrt_signed():
     """Sum first, then signed square root: column sums -1 and -3 give -1, -sqrt(3)."""
     data = np.array([[-1.0, -1.0], [0.0, -2.0]])
-    out = direct_sum_sqrt_pool(FeatureMatrix(data))
+    out = direct_sum_sqrt_pool(data)
     np.testing.assert_allclose(out, [-1.0, -np.sqrt(3.0)])
+
+
+@pytest.mark.parametrize("scheme", [direct_max_pool, direct_sum_sqrt_pool])
+def test_direct_pools_read_the_last_axis(scheme):
+    """A feature grid pools to the bytes of its (count, dim) rows."""
+    rng = np.random.default_rng(50)
+    grid = rng.normal(size=(3, 4, 5)).astype(np.float32)
+    out = scheme(grid)
+    assert out.dtype == np.float64 and out.shape == (5,)
+    assert out.tobytes() == scheme(grid.reshape(12, 5)).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["cross-layer", "spp"])
+def test_grid_schemes_reject_a_stack_of_grids(scheme):
+    """The grid schemes pool one image part's (grid_h, grid_w, dim) grid
+    and refuse an (N, grid_h, grid_w, dim) stack."""
+    stack = np.ones((2, 2, 2, 3), dtype=np.float32)
+    layer = ActivationTensor(np.ones((2, 2, 4), dtype=np.float32), rectified=True)
+    with pytest.raises(ValidationError, match=r"one \(grid_h, grid_w, dim\) feature grid"):
+        if scheme == "cross-layer":
+            cross_layer_pool(stack, layer, 0)
+        else:
+            spp_pool(stack, [1])
 
 
 def test_spp_level_one_equals_direct_max():
     rng = np.random.default_rng(51)
     data = rng.normal(size=(9, 9, 4)).astype(np.float32)
-    feats = extract_local_features(ActivationTensor(data), 3, 3, 1)
-    np.testing.assert_array_equal(
-        spp_pool(feats, [1]), direct_max_pool(feats.features)
-    )
+    grid = extract_local_features(ActivationTensor(data), 3, 3, 1)
+    np.testing.assert_array_equal(spp_pool(grid, [1]), direct_max_pool(grid))
 
 
 def test_spp_dims_and_cell_assignment(anchors_of):
     rng = np.random.default_rng(52)
     data = rng.normal(size=(13, 13, 2)).astype(np.float32)
-    feats = extract_local_features(ActivationTensor(data), 1, 1, 1)
-    out = spp_pool(feats, [1, 2])
+    grid = extract_local_features(ActivationTensor(data), 1, 1, 1)
+    out = spp_pool(grid, [1, 2])
     assert out.shape == (5 * 2,)
 
     # anchor (12, 12) on the 13x13 grid belongs to cell (1, 1) of the 2x2 level
     cells = out[2:].reshape(2, 2, 2)
-    anchors = anchors_of(feats, 1)
-    corner = feats.features.data[(anchors == [12, 12]).all(axis=1)][0]
-    block = feats.features.data[(anchors[:, 0] >= 7) & (anchors[:, 1] >= 7)]
+    anchors = anchors_of(grid, 1)
+    rows = grid.reshape(-1, grid.shape[-1])
+    corner = rows[(anchors == [12, 12]).all(axis=1)][0]
+    block = rows[(anchors[:, 0] >= 7) & (anchors[:, 1] >= 7)]
     np.testing.assert_array_equal(cells[1, 1], block.max(axis=0))
     assert np.all(cells[1, 1] >= corner - 1e-6)
 
@@ -230,23 +254,23 @@ def test_spp_cell_oracle():
     """Each cell is the max over features whose grid index lands in it."""
     rng = np.random.default_rng(53)
     data = rng.normal(size=(10, 12, 3)).astype(np.float32)
-    feats = extract_local_features(ActivationTensor(data), 3, 3, 1)
+    grid = extract_local_features(ActivationTensor(data), 3, 3, 1)
+    grid_h, grid_w, dim = grid.shape
     g = 3
-    out = spp_pool(feats, [g]).reshape(g, g, feats.dim)
-    for gi in range(feats.grid_h):
-        for gj in range(feats.grid_w):
-            ci = gi * g // feats.grid_h
-            cj = gj * g // feats.grid_w
-            row = feats.features.data[gi * feats.grid_w + gj]
-            assert np.all(out[ci, cj] >= row - 1e-6)
+    out = spp_pool(grid, [g]).reshape(g, g, dim)
+    for gi in range(grid_h):
+        for gj in range(grid_w):
+            ci = gi * g // grid_h
+            cj = gj * g // grid_w
+            assert np.all(out[ci, cj] >= grid[gi, gj] - 1e-6)
     # and every cell value is attained by some member feature
     for ci in range(g):
         for cj in range(g):
             members = [
-                feats.features.data[gi * feats.grid_w + gj]
-                for gi in range(feats.grid_h)
-                for gj in range(feats.grid_w)
-                if gi * g // feats.grid_h == ci and gj * g // feats.grid_w == cj
+                grid[gi, gj]
+                for gi in range(grid_h)
+                for gj in range(grid_w)
+                if gi * g // grid_h == ci and gj * g // grid_w == cj
             ]
             np.testing.assert_array_equal(out[ci, cj], np.max(members, axis=0))
 
@@ -254,9 +278,9 @@ def test_spp_cell_oracle():
 def test_spp_empty_cells_are_zero():
     """A grid finer than the anchor lattice leaves zero-filled cells."""
     data = np.ones((4, 4, 1), dtype=np.float32)
-    feats = extract_local_features(ActivationTensor(data), 3, 3, 1)
-    assert (feats.grid_h, feats.grid_w) == (2, 2)
-    out = spp_pool(feats, [4]).reshape(4, 4, feats.dim)
+    grid = extract_local_features(ActivationTensor(data), 3, 3, 1)
+    assert grid.shape[:2] == (2, 2)
+    out = spp_pool(grid, [4]).reshape(4, 4, grid.shape[-1])
     filled = {(0, 0), (0, 2), (2, 0), (2, 2)}
     for ci in range(4):
         for cj in range(4):
@@ -267,6 +291,6 @@ def test_spp_empty_cells_are_zero():
 
 
 def test_spp_rejects_empty_levels():
-    feats = extract_local_features(ActivationTensor(np.ones((4, 4, 1), dtype=np.float32)), 2, 2, 1)
+    grid = extract_local_features(ActivationTensor(np.ones((4, 4, 1), dtype=np.float32)), 2, 2, 1)
     with pytest.raises(ContractError):
-        spp_pool(feats, [])
+        spp_pool(grid, [])

@@ -72,7 +72,7 @@ def test_pca_line_data():
     model = pca_fit(FeatureMatrix(data), 1)
     np.testing.assert_allclose(np.abs(model.basis[0]), direction, atol=1e-7)
     np.testing.assert_allclose(model.mean, data.mean(axis=0), atol=1e-7)
-    projected = pca_project(model, FeatureMatrix(data))
+    projected = pca_project(model, data)
     np.testing.assert_allclose(np.abs(projected[:, 0]), np.abs(ts - ts.mean()), atol=1e-6)
 
 
@@ -93,13 +93,18 @@ def test_pca_contract_errors():
     # only count-1 = 4 components are estimable from 5 samples
     with pytest.raises(ContractError):
         pca_fit(FeatureMatrix(data), 5)
+    # a projection takes (count, input_dim) rows and nothing else
+    model = pca_fit(FeatureMatrix(data), 2)
+    for rows in (data[:, :9], data.reshape(5, 2, 5)):
+        with pytest.raises(ContractError):
+            pca_project(model, rows)
 
 
 def test_pca_projection_decorrelated():
     rng = np.random.default_rng(76)
     data = rng.normal(size=(400, 6)) @ rng.normal(size=(6, 6))
     model = pca_fit(FeatureMatrix(data), 4)
-    projected = pca_project(model, FeatureMatrix(data))
+    projected = pca_project(model, data)
     cov = np.cov(projected, rowvar=False, ddof=1)
     off = cov - np.diag(np.diag(cov))
     assert np.abs(off).max() < 1e-8
@@ -112,7 +117,7 @@ def test_pca_reconstruction_error_nonincreasing():
     errors = []
     for dim in (2, 5, 10, 20):
         model = pca_fit(FeatureMatrix(data), dim)
-        projected = pca_project(model, FeatureMatrix(data))
+        projected = pca_project(model, data)
         rebuilt = projected @ model.basis + model.mean
         errors.append(float(np.mean((rebuilt - data) ** 2)))
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
@@ -129,8 +134,8 @@ def test_pca_file_round_trip(tmp_path):
     np.testing.assert_allclose(back.mean, model.mean, rtol=1e-6)
     np.testing.assert_allclose(back.basis, model.basis, rtol=1e-5, atol=1e-7)
     # projections through the reloaded model stay close at float32 precision
-    a = pca_project(model, FeatureMatrix(data))
-    b = pca_project(back, FeatureMatrix(data))
+    a = pca_project(model, data)
+    b = pca_project(back, data)
     np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4)
 
 

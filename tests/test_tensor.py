@@ -56,7 +56,7 @@ def test_tensor_takes_a_leading_batch_axis():
 
 
 @pytest.mark.parametrize(
-    "consumer", ["save_tensor", "extract_local_features", "cross_layer_pool", "iter_parts"]
+    "consumer", ["save_tensor", "cross_layer_pool", "iter_parts"]
 )
 def test_per_image_consumers_reject_a_batch(tmp_path, consumer):
     """A consumer of one image's grid refuses an (N, H, W, D) batch instead
@@ -65,7 +65,6 @@ def test_per_image_consumers_reject_a_batch(tmp_path, consumer):
     batch = ActivationTensor(np.ones((2, 4, 4, 3), dtype=np.float32), rectified=True)
     calls = {
         "save_tensor": lambda: save_tensor(batch, tmp_path / "b.tens"),
-        "extract_local_features": lambda: extract_local_features(batch, 2, 2),
         "cross_layer_pool": lambda: cross_layer_pool(
             extract_local_features(single, 2, 2), batch, 0
         ),
