@@ -45,10 +45,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import numbers
 import os
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -178,9 +178,12 @@ class PipelineConfig:
             raise ConfigError("pca_dim must be nonnegative")
         if self.pca_sample_cap < 2:
             raise ConfigError("pca_sample_cap must be at least 2")
-        for name, value in (("svm_c", self.svm_c), ("svm_tol", self.svm_tol)):
-            if not 0 < value < math.inf:
+        # stored as floats, so that 1 and 1.0 give one model key
+        for name in ("svm_c", "svm_tol"):
+            value = getattr(self, name)
+            if not 0 < value <= sys.float_info.max:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+            setattr(self, name, float(value))
         self.layer_pair = _integers("layer_pair", self.layer_pair, 2)
         if not 1 <= self.layer_pair[0] < self.layer_pair[1]:
             raise ConfigError(

@@ -5,12 +5,13 @@ four dimensions per byte: code 00 for zero, 01 for positive, 10 for
 negative; 11 never appears.  Dimension j occupies bits 2*(j % 4) and
 2*(j % 4) + 1 of byte j // 4, and padding bits in the last byte are zero.
 ``sign_quantize`` turns a (count, dim) matrix into a (count, ceil(dim/4))
-uint8 code matrix, comparing in the input's own dtype.  ``sign_unpack``
-expands codes back to float32 -1/0/+1 through a 256-entry byte table, four
-dimensions per byte.  Because padding codes are zero, an unpacked block of
-whole bytes can enter an inner product as is: ``svm.kernels`` unpacks
-the codes one column block at a time and multiplies each block with one
-BLAS product, which is exact (see ``svm``).
+uint8 code matrix, comparing in the input's own dtype and packing four
+codes with one 32-bit product.  ``sign_unpack`` expands codes back to
+float32 -1/0/+1 by gathering one 16-byte row (four float32 signs) per code
+byte.  Because padding codes are zero, an unpacked block of whole bytes
+can enter an inner product as is: ``svm.kernels`` unpacks the codes one
+column block at a time and multiplies each block with one BLAS product,
+which is exact (see ``svm``).
 
 File containers (integers unsigned 32-bit little-endian):
 
@@ -41,6 +42,12 @@ _LOW_BITS = 0b01010101
 # row b holds the four dimensions of byte b as float32 signs
 _BYTE_CODES = (np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 0b11
 _BYTE_SIGNS = (_BYTE_CODES == 0b01).astype(np.float32) - (_BYTE_CODES == 0b10)
+# the same rows as single 16-byte items, so that ``np.take`` copies whole rows
+_BYTE_SIGNS16 = _BYTE_SIGNS.view(np.complex128).ravel()
+# times a little-endian word of four codes (byte i holds code i), moves code
+# i to bits 24 + 2i; every cross term lands on its own two bits below bit 24,
+# so no carry reaches the top byte
+_PACK_FACTOR = np.uint32(0x01041040)
 
 
 @dataclass
@@ -159,17 +166,21 @@ def sign_quantize(values: np.ndarray) -> np.ndarray:
         raise ValidationError(f"cannot quantize an array of shape {arr.shape}")
     count, dim = arr.shape
     codes = np.zeros((count, (dim + 3) // 4 * 4), dtype=np.uint8)
-    codes[:, :dim] = arr > 0
-    codes[:, :dim] |= (arr < 0).view(np.uint8) << 1
-    quads = codes.reshape(count, -1, 4)
-    return quads[..., 0] | quads[..., 1] << 2 | quads[..., 2] << 4 | quads[..., 3] << 6
+    signs = codes[:, :dim]  # one code per byte, the padding stays 0
+    np.less(arr, 0, out=signs.view(bool))  # 1 where negative
+    signs += signs  # 2 where negative
+    signs += arr > 0  # 1 where positive
+    words = codes.view("<u4")
+    words *= _PACK_FACTOR
+    words >>= 24
+    return words.astype(np.uint8)
 
 
 def sign_unpack(codes: np.ndarray) -> np.ndarray:
-    """Expand a code matrix to float32 -1/0/+1, four columns per byte; the
-    columns past dim are the zero padding."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    return _BYTE_SIGNS[codes].reshape(codes.shape[0], 4 * codes.shape[1])
+    """Expand a code matrix to float32 -1/0/+1, four columns per byte, by
+    gathering each byte's 16-byte row of signs; the columns past dim are
+    the zero padding."""
+    return np.take(_BYTE_SIGNS16, np.asarray(codes, dtype=np.uint8)).view(np.float32)
 
 
 def save_sign_stack(codes: np.ndarray, dim: int, path) -> None:

@@ -27,6 +27,13 @@ pseudo-feature of squared norm c0), giving bias c0 * sum(alpha * y); tying
 c0 to the kernel's own scale keeps decisions exactly invariant under
 rescaling representations by s with C / s**2.
 
+Q depends on y only up to its sign: negating y negates both factors of
+every y_i y_j, and sign flips are exact, so classes whose label vectors
+are equal or negated (both classes of a two-class problem) split the
+training set the same way and have bitwise-equal Q and alpha.  Training
+solves each distinct split once; every class still gets its own
+coefficients alpha * y, bias, diagnostics and convergence warning.
+
 The dual is solved by a dense primal-dual interior-point method with
 Mehrotra's predictor-corrector steps.  The upper slack s = C - alpha is a
 variable of its own, since computing C - alpha near the upper bound loses
@@ -326,10 +333,12 @@ def svm_train(
 
     ``labels`` holds one label per training row, or an iterable of labels
     for multi-label data; a class's binary problem takes every example that
-    carries the class as positive.  ``max_iterations`` caps the interior-point
-    iterations per class.  A class whose solver stops with a projected
-    gradient above ``tol`` raises a RuntimeWarning.  The model's ``solver``
-    holds each class's diagnostics.
+    carries the class as positive.  Classes that split the training rows
+    the same way, up to swapping the two sides, pose the same dual
+    problem, which is solved once for all of them.  ``max_iterations``
+    caps the interior-point iterations per solve.  A class whose solution
+    has a projected gradient above ``tol`` raises a RuntimeWarning.  The
+    model's ``solver`` holds each class's diagnostics.
     """
     n = gram.n
     if len(labels) != n:
@@ -348,11 +357,13 @@ def svm_train(
     augmented = gram.values + offset
 
     dual, biases, diagnostics = [], [], []
+    solves = {}
     for name in classes:
         y = np.where([name in s for s in label_sets], 1.0, -1.0)
-        alpha, gradient, iterations, regularized = _solve_dual(
-            y[:, None] * augmented * y, c, tol, max_iterations
-        )
+        split = (y * y[0]).tobytes()
+        if split not in solves:
+            solves[split] = _solve_dual(y[:, None] * augmented * y, c, tol, max_iterations)
+        alpha, gradient, iterations, regularized = solves[split]
         if gradient > tol:
             warnings.warn(
                 f"class {name!r} not converged: max projected gradient "

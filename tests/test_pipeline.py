@@ -141,6 +141,19 @@ def test_config_rejects_bad_values():
         PipelineConfig(network="net.spec", layer_pair=(2, 1))
     with pytest.raises(ConfigError):
         PipelineConfig(network="net.spec", svm_c=0.0)
+    # an integer past the largest float
+    with pytest.raises(ConfigError):
+        PipelineConfig(network="net.spec", svm_c=10**400)
+
+
+def test_integer_svm_c_reuses_the_model(dataset, tmp_path):
+    """``svm_c`` 1 and 1.0 pose the same problem, so they share one model."""
+    manifest, net_path = dataset
+    workdir = tmp_path / "work"
+    first = run_pipeline(PipelineConfig(network=net_path, svm_c=1.0), manifest, workdir)
+    again = run_pipeline(PipelineConfig(network=net_path, svm_c=1), manifest, workdir)
+    assert again["cache"] == ALL_HIT
+    assert again["artifacts"]["model"] == first["artifacts"]["model"]
 
 
 def test_synth_images_are_balanced():

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crosspool.errors import (
     ContractError,
@@ -12,6 +15,7 @@ from crosspool.errors import (
     ValidationError,
 )
 from crosspool.postproc import (
+    _BYTE_SIGNS,
     load_pca,
     load_sign_stack,
     pca_fit,
@@ -193,6 +197,69 @@ def test_sign_quantize_rejects_non_matrix():
     for bad in (np.ones(3), np.ones((2, 0)), np.ones((1, 2, 2))):
         with pytest.raises(ValidationError):
             sign_quantize(bad)
+
+
+def quantize_oracle(values):
+    """Shift-and-OR packing of one code per byte, four bytes at a time."""
+    count, dim = values.shape
+    codes = np.zeros((count, (dim + 3) // 4 * 4), dtype=np.uint8)
+    codes[:, :dim] = values > 0
+    codes[:, :dim] |= (values < 0).view(np.uint8) << 1
+    quads = codes.reshape(count, -1, 4)
+    return quads[..., 0] | quads[..., 1] << 2 | quads[..., 2] << 4 | quads[..., 3] << 6
+
+
+def unpack_oracle(codes):
+    """Lookup of each byte's row in the (256, 4) table of float32 signs."""
+    return _BYTE_SIGNS[codes].reshape(codes.shape[0], 4 * codes.shape[1])
+
+
+@st.composite
+def column_slices(draw, elements, dtype, max_width=4100):
+    """A (count, width) matrix and a column slice of it, which is not
+    contiguous unless it spans every column."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, max_width)))
+    matrix = draw(arrays(dtype, shape, elements=elements, fill=elements))
+    lo = draw(st.integers(0, shape[1] - 1))
+    return matrix, matrix[:, lo : draw(st.integers(lo + 1, shape[1]))]
+
+
+def special_floats(dtype):
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny, -1.0]
+    return st.sampled_from(specials) | st.floats(width=np.finfo(dtype).bits)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(deadline=None)
+@given(data=st.data())
+def test_sign_quantize_matches_shift_or_oracle(dtype, data):
+    """Bit for bit, on zeros of both signs, NaN, infinities and subnormals,
+    at every width up to 4100 and on column slices."""
+    for values in data.draw(column_slices(special_floats(dtype), dtype)):
+        codes = sign_quantize(values)
+        assert codes.dtype == np.uint8
+        np.testing.assert_array_equal(codes, quantize_oracle(values))
+        spare = values.shape[1] % 4
+        assert not spare or not (codes[:, -1] >> 2 * spare).any()
+
+
+@settings(deadline=None)
+@given(pair=column_slices(st.integers(0, 255), np.uint8))
+def test_sign_unpack_matches_table_oracle(pair):
+    """Bit for bit, on any bytes, at every width up to 4100 and on the
+    column slices ``svm.kernels`` passes."""
+    for codes in pair:
+        assert sign_unpack(codes).tobytes() == unpack_oracle(codes).tobytes()
+
+
+def test_sign_unpack_every_byte():
+    codes = np.arange(256, dtype=np.uint8).reshape(2, 128)
+    signs = sign_unpack(codes)
+    assert signs.dtype == np.float32 and signs.shape == (2, 512)
+    assert signs.tobytes() == unpack_oracle(codes).tobytes()
+    # the invalid code 11 unpacks to 0
+    assert sign_unpack(np.array([[0b11_11_11_11]], dtype=np.uint8)).tobytes() == bytes(16)
 
 
 def _stack_file(path, count, dim, payload):

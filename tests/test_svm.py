@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import crosspool.svm
 from crosspool.errors import ContractError, CorruptionError, ValidationError
 from crosspool.postproc import sign_quantize, sign_unpack
 from crosspool.svm import (
@@ -93,6 +94,45 @@ def projected_gradient(q, alpha, c):
     grad = q @ alpha - 1.0
     return np.abs(np.where(alpha <= 0.0, np.minimum(grad, 0.0),
                            np.where(alpha >= c, np.maximum(grad, 0.0), grad))).max()
+
+
+def train_per_class(gram, label_sets, c=1.0, tol=1e-4, max_iterations=200):
+    """One-vs-rest training with one dual solve per class, none shared:
+    the dual coefficients, biases and diagnostics of every class."""
+    classes = sorted(set().union(*label_sets))
+    offset = float(np.trace(gram)) / gram.shape[0]
+    augmented = gram + offset
+    dual, biases, diagnostics = [], [], []
+    for name in classes:
+        y = np.where([name in s for s in label_sets], 1.0, -1.0)
+        alpha, gradient, iterations, regularized = _solve_dual(
+            y[:, None] * augmented * y, c, tol, max_iterations
+        )
+        dual.append(alpha * y)
+        biases.append(offset * float(dual[-1].sum()))
+        diagnostics.append({
+            "class": name,
+            "iterations": iterations,
+            "projected_gradient": gradient,
+            "converged": gradient <= tol,
+            "regularized": regularized,
+            "support_vectors": int(np.count_nonzero(alpha)),
+            "bounded_support_vectors": int(np.count_nonzero(alpha >= c)),
+        })
+    return np.stack(dual), np.array(biases), diagnostics
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The Q matrices of the dual solves ``svm_train`` makes."""
+    calls = []
+
+    def counting(q, *args):
+        calls.append(q)
+        return _solve_dual(q, *args)
+
+    monkeypatch.setattr(crosspool.svm, "_solve_dual", counting)
+    return calls
 
 
 def separable_blobs(rng, n_per=10, dim=4, gap=6.0):
@@ -295,6 +335,28 @@ def test_predict_tie_breaks_to_first_class():
     assert svm_predict(tied, np.zeros((2, 2)))[0] == ["b", "b"]
 
 
+@pytest.mark.parametrize("labels,count", [
+    (["pos"] * 8 + ["neg"] * 16, 1),
+    ([f"c{i}" for i in range(3) for _ in range(8)], 3),
+    # "red" and "big" label the same examples, so they share a solve
+    ([{"red", "big"}] * 8 + [{"blue"}] * 8 + [{"green"}] * 8, 3),
+])
+def test_classes_with_one_split_share_a_solve(solves, labels, count):
+    """Classes whose label vectors are equal or negated make one solve,
+    and each class gets exactly what a solve of its own would give."""
+    rng = np.random.default_rng(111)
+    centers = np.array([[8.0, 0.0], [-8.0, 8.0], [0.0, -8.0]])
+    data = np.vstack([rng.normal(size=(8, 2)) + c for c in centers])
+    gram = gram_matrix(FeatureMatrix(data))
+    model = svm_train(gram, labels)
+    assert len(solves) == count
+    label_sets = [{x} if isinstance(x, str) else set(x) for x in labels]
+    dual, biases, diagnostics = train_per_class(gram.values, label_sets)
+    assert model.dual_coeffs.tobytes() == dual.tobytes()
+    assert model.biases.tobytes() == biases.tobytes()
+    assert model.solver == diagnostics
+
+
 def test_multilabel_training():
     rng = np.random.default_rng(102)
     data = np.vstack([
@@ -317,13 +379,22 @@ def test_multilabel_training():
     assert scores[8:].max() < 0
 
 
-def test_sweep_cap_warns():
-    """Stopping at the iteration cap above tol warns, naming class, gradient and tol."""
+def test_sweep_cap_warns(solves):
+    """Stopping at the iteration cap above tol warns, naming class, gradient
+    and tol, once for each class of a solve the two classes share."""
     rng = np.random.default_rng(106)
     mixed = np.vstack([rng.normal(size=(20, 3)) + 0.3, rng.normal(size=(20, 3)) - 0.3])
     gram = gram_matrix(FeatureMatrix(mixed))
+    labels = ["pos"] * 20 + ["neg"] * 20
     with pytest.warns(RuntimeWarning) as record:
-        model = svm_train(gram, ["pos"] * 20 + ["neg"] * 20, max_iterations=1)
+        model = svm_train(gram, labels, max_iterations=1)
+    assert len(solves) == 1
+    dual, biases, diagnostics = train_per_class(
+        gram.values, [{x} for x in labels], max_iterations=1
+    )
+    assert model.dual_coeffs.tobytes() == dual.tobytes()
+    assert model.biases.tobytes() == biases.tobytes()
+    assert model.solver == diagnostics
     messages = sorted(str(w.message) for w in record)
     assert [m.split()[1] for m in messages] == ["'neg'", "'pos'"]
     for message in messages:
