@@ -10,9 +10,12 @@ therefore always yields bitwise-identical activations.
 
 Every stage works on the last three (height, width, depth) axes, so a batch
 of same-shape images stacked as an (N, H, W, D) tensor goes through the
-network in one call.  Convolution is one float64 im2col product over all N
-images, and each image's output is bitwise identical to its own forward
-pass.
+network in one call.  Convolution writes its input into a zeroed float64
+array of the padded shape and takes every window of it as one strided
+view; ``conv_product`` then makes one float64 product of the flattened
+windows and the kernel over all N images, and each image's output is
+bitwise identical to its own forward pass.  The same product computes a
+layer from windows cut elsewhere, such as the pipeline's local features.
 
 Network files are plain text.  Header lines ``input_depth = D`` and
 ``seed = S`` come first, then one line per stage in forward order::
@@ -34,7 +37,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, GeometryError, ValidationError
 from .tensor import ActivationTensor, FeatureMatrix, load_features, save_features
@@ -181,18 +184,38 @@ def _seeded_weights(spec: ConvLayerSpec, seed: int, stage_index: int) -> np.ndar
 def window_stack(data: np.ndarray, window_h: int, window_w: int, stride: int) -> np.ndarray:
     """All stride-spaced (window_h, window_w) patches of an (..., H, W, D) array.
 
-    Returns shape ``lead + (grid_h, grid_w, window_h, window_w, D)`` where
-    position (i, j) holds the patch anchored at row i*stride, column
-    j*stride.
+    Returns one read-only strided view of ``data``, shape ``lead + (grid_h,
+    grid_w, window_h, window_w, D)``, where position (i, j) holds the patch
+    anchored at row i*stride, column j*stride.  The windows must fit.
     """
-    view = sliding_window_view(data, (window_h, window_w), axis=(-3, -2))
-    view = view[..., ::stride, ::stride, :, :, :]
-    # (..., gh, gw, D, wh, ww) -> (..., gh, gw, wh, ww, D)
-    return view.swapaxes(-3, -1).swapaxes(-3, -2)
+    *lead, height, width, depth = data.shape
+    *lead_strides, row, col, channel = data.strides
+    grid = ((height - window_h) // stride + 1, (width - window_w) // stride + 1)
+    return as_strided(
+        data, (*lead, *grid, window_h, window_w, depth),
+        (*lead_strides, row * stride, col * stride, row, col, channel), writeable=False,
+    )
+
+
+def conv_product(windows: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
+    """The layer's float64 output at each window of ``windows``, an array
+    of shape ``lead + (kernel_h*kernel_w*in_depth,)`` whose last axis holds
+    one window flattened in (row, column, channel) order, like the kernel.
+
+    Returns shape ``lead + (out_depth,)``.  Every convolution is this one
+    product.
+    """
+    kernel = layer.weights.reshape(layer.out_depth, -1)
+    cols = windows.reshape(-1, kernel.shape[1]).astype(np.float64, copy=False)
+    return (cols @ kernel.T + layer.bias).reshape(windows.shape[:-1] + (layer.out_depth,))
 
 
 def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTensor:
-    """Zero-padded valid convolution; output is not marked rectified."""
+    """Zero-padded valid convolution; output is not marked rectified.
+
+    The input is written into a zeroed float64 array of the padded shape,
+    whose windows go through ``conv_product``.
+    """
     if tensor.depth != layer.in_depth:
         raise ValidationError(
             f"conv expects input depth {layer.in_depth}, tensor has {tensor.depth}"
@@ -206,16 +229,12 @@ def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTe
             f"{tensor.height}x{tensor.width} (kernel {layer.kernel_h}x{layer.kernel_w}, "
             f"stride {layer.stride}, pad {layer.pad})"
         )
-    data = tensor.data.astype(np.float64)
-    lead = data.shape[:-3]
-    if layer.pad:
-        pad = (layer.pad, layer.pad)
-        data = np.pad(data, ((0, 0),) * len(lead) + (pad, pad, (0, 0)))
+    pad, (height, width) = layer.pad, (tensor.height, tensor.width)
+    data = np.zeros(tensor.data.shape[:-3] + (height + 2 * pad, width + 2 * pad, tensor.depth))
+    data[..., pad : pad + height, pad : pad + width, :] = tensor.data
     patches = window_stack(data, layer.kernel_h, layer.kernel_w, layer.stride)
-    kernel = layer.weights.reshape(layer.out_depth, -1)
-    cols = np.ascontiguousarray(patches).reshape(-1, kernel.shape[1])
-    out = cols @ kernel.T + layer.bias
-    return ActivationTensor(out.reshape(lead + (oh, ow, layer.out_depth)), rectified=False)
+    cols = patches.reshape(patches.shape[:-3] + (-1,))
+    return ActivationTensor(conv_product(cols, layer), rectified=False)
 
 
 def relu_forward(tensor: ActivationTensor) -> ActivationTensor:

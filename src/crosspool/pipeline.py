@@ -21,12 +21,18 @@ metrics exactly.  Timings in the report are informational and vary between
 runs; everything under ``metrics`` and ``dims`` is deterministic for a
 fixed config, manifest, and seed.
 
-No stage holds a whole (count, dim) representation matrix.  The
-representation stage forwards images in batches of about
+The representation stage forwards images in batches of about
 ``FORWARD_BATCH_BYTES`` of part input, one network call and one
-local-feature extraction per same-shape stack of parts, then pools each
-part and writes each image's row into train.fmat or test.fmat as soon as
-it is encoded.  So without PCA it holds one forward batch, its feature
+local-feature extraction per same-shape stack of parts.  The network runs
+only through layer t: each local feature is the input window of one layer
+t+1 unit, so the cross-layer scheme's layer t+1 is one product of the
+feature grids with the second convolution's kernel, followed by a ReLU,
+and holds exactly the units that pooling reads.  Stages past layer t never
+run.  Each part is then pooled and each image's row written into
+train.fmat or test.fmat as soon as it is encoded.
+
+No stage holds a whole (count, dim) representation matrix.  Without PCA
+the representation stage holds one forward batch, its feature
 grids and one row whatever the image count; a PCA config also holds
 every training image's parts until the fit and the encoding are done.
 The kernel stage reads the two files through ``ColumnReader``, one
@@ -64,6 +70,7 @@ from .network import (
     ConvStage,
     NetworkSpec,
     ReluStage,
+    conv_product,
     min_input_extent,
     parse_network_file,
     run_network,
@@ -310,12 +317,10 @@ class _Geometry:
     """Resolved stage indices and window parameters for one layer pair."""
 
     t_index: int            # stage whose output supplies local features
-    t1_index: int           # stage whose output supplies indicator weights
     t1_spec: object         # ConvLayerSpec of the second convolution
     depth_t: int            # channel depth of the local-feature layer
     window: tuple[int, int]
     stride: int
-    offset: int | None      # cross-layer: layer t+1 unit over the first window
 
     @property
     def local_dim(self) -> int:
@@ -343,8 +348,6 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
     stride = config.stride if config.stride is not None else t1_spec.stride
     if window[0] < 1 or window[1] < 1 or stride < 1:
         raise ConfigError("window and stride must be positive")
-    t1_index = t1_conv_index
-    offset = None
     if config.scheme == "cross-layer":
         if t1_conv_index != t_index + 1:
             raise ConfigError(
@@ -361,23 +364,20 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
                 f"stride {stride} must match the second convolution's stride "
                 f"{t1_spec.stride}"
             )
-        if t1_conv_index + 1 < len(net.stages) and isinstance(
+        if not (t1_conv_index + 1 < len(net.stages) and isinstance(
             net.stages[t1_conv_index + 1], ReluStage
-        ):
-            t1_index = t1_conv_index + 1
-        else:
+        )):
             raise ConfigError(
                 "cross-layer pooling needs a ReLU after the second convolution"
             )
-        offset = unit_offset(t1_spec.pad, t1_spec.stride)
+        # without it no layer t+1 unit sits over the first window
+        unit_offset(t1_spec.pad, t1_spec.stride)
     geometry = _Geometry(
         t_index=t_index,
-        t1_index=t1_index,
         t1_spec=t1_spec,
         depth_t=t_spec.out_depth,
         window=window,
         stride=stride,
-        offset=offset,
     )
     if config.scheme == "cross-layer" and config.pca_dim > geometry.local_dim:
         raise ConfigError(
@@ -457,11 +457,15 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
 
     Images are read until their parts hold ``FORWARD_BATCH_BYTES`` of input
     (always at least one image); the batch's parts are stacked by shape,
-    each stack goes through the network in one call, and its layer t
-    output is cut into local features in one more.  Forward seconds go to
+    each stack goes through the network up to layer t in one call, and its
+    layer t output is cut into local features in one more.  For the
+    cross-layer scheme layer t+1 is one ``conv_product`` of the grids and a
+    ReLU: each window is one unit's input, so unit (i, j) sits over window
+    (i, j).  The other schemes get None.  Forward and product seconds go to
     ``timing["extraction"]``, local-feature extraction seconds to
     ``timing["pooling"]``; nothing is timed across a yield.
     """
+    head = NetworkSpec(net.stages[: geometry.t_index + 1], seed=net.seed)
     entries = iter(entries)
     while True:
         batch, held = [], 0
@@ -481,18 +485,15 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
         outputs = {}
         for (_, rectified), members in stacks.items():
             stacked = np.stack([batch[i][j][2].data for i, j in members])
-            result = run_network(ActivationTensor(stacked, rectified=rectified), net)
+            layer_t = run_network(ActivationTensor(stacked, rectified=rectified), head)[-1]
             t0 = time.perf_counter()
-            grids = extract_local_features(
-                result[geometry.t_index], *geometry.window, geometry.stride
-            )
+            grids = extract_local_features(layer_t, *geometry.window, geometry.stride)
             extract_seconds += time.perf_counter() - t0
-            layer_t1 = result[geometry.t1_index]
-            for n, member in enumerate(members):
-                outputs[member] = (
-                    grids[n],
-                    ActivationTensor(layer_t1.data[n], rectified=layer_t1.rectified),
-                )
+            units = [None] * len(members)
+            if config.scheme == "cross-layer":
+                conv = conv_product(grids, geometry.t1_spec).astype(np.float32)
+                units = [ActivationTensor(u, rectified=True) for u in np.maximum(conv, 0.0)]
+            outputs.update(zip(members, zip(grids, units)))
         timing["extraction"] += time.perf_counter() - start - extract_seconds
         timing["pooling"] += extract_seconds
         for i, parts in enumerate(batch):
@@ -502,12 +503,11 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
             ]
 
 
-def _encode_part(grid, layer_t1, resolution, geometry, config, pca_models):
-    """Encode one part's feature grid into a vector under the config's scheme."""
+def _encode_part(grid, layer_t1, resolution, config, pca_models):
+    """Encode one part's feature grid into a vector under the config's
+    scheme; ``layer_t1`` holds the layer t+1 unit over each window."""
     if config.scheme == "cross-layer":
-        vector = cross_layer_pool(
-            grid, layer_t1, geometry.offset, pca=pca_models.get(resolution)
-        )
+        vector = cross_layer_pool(grid, layer_t1, 0, pca=pca_models.get(resolution))
     elif config.scheme == "direct-max":
         vector = direct_max_pool(grid)
     elif config.scheme == "direct-sum-sqrt":
@@ -538,7 +538,7 @@ def _fit_pca_models(images, config):
     return models, time.perf_counter() - start
 
 
-def _represent_images(images, count, geometry, config, pca_models, timing, path):
+def _represent_images(images, count, config, pca_models, timing, path):
     """Encode ``count`` images, each given as its ``_forward_images`` parts,
     into the rows of a matrix file at ``path``; returns the part layout.
 
@@ -556,7 +556,7 @@ def _represent_images(images, count, geometry, config, pca_models, timing, path)
             image_layout = []
             offset = 0
             for label, resolution, grid, layer_t1 in parts:
-                vector = _encode_part(grid, layer_t1, resolution, geometry, config, pca_models)
+                vector = _encode_part(grid, layer_t1, resolution, config, pca_models)
                 chunks.append(vector)
                 image_layout.append([label, offset, vector.size])
                 offset += vector.size
@@ -593,12 +593,12 @@ def _compute_representations(config, manifest, net, geometry, directory):
         train_images = list(train_images)
         pca_models, pca_seconds = _fit_pca_models(train_images, config)
     layout = _represent_images(
-        train_images, len(train_entries), geometry, config, pca_models, timing,
+        train_images, len(train_entries), config, pca_models, timing,
         os.path.join(directory, "train.fmat"),
     )
     test_images = _forward_images(test_entries, net, geometry, config, min_hw, timing)
     test_layout = _represent_images(
-        test_images, len(test_entries), geometry, config, pca_models, timing,
+        test_images, len(test_entries), config, pca_models, timing,
         os.path.join(directory, "test.fmat"),
     )
     if test_layout != layout:

@@ -154,9 +154,14 @@ def pca_project(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
 
 
 def power_normalize(values: np.ndarray) -> np.ndarray:
-    """Signed square root, elementwise: sign(v) * sqrt(|v|)."""
+    """Signed square root, elementwise: sign(v) * sqrt(|v|), as float64.
+
+    Built in one output array; like ``np.sign``, both zeros give +0.0."""
     arr = np.asarray(values, dtype=np.float64)
-    return np.sign(arr) * np.sqrt(np.abs(arr))
+    out = np.abs(arr)
+    np.sqrt(out, out=out)
+    np.negative(out, out=out, where=arr < 0)
+    return out
 
 
 def sign_quantize(values: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ from .errors import (
     ValidationError,
 )
 from .postproc import sign_unpack
-from .tensor import FeatureMatrix, read_header
+from .tensor import read_header
 
 SVM_MAGIC = b"CPSVM001"
 _SVM_HEADER = struct.Struct("<IId")
@@ -189,11 +189,6 @@ def kernels(train: np.ndarray, test: np.ndarray) -> tuple[GramMatrix, np.ndarray
         gram += t @ t.T
         rows += block(test, lo) @ t.T
     return GramMatrix(gram), rows
-
-
-def gram_matrix(reps: FeatureMatrix) -> GramMatrix:
-    """Pairwise inner products of the representation rows."""
-    return kernels(reps.data, reps.data[:0])[0]
 
 
 def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:

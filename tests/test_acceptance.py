@@ -25,7 +25,7 @@ from crosspool.network import ConvLayerSpec, conv_forward, relu_forward
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
 from crosspool.pooling import cross_layer_pool
 from crosspool.postproc import pca_fit, pca_project, sign_quantize, sign_unpack
-from crosspool.svm import GramMatrix, gram_matrix, svm_predict, svm_train
+from crosspool.svm import GramMatrix, kernels, svm_predict, svm_train
 from crosspool.synth import generate
 from crosspool.tensor import ActivationTensor, FeatureMatrix
 from crosspool.multires import ResolutionConfig, partition_blocks
@@ -241,14 +241,14 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     start = time.perf_counter()
     rng = np.random.default_rng(9)
 
-    reps = FeatureMatrix(rng.normal(size=(60, 24)))
-    assert np.array_equal(gram_matrix(reps).values, reps.data @ reps.data.T)
+    reps = rng.normal(size=(60, 24))
+    assert np.array_equal(kernels(reps, reps[:0])[0].values, reps @ reps.T)
     # The pipeline itself is single-threaded; its parallelism is BLAS's, so
     # each run is a fresh process with OpenBLAS held to 1 or 2 threads.
     manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=9)
     src = str(Path(crosspool.__file__).parent.parent)
     for flag in ("--no-quantize", "--quantize"):
-        kernels = []
+        outputs = []
         for threads in ("1", "2"):
             workdir = tmp_path / f"{flag.strip('-')}-{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
@@ -259,13 +259,13 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
                 env=env, check=True, capture_output=True,
             )
             (kernel_dir,) = (workdir / "kernel").iterdir()
-            kernels.append([(kernel_dir / name).read_bytes()
-                            for name in ("gram.fmat", "rows.fmat")])
-        assert kernels[0] == kernels[1]
+            outputs.append([(kernel_dir / name).read_bytes()
+                             for name in ("gram.fmat", "rows.fmat")])
+        assert outputs[0] == outputs[1]
 
     sep = np.vstack([rng.normal(size=(30, 5)) + 4, rng.normal(size=(30, 5)) - 4])
     sep_labels = ["a"] * 30 + ["b"] * 30
-    sep_gram = gram_matrix(FeatureMatrix(sep))
+    sep_gram = kernels(sep, sep[:0])[0]
     sep_model = svm_train(sep_gram, sep_labels)
     sep_preds = svm_predict(sep_model, sep_gram.values)[0]
     train_accuracy = np.mean([p == t for p, t in zip(sep_preds, sep_labels)])
@@ -274,7 +274,7 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     # overlapping 60-point instance scored against a projected-gradient oracle
     mixed = np.vstack([rng.normal(size=(30, 4)) + 0.7, rng.normal(size=(30, 4)) - 0.7])
     labels = ["pos"] * 30 + ["neg"] * 30
-    gram = gram_matrix(FeatureMatrix(mixed))
+    gram = kernels(mixed, mixed[:0])[0]
     model = svm_train(gram, labels, tol=1e-8)
 
     offset = np.trace(gram.values) / gram.n

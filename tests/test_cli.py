@@ -9,7 +9,7 @@ import pytest
 
 from crosspool.cli import main
 from crosspool.postproc import load_sign_stack, save_sign_stack, sign_quantize
-from crosspool.svm import SvmModel, gram_matrix, kernels, load_svm, save_svm
+from crosspool.svm import SvmModel, kernels, load_svm, save_svm
 from crosspool.synth import generate
 from crosspool.tensor import (
     ActivationTensor,
@@ -115,7 +115,8 @@ def test_quantize_and_gram_read_column_blocks(tmp_path, capsys):
     save_features(FeatureMatrix(rng.standard_normal((8, 163837), dtype=np.float32)), reps)
     whole = load_features(reps)
     save_sign_stack(sign_quantize(whole.data), whole.dim, tmp_path / "want.sgns")
-    save_features(FeatureMatrix(gram_matrix(whole).values), tmp_path / "want.fmat")
+    gram = kernels(whole.data, whole.data[:0])[0]
+    save_features(FeatureMatrix(gram.values), tmp_path / "want.fmat")
     del whole
     tracemalloc.start()
     try:

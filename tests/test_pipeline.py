@@ -12,12 +12,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crosspool.network
 import crosspool.pipeline
 import crosspool.svm
 from crosspool.errors import ConfigError, ContractError, ValidationError
 from crosspool.features import extract_local_features
 from crosspool.multires import ResolutionConfig, iter_parts
-from crosspool.network import min_input_extent, parse_network_file, run_network
+from crosspool.network import (
+    ConvLayerSpec,
+    ConvStage,
+    MaxPoolStage,
+    NetworkSpec,
+    ReluStage,
+    min_input_extent,
+    parse_network_file,
+    run_network,
+    write_network_file,
+)
 from crosspool.pipeline import (
     DatasetManifest,
     PipelineConfig,
@@ -26,6 +37,12 @@ from crosspool.pipeline import (
     load_config,
     parse_manifest,
     run_pipeline,
+)
+from crosspool.pooling import (
+    cross_layer_pool,
+    direct_max_pool,
+    direct_sum_sqrt_pool,
+    unit_offset,
 )
 from crosspool.postproc import load_pca
 from crosspool.svm import load_svm
@@ -371,11 +388,44 @@ def test_per_image_total_is_stage_wall_time(dataset, tmp_path):
         assert per_image["total"] * images <= elapsed
 
 
+ORACLE_POOLS = {
+    "cross-layer": cross_layer_pool,
+    "direct-max": lambda grid, *_: direct_max_pool(grid),
+    "direct-sum-sqrt": lambda grid, *_: direct_sum_sqrt_pool(grid),
+}
+
+
+def oracle_row(path, net, config, t_index, t1_index):
+    """One image's representation row from a full forward pass per part:
+    every stage runs, layer t+1 is ``run_network``'s output at
+    ``t1_index``, pooling starts at ``unit_offset(pad, stride)``, and power
+    normalization is ``np.sign(v) * np.sqrt(np.abs(v))``."""
+    conv = net.stages[t1_index - 1].spec
+    offset = unit_offset(conv.pad, conv.stride)
+    chunks = []
+    for _, _, part in iter_parts(load_tensor(path), config.resolution, 1, 1):
+        outputs = run_network(part, net)
+        grid = extract_local_features(
+            outputs[t_index], conv.kernel_h, conv.kernel_w, conv.stride
+        )
+        v = ORACLE_POOLS[config.scheme](grid, outputs[t1_index], offset)
+        chunks.append(np.sign(v) * np.sqrt(np.abs(v)))
+    return np.concatenate(chunks).astype(np.float32)
+
+
+def assert_rows_match_oracle(report, manifest, net, config, t_index, t1_index):
+    for split in ("train", "test"):
+        rows = load_features(f"{report['artifacts']['representations']}/{split}.fmat").data
+        for row, entry in zip(rows, manifest.split(split), strict=True):
+            want = oracle_row(entry.path, net, config, t_index, t1_index)
+            np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
+
+
 def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
     """Parts of several images go through the network in one call per shape,
     each stack's layer t is cut into local features in one more call, and
-    every row equals the one a per-part forward pass gives, bit for bit, on
-    a manifest that mixes 20x20 and 26x26 images."""
+    every row equals the one a full per-part forward pass gives, bit for
+    bit, on a manifest that mixes 20x20 and 26x26 images."""
     sets = []
     for sub, grid in (("small", 6), ("large", 8)):
         path, net_path = generate(tmp_path / sub, n_train=6, n_test=6, seed=grid, grid=grid)
@@ -405,24 +455,64 @@ def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
     assert len(calls) < parts
     assert {shape[1:3] for shape in calls} == {(20, 20), (10, 10), (26, 26), (13, 13)}
     assert extracts == [shape[0] for shape in calls]
+    # synth's network: conv 1x1, relu (layer t), conv 3x3, relu (layer t+1)
+    assert_rows_match_oracle(report, manifest, parse_network_file(net_path), config, 1, 3)
 
+
+@pytest.mark.parametrize(
+    "kernel, stride, pad", [((3, 3), 1, 1), ((3, 3), 2, 2), ((2, 3), 1, 0)]
+)
+def test_representations_match_the_full_forward_pass(
+    tmp_path, monkeypatch, kernel, stride, pad
+):
+    """On a network with biases, a second conv padded or not and strided or
+    not, and stages past layer t+1, every scheme's rows equal the full
+    per-part forward pass's, bit for bit, while the pipeline runs the
+    network only through layer t: the one conv it runs is layer t's."""
+    rng = np.random.default_rng(10 * stride + pad)
+    stages = [
+        ConvStage(ConvLayerSpec(3, 3, 4, 6, pad=1, bias=rng.normal(size=6) / 4)),
+        ReluStage(),
+        ConvStage(ConvLayerSpec(
+            *kernel, 6, 5, stride=stride, pad=pad, bias=rng.normal(size=5) / 4
+        )),
+        ReluStage(),
+        MaxPoolStage(size=2, stride=1),
+        ConvStage(ConvLayerSpec(1, 1, 5, 3)),
+    ]
+    net_path = tmp_path / "net.spec"
+    write_network_file(NetworkSpec(stages, seed=3), net_path)
+    lines = []
+    for i, size in enumerate((11, 11, 11, 11, 9, 9, 9, 9)):
+        image = ActivationTensor(rng.uniform(size=(size, size, 4)))
+        save_tensor(image, tmp_path / f"{i}.tens")
+        lines.append(f"{i}.tens\t{('train', 'test')[i // 2 % 2]}\tc{i % 2}")
+    (tmp_path / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    manifest = parse_manifest(tmp_path / "manifest.tsv")
     net = parse_network_file(net_path)
-    geometry = crosspool.pipeline._resolve_geometry(net, config)
-    for split in ("train", "test"):
-        rows = load_features(f"{report['artifacts']['representations']}/{split}.fmat").data
-        for row, entry in zip(rows, manifest.split(split), strict=True):
-            chunks = []
-            image = load_tensor(entry.path)
-            for _, resolution, part in iter_parts(image, config.resolution, 1, 1):
-                outputs = forward(part, net)
-                grid = extract_local_features(
-                    outputs[geometry.t_index], *geometry.window, geometry.stride
-                )
-                chunks.append(crosspool.pipeline._encode_part(
-                    grid, outputs[geometry.t1_index], resolution, geometry, config, {}
-                ))
-            want = np.concatenate(chunks).astype(np.float32)
-            np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
+
+    convs, forwards = [], []
+    conv_forward = crosspool.network.conv_forward
+    forward = crosspool.pipeline.run_network
+
+    def recorded_conv(tensor, layer):
+        convs.append(layer.out_depth)
+        return conv_forward(tensor, layer)
+
+    def recorded_forward(tensor, spec):
+        forwards.append(len(spec.stages))
+        return forward(tensor, spec)
+
+    monkeypatch.setattr(crosspool.network, "conv_forward", recorded_conv)
+    monkeypatch.setattr(crosspool.pipeline, "run_network", recorded_forward)
+    for scheme in ORACLE_POOLS:
+        config = PipelineConfig(network=str(net_path), scheme=scheme, resolution="both")
+        convs.clear()
+        forwards.clear()
+        report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
+        assert forwards and set(forwards) == {2}
+        assert convs and set(convs) == {6}
+        assert_rows_match_oracle(report, manifest, net, config, 1, 3)
 
 
 def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):

@@ -21,14 +21,12 @@ from crosspool.svm import (
     GramMatrix,
     SvmModel,
     _solve_dual,
-    gram_matrix,
     kernels,
     load_svm,
     save_svm,
     svm_predict,
     svm_train,
 )
-from crosspool.tensor import FeatureMatrix
 
 
 def projected_gradient_oracle(q, c, steps=200000, lr=None):
@@ -146,13 +144,14 @@ def separable_blobs(rng, n_per=10, dim=4, gap=6.0):
 def test_gram_matches_matmul():
     rng = np.random.default_rng(90)
     data = rng.normal(size=(12, 5))
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     np.testing.assert_allclose(gram.values, data @ data.T, rtol=1e-10)
 
 
 def test_gram_positive_semidefinite():
     rng = np.random.default_rng(92)
-    gram = gram_matrix(FeatureMatrix(rng.normal(size=(25, 7))))
+    data = rng.normal(size=(25, 7))
+    gram = kernels(data, data[:0])[0]
     eigs = np.linalg.eigvalsh(gram.values)
     assert eigs.min() >= -1e-6 * max(eigs.max(), 1.0)
 
@@ -162,7 +161,7 @@ def test_kernel_rows_match_gram():
     train = rng.normal(size=(10, 6))
     gram, rows = kernels(train, train)
     np.testing.assert_array_equal(rows, gram.values)
-    np.testing.assert_array_equal(gram.values, gram_matrix(FeatureMatrix(train)).values)
+    np.testing.assert_array_equal(gram.values, kernels(train, train[:0])[0].values)
     queries = rng.normal(size=(4, 6))
     np.testing.assert_allclose(kernels(train, queries)[1], queries @ train.T, rtol=1e-12)
     assert kernels(train, queries[:0])[1].shape == (0, 10)
@@ -237,7 +236,7 @@ def test_gram_requires_symmetry():
 def test_train_separable_perfect():
     rng = np.random.default_rng(95)
     data, labels = separable_blobs(rng)
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     assert svm_predict(model, gram.values)[0] == labels
 
@@ -247,7 +246,7 @@ def test_train_three_class():
     centers = np.array([[8.0, 0.0], [-8.0, 8.0], [0.0, -8.0]])
     data = np.vstack([rng.normal(size=(8, 2)) + c for c in centers])
     labels = [f"c{i}" for i in range(3) for _ in range(8)]
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     assert model.classes == ("c0", "c1", "c2")
     assert svm_predict(model, gram.values)[0] == labels
@@ -257,7 +256,7 @@ def test_xor_is_not_linearly_separable():
     """A linear kernel cannot beat 75 percent on XOR labels."""
     data = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     labels = ["a", "b", "b", "a"]
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels, c=100.0)
     preds = svm_predict(model, gram.values)[0]
     accuracy = np.mean([p == t for p, t in zip(preds, labels)])
@@ -269,7 +268,7 @@ def test_dual_coefficients_feasible():
     data = rng.normal(size=(30, 3))
     labels = list(rng.choice(["u", "v", "w"], size=30))
     c = 0.7
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels, c=c)
     assert np.abs(model.dual_coeffs).max() <= c + 1e-9
 
@@ -277,7 +276,7 @@ def test_dual_coefficients_feasible():
 def test_matches_projected_gradient_oracle():
     rng = np.random.default_rng(98)
     data, labels = separable_blobs(rng, n_per=8, dim=3, gap=2.0)
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     c = 1.0
     model = svm_train(gram, labels, c=c, tol=1e-10)
 
@@ -295,7 +294,7 @@ def test_scale_covariance_power_of_two():
     """Scaling K by s^2 with C/s^2 rescales duals exactly and keeps scores."""
     rng = np.random.default_rng(99)
     data, labels = separable_blobs(rng, n_per=7, dim=4, gap=3.0)
-    base = gram_matrix(FeatureMatrix(data))
+    base = kernels(data, data[:0])[0]
     for s2 in (4.0, 0.25):
         scaled = GramMatrix(base.values * s2)
         m1 = svm_train(base, labels, c=1.0)
@@ -309,7 +308,7 @@ def test_scale_covariance_power_of_two():
 def test_scale_covariance_generic_scale():
     rng = np.random.default_rng(100)
     data, labels = separable_blobs(rng, n_per=7, dim=4, gap=3.0)
-    base = gram_matrix(FeatureMatrix(data))
+    base = kernels(data, data[:0])[0]
     s2 = 2.37
     scaled = GramMatrix(base.values * s2)
     m1 = svm_train(base, labels, c=1.0)
@@ -320,7 +319,7 @@ def test_scale_covariance_generic_scale():
 def test_predict_tie_breaks_to_first_class():
     rng = np.random.default_rng(101)
     data, labels = separable_blobs(rng)
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     zero_row = np.zeros((1, gram.n))
     (label,), (scores,) = svm_predict(model, zero_row)
@@ -347,7 +346,7 @@ def test_classes_with_one_split_share_a_solve(solves, labels, count):
     rng = np.random.default_rng(111)
     centers = np.array([[8.0, 0.0], [-8.0, 8.0], [0.0, -8.0]])
     data = np.vstack([rng.normal(size=(8, 2)) + c for c in centers])
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     assert len(solves) == count
     label_sets = [{x} if isinstance(x, str) else set(x) for x in labels]
@@ -369,7 +368,7 @@ def test_multilabel_training():
         + [frozenset(["blue"])] * 8
         + [frozenset(["red"])] * 8
     )
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     assert set(model.classes) == {"red", "big", "blue"}
     # the "big" classifier must fire on the first blob only
@@ -384,7 +383,7 @@ def test_sweep_cap_warns(solves):
     and tol, once for each class of a solve the two classes share."""
     rng = np.random.default_rng(106)
     mixed = np.vstack([rng.normal(size=(20, 3)) + 0.3, rng.normal(size=(20, 3)) - 0.3])
-    gram = gram_matrix(FeatureMatrix(mixed))
+    gram = kernels(mixed, mixed[:0])[0]
     labels = ["pos"] * 20 + ["neg"] * 20
     with pytest.warns(RuntimeWarning) as record:
         model = svm_train(gram, labels, max_iterations=1)
@@ -408,7 +407,7 @@ def test_solver_gradient_is_measured_at_returned_alpha():
     rng = np.random.default_rng(108)
     data = rng.normal(size=(30, 3))
     y = np.where(data[:, 0] > 0, 1.0, -1.0)
-    _, q = dual_problem(gram_matrix(FeatureMatrix(data)).values, y)
+    _, q = dual_problem(kernels(data, data[:0])[0].values, y)
     for cap in (1, 3, 200):
         alpha, gradient, iterations, _ = _solve_dual(q, 0.5, 1e-4, cap)
         assert 1 <= iterations <= cap
@@ -481,7 +480,7 @@ def test_solver_diagnostics():
     data = rng.normal(size=(30, 3))
     labels = list(rng.choice(["u", "v", "w"], size=30))
     c = 0.7
-    model = svm_train(gram_matrix(FeatureMatrix(data)), labels, c=c)
+    model = svm_train(kernels(data, data[:0])[0], labels, c=c)
     assert [d["class"] for d in model.solver] == list(model.classes)
     for d, beta in zip(model.solver, model.dual_coeffs):
         assert d["converged"] and d["projected_gradient"] <= 1e-4
@@ -496,7 +495,7 @@ def test_converged_solver_does_not_warn():
     data, labels = separable_blobs(rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        svm_train(gram_matrix(FeatureMatrix(data)), labels)
+        svm_train(kernels(data, data[:0])[0], labels)
 
 
 def test_train_requires_two_classes():
@@ -520,7 +519,7 @@ def test_train_bad_c():
 def test_model_round_trip(tmp_path):
     rng = np.random.default_rng(103)
     data, labels = separable_blobs(rng)
-    gram = gram_matrix(FeatureMatrix(data))
+    gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     path = tmp_path / "m.svm"
     save_svm(model, path)
@@ -538,7 +537,7 @@ def test_model_round_trip(tmp_path):
 def test_model_file_truncation(tmp_path):
     rng = np.random.default_rng(104)
     data, labels = separable_blobs(rng, n_per=4)
-    model = svm_train(gram_matrix(FeatureMatrix(data)), labels)
+    model = svm_train(kernels(data, data[:0])[0], labels)
     path = tmp_path / "t.svm"
     save_svm(model, path)
     path.write_bytes(path.read_bytes()[:-4])
@@ -549,7 +548,7 @@ def test_model_file_truncation(tmp_path):
 def test_predict_row_length_checked():
     rng = np.random.default_rng(105)
     data, labels = separable_blobs(rng, n_per=4)
-    model = svm_train(gram_matrix(FeatureMatrix(data)), labels)
+    model = svm_train(kernels(data, data[:0])[0], labels)
     with pytest.raises(ContractError):
         svm_predict(model, np.zeros((1, 5)))
     with pytest.raises(ContractError):
