@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .features import extract_local_features
-from .network import ConvStage, MaxPoolStage, parse_network_file, run_network
+from .network import ConvLayerSpec, MaxPoolStage, parse_network_file, run_network
 from .pipeline import (
     PipelineConfig,
     RESOLUTION_PRESETS,
@@ -54,10 +54,9 @@ from .postproc import (
     save_pca,
     save_sign_stack,
 )
-from .svm import GramMatrix, kernels, load_svm, save_svm, svm_predict, svm_train
+from .svm import kernels, load_svm, save_svm, svm_predict, svm_train
 from .tensor import (
     ColumnReader,
-    FeatureMatrix,
     MATRIX_MAGIC,
     load_features,
     load_tensor,
@@ -90,7 +89,7 @@ def cmd_forward(args) -> int:
     outputs = run_network(tensor, net)
     names = []
     for stage, out in zip(net.stages, outputs):
-        if isinstance(stage, ConvStage):
+        if isinstance(stage, ConvLayerSpec):
             names.append("conv")
         elif isinstance(stage, MaxPoolStage):
             names.append("maxpool")
@@ -111,17 +110,17 @@ def cmd_extract(args) -> int:
     wh, ww = _parse_pair(args.window, "--window")
     grid = extract_local_features(tensor, wh, ww, args.stride)
     gh, gw, dim = grid.shape
-    save_features(FeatureMatrix(grid.reshape(gh * gw, dim)), args.out)
+    save_features(grid.reshape(gh * gw, dim), args.out)
     print(f"{gh * gw} features of dim {dim} ({gh}x{gw} grid) -> {args.out}")
     return 0
 
 
 def cmd_pca_fit(args) -> int:
-    sample = load_features(args.features)
+    sample = load_features(args.features).data
     model = pca_fit(sample, args.dim)
     save_pca(model, args.out)
     kept = float(model.eigenvalues.sum())
-    print(f"fitted {model.output_dim} components on {sample.count} samples "
+    print(f"fitted {model.output_dim} components on {sample.shape[0]} samples "
           f"(retained variance {kept:.6g}) -> {args.out}")
     return 0
 
@@ -152,7 +151,7 @@ def cmd_pool(args) -> int:
         vector = spp_pool(grid, _parse_levels(args.levels))
     if args.power_norm:
         vector = power_normalize(vector)
-    save_features(FeatureMatrix(np.asarray(vector).reshape(1, -1)), args.out)
+    save_features(np.asarray(vector).reshape(1, -1), args.out)
     print(f"pooled vector of dim {np.asarray(vector).size} -> {args.out}")
     return 0
 
@@ -181,8 +180,8 @@ def cmd_gram(args) -> int:
         else:
             raise FormatError(f"{args.reps}: expected a feature matrix or sign stack")
         gram, _ = kernels(reps, np.empty((0, reps.shape[1]), reps.dtype))
-    save_features(FeatureMatrix(gram.values), args.out)
-    print(f"{gram.n}x{gram.n} Gram matrix -> {args.out}")
+    save_features(gram, args.out)
+    print(f"{len(gram)}x{len(gram)} Gram matrix -> {args.out}")
     return 0
 
 
@@ -199,9 +198,11 @@ def _read_labels(path) -> list:
 
 
 def cmd_train(args) -> int:
-    gram = GramMatrix(load_features(args.gram).data.astype(np.float64))
-    labels = _read_labels(args.labels)
-    model = svm_train(gram, labels, c=args.c, tol=args.tol)
+    for flag, value in (("--c", args.c), ("--tol", args.tol)):
+        if not 0 < value <= sys.float_info.max:
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    gram = load_features(args.gram).data
+    model = svm_train(gram, _read_labels(args.labels), c=args.c, tol=args.tol)
     save_svm(model, args.out)
     print(f"trained {len(model.classes)} one-vs-rest classifiers on "
           f"{model.train_count} examples -> {args.out}")

@@ -1,10 +1,12 @@
 """A small deterministic convolutional forward pass.
 
 Only three stage kinds exist: convolution (zero padding, square stride),
-ReLU, and max pooling.  There is no training; weights either come with the
-network definition or are generated from ``NetworkSpec.seed`` by a 32-bit
-linear congruential generator (x -> 1664525*x + 1013904223 mod 2**32) whose
-state is salted per stage with ``seed + 0x9E3779B9 * (stage_index + 1)``.
+ReLU, and max pooling.  ``NetworkSpec.stages`` holds them in forward order
+as plain ``ConvLayerSpec``, ``ReluStage`` and ``MaxPoolStage`` objects.
+There is no training; weights either come with the network definition or
+are generated from ``NetworkSpec.seed`` by a 32-bit linear congruential
+generator (x -> 1664525*x + 1013904223 mod 2**32) whose state is salted
+per stage with ``seed + 0x9E3779B9 * (stage_index + 1)``.
 Each draw is mapped to [-0.5, 0.5); bias defaults to zero.  The same seed
 therefore always yields bitwise-identical activations.
 
@@ -40,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, GeometryError, ValidationError
-from .tensor import ActivationTensor, FeatureMatrix, load_features, save_features
+from .tensor import ActivationTensor, load_features, save_features
 
 LCG_MULTIPLIER = 1664525
 LCG_INCREMENT = 1013904223
@@ -116,11 +118,6 @@ class ConvLayerSpec:
 
 
 @dataclass
-class ConvStage:
-    spec: ConvLayerSpec
-
-
-@dataclass
 class ReluStage:
     pass
 
@@ -145,33 +142,29 @@ class NetworkSpec:
     def __post_init__(self):
         depth = None
         for index, stage in enumerate(self.stages):
-            if isinstance(stage, ConvStage):
-                spec = stage.spec
-                if depth is not None and spec.in_depth != depth:
+            if isinstance(stage, ConvLayerSpec):
+                if depth is not None and stage.in_depth != depth:
                     raise ValidationError(
-                        f"stage {index}: conv expects depth {spec.in_depth}, "
+                        f"stage {index}: conv expects depth {stage.in_depth}, "
                         f"previous stage produces {depth}"
                     )
-                if spec.weights is None:
+                if stage.weights is None:
                     # Never mutate the caller's spec: the same stage object
                     # may be shared with a NetworkSpec under another seed.
-                    spec = dataclasses.replace(
-                        spec, weights=_seeded_weights(spec, self.seed, index)
+                    self.stages[index] = dataclasses.replace(
+                        stage, weights=_seeded_weights(stage, self.seed, index)
                     )
-                    self.stages[index] = ConvStage(spec)
-                depth = spec.out_depth
+                depth = stage.out_depth
             elif not isinstance(stage, (ReluStage, MaxPoolStage)):
                 raise ValidationError(f"stage {index}: unknown stage type {type(stage)!r}")
 
     def conv_stages(self) -> list[tuple[int, ConvLayerSpec]]:
-        return [
-            (i, s.spec) for i, s in enumerate(self.stages) if isinstance(s, ConvStage)
-        ]
+        return [(i, s) for i, s in enumerate(self.stages) if isinstance(s, ConvLayerSpec)]
 
     def input_depth(self) -> int | None:
         for stage in self.stages:
-            if isinstance(stage, ConvStage):
-                return stage.spec.in_depth
+            if isinstance(stage, ConvLayerSpec):
+                return stage.in_depth
         return None
 
 
@@ -264,8 +257,8 @@ def run_network(tensor: ActivationTensor, spec: NetworkSpec) -> list[ActivationT
     outputs = []
     current = tensor
     for stage in spec.stages:
-        if isinstance(stage, ConvStage):
-            current = conv_forward(current, stage.spec)
+        if isinstance(stage, ConvLayerSpec):
+            current = conv_forward(current, stage)
         elif isinstance(stage, ReluStage):
             current = relu_forward(current)
         else:
@@ -278,10 +271,9 @@ def min_input_extent(spec: NetworkSpec) -> tuple[int, int]:
     """Smallest (height, width) for which every stage has a positive output."""
     need_h = need_w = 1
     for stage in reversed(spec.stages):
-        if isinstance(stage, ConvStage):
-            s = stage.spec
-            need_h = max(1, (need_h - 1) * s.stride + s.kernel_h - 2 * s.pad)
-            need_w = max(1, (need_w - 1) * s.stride + s.kernel_w - 2 * s.pad)
+        if isinstance(stage, ConvLayerSpec):
+            need_h = max(1, (need_h - 1) * stage.stride + stage.kernel_h - 2 * stage.pad)
+            need_w = max(1, (need_w - 1) * stage.stride + stage.kernel_w - 2 * stage.pad)
         elif isinstance(stage, MaxPoolStage):
             need_h = (need_h - 1) * stage.stride + stage.size
             need_w = (need_w - 1) * stage.stride + stage.size
@@ -366,13 +358,12 @@ def parse_network_file(path) -> NetworkSpec:
             if "bias" in pairs:
                 bias = load_features(os.path.join(base, pairs["bias"])).data
             try:
-                spec = ConvLayerSpec(
+                stages.append(ConvLayerSpec(
                     kernel_h=kh, kernel_w=kw, in_depth=in_depth, out_depth=out_depth,
                     stride=stride, pad=pad, weights=weights, bias=bias,
-                )
+                ))
             except ValidationError as exc:
                 raise ConfigError(f"{path}:{line_no}: {exc}") from None
-            stages.append(ConvStage(spec))
         elif kind == "relu":
             stages.append(ReluStage())
         elif kind == "maxpool":
@@ -380,7 +371,10 @@ def parse_network_file(path) -> NetworkSpec:
             _reject_unknown_keys(pairs, {"size", "stride"}, line_no, path)
             size = _parse_int(pairs, "size", line_no, path)
             stride = _parse_int(pairs, "stride", line_no, path, default=size)
-            stages.append(MaxPoolStage(size=size, stride=stride))
+            try:
+                stages.append(MaxPoolStage(size=size, stride=stride))
+            except ValidationError as exc:
+                raise ConfigError(f"{path}:{line_no}: {exc}") from None
         else:
             raise ConfigError(f"{path}:{line_no}: unknown stage {kind!r}")
     if not stages:
@@ -393,8 +387,8 @@ def parse_network_file(path) -> NetworkSpec:
 
 def _current_depth(stages, input_depth, line_no, path) -> int:
     for stage in reversed(stages):
-        if isinstance(stage, ConvStage):
-            return stage.spec.out_depth
+        if isinstance(stage, ConvLayerSpec):
+            return stage.out_depth
     if input_depth is None:
         raise ConfigError(f"{path}:{line_no}: first conv needs an input_depth header")
     return input_depth
@@ -410,26 +404,20 @@ def write_network_file(spec: NetworkSpec, path) -> None:
         lines.append(f"input_depth = {depth}")
     lines.append(f"seed = {spec.seed}")
     conv_no = 0
-    for stage in spec.stages:
-        if isinstance(stage, ConvStage):
-            s = stage.spec
+    for s in spec.stages:
+        if isinstance(s, ConvLayerSpec):
             wname = f"{stem}_conv{conv_no}_w.fmat"
             bname = f"{stem}_conv{conv_no}_b.fmat"
-            save_features(
-                FeatureMatrix(s.weights.reshape(s.out_depth, -1)),
-                os.path.join(base, wname),
-            )
-            save_features(
-                FeatureMatrix(s.bias.reshape(1, -1)), os.path.join(base, bname)
-            )
+            save_features(s.weights.reshape(s.out_depth, -1), os.path.join(base, wname))
+            save_features(s.bias.reshape(1, -1), os.path.join(base, bname))
             lines.append(
                 f"conv out_depth={s.out_depth} kernel={s.kernel_h}x{s.kernel_w} "
                 f"stride={s.stride} pad={s.pad} weights={wname} bias={bname}"
             )
             conv_no += 1
-        elif isinstance(stage, ReluStage):
+        elif isinstance(s, ReluStage):
             lines.append("relu")
         else:
-            lines.append(f"maxpool size={stage.size} stride={stage.stride}")
+            lines.append(f"maxpool size={s.size} stride={s.stride}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

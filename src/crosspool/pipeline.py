@@ -67,7 +67,7 @@ from .errors import ConfigError, ContractError, ValidationError
 from .features import extract_local_features
 from .multires import ResolutionConfig, iter_parts
 from .network import (
-    ConvStage,
+    ConvLayerSpec,
     NetworkSpec,
     ReluStage,
     conv_product,
@@ -90,7 +90,6 @@ from .postproc import (
     sign_quantize,
 )
 from .svm import (
-    GramMatrix,
     kernels,
     load_svm,
     save_svm,
@@ -100,7 +99,6 @@ from .svm import (
 from .tensor import (
     ActivationTensor,
     ColumnReader,
-    FeatureMatrix,
     load_features,
     load_tensor,
     matrix_header,
@@ -389,19 +387,18 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
 def network_digest(net: NetworkSpec) -> str:
     h = hashlib.sha256()
     h.update(str(net.seed).encode())
-    for stage in net.stages:
-        if isinstance(stage, ConvStage):
-            s = stage.spec
+    for s in net.stages:
+        if isinstance(s, ConvLayerSpec):
             h.update(
                 f"conv {s.kernel_h} {s.kernel_w} {s.in_depth} {s.out_depth} "
                 f"{s.stride} {s.pad}".encode()
             )
             h.update(s.weights.tobytes())
             h.update(s.bias.tobytes())
-        elif isinstance(stage, ReluStage):
+        elif isinstance(s, ReluStage):
             h.update(b"relu")
         else:
-            h.update(f"maxpool {stage.size} {stage.stride}".encode())
+            h.update(f"maxpool {s.size} {s.stride}".encode())
     return h.hexdigest()
 
 
@@ -534,7 +531,7 @@ def _fit_pca_models(images, config):
             rng = np.random.default_rng(config.seed)
             chosen = rng.choice(stacked.shape[0], config.pca_sample_cap, replace=False)
             stacked = stacked[np.sort(chosen)]
-        models[resolution] = pca_fit(FeatureMatrix(stacked), config.pca_dim)
+        models[resolution] = pca_fit(stacked, config.pca_dim)
     return models, time.perf_counter() - start
 
 
@@ -731,8 +728,8 @@ def run_pipeline(
                 save_sign_stack(test_reps, test.shape[1], os.path.join(tmp, "test.signs"))
             gram, rows = kernels(train_reps, test_reps)
         timing["kernel_seconds"] = time.perf_counter() - t0
-        save_features(FeatureMatrix(gram.values), os.path.join(tmp, "gram.fmat"))
-        save_features(FeatureMatrix(rows), os.path.join(tmp, "rows.fmat"))
+        save_features(gram, os.path.join(tmp, "gram.fmat"))
+        save_features(rows, os.path.join(tmp, "rows.fmat"))
 
     timing.update(kernel_seconds=None, train_seconds=None)
     kernel_key = _key({"stage": "kernel", "parent": rep_key, "quantize": config.quantize})
@@ -740,7 +737,7 @@ def run_pipeline(
     report["artifacts"]["kernel"] = kernel_dir
 
     def build_model(tmp):
-        gram = GramMatrix(load_features(os.path.join(kernel_dir, "gram.fmat")).data)
+        gram = load_features(os.path.join(kernel_dir, "gram.fmat")).data
         t0 = time.perf_counter()
         model = svm_train(
             gram,

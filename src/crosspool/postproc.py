@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RankError, ValidationError
-from .tensor import FeatureMatrix, read_header, read_payload
+from .tensor import read_header, read_payload
 
 SIGN_STACK_MAGIC = b"CPSIGS01"
 PCA_MAGIC = b"CPPCA001"
@@ -101,23 +101,24 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def pca_fit(sample: FeatureMatrix, output_dim: int) -> PcaModel:
-    """Fit by eigendecomposition of the sample covariance (denominator
-    count - 1); raises RankError when the sample cannot support output_dim
-    components."""
-    if sample.count < 2:
-        raise ContractError(f"PCA needs at least 2 samples, got {sample.count}")
+def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
+    """Fit by eigendecomposition of the covariance of a (count, dim) sample
+    (denominator count - 1); raises RankError when the sample cannot support
+    output_dim components."""
+    data = np.asarray(sample, dtype=np.float64)
+    count, dim = data.shape
+    if count < 2:
+        raise ContractError(f"PCA needs at least 2 samples, got {count}")
     if output_dim < 1:
         raise ContractError("PCA output_dim must be positive")
-    limit = min(sample.count - 1, sample.dim)
+    limit = min(count - 1, dim)
     if output_dim > limit:
         raise ContractError(
             f"output_dim {output_dim} exceeds min(count-1, dim) = {limit}"
         )
-    data = sample.data.astype(np.float64, copy=False)
     mean = data.mean(axis=0)
     centered = data - mean
-    cov = centered.T @ centered / (sample.count - 1)
+    cov = centered.T @ centered / (count - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]

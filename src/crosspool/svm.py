@@ -1,12 +1,13 @@
 """Linear classification from precomputed kernels.
 
-``kernels(train, test)`` gives the training Gram matrix and the test rows
-from one pass over column blocks of ``BLOCK_DIMS`` = 4096 dimensions.  The
-inputs' storage says how a block is read: a float matrix's block is upcast
-to float64, and a sign code matrix's block (see ``postproc``; 1024 bytes,
-four dimensions per byte) is unpacked to float32 -1/0/+1.  Each training
-block is built once; ``t @ t.T`` is added into the Gram and ``q @ t.T``
-into the rows.
+``kernels(train, test)`` returns two plain float64 arrays, the (train
+count, train count) Gram matrix and the (test count, train count) test
+rows, from one pass over column blocks of ``BLOCK_DIMS`` = 4096
+dimensions.  The inputs' storage says how a block is read: a float
+matrix's block is upcast to float64, and a sign code matrix's block (see
+``postproc``; 1024 bytes, four dimensions per byte) is unpacked to float32
+-1/0/+1.  Each training block is built once; ``t @ t.T`` is added into the
+Gram and ``q @ t.T`` into the rows.
 
 The sign kernel is exact.  Every partial sum inside a block's float32
 product is an integer of magnitude at most 4096, well below the 2**24 that
@@ -16,6 +17,10 @@ size is a memory bound, since only one block of each split is ever
 unpacked or upcast: count * 4096 values, where the whole matrix would take
 count * dim.  A float kernel of one block is the single product
 ``q @ t.T``; across blocks it differs from that only in float64 rounding.
+
+``svm_train`` takes the Gram matrix as an array and is the one place it
+is checked: square, nonempty, symmetric within 1e-5 of its largest
+magnitude and with a nonnegative diagonal.
 
 Training is one-vs-rest.  Each binary problem is the box-constrained dual
 
@@ -74,6 +79,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -98,28 +104,9 @@ MAX_ITERATIONS = 200
 BLOCK_DIMS = 4096
 
 
-@dataclass
-class GramMatrix:
-    """Symmetric matrix of pairwise representation inner products."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValidationError(f"Gram matrix must be square, got {values.shape}")
-        if values.shape[0] < 1:
-            raise ValidationError("Gram matrix must be nonempty")
-        scale = float(np.abs(values).max())
-        if not np.allclose(values, values.T, atol=1e-5 * max(scale, 1.0)):
-            raise ValidationError("Gram matrix is not symmetric within 1e-5")
-        if float(values.diagonal().min()) < 0.0:
-            raise ValidationError("Gram diagonal must be nonnegative")
-        self.values = values
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value <= sys.float_info.max:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -146,6 +133,9 @@ class SvmModel:
             raise ValidationError("biases must have one entry per class")
         if len(self.classes) < 2:
             raise ValidationError("a model needs at least two classes")
+        _check_positive("regularization C", self.regularization_c)
+        if not (np.isfinite(coeffs).all() and np.isfinite(biases).all()):
+            raise ValidationError("dual coefficients and biases must be finite")
         if coeffs.size and float(np.abs(coeffs).max()) > self.regularization_c + 1e-9:
             raise ValidationError("dual coefficients exceed the box constraint")
         self.dual_coeffs = coeffs
@@ -156,7 +146,7 @@ class SvmModel:
         return self.dual_coeffs.shape[1]
 
 
-def kernels(train: np.ndarray, test: np.ndarray) -> tuple[GramMatrix, np.ndarray]:
+def kernels(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix of the training rows and the (test count, train
     count) inner products of each test row against every training row.
 
@@ -188,7 +178,7 @@ def kernels(train: np.ndarray, test: np.ndarray) -> tuple[GramMatrix, np.ndarray
         t = block(train, lo)
         gram += t @ t.T
         rows += block(test, lo) @ t.T
-    return GramMatrix(gram), rows
+    return gram, rows
 
 
 def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:
@@ -318,13 +308,14 @@ def _solve_dual(q: np.ndarray, c: float, tol: float, max_iterations: int):
 
 
 def svm_train(
-    gram: GramMatrix,
+    gram: np.ndarray,
     labels: Sequence,
     c: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> SvmModel:
-    """Train one-vs-rest classifiers on a precomputed training kernel.
+    """Train one-vs-rest classifiers on a precomputed (n, n) training
+    kernel, checked as the module docstring says.
 
     ``labels`` holds one label per training row, or an iterable of labels
     for multi-label data; a class's binary problem takes every example that
@@ -335,21 +326,29 @@ def svm_train(
     has a projected gradient above ``tol`` raises a RuntimeWarning.  The
     model's ``solver`` holds each class's diagnostics.
     """
-    n = gram.n
+    gram = np.ascontiguousarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValidationError(f"Gram matrix must be square, got {gram.shape}")
+    n = gram.shape[0]
+    if n < 1:
+        raise ValidationError("Gram matrix must be nonempty")
+    scale = float(np.abs(gram).max())
+    if not np.allclose(gram, gram.T, atol=1e-5 * max(scale, 1.0)):
+        raise ValidationError("Gram matrix is not symmetric within 1e-5")
+    if float(gram.diagonal().min()) < 0.0:
+        raise ValidationError("Gram diagonal must be nonnegative")
     if len(labels) != n:
         raise ContractError(f"{len(labels)} labels for {n} kernel rows")
-    if c <= 0.0:
-        raise ValidationError("regularization C must be positive")
-    if tol <= 0.0:
-        raise ValidationError("tolerance must be positive")
+    _check_positive("regularization C", c)
+    _check_positive("tolerance", tol)
     if max_iterations < 1:
         raise ValidationError("the iteration cap must be at least 1")
     label_sets = _normalize_labels(labels)
     classes = sorted(set().union(*label_sets))
     if len(classes) < 2:
         raise ContractError(f"training needs at least 2 classes, got {len(classes)}")
-    offset = float(np.trace(gram.values)) / n
-    augmented = gram.values + offset
+    offset = float(np.trace(gram)) / n
+    augmented = gram + offset
 
     dual, biases, diagnostics = [], [], []
     solves = {}

@@ -31,7 +31,7 @@ import os
 
 import numpy as np
 
-from .network import ConvLayerSpec, ConvStage, NetworkSpec, ReluStage, write_network_file
+from .network import ConvLayerSpec, NetworkSpec, ReluStage, write_network_file
 from .tensor import ActivationTensor, save_tensor
 
 PATTERNS = 3
@@ -48,9 +48,9 @@ def build_network() -> NetworkSpec:
         detectors[k, :, :, PATTERNS + k] = 1.0
     return NetworkSpec(
         stages=[
-            ConvStage(ConvLayerSpec(1, 1, CHANNELS, CHANNELS, weights=identity)),
+            ConvLayerSpec(1, 1, CHANNELS, CHANNELS, weights=identity),
             ReluStage(),
-            ConvStage(ConvLayerSpec(3, 3, CHANNELS, PATTERNS, weights=detectors)),
+            ConvLayerSpec(3, 3, CHANNELS, PATTERNS, weights=detectors),
             ReluStage(),
         ]
     )

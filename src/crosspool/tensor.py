@@ -1,5 +1,11 @@
 """Activation tensors, feature matrices, and their binary containers.
 
+Feature matrices pass between modules as plain (count, dim) arrays.
+``save_features`` takes one and checks that it is 2-D with dim >= 1.
+``load_features`` returns its array as the ``data`` field of
+``FeatureMatrix``, a holder that remains only because the benchmark reads
+``load_features(...).data``.
+
 File layout, shared by both containers (integers are unsigned 32-bit
 little-endian, floats are IEEE 754 binary32 little-endian):
 
@@ -90,28 +96,10 @@ def require_single(tensor: ActivationTensor, what: str) -> None:
 
 @dataclass
 class FeatureMatrix:
-    """A stack of ``count`` feature vectors of identical dimension ``dim``."""
+    """The array ``load_features`` read.  It remains only because
+    ``perfbench/run.py::svm_diagnostics`` reads ``load_features(...).data``."""
 
     data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        arr = np.ascontiguousarray(arr)
-        if arr.ndim != 2:
-            raise ValidationError(f"feature matrix must be 2-d, got shape {arr.shape}")
-        if arr.shape[1] < 1:
-            raise ValidationError("feature dimension must be positive")
-        self.data = arr
-
-    @property
-    def count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
 
 
 def read_header(fh, path, magic: bytes, header: struct.Struct, what: str) -> tuple:
@@ -187,11 +175,17 @@ def matrix_header(count: int, dim: int) -> bytes:
     return MATRIX_MAGIC + _MATRIX_HEADER.pack(count, dim)
 
 
-def save_features(matrix: FeatureMatrix, path) -> None:
+def save_features(matrix: np.ndarray, path) -> None:
+    """Write a (count, dim) array, dim >= 1, as a matrix file."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-d, got shape {matrix.shape}")
+    if matrix.shape[1] < 1:
+        raise ValidationError("feature dimension must be positive")
     # a float32 matrix is written from its own buffer, without a bytes copy
-    payload = matrix.data.astype("<f4", copy=False)
+    payload = np.ascontiguousarray(matrix, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(matrix_header(matrix.count, matrix.dim))
+        fh.write(matrix_header(*matrix.shape))
         fh.write(payload)
 
 

@@ -25,11 +25,11 @@ from crosspool.network import ConvLayerSpec, conv_forward, relu_forward
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
 from crosspool.pooling import cross_layer_pool
 from crosspool.postproc import pca_fit, pca_project, sign_quantize, sign_unpack
-from crosspool.svm import GramMatrix, kernels, svm_predict, svm_train
+from crosspool.svm import kernels, svm_predict, svm_train
 from crosspool.synth import generate
-from crosspool.tensor import ActivationTensor, FeatureMatrix
+from crosspool.tensor import ActivationTensor
 from crosspool.multires import ResolutionConfig, partition_blocks
-from crosspool.network import ConvStage, NetworkSpec, ReluStage, run_network
+from crosspool.network import NetworkSpec, ReluStage, run_network
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_criterion_02_multiresolution_unit_count():
     )
     net = NetworkSpec(
         stages=[
-            ConvStage(ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=3, out_depth=4)),
+            ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=3, out_depth=4),
             ReluStage(),
         ],
         seed=0,
@@ -93,7 +93,7 @@ def test_criterion_03_representation_dimension():
     )
     t1 = relu_forward(conv_forward(t, spec))
     grid = extract_local_features(t, 3, 3, 1)
-    pca = pca_fit(FeatureMatrix(grid.reshape(-1, grid.shape[-1])), 20)
+    pca = pca_fit(grid.reshape(-1, grid.shape[-1]), 20)
     pooled = cross_layer_pool(grid, t1, 0, pca=pca)
     assert pooled.shape == (160,)
     assert time.perf_counter() - start < 1.0
@@ -164,7 +164,7 @@ def test_criterion_05_pca_against_bruteforce():
 
     errors = []
     for dim in (2, 5, 10, 20):
-        model = pca_fit(FeatureMatrix(data), dim)
+        model = pca_fit(data, dim)
         projected = pca_project(model, data)
         variances = projected.var(axis=0, ddof=1)
         np.testing.assert_allclose(variances, oracle_vals[:dim], rtol=1e-4)
@@ -242,7 +242,7 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     rng = np.random.default_rng(9)
 
     reps = rng.normal(size=(60, 24))
-    assert np.array_equal(kernels(reps, reps[:0])[0].values, reps @ reps.T)
+    assert np.array_equal(kernels(reps, reps[:0])[0], reps @ reps.T)
     # The pipeline itself is single-threaded; its parallelism is BLAS's, so
     # each run is a fresh process with OpenBLAS held to 1 or 2 threads.
     manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=9)
@@ -267,7 +267,7 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     sep_labels = ["a"] * 30 + ["b"] * 30
     sep_gram = kernels(sep, sep[:0])[0]
     sep_model = svm_train(sep_gram, sep_labels)
-    sep_preds = svm_predict(sep_model, sep_gram.values)[0]
+    sep_preds = svm_predict(sep_model, sep_gram)[0]
     train_accuracy = np.mean([p == t for p, t in zip(sep_preds, sep_labels)])
     assert train_accuracy == 1.0
 
@@ -277,8 +277,8 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     gram = kernels(mixed, mixed[:0])[0]
     model = svm_train(gram, labels, tol=1e-8)
 
-    offset = np.trace(gram.values) / gram.n
-    augmented = gram.values + offset
+    offset = np.trace(gram) / len(gram)
+    augmented = gram + offset
     agree = np.zeros(60, dtype=bool)
     oracle_scores = {}
     for row, cls in enumerate(model.classes):
@@ -295,7 +295,7 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
         beta = alpha * y
         oracle_scores[cls] = augmented @ beta
     class_list = list(model.classes)
-    predictions = svm_predict(model, gram.values)[0]
+    predictions = svm_predict(model, gram)[0]
     for i in range(60):
         oracle_label = max(class_list, key=lambda c: oracle_scores[c][i])
         agree[i] = oracle_label == predictions[i]

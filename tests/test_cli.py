@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from crosspool.svm import SvmModel, kernels, load_svm, save_svm
 from crosspool.synth import generate
 from crosspool.tensor import (
     ActivationTensor,
-    FeatureMatrix,
     load_features,
     save_features,
     save_tensor,
@@ -42,7 +42,7 @@ def test_run_and_report(dataset, tmp_path, capsys):
     assert "accuracy:" in out
     assert "report:" in out
     report_path = out.rsplit("report:", 1)[1].strip()
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["scheme"] == "cross-layer"
 
 
@@ -103,8 +103,7 @@ def test_forward_and_extract(dataset, tmp_path, capsys):
     )
     assert code == 0
     assert "324 features of dim 54 (18x18 grid)" in capsys.readouterr().out
-    feats = load_features(tmp_path / "feats.fmat")
-    assert feats.count == 18 * 18 and feats.dim == 9 * 6
+    assert load_features(tmp_path / "feats.fmat").data.shape == (18 * 18, 9 * 6)
 
 
 def test_quantize_and_gram_read_column_blocks(tmp_path, capsys):
@@ -112,11 +111,10 @@ def test_quantize_and_gram_read_column_blocks(tmp_path, capsys):
     of the whole-matrix computations and never hold the float matrix."""
     rng = np.random.default_rng(8)
     reps = tmp_path / "reps.fmat"
-    save_features(FeatureMatrix(rng.standard_normal((8, 163837), dtype=np.float32)), reps)
-    whole = load_features(reps)
-    save_sign_stack(sign_quantize(whole.data), whole.dim, tmp_path / "want.sgns")
-    gram = kernels(whole.data, whole.data[:0])[0]
-    save_features(FeatureMatrix(gram.values), tmp_path / "want.fmat")
+    save_features(rng.standard_normal((8, 163837), dtype=np.float32), reps)
+    whole = load_features(reps).data
+    save_sign_stack(sign_quantize(whole), whole.shape[1], tmp_path / "want.sgns")
+    save_features(kernels(whole, whole[:0])[0], tmp_path / "want.fmat")
     del whole
     tracemalloc.start()
     try:
@@ -129,7 +127,7 @@ def test_quantize_and_gram_read_column_blocks(tmp_path, capsys):
     assert (tmp_path / "q.sgns").read_bytes() == (tmp_path / "want.sgns").read_bytes()
     assert (tmp_path / "k.fmat").read_bytes() == (tmp_path / "want.fmat").read_bytes()
     codes, _ = load_sign_stack(tmp_path / "q.sgns")
-    save_features(FeatureMatrix(kernels(codes, codes[:0])[0].values), tmp_path / "wantq.fmat")
+    save_features(kernels(codes, codes[:0])[0], tmp_path / "wantq.fmat")
     assert run_cli("gram", "--reps", tmp_path / "q.sgns", "--out", tmp_path / "kq.fmat") == 0
     assert (tmp_path / "kq.fmat").read_bytes() == (tmp_path / "wantq.fmat").read_bytes()
     assert "8 vectors quantized to 40960 bytes each" in capsys.readouterr().out
@@ -140,20 +138,18 @@ def test_pool_quantize_gram_train_predict_chain(dataset, tmp_path, capsys):
     rng = np.random.default_rng(7)
     reps = tmp_path / "reps.fmat"
     data = np.vstack([rng.normal(size=(6, 8)) + 3, rng.normal(size=(6, 8)) - 3])
-    save_features(FeatureMatrix(data), reps)
+    save_features(data, reps)
 
     assert run_cli("quantize", "--input", reps, "--out", tmp_path / "q.sgns") == 0
     codes, dim = load_sign_stack(tmp_path / "q.sgns")
     assert codes.shape == (12, 2) and dim == 8
 
     assert run_cli("gram", "--reps", reps, "--out", tmp_path / "k.fmat") == 0
-    gram = load_features(tmp_path / "k.fmat")
-    assert gram.count == 12 and gram.dim == 12
+    assert load_features(tmp_path / "k.fmat").data.shape == (12, 12)
 
     assert run_cli("gram", "--reps", tmp_path / "q.sgns",
                    "--out", tmp_path / "kq.fmat") == 0
-    packed_gram = load_features(tmp_path / "kq.fmat")
-    assert packed_gram.data[0, 0] == 8.0
+    assert load_features(tmp_path / "kq.fmat").data[0, 0] == 8.0
 
     labels = tmp_path / "labels.txt"
     labels.write_text("\n".join(["hi"] * 6 + ["lo"] * 6) + "\n")
@@ -171,17 +167,30 @@ def test_pool_quantize_gram_train_predict_chain(dataset, tmp_path, capsys):
     assert got == ["hi"] * 6 + ["lo"] * 6
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--c", "nan"), ("--c", "inf"), ("--c", "0"), ("--tol", "nan"), ("--tol", "-1"),
+])
+def test_exit_code_bad_train_flags(tmp_path, capsys, flag, value):
+    """A C or tolerance that is not positive and finite is a bad flag."""
+    save_features(np.eye(4), tmp_path / "k.fmat")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\na\nb\nb\n")
+    assert run_cli("train", "--gram", tmp_path / "k.fmat", "--labels", labels,
+                   flag, value, "--out", tmp_path / "m.svm") == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "m.svm").exists()
+
+
 def test_pca_fit_and_pool(dataset, tmp_path, capsys):
     rng = np.random.default_rng(8)
     feats = tmp_path / "f.fmat"
-    save_features(FeatureMatrix(rng.normal(size=(50, 6))), feats)
+    save_features(rng.normal(size=(50, 6)), feats)
     assert run_cli("pca-fit", "--features", feats, "--dim", "3",
                    "--out", tmp_path / "m.pca") == 0
 
     assert run_cli("pool", "--scheme", "direct-max", "--features", feats,
                    "--out", tmp_path / "v.fmat") == 0
-    pooled = load_features(tmp_path / "v.fmat")
-    assert pooled.count == 1 and pooled.dim == 6
+    assert load_features(tmp_path / "v.fmat").data.shape == (1, 6)
 
 
 def test_pool_cross_layer_files(tmp_path):
@@ -202,8 +211,7 @@ def test_pool_cross_layer_files(tmp_path):
         "--window", "3x3", "--stride", "1", "--pad", "0",
         "--out", tmp_path / "v.fmat",
     ) == 0
-    pooled = load_features(tmp_path / "v.fmat")
-    assert pooled.dim == (3 * 3 * 2) * 3
+    assert load_features(tmp_path / "v.fmat").data.shape == (1, (3 * 3 * 2) * 3)
 
 
 def test_exit_code_pad_not_aligned_with_stride(tmp_path, capsys):
@@ -344,7 +352,7 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     rng = np.random.default_rng(10)
     line = np.outer(rng.normal(size=30), [1.0, 2.0])
     feats = tmp_path / "f.fmat"
-    save_features(FeatureMatrix(line), feats)
+    save_features(line, feats)
     code = run_cli("pca-fit", "--features", feats, "--dim", "2",
                    "--out", tmp_path / "m.pca")
     assert code == 4
@@ -367,7 +375,7 @@ def test_exit_code_non_utf8_input(dataset, tmp_path, capsys, kind, code, kind_of
         bad.write_bytes(b"a.tens\ttrain\tcat\xff\n")
         argv = [*workdir, "run", "--net", net, "--manifest", bad]
     elif kind == "network":
-        bad.write_bytes(open(net, "rb").read() + b"# \xff\n")
+        bad.write_bytes(Path(net).read_bytes() + b"# \xff\n")
         argv = [*workdir, "run", "--net", bad, "--manifest", manifest]
     elif kind == "config":
         bad.write_bytes(b'{"network": "net.spec", "scheme": "cross-layer\xff"}')
@@ -377,7 +385,7 @@ def test_exit_code_non_utf8_input(dataset, tmp_path, capsys, kind, code, kind_of
         save_svm(model, bad)
         blob = bad.read_bytes()
         bad.write_bytes(blob.replace(b"\x01\x00\x00\x00z", b"\x01\x00\x00\x00\xff"))
-        save_features(FeatureMatrix(np.zeros((1, 3))), tmp_path / "rows.fmat")
+        save_features(np.zeros((1, 3)), tmp_path / "rows.fmat")
         argv = ["predict", "--model", bad, "--rows", tmp_path / "rows.fmat"]
     assert run_cli(*argv) == code
     err = capsys.readouterr().err

@@ -7,7 +7,6 @@ from crosspool.errors import GeometryError, ValidationError
 from crosspool.multires import ResolutionConfig, iter_parts, partition_blocks
 from crosspool.network import (
     ConvLayerSpec,
-    ConvStage,
     NetworkSpec,
     ReluStage,
     min_input_extent,
@@ -128,7 +127,7 @@ def test_iter_parts_blocks_only():
 def small_net():
     return NetworkSpec(
         stages=[
-            ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2)),
+            ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2),
             ReluStage(),
         ],
         seed=4,
@@ -181,7 +180,7 @@ def test_block_grid_doubles_spatial_units():
     blocks = partition_blocks(t, ResolutionConfig(blocks_m=2, blocks_n=2))
     net = NetworkSpec(
         stages=[
-            ConvStage(ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=1, out_depth=2)),
+            ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=1, out_depth=2),
             ReluStage(),
         ],
         seed=1,

@@ -10,7 +10,6 @@ import pytest
 from crosspool.errors import ConfigError, GeometryError, ValidationError
 from crosspool.network import (
     ConvLayerSpec,
-    ConvStage,
     MaxPoolStage,
     NetworkSpec,
     ReluStage,
@@ -175,7 +174,7 @@ def test_maxpool_too_large():
 
 
 def test_seeded_weights_are_deterministic():
-    stages = [ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=4))]
+    stages = [ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=4)]
     a = NetworkSpec(stages=list(stages), seed=7)
     b = NetworkSpec(stages=list(stages), seed=7)
     c = NetworkSpec(stages=list(stages), seed=8)
@@ -190,9 +189,9 @@ def test_seeded_weights_are_deterministic():
 
 def test_seeded_weights_differ_per_stage():
     stages = [
-        ConvStage(ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=2, out_depth=2)),
+        ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=2, out_depth=2),
         ReluStage(),
-        ConvStage(ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=2, out_depth=2)),
+        ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=2, out_depth=2),
     ]
     net = NetworkSpec(stages=stages, seed=0)
     convs = net.conv_stages()
@@ -201,9 +200,9 @@ def test_seeded_weights_differ_per_stage():
 
 def test_network_depth_chain_validated():
     stages = [
-        ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=4)),
+        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=4),
         ReluStage(),
-        ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=5, out_depth=2)),
+        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=5, out_depth=2),
     ]
     with pytest.raises(ValidationError):
         NetworkSpec(stages=stages, seed=0)
@@ -212,7 +211,7 @@ def test_network_depth_chain_validated():
 def test_run_network_stage_outputs():
     rng = np.random.default_rng(3)
     stages = [
-        ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2)),
+        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2),
         ReluStage(),
         MaxPoolStage(size=2, stride=2),
     ]
@@ -235,9 +234,9 @@ def test_batched_forward_matches_per_image(stride, pad, count):
     rng = np.random.default_rng(200 + 10 * stride + pad + count)
     net = NetworkSpec(
         stages=[
-            ConvStage(random_spec(rng, 3, 3, 3, 5, stride=stride, pad=pad)),
+            random_spec(rng, 3, 3, 3, 5, stride=stride, pad=pad),
             ReluStage(),
-            ConvStage(random_spec(rng, 2, 3, 5, 4, pad=pad)),
+            random_spec(rng, 2, 3, 5, 4, pad=pad),
             ReluStage(),
             MaxPoolStage(size=2, stride=1),
         ]
@@ -254,9 +253,9 @@ def test_batched_forward_matches_per_image(stride, pad, count):
 
 def test_min_input_extent():
     stages = [
-        ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2)),
+        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2),
         ReluStage(),
-        ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=2)),
+        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=2),
         ReluStage(),
     ]
     net = NetworkSpec(stages=stages, seed=0)
@@ -270,10 +269,10 @@ def test_min_input_extent():
 def test_parse_network_file_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     stages = [
-        ConvStage(random_spec(rng, 3, 3, 2, 4, stride=1, pad=1)),
+        random_spec(rng, 3, 3, 2, 4, stride=1, pad=1),
         ReluStage(),
         MaxPoolStage(size=2, stride=2),
-        ConvStage(random_spec(rng, 2, 2, 4, 3, stride=2)),
+        random_spec(rng, 2, 2, 4, 3, stride=2),
         ReluStage(),
     ]
     net = NetworkSpec(stages=stages, seed=5)
@@ -299,7 +298,7 @@ def test_parse_network_seeded_weights(tmp_path):
     )
     net = parse_network_file(path)
     expect = NetworkSpec(
-        stages=[ConvStage(ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2)), ReluStage()],
+        stages=[ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2), ReluStage()],
         seed=3,
     )
     np.testing.assert_array_equal(
@@ -314,6 +313,8 @@ def test_parse_network_seeded_weights(tmp_path):
         "input_depth = 1\nconv kernel=3x3\n",                  # missing out_depth
         "input_depth = 1\nconv out_depth=2 kernel=3by3\n",     # bad kernel syntax
         "input_depth = 1\nmaxpool stride=2\n",                 # missing size
+        "input_depth = 1\nmaxpool size=0\n",                   # zero size
+        "input_depth = 1\nmaxpool size=2 stride=0\n",          # zero stride
         "input_depth = 1\nwibble\n",                           # unknown stage
         "input_depth = 1\nconv out_depth=2 kernel=3x3 color=red\n",  # unknown key
     ],

@@ -20,7 +20,6 @@ from crosspool.features import extract_local_features
 from crosspool.multires import ResolutionConfig, iter_parts
 from crosspool.network import (
     ConvLayerSpec,
-    ConvStage,
     MaxPoolStage,
     NetworkSpec,
     ReluStage,
@@ -49,7 +48,6 @@ from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
 from crosspool.tensor import (
     ActivationTensor,
-    FeatureMatrix,
     load_features,
     load_tensor,
     save_tensor,
@@ -400,7 +398,7 @@ def oracle_row(path, net, config, t_index, t1_index):
     every stage runs, layer t+1 is ``run_network``'s output at
     ``t1_index``, pooling starts at ``unit_offset(pad, stride)``, and power
     normalization is ``np.sign(v) * np.sqrt(np.abs(v))``."""
-    conv = net.stages[t1_index - 1].spec
+    conv = net.stages[t1_index - 1]
     offset = unit_offset(conv.pad, conv.stride)
     chunks = []
     for _, _, part in iter_parts(load_tensor(path), config.resolution, 1, 1):
@@ -471,14 +469,14 @@ def test_representations_match_the_full_forward_pass(
     network only through layer t: the one conv it runs is layer t's."""
     rng = np.random.default_rng(10 * stride + pad)
     stages = [
-        ConvStage(ConvLayerSpec(3, 3, 4, 6, pad=1, bias=rng.normal(size=6) / 4)),
+        ConvLayerSpec(3, 3, 4, 6, pad=1, bias=rng.normal(size=6) / 4),
         ReluStage(),
-        ConvStage(ConvLayerSpec(
+        ConvLayerSpec(
             *kernel, 6, 5, stride=stride, pad=pad, bias=rng.normal(size=5) / 4
-        )),
+        ),
         ReluStage(),
         MaxPoolStage(size=2, stride=1),
-        ConvStage(ConvLayerSpec(1, 1, 5, 3)),
+        ConvLayerSpec(1, 1, 5, 3),
     ]
     net_path = tmp_path / "net.spec"
     write_network_file(NetworkSpec(stages, seed=3), net_path)
@@ -523,7 +521,7 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
     fit = crosspool.pipeline.pca_fit
 
     def recorded(sample, dim):
-        samples.append(sample.data)
+        samples.append(sample)
         return fit(sample, dim)
 
     monkeypatch.setattr(crosspool.pipeline, "pca_fit", recorded)
@@ -559,7 +557,7 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
             )
             rows = stacked[np.sort(chosen)]
             assert sample.tobytes() == rows.tobytes()
-            want = fit(FeatureMatrix(rows), config.pca_dim)
+            want = fit(rows, config.pca_dim)
             got = load_pca(os.path.join(rep_dir, f"pca_{resolution}.pca"))
             for name in ("mean", "basis", "eigenvalues"):
                 np.testing.assert_array_equal(
@@ -790,7 +788,7 @@ def test_report_written_to_workdir(dataset, tmp_path):
     config = PipelineConfig(network=net_path, pca_dim=8)
     workdir = tmp_path / "work"
     report = run_pipeline(config, manifest, workdir)
-    on_disk = json.loads(open(report["artifacts"]["report"]).read())
+    on_disk = json.loads(Path(report["artifacts"]["report"]).read_text())
     assert on_disk["metrics"] == report["metrics"]
     assert str(workdir) in report["artifacts"]["report"]
 

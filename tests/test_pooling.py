@@ -13,7 +13,7 @@ from crosspool.pooling import (
     spp_pool,
 )
 from crosspool.postproc import pca_fit
-from crosspool.tensor import ActivationTensor, FeatureMatrix
+from crosspool.tensor import ActivationTensor
 
 
 def pool_oracle(features, weights):
@@ -180,7 +180,7 @@ def test_cross_layer_pool_with_pca():
     t1 = relu_forward(conv_forward(t, spec))
     grid = extract_local_features(t, 3, 3, 1)
     rows = grid.reshape(-1, grid.shape[-1])
-    pca = pca_fit(FeatureMatrix(rows), 5)
+    pca = pca_fit(rows, 5)
     pooled = cross_layer_pool(grid, t1, 0, pca=pca)
     assert pooled.shape == (5 * 3,)
 

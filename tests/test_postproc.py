@@ -26,7 +26,6 @@ from crosspool.postproc import (
     sign_quantize,
     sign_unpack,
 )
-from crosspool.tensor import FeatureMatrix
 
 
 def pca_oracle(data, dim):
@@ -42,7 +41,7 @@ def pca_oracle(data, dim):
 def test_pca_eigenvalues_match_cov_eig():
     rng = np.random.default_rng(70)
     data = rng.normal(size=(300, 8)) @ rng.normal(size=(8, 8))
-    model = pca_fit(FeatureMatrix(data), 8)
+    model = pca_fit(data, 8)
     vals, _ = pca_oracle(data, 8)
     np.testing.assert_allclose(model.eigenvalues, vals, rtol=1e-8, atol=1e-10)
 
@@ -51,7 +50,7 @@ def test_pca_basis_spans_oracle_directions():
     rng = np.random.default_rng(71)
     # distinct variances so eigenvectors are unique up to sign
     data = rng.normal(size=(500, 5)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5])
-    model = pca_fit(FeatureMatrix(data), 5)
+    model = pca_fit(data, 5)
     _, vecs = pca_oracle(data, 5)
     for row, oracle_row in zip(model.basis, vecs):
         dot = abs(np.dot(row, oracle_row))
@@ -62,7 +61,7 @@ def test_pca_sign_convention():
     """The largest-magnitude entry of each basis row is positive."""
     rng = np.random.default_rng(72)
     data = rng.normal(size=(100, 6)) * np.arange(1, 7)
-    model = pca_fit(FeatureMatrix(data), 6)
+    model = pca_fit(data, 6)
     for row in model.basis:
         assert row[np.argmax(np.abs(row))] > 0
 
@@ -73,7 +72,7 @@ def test_pca_line_data():
     ts = rng.normal(size=200)
     direction = np.array([3.0, 4.0]) / 5.0
     data = np.outer(ts, direction) + np.array([10.0, -2.0])
-    model = pca_fit(FeatureMatrix(data), 1)
+    model = pca_fit(data, 1)
     np.testing.assert_allclose(np.abs(model.basis[0]), direction, atol=1e-7)
     np.testing.assert_allclose(model.mean, data.mean(axis=0), atol=1e-7)
     projected = pca_project(model, data)
@@ -85,20 +84,20 @@ def test_pca_rank_error_reports_achievable():
     ts = rng.normal(size=50)
     data = np.outer(ts, [1.0, 2.0, 3.0])
     with pytest.raises(RankError) as info:
-        pca_fit(FeatureMatrix(data), 2)
+        pca_fit(data, 2)
     assert info.value.achievable_rank == 1
 
 
 def test_pca_contract_errors():
     with pytest.raises(ContractError):
-        pca_fit(FeatureMatrix(np.ones((1, 4))), 1)
+        pca_fit(np.ones((1, 4)), 1)
     rng = np.random.default_rng(75)
     data = rng.normal(size=(5, 10))
     # only count-1 = 4 components are estimable from 5 samples
     with pytest.raises(ContractError):
-        pca_fit(FeatureMatrix(data), 5)
+        pca_fit(data, 5)
     # a projection takes (count, input_dim) rows and nothing else
-    model = pca_fit(FeatureMatrix(data), 2)
+    model = pca_fit(data, 2)
     for rows in (data[:, :9], data.reshape(5, 2, 5)):
         with pytest.raises(ContractError):
             pca_project(model, rows)
@@ -107,7 +106,7 @@ def test_pca_contract_errors():
 def test_pca_projection_decorrelated():
     rng = np.random.default_rng(76)
     data = rng.normal(size=(400, 6)) @ rng.normal(size=(6, 6))
-    model = pca_fit(FeatureMatrix(data), 4)
+    model = pca_fit(data, 4)
     projected = pca_project(model, data)
     cov = np.cov(projected, rowvar=False, ddof=1)
     off = cov - np.diag(np.diag(cov))
@@ -120,7 +119,7 @@ def test_pca_reconstruction_error_nonincreasing():
     data = rng.normal(size=(200, 20)) @ rng.normal(size=(20, 20))
     errors = []
     for dim in (2, 5, 10, 20):
-        model = pca_fit(FeatureMatrix(data), dim)
+        model = pca_fit(data, dim)
         projected = pca_project(model, data)
         rebuilt = projected @ model.basis + model.mean
         errors.append(float(np.mean((rebuilt - data) ** 2)))
@@ -130,7 +129,7 @@ def test_pca_reconstruction_error_nonincreasing():
 def test_pca_file_round_trip(tmp_path):
     rng = np.random.default_rng(78)
     data = rng.normal(size=(60, 7))
-    model = pca_fit(FeatureMatrix(data), 3)
+    model = pca_fit(data, 3)
     path = tmp_path / "m.pca"
     save_pca(model, path)
     back = load_pca(path)
@@ -145,7 +144,7 @@ def test_pca_file_round_trip(tmp_path):
 
 def test_pca_file_truncation(tmp_path):
     rng = np.random.default_rng(79)
-    model = pca_fit(FeatureMatrix(rng.normal(size=(30, 4))), 2)
+    model = pca_fit(rng.normal(size=(30, 4)), 2)
     path = tmp_path / "t.pca"
     save_pca(model, path)
     path.write_bytes(path.read_bytes()[:-5])

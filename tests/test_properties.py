@@ -21,7 +21,6 @@ from crosspool.svm import SvmModel, load_svm, save_svm
 from crosspool.tensor import (
     ActivationTensor,
     ColumnReader,
-    FeatureMatrix,
     load_features,
     load_tensor,
     save_features,
@@ -73,7 +72,7 @@ def scratch(tmp_path_factory):
 @given(data=matrices)
 def test_matrix_file_round_trip(scratch, data):
     path = scratch / "m.fmat"
-    save_features(FeatureMatrix(data), path)
+    save_features(data, path)
     back = load_features(path)
     assert back.data.dtype == np.float32
     np.testing.assert_array_equal(back.data.view(np.uint32), data.view(np.uint32))
@@ -132,8 +131,8 @@ def test_svm_file_round_trip(scratch, model):
 def test_truncated_files_rejected(scratch, data, tensor, pca, svm, cut):
     fmat, cols, sgns = scratch / "t.fmat", scratch / "c.fmat", scratch / "t.sgns"
     tens, pcaf, svmf = scratch / "t.tens", scratch / "t.pca", scratch / "t.svm"
-    save_features(FeatureMatrix(data), fmat)
-    save_features(FeatureMatrix(data), cols)
+    save_features(data, fmat)
+    save_features(data, cols)
     save_sign_stack(sign_quantize(data), data.shape[1], sgns)
     save_tensor(tensor, tens)
     save_pca(pca, pcaf)
@@ -145,7 +144,7 @@ def test_truncated_files_rejected(scratch, data, tensor, pca, svm, cut):
         with pytest.raises((CorruptionError, FormatError)):
             load(path)
     # a matrix file with bytes past its payload is rejected as well
-    save_features(FeatureMatrix(data), fmat)
+    save_features(data, fmat)
     with open(fmat, "ab") as fh:
         fh.write(bytes(1 + int(cut * 8)))
     for load in (load_features, ColumnReader):

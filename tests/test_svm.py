@@ -7,6 +7,7 @@ and a cyclic coordinate-descent solver, whose objective the
 interior-point solver must match or beat.
 """
 
+import struct
 import tracemalloc
 import warnings
 
@@ -18,7 +19,6 @@ from crosspool.errors import ContractError, CorruptionError, ValidationError
 from crosspool.postproc import sign_quantize, sign_unpack
 from crosspool.svm import (
     BLOCK_DIMS,
-    GramMatrix,
     SvmModel,
     _solve_dual,
     kernels,
@@ -145,14 +145,14 @@ def test_gram_matches_matmul():
     rng = np.random.default_rng(90)
     data = rng.normal(size=(12, 5))
     gram = kernels(data, data[:0])[0]
-    np.testing.assert_allclose(gram.values, data @ data.T, rtol=1e-10)
+    np.testing.assert_allclose(gram, data @ data.T, rtol=1e-10)
 
 
 def test_gram_positive_semidefinite():
     rng = np.random.default_rng(92)
     data = rng.normal(size=(25, 7))
     gram = kernels(data, data[:0])[0]
-    eigs = np.linalg.eigvalsh(gram.values)
+    eigs = np.linalg.eigvalsh(gram)
     assert eigs.min() >= -1e-6 * max(eigs.max(), 1.0)
 
 
@@ -160,8 +160,8 @@ def test_kernel_rows_match_gram():
     rng = np.random.default_rng(93)
     train = rng.normal(size=(10, 6))
     gram, rows = kernels(train, train)
-    np.testing.assert_array_equal(rows, gram.values)
-    np.testing.assert_array_equal(gram.values, kernels(train, train[:0])[0].values)
+    np.testing.assert_array_equal(rows, gram)
+    np.testing.assert_array_equal(gram, kernels(train, train[:0])[0])
     queries = rng.normal(size=(4, 6))
     np.testing.assert_allclose(kernels(train, queries)[1], queries @ train.T, rtol=1e-12)
     assert kernels(train, queries[:0])[1].shape == (0, 10)
@@ -172,8 +172,8 @@ def test_packed_gram_matches_unpacked_dot():
     codes = sign_quantize(rng.choice([-1.0, 0.0, 1.0], size=(15, 19)))
     gram, rows = kernels(codes, codes[:4])
     dense = sign_unpack(codes).astype(np.float64)
-    np.testing.assert_array_equal(gram.values, dense @ dense.T)
-    np.testing.assert_array_equal(rows, gram.values[:4])
+    np.testing.assert_array_equal(gram, dense @ dense.T)
+    np.testing.assert_array_equal(rows, gram[:4])
 
 
 @pytest.mark.parametrize("dim", [1, 7, BLOCK_DIMS, 2 * BLOCK_DIMS + 13])
@@ -188,12 +188,12 @@ def test_sign_kernel_matches_float_signs(dim):
     x[2] = 0.0
     y[4] = 0.0
     gram, rows = kernels(sign_quantize(x), sign_quantize(y))
-    np.testing.assert_array_equal(gram.values, np.sign(x) @ np.sign(x).T)
+    np.testing.assert_array_equal(gram, np.sign(x) @ np.sign(x).T)
     np.testing.assert_array_equal(rows, np.sign(y) @ np.sign(x).T)
     for dtype in (np.float64, np.float32):
         gram, rows = kernels(x.astype(dtype), y.astype(dtype))
         t, q = (v.astype(dtype).astype(np.float64) for v in (x, y))
-        for got, expect in ((gram.values, t @ t.T), (rows, q @ t.T)):
+        for got, expect in ((gram, t @ t.T), (rows, q @ t.T)):
             if dim <= BLOCK_DIMS:
                 np.testing.assert_array_equal(got, expect)
             else:
@@ -229,8 +229,8 @@ def test_kernels_upcast_one_block_at_a_time():
 
 def test_gram_requires_symmetry():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(ValidationError):
-        GramMatrix(bad)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        svm_train(bad, ["a", "b"])
 
 
 def test_train_separable_perfect():
@@ -238,7 +238,7 @@ def test_train_separable_perfect():
     data, labels = separable_blobs(rng)
     gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
-    assert svm_predict(model, gram.values)[0] == labels
+    assert svm_predict(model, gram)[0] == labels
 
 
 def test_train_three_class():
@@ -249,7 +249,7 @@ def test_train_three_class():
     gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
     assert model.classes == ("c0", "c1", "c2")
-    assert svm_predict(model, gram.values)[0] == labels
+    assert svm_predict(model, gram)[0] == labels
 
 
 def test_xor_is_not_linearly_separable():
@@ -258,7 +258,7 @@ def test_xor_is_not_linearly_separable():
     labels = ["a", "b", "b", "a"]
     gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels, c=100.0)
-    preds = svm_predict(model, gram.values)[0]
+    preds = svm_predict(model, gram)[0]
     accuracy = np.mean([p == t for p, t in zip(preds, labels)])
     assert accuracy <= 0.75
 
@@ -280,10 +280,10 @@ def test_matches_projected_gradient_oracle():
     c = 1.0
     model = svm_train(gram, labels, c=c, tol=1e-10)
 
-    n = gram.n
-    offset = np.trace(gram.values) / n
+    n = len(gram)
+    offset = np.trace(gram) / n
     y = np.array([1.0 if lab == "neg" else -1.0 for lab in labels])
-    q = np.outer(y, y) * (gram.values + offset)
+    q = np.outer(y, y) * (gram + offset)
     alpha = projected_gradient_oracle(q, c)
     # model stores beta = alpha * y for the first class in sorted order ("neg")
     np.testing.assert_allclose(model.dual_coeffs[0], alpha * y, atol=1e-5)
@@ -296,12 +296,12 @@ def test_scale_covariance_power_of_two():
     data, labels = separable_blobs(rng, n_per=7, dim=4, gap=3.0)
     base = kernels(data, data[:0])[0]
     for s2 in (4.0, 0.25):
-        scaled = GramMatrix(base.values * s2)
+        scaled = base * s2
         m1 = svm_train(base, labels, c=1.0)
         m2 = svm_train(scaled, labels, c=1.0 / s2)
         np.testing.assert_array_equal(m1.dual_coeffs, m2.dual_coeffs * s2)
         np.testing.assert_array_equal(
-            svm_predict(m1, base.values)[1], svm_predict(m2, scaled.values)[1]
+            svm_predict(m1, base)[1], svm_predict(m2, scaled)[1]
         )
 
 
@@ -310,7 +310,7 @@ def test_scale_covariance_generic_scale():
     data, labels = separable_blobs(rng, n_per=7, dim=4, gap=3.0)
     base = kernels(data, data[:0])[0]
     s2 = 2.37
-    scaled = GramMatrix(base.values * s2)
+    scaled = base * s2
     m1 = svm_train(base, labels, c=1.0)
     m2 = svm_train(scaled, labels, c=1.0 / s2)
     np.testing.assert_allclose(m1.dual_coeffs, m2.dual_coeffs * s2, atol=1e-6)
@@ -321,7 +321,7 @@ def test_predict_tie_breaks_to_first_class():
     data, labels = separable_blobs(rng)
     gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
-    zero_row = np.zeros((1, gram.n))
+    zero_row = np.zeros((1, len(gram)))
     (label,), (scores,) = svm_predict(model, zero_row)
     # with a zero kernel row the scores reduce to the biases; verify argmax
     expect = model.classes[int(np.argmax(scores))]
@@ -350,7 +350,7 @@ def test_classes_with_one_split_share_a_solve(solves, labels, count):
     model = svm_train(gram, labels)
     assert len(solves) == count
     label_sets = [{x} if isinstance(x, str) else set(x) for x in labels]
-    dual, biases, diagnostics = train_per_class(gram.values, label_sets)
+    dual, biases, diagnostics = train_per_class(gram, label_sets)
     assert model.dual_coeffs.tobytes() == dual.tobytes()
     assert model.biases.tobytes() == biases.tobytes()
     assert model.solver == diagnostics
@@ -373,7 +373,7 @@ def test_multilabel_training():
     assert set(model.classes) == {"red", "big", "blue"}
     # the "big" classifier must fire on the first blob only
     big = model.classes.index("big")
-    scores = svm_predict(model, gram.values)[1][:, big]
+    scores = svm_predict(model, gram)[1][:, big]
     assert scores[:8].min() > 0
     assert scores[8:].max() < 0
 
@@ -389,7 +389,7 @@ def test_sweep_cap_warns(solves):
         model = svm_train(gram, labels, max_iterations=1)
     assert len(solves) == 1
     dual, biases, diagnostics = train_per_class(
-        gram.values, [{x} for x in labels], max_iterations=1
+        gram, [{x} for x in labels], max_iterations=1
     )
     assert model.dual_coeffs.tobytes() == dual.tobytes()
     assert model.biases.tobytes() == biases.tobytes()
@@ -407,7 +407,7 @@ def test_solver_gradient_is_measured_at_returned_alpha():
     rng = np.random.default_rng(108)
     data = rng.normal(size=(30, 3))
     y = np.where(data[:, 0] > 0, 1.0, -1.0)
-    _, q = dual_problem(kernels(data, data[:0])[0].values, y)
+    _, q = dual_problem(kernels(data, data[:0])[0], y)
     for cap in (1, 3, 200):
         alpha, gradient, iterations, _ = _solve_dual(q, 0.5, 1e-4, cap)
         assert 1 <= iterations <= cap
@@ -466,7 +466,7 @@ def test_float32_low_rank_gram_converges():
     labels = [f"c{i % 3}" for i in range(300)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = svm_train(GramMatrix(gram), labels)
+        model = svm_train(gram, labels)
     augmented = gram + np.trace(gram) / 300
     for k, name in enumerate(model.classes):
         y = np.where([lab == name for lab in labels], 1.0, -1.0)
@@ -499,21 +499,29 @@ def test_converged_solver_does_not_warn():
 
 
 def test_train_requires_two_classes():
-    gram = GramMatrix(np.eye(4))
+    gram = np.eye(4)
     with pytest.raises(ContractError):
         svm_train(gram, ["same"] * 4)
 
 
 def test_train_label_count_mismatch():
-    gram = GramMatrix(np.eye(4))
+    gram = np.eye(4)
     with pytest.raises(ContractError):
         svm_train(gram, ["a", "b"])
 
 
 def test_train_bad_c():
-    gram = GramMatrix(np.eye(4))
+    gram = np.eye(4)
     with pytest.raises(ValidationError):
         svm_train(gram, ["a", "a", "b", "b"], c=0.0)
+
+
+@pytest.mark.parametrize("c,tol", [
+    (float("nan"), 1e-4), (float("inf"), 1e-4), (1.0, float("nan")), (1.0, float("inf")),
+])
+def test_train_rejects_non_finite_c_and_tol(c, tol):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        svm_train(np.eye(4), ["a", "a", "b", "b"], c=c, tol=tol)
 
 
 def test_model_round_trip(tmp_path):
@@ -528,21 +536,29 @@ def test_model_round_trip(tmp_path):
     assert back.regularization_c == model.regularization_c
     np.testing.assert_array_equal(back.dual_coeffs, model.dual_coeffs)
     np.testing.assert_array_equal(back.biases, model.biases)
-    labels_a, scores_a = svm_predict(back, gram.values)
-    labels_b, scores_b = svm_predict(model, gram.values)
+    labels_a, scores_a = svm_predict(back, gram)
+    labels_b, scores_b = svm_predict(model, gram)
     assert labels_a == labels_b
     np.testing.assert_array_equal(scores_a, scores_b)
 
 
 def test_model_file_truncation(tmp_path):
+    """A truncated model file, or one whose C or a coefficient is NaN, is
+    rejected on load."""
     rng = np.random.default_rng(104)
     data, labels = separable_blobs(rng, n_per=4)
     model = svm_train(kernels(data, data[:0])[0], labels)
     path = tmp_path / "t.svm"
     save_svm(model, path)
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(CorruptionError):
-        load_svm(path)
+    blob = path.read_bytes()
+    nan = struct.pack("<d", float("nan"))
+    # C sits after the magic and the two counts; the last 8 bytes are a coefficient
+    for bad, error in ((blob[:-4], CorruptionError),
+                       (blob[:16] + nan + blob[24:], ValidationError),
+                       (blob[:-8] + nan, ValidationError)):
+        path.write_bytes(bad)
+        with pytest.raises(error):
+            load_svm(path)
 
 
 def test_predict_row_length_checked():

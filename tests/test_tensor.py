@@ -13,7 +13,6 @@ from crosspool.pooling import cross_layer_pool
 from crosspool.tensor import (
     ActivationTensor,
     ColumnReader,
-    FeatureMatrix,
     load_features,
     load_tensor,
     save_features,
@@ -171,27 +170,30 @@ def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     data = rng.normal(size=(9, 5))
     path = tmp_path / "m.fmat"
-    save_features(FeatureMatrix(data), path)
+    save_features(data, path)
     back = load_features(path)
-    assert back.count == 9 and back.dim == 5
+    assert back.data.shape == (9, 5)
     np.testing.assert_array_equal(back.data, data.astype(np.float32))
 
 
 def test_matrix_empty_count_allowed(tmp_path):
     path = tmp_path / "e.fmat"
-    save_features(FeatureMatrix(np.zeros((0, 3))), path)
+    save_features(np.zeros((0, 3)), path)
     back = load_features(path)
-    assert back.count == 0 and back.dim == 3
+    assert back.data.shape == (0, 3)
 
 
-def test_matrix_zero_dim_rejected():
-    with pytest.raises(ValidationError):
-        FeatureMatrix(np.zeros((3, 0)))
+def test_matrix_zero_dim_rejected(tmp_path):
+    path = tmp_path / "z.fmat"
+    for bad in (np.zeros((3, 0)), np.zeros(3), np.zeros((1, 2, 3))):
+        with pytest.raises(ValidationError):
+            save_features(bad, path)
+    assert not path.exists()
 
 
 def test_matrix_truncation(tmp_path):
     path = tmp_path / "c.fmat"
-    save_features(FeatureMatrix(np.ones((4, 4))), path)
+    save_features(np.ones((4, 4)), path)
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(CorruptionError):
         load_features(path)
@@ -204,7 +206,7 @@ def test_column_reader_blocks_match_load(tmp_path, width):
     rng = np.random.default_rng(22)
     data = rng.standard_normal((3, 8205), dtype=np.float32)
     path = tmp_path / "r.fmat"
-    save_features(FeatureMatrix(data), path)
+    save_features(data, path)
     whole = load_features(path).data
     with ColumnReader(path) as reader:
         assert reader.shape == whole.shape and reader.dtype == whole.dtype
@@ -220,7 +222,7 @@ def test_column_reader_blocks_match_load(tmp_path, width):
 def test_column_reader_holds_one_block(tmp_path):
     """Opening a reader and reading one block never holds the matrix."""
     path = tmp_path / "r.fmat"
-    save_features(FeatureMatrix(np.ones((4, 65536), dtype=np.float32)), path)
+    save_features(np.ones((4, 65536), dtype=np.float32), path)
     tracemalloc.start()
     try:
         with ColumnReader(path) as reader:
@@ -234,7 +236,7 @@ def test_column_reader_holds_one_block(tmp_path):
 
 def test_column_reader_rejects_other_keys(tmp_path):
     path = tmp_path / "r.fmat"
-    save_features(FeatureMatrix(np.ones((2, 5))), path)
+    save_features(np.ones((2, 5)), path)
     with ColumnReader(path) as reader:
         assert reader[:, 4:9].shape == (2, 1) and reader[:, 3:3].shape == (2, 0)
         for key in (slice(0, 1), (0, slice(0, 2)), (slice(None), 1),
