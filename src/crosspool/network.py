@@ -140,6 +140,9 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # Seeded stages go into a list of this spec's own: the caller's list
+        # and its stage objects may be shared with a spec under another seed.
+        self.stages = list(self.stages)
         depth = None
         for index, stage in enumerate(self.stages):
             if isinstance(stage, ConvLayerSpec):
@@ -149,8 +152,6 @@ class NetworkSpec:
                         f"previous stage produces {depth}"
                     )
                 if stage.weights is None:
-                    # Never mutate the caller's spec: the same stage object
-                    # may be shared with a NetworkSpec under another seed.
                     self.stages[index] = dataclasses.replace(
                         stage, weights=_seeded_weights(stage, self.seed, index)
                     )

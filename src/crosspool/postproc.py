@@ -161,7 +161,11 @@ def power_normalize(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     out = np.abs(arr)
     np.sqrt(out, out=out)
-    np.negative(out, out=out, where=arr < 0)
+    if (arr < 0).any():
+        # signed input, as after PCA, takes its signs back in one pass;
+        # adding +0.0 turns the -0.0 that copysign gives into +0.0
+        np.copysign(out, arr, out=out)
+        out += 0.0
     return out
 
 

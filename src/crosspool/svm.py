@@ -42,16 +42,20 @@ coefficients alpha * y, bias, diagnostics and convergence warning.
 The dual is solved by a dense primal-dual interior-point method with
 Mehrotra's predictor-corrector steps.  The upper slack s = C - alpha is a
 variable of its own, since computing C - alpha near the upper bound loses
-it to rounding.  Each iteration solves the Newton matrix
-Q + diag(z_l / alpha + z_u / s), where z_l and z_u are the multipliers of
-the two bounds, with ``np.linalg.solve`` twice: for the predictor and for
-the corrector.  After each step the iterate names a face: a variable sits
-at a bound when that bound's ratio z / distance exceeds Q_ii, a rule that
-keeps its meaning when Q and C are rescaled.  Two candidates are measured,
-the iterate with those variables moved onto their bounds and (once per
-face) the exact minimizer on the face; the solver returns as soon as one
-has a projected gradient within tol, measured at that alpha, and otherwise
-returns the best one it saw, and training warns.
+it to rounding.  The iterate (alpha, s, z_l, z_u), where z_l and z_u are
+the multipliers of the two bounds, is held as the rows of one (4, n)
+array, and so is each Newton direction, so that a step, its length bound
+and its finiteness check are one numpy call each.  Each iteration solves
+the Newton matrix Q + diag(z_l / alpha + z_u / s) with ``np.linalg.solve``
+twice, for the predictor and for the corrector, and makes at most one
+more solve, on a face.  After each step the iterate names a face: a
+variable sits at a bound when that bound's ratio z / distance exceeds
+Q_ii, a rule that keeps its meaning when Q and C are rescaled; the same
+ratios give the next Newton matrix's diagonal.  Two candidates are
+measured, the iterate with those variables moved onto their bounds and
+(once per face) the exact minimizer on the face; the solver returns as
+soon as one has a projected gradient within tol, measured at that alpha,
+and otherwise returns the best one it saw, and training warns.
 
 Gram matrices are read back from float32 files, so a Gram matrix of
 rank r < n carries rounding noise of either sign in its null space and Q
@@ -202,14 +206,14 @@ def _projected_gradient(q: np.ndarray, alpha: np.ndarray, c: float) -> float:
     return float(np.abs(grad).max())
 
 
-def _longest_step(values, deltas) -> float:
-    """Largest t <= 1 that keeps every ``value + t * delta`` nonnegative."""
-    longest = 1.0
-    for value, delta in zip(values, deltas):
-        shrinking = delta < 0.0
-        if shrinking.any():
-            longest = min(longest, float((-value[shrinking] / delta[shrinking]).min()))
-    return longest
+def _longest_step(point, step) -> float:
+    """Largest t <= 1 that keeps every ``point + t * step`` nonnegative.
+
+    Each row bounds t by its own smallest ratio; a row whose ratios hold a
+    NaN bounds nothing, like a row with nothing shrinking."""
+    shrinking = step < 0.0
+    ratios = np.divide(-point, step, out=np.full(point.shape, np.inf), where=shrinking)
+    return float(np.fmin.reduce(ratios.min(axis=1), initial=1.0))
 
 
 def _face_minimizer(q, c, lower, upper) -> np.ndarray | None:
@@ -218,40 +222,50 @@ def _face_minimizer(q, c, lower, upper) -> np.ndarray | None:
     alpha = np.where(upper, c, 0.0)
     free = ~(lower | upper)
     if free.any():
+        rows = q[free]
         try:
-            alpha[free] = np.linalg.solve(q[np.ix_(free, free)], 1.0 - q[free] @ alpha)
+            alpha[free] = np.linalg.solve(rows[:, free], 1.0 - rows @ alpha)
         except np.linalg.LinAlgError:
             return None
     return np.clip(alpha, 0.0, c)
 
 
-def _newton_step(q, point, c, reg):
-    """Mehrotra's predictor-corrector direction at ``point`` = (alpha,
-    slack, z_l, z_u), or None when it is not finite."""
+def _newton_step(q, point, ratio, c, reg):
+    """Mehrotra's predictor-corrector direction at ``point``, the (4, n)
+    rows alpha, slack, z_l and z_u, as another (4, n) array; None when it
+    is not finite.  ``ratio`` holds the rows z_l / alpha and z_u / slack."""
     alpha, slack, z_l, z_u = point
+    x, z = point[:2], point[2:]
     n = alpha.size
-    r_d = q @ alpha - 1.0 - z_l + z_u
+    neg_r_d = -(q @ alpha - 1.0 - z_l + z_u)
     r_p = alpha + slack - c
+    neg_r_p = -r_p
+    # one division gives r_l / alpha and (r_u - z_u r_p) / slack; r_l - 0.0 is r_l
+    shift = np.zeros((2, n))
+    np.multiply(z_u, r_p, out=shift[1])
+    xz = x * z
     mu = (alpha @ z_l + slack @ z_u) / (2 * n)
     newton = q.copy()
-    newton.flat[:: n + 1] += z_l / alpha + z_u / slack + reg
+    newton.ravel()[:: n + 1] += ratio[0] + ratio[1] + reg
 
-    def direction(r_l, r_u):
-        d_alpha = np.linalg.solve(newton, -r_d - r_l / alpha + (r_u - z_u * r_p) / slack)
-        d_slack = -r_p - d_alpha
-        return (d_alpha, d_slack, (-r_l - z_l * d_alpha) / alpha,
-                (-r_u - z_u * d_slack) / slack)
+    def direction(r):
+        scaled = (r - shift) / x
+        d = np.empty((4, n))
+        d[0] = np.linalg.solve(newton, neg_r_d - scaled[0] + scaled[1])
+        np.subtract(neg_r_p, d[0], out=d[1])
+        np.divide(-r - z * d[:2], x, out=d[2:])
+        return d
 
     try:
-        da, ds, dzl, dzu = affine = direction(alpha * z_l, slack * z_u)
+        affine = direction(xz)
         t = _longest_step(point, affine)
-        mu_affine = ((alpha + t * da) @ (z_l + t * dzl)
-                     + (slack + t * ds) @ (z_u + t * dzu)) / (2 * n)
+        trial = point + t * affine
+        mu_affine = (trial[0] @ trial[2] + trial[1] @ trial[3]) / (2 * n)
         target = (mu_affine / mu) ** 3 * mu
-        step = direction(alpha * z_l + da * dzl - target, slack * z_u + ds * dzu - target)
+        step = direction(xz + affine[:2] * affine[2:] - target)
     except np.linalg.LinAlgError:
         return None
-    return step if all(np.isfinite(d).all() for d in step) else None
+    return step if np.isfinite(step).all() else None
 
 
 # an iterate pressed against a bound can overflow z / alpha; the non-finite
@@ -267,34 +281,35 @@ def _solve_dual(q: np.ndarray, c: float, tol: float, max_iterations: int):
     diag = q.diagonal()
     rho = 2.0 * np.sqrt(n) * 2.0**-24 * float(diag.max())
     reg = 0.0
-    alpha = np.full(n, 0.5 * c)
-    slack = np.full(n, 0.5 * c)
-    grad = q @ alpha - 1.0
-    z_l = 1.0 + np.maximum(grad, 0.0)
-    z_u = 1.0 + np.maximum(-grad, 0.0)
-    best, best_gradient = alpha, _projected_gradient(q, alpha, c)
+    point = np.empty((4, n))
+    point[:2] = 0.5 * c
+    grad = q @ point[0] - 1.0
+    point[2] = 1.0 + np.maximum(grad, 0.0)
+    point[3] = 1.0 + np.maximum(-grad, 0.0)
+    ratio = point[2:] / point[:2]
+    best, best_gradient = point[0], _projected_gradient(q, point[0], c)
     faces = set()
     stalls = 0
     iteration = 0
     while iteration < max_iterations and best_gradient > tol:
         iteration += 1
-        point = (alpha, slack, z_l, z_u)
-        step = _newton_step(q, point, c, reg)
+        step = _newton_step(q, point, ratio, c, reg)
         if step is None:
             if reg or not rho:
                 break
             reg = rho
             continue
         t = 0.99 * _longest_step(point, step)
-        alpha, slack, z_l, z_u = (v + t * d for v, d in zip(point, step))
+        point = point + t * step
+        ratio = point[2:] / point[:2]
         stalls = stalls + 1 if t < 0.1 else 0
         if stalls == 3:
             reg = rho
 
-        at_lower, at_upper = z_l / alpha, z_u / slack
-        lower = (at_lower > diag) & (at_lower >= at_upper)
-        upper = (at_upper > diag) & (at_upper > at_lower)
-        candidates = [np.where(lower, 0.0, np.where(upper, c, alpha))]
+        above = ratio > diag
+        lower = above[0] & (ratio[0] >= ratio[1])
+        upper = above[1] & (ratio[1] > ratio[0])
+        candidates = [np.where(lower, 0.0, np.where(upper, c, point[0]))]
         face = (lower.tobytes(), upper.tobytes())
         if face not in faces:
             faces.add(face)

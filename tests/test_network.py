@@ -175,9 +175,10 @@ def test_maxpool_too_large():
 
 def test_seeded_weights_are_deterministic():
     stages = [ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=4)]
-    a = NetworkSpec(stages=list(stages), seed=7)
-    b = NetworkSpec(stages=list(stages), seed=7)
-    c = NetworkSpec(stages=list(stages), seed=8)
+    a = NetworkSpec(stages=stages, seed=7)
+    b = NetworkSpec(stages=stages, seed=7)
+    c = NetworkSpec(stages=stages, seed=8)
+    assert stages[0].weights is None
     wa = a.conv_stages()[0][1].weights
     wb = b.conv_stages()[0][1].weights
     wc = c.conv_stages()[0][1].weights

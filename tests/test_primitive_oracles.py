@@ -60,7 +60,7 @@ def assert_bitwise_equal(got, want):
 def test_power_normalize_matches_sign_times_sqrt(values):
     """Signed zeros, subnormals, infinities, NaNs and the float maximum all
     come out as ``np.sign(v) * np.sqrt(np.abs(v))`` does; both zeros give
-    +0.0, which a ``np.copysign`` form would not."""
+    +0.0, which ``np.copysign`` alone would not."""
     assert_bitwise_equal(power_normalize(values), power_normalize_oracle(values))
 
 

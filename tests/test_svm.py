@@ -4,7 +4,8 @@ The interior-point dual solver is checked against two slow oracles
 optimizing the same box-constrained objective: projected gradient descent,
 which must land on the same stationary point for strictly convex problems,
 and a cyclic coordinate-descent solver, whose objective the
-interior-point solver must match or beat.
+interior-point solver must match or beat.  It must also match, bit for
+bit, the same method written with one array per iterate row.
 """
 
 import struct
@@ -473,6 +474,198 @@ def test_float32_low_rank_gram_converges():
         alpha = model.dual_coeffs[k] * y
         assert projected_gradient(np.outer(y, y) * augmented, alpha, 1.0) <= 1e-4
         assert model.solver[k]["converged"]
+
+
+# The interior-point solver as it stood when the iterate was four separate
+# arrays, one numpy call per row: the reference the (4, n) solver must
+# match bit for bit.  Only the names differ from that code, and the
+# projected gradient is this module's.
+
+
+def longest_step_oracle(values, deltas) -> float:
+    """Largest t <= 1 that keeps every ``value + t * delta`` nonnegative."""
+    longest = 1.0
+    for value, delta in zip(values, deltas):
+        shrinking = delta < 0.0
+        if shrinking.any():
+            longest = min(longest, float((-value[shrinking] / delta[shrinking]).min()))
+    return longest
+
+
+def face_minimizer_oracle(q, c, lower, upper):
+    """The dual's stationary point with ``lower`` at 0 and ``upper`` at C,
+    clipped to the box; None when the free block is singular."""
+    alpha = np.where(upper, c, 0.0)
+    free = ~(lower | upper)
+    if free.any():
+        try:
+            alpha[free] = np.linalg.solve(q[np.ix_(free, free)], 1.0 - q[free] @ alpha)
+        except np.linalg.LinAlgError:
+            return None
+    return np.clip(alpha, 0.0, c)
+
+
+def newton_step_oracle(q, point, c, reg):
+    """Mehrotra's predictor-corrector direction at ``point`` = (alpha,
+    slack, z_l, z_u), or None when it is not finite."""
+    alpha, slack, z_l, z_u = point
+    n = alpha.size
+    r_d = q @ alpha - 1.0 - z_l + z_u
+    r_p = alpha + slack - c
+    mu = (alpha @ z_l + slack @ z_u) / (2 * n)
+    newton = q.copy()
+    newton.flat[:: n + 1] += z_l / alpha + z_u / slack + reg
+
+    def direction(r_l, r_u):
+        d_alpha = np.linalg.solve(newton, -r_d - r_l / alpha + (r_u - z_u * r_p) / slack)
+        d_slack = -r_p - d_alpha
+        return (d_alpha, d_slack, (-r_l - z_l * d_alpha) / alpha,
+                (-r_u - z_u * d_slack) / slack)
+
+    try:
+        da, ds, dzl, dzu = affine = direction(alpha * z_l, slack * z_u)
+        t = longest_step_oracle(point, affine)
+        mu_affine = ((alpha + t * da) @ (z_l + t * dzl)
+                     + (slack + t * ds) @ (z_u + t * dzu)) / (2 * n)
+        target = (mu_affine / mu) ** 3 * mu
+        step = direction(alpha * z_l + da * dzl - target, slack * z_u + ds * dzu - target)
+    except np.linalg.LinAlgError:
+        return None
+    return step if all(np.isfinite(d).all() for d in step) else None
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def solve_dual_oracle(q, c, tol, max_iterations):
+    """Interior-point solve of min 1/2 a'Qa - sum(a) over 0 <= a <= c."""
+    n = q.shape[0]
+    diag = q.diagonal()
+    rho = 2.0 * np.sqrt(n) * 2.0**-24 * float(diag.max())
+    reg = 0.0
+    alpha = np.full(n, 0.5 * c)
+    slack = np.full(n, 0.5 * c)
+    grad = q @ alpha - 1.0
+    z_l = 1.0 + np.maximum(grad, 0.0)
+    z_u = 1.0 + np.maximum(-grad, 0.0)
+    best, best_gradient = alpha, float(projected_gradient(q, alpha, c))
+    faces = set()
+    stalls = 0
+    iteration = 0
+    while iteration < max_iterations and best_gradient > tol:
+        iteration += 1
+        point = (alpha, slack, z_l, z_u)
+        step = newton_step_oracle(q, point, c, reg)
+        if step is None:
+            if reg or not rho:
+                break
+            reg = rho
+            continue
+        t = 0.99 * longest_step_oracle(point, step)
+        alpha, slack, z_l, z_u = (v + t * d for v, d in zip(point, step))
+        stalls = stalls + 1 if t < 0.1 else 0
+        if stalls == 3:
+            reg = rho
+
+        at_lower, at_upper = z_l / alpha, z_u / slack
+        lower = (at_lower > diag) & (at_lower >= at_upper)
+        upper = (at_upper > diag) & (at_upper > at_lower)
+        candidates = [np.where(lower, 0.0, np.where(upper, c, alpha))]
+        face = (lower.tobytes(), upper.tobytes())
+        if face not in faces:
+            faces.add(face)
+            candidates.append(face_minimizer_oracle(q, c, lower, upper))
+        for candidate in candidates:
+            if candidate is not None:
+                gradient = float(projected_gradient(q, candidate, c))
+                if gradient < best_gradient:
+                    best, best_gradient = candidate, gradient
+    return best, best_gradient, iteration, bool(reg)
+
+
+def assert_solves_like_oracle(q, c, max_iterations, tol=1e-4):
+    """The solver's alpha bytes, gradient, iterations and regularization
+    flag equal the oracle's; returns the solver's result."""
+    result = _solve_dual(q, c, tol, max_iterations)
+    alpha, gradient, iterations, regularized = solve_dual_oracle(q, c, tol, max_iterations)
+    assert result[0].tobytes() == alpha.tobytes()
+    assert result[1:] == (gradient, iterations, regularized)
+    return result
+
+
+def solver_battery_case(seed, max_rows=100):
+    """A seeded dual of 2 to ``max_rows`` rows: the Gram of features of
+    rank 1 to 199, rectified and square-rooted for odd seeds, offset by 0,
+    1 or 100 and scaled by 1e-3, 1 or 1e3, rounded through float32 like
+    gram.fmat; with C in [1e-2, 1e2] and an iteration cap of 1, 3 or 200."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_rows + 1))
+    features = rng.normal(size=(n, int(rng.integers(1, 200))))
+    if seed % 2:
+        features = np.sqrt(np.maximum(features, 0.0))
+    features = (features + rng.choice([0.0, 1.0, 100.0])) * 10.0 ** rng.choice([-3, 0, 3])
+    gram = (features @ features.T).astype(np.float32).astype(np.float64)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return dual_problem(gram, y)[1], 10.0 ** rng.uniform(-2.0, 2.0), int(rng.choice([1, 3, 200]))
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_solver_matches_oracle_bitwise(block):
+    """150 seeded duals, 25 per test."""
+    for seed in range(25 * block, 25 * (block + 1)):
+        assert_solves_like_oracle(*solver_battery_case(seed))
+
+
+def test_solver_matches_oracle_when_regularized():
+    """150 rows of rank-2 features offset by 100 and scaled by 1e3: the
+    float32 noise is large against 1 / C, the steps stall, and the + rho I
+    safeguard switches on; the solver stops at its cap above tol."""
+    rng = np.random.default_rng(2)
+    data = low_rank_features(rng, 150, 20, 2, 100.0) * 1e3
+    gram = (data @ data.T).astype(np.float32).astype(np.float64)
+    y = np.where(rng.random(150) < 0.5, 1.0, -1.0)
+    _, gradient, iterations, regularized = assert_solves_like_oracle(
+        dual_problem(gram, y)[1], 1.0, 200
+    )
+    assert regularized and iterations == 200 and gradient > 1e-4
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_solver_matches_oracle_under_small_caps(cap):
+    rng = np.random.default_rng(115)
+    data = rng.normal(size=(40, 6))
+    y = np.where(data[:, 0] > 0, 1.0, -1.0)
+    _, gradient, iterations, _ = assert_solves_like_oracle(
+        dual_problem(data @ data.T, y)[1], 1.0, cap
+    )
+    assert iterations == cap and gradient > 1e-4
+
+
+def test_solver_matches_oracle_on_a_singular_face(monkeypatch):
+    """Every training point twice: a face that frees both copies of a point
+    has two equal rows in its free block, and its exact solve fails."""
+    rng = np.random.default_rng(116)
+    points = rng.integers(-3, 4, size=(10, 3)).astype(np.float64)
+    data = np.vstack([points, points])
+    y = np.tile(np.where(points[:, 0] > 0, 1.0, -1.0), 2)
+    singular = []
+    solve_face = crosspool.svm._face_minimizer
+
+    def face_minimizer(*args):
+        alpha = solve_face(*args)
+        singular.append(alpha is None)
+        return alpha
+
+    monkeypatch.setattr(crosspool.svm, "_face_minimizer", face_minimizer)
+    assert_solves_like_oracle(dual_problem(data @ data.T, y)[1], 1.0, 200)
+    assert any(singular)
+
+
+def test_longest_step_skips_nan_rows_and_rows_with_nothing_shrinking():
+    point = np.array([[1.0, 2.0], [np.nan, 0.1], [1.0, 1.0], [4.0, 3.0]])
+    step = np.array([[-2.0, 1.0], [-1.0, -1.0], [0.0, 1.0], [-1.0, -12.0]])
+    assert crosspool.svm._longest_step(point, step) == 0.25
+    assert longest_step_oracle(point, step) == 0.25
+    assert crosspool.svm._longest_step(point[1:3], step[1:3]) == 1.0
+    assert longest_step_oracle(point[1:3], step[1:3]) == 1.0
 
 
 def test_solver_diagnostics():
