@@ -237,10 +237,6 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["scheme"] = args.scheme
     if args.layer_pair:
         overrides["layer_pair"] = _parse_pair(args.layer_pair, "--layer-pair")
-    if args.window:
-        overrides["window"] = _parse_pair(args.window, "--window")
-    if args.stride is not None:
-        overrides["stride"] = args.stride
     if args.pca_dim is not None:
         overrides["pca_dim"] = args.pca_dim
     if args.levels:
@@ -255,15 +251,12 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["svm_tol"] = args.svm_tol
     if args.seed is not None:
         overrides["seed"] = args.seed
-    resolution = config.resolution
-    if args.resolution:
-        resolution = resolve_resolution(args.resolution)
+    resolution = dataclasses.asdict(resolve_resolution(args.resolution or config.resolution))
     if args.blocks:
-        m, n = _parse_pair(args.blocks, "--blocks")
-        resolution = dataclasses.replace(resolution, blocks_m=m, blocks_n=n)
+        resolution["blocks_m"], resolution["blocks_n"] = _parse_pair(args.blocks, "--blocks")
     if args.overlap is not None:
-        resolution = dataclasses.replace(resolution, overlap_fraction=args.overlap)
-    overrides["resolution"] = resolution
+        resolution["overlap_fraction"] = args.overlap
+    overrides["resolution"] = resolve_resolution(resolution)
     return dataclasses.replace(config, **overrides)
 
 
@@ -331,8 +324,6 @@ def _add_pipeline_flags(sub) -> None:
     sub.add_argument("--manifest", required=True, help="dataset manifest")
     sub.add_argument("--scheme", choices=SCHEMES)
     sub.add_argument("--layer-pair", help="conv ordinals, e.g. 1,2")
-    sub.add_argument("--window", help="window dims, e.g. 3x3")
-    sub.add_argument("--stride", type=int)
     sub.add_argument("--pca-dim", type=int)
     sub.add_argument("--levels", help="spp levels, e.g. 1,2")
     quantize = sub.add_mutually_exclusive_group()

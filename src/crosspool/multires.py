@@ -32,14 +32,19 @@ class ResolutionConfig:
     include_whole_image: bool = True
 
     def __post_init__(self):
+        grid = f"{self.blocks_m}x{self.blocks_n}"
         if self.blocks_m < 0 or self.blocks_n < 0:
-            raise ValidationError("block grid dimensions must be nonnegative")
+            raise ValidationError(f"blocks_m and blocks_n must be nonnegative, got {grid}")
         if (self.blocks_m == 0) != (self.blocks_n == 0):
-            raise ValidationError("block grid dimensions must both be zero or both positive")
+            raise ValidationError(
+                f"blocks_m and blocks_n must both be zero or both positive, got {grid}"
+            )
         if not self.include_whole_image and self.blocks_m * self.blocks_n < 1:
             raise ValidationError("config selects no parts at all")
         if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ValidationError("overlap fraction must lie in [0, 1)")
+            raise ValidationError(
+                f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}"
+            )
 
 
 def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:

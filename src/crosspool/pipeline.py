@@ -130,6 +130,14 @@ def resolve_resolution(value) -> ResolutionConfig:
             )
         return ResolutionConfig(**RESOLUTION_PRESETS[value])
     if isinstance(value, dict):
+        for name, kind, what in (
+            ("blocks_m", numbers.Integral, "an integer"),
+            ("blocks_n", numbers.Integral, "an integer"),
+            ("overlap_fraction", numbers.Real, "a number"),
+            ("include_whole_image", bool, "true or false"),
+        ):
+            if name in value:
+                _typed(f"resolution.{name}", value[name], kind, what)
         try:
             return ResolutionConfig(**value)
         except (TypeError, ValidationError) as exc:
@@ -143,17 +151,16 @@ class PipelineConfig:
 
     ``layer_pair`` names two adjacent convolutions by 1-based ordinal; the
     first one's (rectified) output supplies the local features and the
-    second one's rectified output supplies the indicator weights.
-    ``window`` and ``stride`` default to the second convolution's kernel
-    and stride and, for the cross-layer scheme, must match them.
-    ``pca_dim`` > 0 projects cross-layer local features before pooling;
-    the reference schemes always pool the raw descriptors.
+    second one's rectified output supplies the indicator weights.  Every
+    scheme pools the same local features: the windows of layer t that the
+    second convolution reads, so their size and stride are its kernel and
+    stride.  ``pca_dim`` > 0 projects cross-layer local features before
+    pooling, from a sample of at most ``pca_sample_cap`` of them; the
+    reference schemes always pool the raw descriptors.
     """
 
     network: str
     layer_pair: tuple[int, int] = (1, 2)
-    window: tuple[int, int] | None = None
-    stride: int | None = None
     scheme: str = "cross-layer"
     spp_levels: tuple[int, ...] = (1, 2)
     pca_dim: int = 0
@@ -175,14 +182,18 @@ class PipelineConfig:
         ):
             for name in names:
                 _typed(name, getattr(self, name), kind, what)
-        if self.stride is not None:
-            _typed("stride", self.stride, numbers.Integral, "an integer")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, pick one of {SCHEMES}")
         if self.pca_dim < 0:
             raise ConfigError("pca_dim must be nonnegative")
         if self.pca_sample_cap < 2:
             raise ConfigError("pca_sample_cap must be at least 2")
+        # a fit on n samples yields at most n - 1 components
+        if self.scheme == "cross-layer" and self.pca_sample_cap <= self.pca_dim:
+            raise ConfigError(
+                f"pca_sample_cap must be larger than pca_dim {self.pca_dim}, "
+                f"got {self.pca_sample_cap}"
+            )
         # stored as floats, so that 1 and 1.0 give one model key
         for name in ("svm_c", "svm_tol"):
             value = getattr(self, name)
@@ -196,10 +207,8 @@ class PipelineConfig:
                 f"got {self.layer_pair}"
             )
         self.spp_levels = _integers("spp_levels", self.spp_levels)
-        if not self.spp_levels:
-            raise ConfigError("spp_levels must not be empty")
-        if self.window is not None:
-            self.window = _integers("window", self.window, 2)
+        if not self.spp_levels or min(self.spp_levels) < 1:
+            raise ConfigError(f"spp_levels must be positive integers, got {self.spp_levels}")
         self.resolution = resolve_resolution(self.resolution)
 
 
@@ -236,6 +245,8 @@ def load_config(path) -> PipelineConfig:
     if "network" not in raw:
         raise ConfigError(f"{path}: config needs a 'network' path")
     network = raw.pop("network")
+    if not isinstance(network, str):
+        raise ConfigError(f"network must be a path string, got {network!r}")
     if not os.path.isabs(network):
         network = os.path.join(os.path.dirname(os.path.abspath(path)), network)
     try:
@@ -342,25 +353,11 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
         net.stages[t_conv_index + 1], ReluStage
     ):
         t_index = t_conv_index + 1
-    window = config.window or (t1_spec.kernel_h, t1_spec.kernel_w)
-    stride = config.stride if config.stride is not None else t1_spec.stride
-    if window[0] < 1 or window[1] < 1 or stride < 1:
-        raise ConfigError("window and stride must be positive")
     if config.scheme == "cross-layer":
         if t1_conv_index != t_index + 1:
             raise ConfigError(
                 "cross-layer pooling needs the second convolution to consume the "
                 "first one's output directly"
-            )
-        if window != (t1_spec.kernel_h, t1_spec.kernel_w):
-            raise ConfigError(
-                f"window {window} must match the second convolution's kernel "
-                f"{(t1_spec.kernel_h, t1_spec.kernel_w)}"
-            )
-        if stride != t1_spec.stride:
-            raise ConfigError(
-                f"stride {stride} must match the second convolution's stride "
-                f"{t1_spec.stride}"
             )
         if not (t1_conv_index + 1 < len(net.stages) and isinstance(
             net.stages[t1_conv_index + 1], ReluStage
@@ -374,8 +371,8 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
         t_index=t_index,
         t1_spec=t1_spec,
         depth_t=t_spec.out_depth,
-        window=window,
-        stride=stride,
+        window=(t1_spec.kernel_h, t1_spec.kernel_w),
+        stride=t1_spec.stride,
     )
     if config.scheme == "cross-layer" and config.pca_dim > geometry.local_dim:
         raise ConfigError(
@@ -830,9 +827,10 @@ def compare_schemes(
         raise ContractError("comparing schemes needs at least two of them")
     if len(set(schemes)) != len(schemes):
         raise ContractError("schemes to compare must be distinct")
+    # every variant is checked before the first one runs
+    variants = [dataclasses.replace(config, scheme=scheme) for scheme in schemes]
     rows = []
-    for scheme in schemes:
-        variant = dataclasses.replace(config, scheme=scheme)
+    for scheme, variant in zip(schemes, variants):
         report = run_pipeline(variant, manifest, workdir)
         rows.append(
             {

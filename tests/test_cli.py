@@ -250,9 +250,9 @@ def test_exit_code_config_error(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("layer_pair", 3),
     ("layer_pair", [1, "x"]),
-    ("window", ["a", "b"]),
+    ("pca_sample_cap", 20),
     ("spp_levels", ["a"]),
-    ("stride", "2"),
+    ("spp_levels", [0, 2]),
     ("pca_dim", 2.5),
     ("quantize", "no"),
     ("seed", "abc"),
@@ -261,17 +261,74 @@ def test_exit_code_config_error(dataset, tmp_path, capsys):
     ("svm_c", float("nan")),
     ("svm_tol", float("inf")),
     ("seed", True),
+    ("network", 5),
+    ("network", None),
+    ("resolution", {"blocks_m": 2.5}),
+    ("resolution", {"blocks_m": True}),
+    ("resolution", {"include_whole_image": "no"}),
 ])
 def test_exit_code_config_value_of_wrong_type(dataset, tmp_path, capsys, field, value):
-    """A config value of the wrong JSON type, or a NaN or infinite SVM
-    parameter, is a config error before any stage runs, not a traceback or
-    a silently different run."""
+    """A config value of the wrong JSON type, a NaN or infinite SVM
+    parameter, or a value that no dataset could satisfy (a pyramid level
+    below 1, a PCA sample cap no larger than the 20 components it must
+    yield) is a config error before any stage runs, not a traceback or a
+    silently different run.  A resolution field is named as
+    ``resolution.<field>``."""
     manifest, net, _ = dataset
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"network": net, field: value}))
+    cfg.write_text(json.dumps({"network": net, "pca_dim": 20, field: value}))
     code = run_cli("--workdir", tmp_path / "w", "run", "--config", cfg, "--manifest", manifest)
     assert code == 2
-    assert f"config error: {field} must be" in capsys.readouterr().err
+    name = f"{field}.{next(iter(value))}" if isinstance(value, dict) else field
+    assert f"config error: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--blocks", "0x2", "blocks_m"),
+    ("--overlap", "1.5", "overlap_fraction"),
+])
+def test_exit_code_resolution_flag_out_of_range(dataset, tmp_path, capsys, flag, value, field):
+    """An out-of-range block grid or overlap flag is a config error, as the
+    same value in a config file is."""
+    manifest, net, _ = dataset
+    code = run_cli("--workdir", tmp_path / "w",
+                   "run", "--net", net, "--manifest", manifest, flag, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "w").exists()
+
+
+def test_compare_checks_every_scheme_before_running(dataset, tmp_path, capsys):
+    """A PCA sample cap that only the cross-layer scheme uses is rejected
+    before the direct scheme listed first runs."""
+    manifest, net, _ = dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": net, "scheme": "direct-max",
+                               "pca_dim": 20, "pca_sample_cap": 20}))
+    code = run_cli("--workdir", tmp_path / "w", "compare", "--config", cfg,
+                   "--manifest", manifest, "--schemes", "direct-max,cross-layer")
+    assert code == 2
+    assert "config error: pca_sample_cap must be" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_window_and_stride_come_from_the_network(dataset, tmp_path, capsys):
+    """The local-feature window and stride are the second convolution's
+    kernel and stride: a config file that sets either is rejected as an
+    unknown key, and run has no flag for them."""
+    manifest, net, _ = dataset
+    for key in ("window", "stride"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"network": net, key: None}))
+        code = run_cli("--workdir", tmp_path / "w", "run", "--config", cfg, "--manifest", manifest)
+        assert code == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+    code = run_cli("--workdir", tmp_path / "w",
+                   "run", "--net", net, "--manifest", manifest, "--window", "3x3")
+    assert code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 

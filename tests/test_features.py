@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from crosspool import pipeline
-from crosspool.errors import ConfigError, GeometryError, ValidationError
+from crosspool.errors import GeometryError, ValidationError
 from crosspool.features import extract_local_features
 from crosspool.network import ConvLayerSpec, conv_forward
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
@@ -164,21 +164,6 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     manifest_path, net_path = generate(root, n_train=2, n_test=2, seed=12)
     return parse_manifest(manifest_path), net_path
-
-
-def test_correspondence_window_mismatch(dataset, tmp_path):
-    """A window other than the next kernel has no unit to pair with."""
-    manifest, net_path = dataset
-    config = PipelineConfig(network=net_path, window=(2, 2))
-    with pytest.raises(ConfigError):
-        run_pipeline(config, manifest, tmp_path / "work")
-
-
-def test_correspondence_stride_mismatch(dataset, tmp_path):
-    manifest, net_path = dataset
-    config = PipelineConfig(network=net_path, stride=2)
-    with pytest.raises(ConfigError):
-        run_pipeline(config, manifest, tmp_path / "work")
 
 
 def test_correspondence_divisibility(dataset, tmp_path, monkeypatch):
