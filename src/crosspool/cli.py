@@ -78,9 +78,22 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
 
 def _parse_levels(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        levels = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"--levels expects integers, got {text!r}") from None
+    if not levels or min(levels) < 1:
+        raise ConfigError(f"--levels expects positive integers, got {text!r}")
+    return levels
+
+
+def _parse_window(args) -> tuple[int, int, int]:
+    """``--window`` and ``--stride`` as (window_h, window_w, stride)."""
+    wh, ww = _parse_pair(args.window, "--window")
+    if wh < 1 or ww < 1:
+        raise ConfigError(f"--window must be positive, got {args.window!r}")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be positive, got {args.stride}")
+    return wh, ww, args.stride
 
 
 def cmd_forward(args) -> int:
@@ -106,9 +119,8 @@ def cmd_forward(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    tensor = load_tensor(args.input)
-    wh, ww = _parse_pair(args.window, "--window")
-    grid = extract_local_features(tensor, wh, ww, args.stride)
+    window = _parse_window(args)
+    grid = extract_local_features(load_tensor(args.input), *window)
     gh, gw, dim = grid.shape
     save_features(grid.reshape(gh * gw, dim), args.out)
     print(f"{gh * gw} features of dim {dim} ({gh}x{gw} grid) -> {args.out}")
@@ -126,13 +138,16 @@ def cmd_pca_fit(args) -> int:
 
 
 def cmd_pool(args) -> int:
+    window = _parse_window(args)
+    levels = _parse_levels(args.levels)
+    if args.pad < 0:
+        raise ConfigError(f"--pad must be nonnegative, got {args.pad}")
     if args.scheme == "cross-layer":
         if not args.layer_t or not args.layer_t1:
             raise ConfigError("cross-layer pooling needs --layer-t and --layer-t1")
         layer_t = load_tensor(args.layer_t)
         layer_t1 = load_tensor(args.layer_t1)
-        wh, ww = _parse_pair(args.window, "--window")
-        grid = extract_local_features(layer_t, wh, ww, args.stride)
+        grid = extract_local_features(layer_t, *window)
         pca = load_pca(args.pca) if args.pca else None
         vector = cross_layer_pool(
             grid, layer_t1, unit_offset(args.pad, args.stride), pca=pca
@@ -145,10 +160,8 @@ def cmd_pool(args) -> int:
     else:
         if not args.input:
             raise ConfigError("spp pooling needs --input")
-        tensor = load_tensor(args.input)
-        wh, ww = _parse_pair(args.window, "--window")
-        grid = extract_local_features(tensor, wh, ww, args.stride)
-        vector = spp_pool(grid, _parse_levels(args.levels))
+        grid = extract_local_features(load_tensor(args.input), *window)
+        vector = spp_pool(grid, levels)
     if args.power_norm:
         vector = power_normalize(vector)
     save_features(np.asarray(vector).reshape(1, -1), args.out)

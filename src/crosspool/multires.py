@@ -7,14 +7,15 @@ on each side that faces another block, clamped to the image, so outer edges
 never grow.  The pipeline pushes each part through the network (stacked
 with the same-shape parts of other images) and encodes it on its own; an
 image's vector is the concatenation, with a part table recording (label,
-offset, length).
+offset, length).  Part sizes are not checked here: a part too small for
+the layers that run is rejected by the layer that cannot fit it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GeometryError, ValidationError
+from .errors import ValidationError
 from .tensor import ActivationTensor, require_single
 
 
@@ -45,6 +46,8 @@ class ResolutionConfig:
             raise ValidationError(
                 f"overlap_fraction must lie in [0, 1), got {self.overlap_fraction}"
             )
+        # stored as a float, so that 0 and 0.0 give one representation key
+        self.overlap_fraction = float(self.overlap_fraction)
 
 
 def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:
@@ -65,49 +68,28 @@ def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:
 
 
 def partition_blocks(
-    image: ActivationTensor,
-    config: ResolutionConfig,
-    min_h: int = 1,
-    min_w: int = 1,
+    image: ActivationTensor, config: ResolutionConfig
 ) -> list[tuple[tuple[int, int], ActivationTensor]]:
     """Cut the image into the config's block grid, keyed (i, j) row-major."""
     row_spans = _edges(image.height, config.blocks_m, config.overlap_fraction)
     col_spans = _edges(image.width, config.blocks_n, config.overlap_fraction)
-    blocks = []
-    for i, (r0, r1) in enumerate(row_spans):
-        for j, (c0, c1) in enumerate(col_spans):
-            if r1 - r0 < min_h or c1 - c0 < min_w:
-                raise GeometryError(
-                    f"block {r1 - r0}x{c1 - c0} is smaller than the required "
-                    f"{min_h}x{min_w}"
-                )
-            blocks.append(
-                (
-                    (i, j),
-                    ActivationTensor(image.data[r0:r1, c0:c1], rectified=image.rectified),
-                )
-            )
-    return blocks
+    return [
+        ((i, j), ActivationTensor(image.data[r0:r1, c0:c1], rectified=image.rectified))
+        for i, (r0, r1) in enumerate(row_spans)
+        for j, (c0, c1) in enumerate(col_spans)
+    ]
 
 
 def iter_parts(
-    image: ActivationTensor,
-    config: ResolutionConfig,
-    min_h: int = 1,
-    min_w: int = 1,
+    image: ActivationTensor, config: ResolutionConfig
 ) -> list[tuple[str, str, ActivationTensor]]:
     """(label, resolution, tensor) triples: the whole image first when
     included, then blocks row-major."""
     require_single(image, "iter_parts")
     parts = []
     if config.include_whole_image:
-        if image.height < min_h or image.width < min_w:
-            raise GeometryError(
-                f"image {image.height}x{image.width} is smaller than the required "
-                f"{min_h}x{min_w}"
-            )
         parts.append(("whole", "whole", image))
-    for (i, j), block in partition_blocks(image, config, min_h=min_h, min_w=min_w):
+    for (i, j), block in partition_blocks(image, config):
         parts.append((f"block({i},{j})", "block", block))
     return parts
 

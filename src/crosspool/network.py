@@ -268,19 +268,6 @@ def run_network(tensor: ActivationTensor, spec: NetworkSpec) -> list[ActivationT
     return outputs
 
 
-def min_input_extent(spec: NetworkSpec) -> tuple[int, int]:
-    """Smallest (height, width) for which every stage has a positive output."""
-    need_h = need_w = 1
-    for stage in reversed(spec.stages):
-        if isinstance(stage, ConvLayerSpec):
-            need_h = max(1, (need_h - 1) * stage.stride + stage.kernel_h - 2 * stage.pad)
-            need_w = max(1, (need_w - 1) * stage.stride + stage.kernel_w - 2 * stage.pad)
-        elif isinstance(stage, MaxPoolStage):
-            need_h = (need_h - 1) * stage.stride + stage.size
-            need_w = (need_w - 1) * stage.stride + stage.size
-    return need_h, need_w
-
-
 def _parse_tokens(tokens: list[str], line_no: int, path) -> dict:
     pairs = {}
     for token in tokens:

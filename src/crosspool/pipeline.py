@@ -71,7 +71,6 @@ from .network import (
     NetworkSpec,
     ReluStage,
     conv_product,
-    min_input_extent,
     parse_network_file,
     run_network,
 )
@@ -321,22 +320,10 @@ def parse_manifest(path) -> DatasetManifest:
     return DatasetManifest(entries=entries)
 
 
-@dataclass
-class _Geometry:
-    """Resolved stage indices and window parameters for one layer pair."""
-
-    t_index: int            # stage whose output supplies local features
-    t1_spec: object         # ConvLayerSpec of the second convolution
-    depth_t: int            # channel depth of the local-feature layer
-    window: tuple[int, int]
-    stride: int
-
-    @property
-    def local_dim(self) -> int:
-        return self.window[0] * self.window[1] * self.depth_t
-
-
-def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
+def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> tuple[int, ConvLayerSpec]:
+    """The index of the stage whose output is layer t, and the second
+    convolution, whose kernel and stride are the local features' window
+    and stride."""
     convs = net.conv_stages()
     first, second = config.layer_pair
     if not 1 <= first < second <= len(convs):
@@ -346,13 +333,10 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
         )
     if second != first + 1:
         raise ConfigError("layer pair must name adjacent convolutions")
-    t_conv_index, t_spec = convs[first - 1]
+    t_index = convs[first - 1][0]
+    if t_index + 1 < len(net.stages) and isinstance(net.stages[t_index + 1], ReluStage):
+        t_index += 1
     t1_conv_index, t1_spec = convs[second - 1]
-    t_index = t_conv_index
-    if t_conv_index + 1 < len(net.stages) and isinstance(
-        net.stages[t_conv_index + 1], ReluStage
-    ):
-        t_index = t_conv_index + 1
     if config.scheme == "cross-layer":
         if t1_conv_index != t_index + 1:
             raise ConfigError(
@@ -367,18 +351,10 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> _Geometry:
             )
         # without it no layer t+1 unit sits over the first window
         unit_offset(t1_spec.pad, t1_spec.stride)
-    geometry = _Geometry(
-        t_index=t_index,
-        t1_spec=t1_spec,
-        depth_t=t_spec.out_depth,
-        window=(t1_spec.kernel_h, t1_spec.kernel_w),
-        stride=t1_spec.stride,
-    )
-    if config.scheme == "cross-layer" and config.pca_dim > geometry.local_dim:
-        raise ConfigError(
-            f"pca_dim {config.pca_dim} exceeds local feature dim {geometry.local_dim}"
-        )
-    return geometry
+    local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
+    if config.scheme == "cross-layer" and config.pca_dim > local_dim:
+        raise ConfigError(f"pca_dim {config.pca_dim} exceeds local feature dim {local_dim}")
+    return t_index, t1_spec
 
 
 def network_digest(net: NetworkSpec) -> str:
@@ -445,7 +421,7 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
     return directory, "miss"
 
 
-def _forward_images(entries, net, geometry, config, min_hw, timing):
+def _forward_images(entries, net, t_index, t1_spec, config, timing):
     """Yield each entry's (label, resolution, layer-t feature grid, layer
     t+1 output) parts, in manifest order.
 
@@ -459,12 +435,12 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
     ``timing["extraction"]``, local-feature extraction seconds to
     ``timing["pooling"]``; nothing is timed across a yield.
     """
-    head = NetworkSpec(net.stages[: geometry.t_index + 1], seed=net.seed)
+    head = NetworkSpec(net.stages[: t_index + 1], seed=net.seed)
     entries = iter(entries)
     while True:
         batch, held = [], 0
         for entry in entries:
-            parts = iter_parts(load_tensor(entry.path), config.resolution, *min_hw)
+            parts = iter_parts(load_tensor(entry.path), config.resolution)
             batch.append(parts)
             held += sum(part.data.nbytes for _, _, part in parts)
             if held >= FORWARD_BATCH_BYTES:
@@ -481,11 +457,13 @@ def _forward_images(entries, net, geometry, config, min_hw, timing):
             stacked = np.stack([batch[i][j][2].data for i, j in members])
             layer_t = run_network(ActivationTensor(stacked, rectified=rectified), head)[-1]
             t0 = time.perf_counter()
-            grids = extract_local_features(layer_t, *geometry.window, geometry.stride)
+            grids = extract_local_features(
+                layer_t, t1_spec.kernel_h, t1_spec.kernel_w, t1_spec.stride
+            )
             extract_seconds += time.perf_counter() - t0
             units = [None] * len(members)
             if config.scheme == "cross-layer":
-                conv = conv_product(grids, geometry.t1_spec).astype(np.float32)
+                conv = conv_product(grids, t1_spec).astype(np.float32)
                 units = [ActivationTensor(u, rectified=True) for u in np.maximum(conv, 0.0)]
             outputs.update(zip(members, zip(grids, units)))
         timing["extraction"] += time.perf_counter() - start - extract_seconds
@@ -508,9 +486,7 @@ def _encode_part(grid, layer_t1, resolution, config, pca_models):
         vector = direct_sum_sqrt_pool(grid)
     else:
         vector = spp_pool(grid, config.spp_levels)
-    if config.power_norm:
-        vector = power_normalize(vector)
-    return np.asarray(vector, dtype=np.float64).ravel()
+    return power_normalize(vector) if config.power_norm else vector
 
 
 def _fit_pca_models(images, config):
@@ -536,37 +512,36 @@ def _represent_images(images, count, config, pca_models, timing, path):
     """Encode ``count`` images, each given as its ``_forward_images`` parts,
     into the rows of a matrix file at ``path``; returns the part layout.
 
-    The first image fixes the layout, and with it the header; each image's
-    part vectors are then concatenated into one reused float32 row, which is
-    written as soon as the image arrives.  A generator of images is held one
-    at a time and the matrix is never held whole.  Encoding seconds go to
-    ``timing["pooling"]``; the row writes are not timed there.
+    The first image fixes the layout and the header for all: the resolution
+    config fixes the parts, the scheme and the second convolution their
+    lengths.  Each image's part vectors are concatenated into one reused
+    float32 row, written as soon as the image arrives.  A generator of
+    images is held one at a time and the matrix is never held whole.
+    Encoding seconds go to ``timing["pooling"]``; the row writes are not
+    timed there.
     """
     layout = None
     with open(path, "wb") as fh:
         for parts in images:
             t0 = time.perf_counter()
-            chunks = []
-            image_layout = []
-            offset = 0
-            for label, resolution, grid, layer_t1 in parts:
-                vector = _encode_part(grid, layer_t1, resolution, config, pca_models)
-                chunks.append(vector)
-                image_layout.append([label, offset, vector.size])
-                offset += vector.size
+            chunks = [
+                _encode_part(grid, layer_t1, resolution, config, pca_models)
+                for _, resolution, grid, layer_t1 in parts
+            ]
             if layout is None:
-                layout = image_layout
+                layout, offset = [], 0
+                for (label, *_), vector in zip(parts, chunks):
+                    layout.append([label, offset, vector.size])
+                    offset += vector.size
                 row = np.empty(offset, dtype=np.float32)
                 fh.write(matrix_header(count, offset))
-            elif image_layout != layout:
-                raise ContractError("images produce inconsistent representation layouts")
             np.concatenate(chunks, out=row)
             timing["pooling"] += time.perf_counter() - t0
             fh.write(row)
     return layout
 
 
-def _compute_representations(config, manifest, net, geometry, directory):
+def _compute_representations(config, manifest, net, t_index, t1_spec, directory):
     """Write the representation stage's artifacts into ``directory``.
 
     ``per_image.total`` is the stage's wall time per image, loading, the
@@ -574,11 +549,10 @@ def _compute_representations(config, manifest, net, geometry, directory):
     forward and the extract-and-encode shares of it.
     """
     start = time.perf_counter()
-    min_hw = min_input_extent(net)
     timing = {"extraction": 0.0, "pooling": 0.0}
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
-    train_images = _forward_images(train_entries, net, geometry, config, min_hw, timing)
+    train_images = _forward_images(train_entries, net, t_index, t1_spec, config, timing)
     pca_models, pca_seconds = {}, 0.0
     if config.scheme == "cross-layer" and config.pca_dim:
         # One forward pass per training part feeds both the PCA fit and the
@@ -590,13 +564,11 @@ def _compute_representations(config, manifest, net, geometry, directory):
         train_images, len(train_entries), config, pca_models, timing,
         os.path.join(directory, "train.fmat"),
     )
-    test_images = _forward_images(test_entries, net, geometry, config, min_hw, timing)
-    test_layout = _represent_images(
+    test_images = _forward_images(test_entries, net, t_index, t1_spec, config, timing)
+    _represent_images(
         test_images, len(test_entries), config, pca_models, timing,
         os.path.join(directory, "test.fmat"),
     )
-    if test_layout != layout:
-        raise ContractError("train and test images produce different layouts")
     for resolution, model in pca_models.items():
         save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
     images = len(train_entries) + len(test_entries)
@@ -604,12 +576,10 @@ def _compute_representations(config, manifest, net, geometry, directory):
         "representation_dim": sum(size for _, _, size in layout),
         "parts": layout,
         "projected_dim": config.pca_dim if pca_models else None,
-        "channels": geometry.t1_spec.out_depth
-        if config.scheme == "cross-layer"
-        else None,
-        "local_dim": geometry.local_dim,
-        "window": list(geometry.window),
-        "stride": geometry.stride,
+        "channels": t1_spec.out_depth if config.scheme == "cross-layer" else None,
+        "local_dim": t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth,
+        "window": [t1_spec.kernel_h, t1_spec.kernel_w],
+        "stride": t1_spec.stride,
         "timing": {
             "images": images,
             "per_image": {
@@ -656,7 +626,7 @@ def run_pipeline(
         raise ConfigError(f"unknown stages selector {stages!r}")
     workdir = os.path.abspath(workdir)
     net = parse_network_file(config.network)
-    geometry = _resolve_geometry(net, config)
+    t_index, t1_spec = _resolve_geometry(net, config)
     rep_key = _key(
         {
             "stage": "representations",
@@ -664,8 +634,8 @@ def run_pipeline(
             "network": network_digest(net),
             "manifest": manifest_digest(manifest),
             "layer_pair": config.layer_pair,
-            "window": geometry.window,
-            "stride": geometry.stride,
+            "window": (t1_spec.kernel_h, t1_spec.kernel_w),
+            "stride": t1_spec.stride,
             "scheme": config.scheme,
             "spp_levels": config.spp_levels,
             "pca_dim": config.pca_dim,
@@ -678,7 +648,7 @@ def run_pipeline(
     cache = {}
     rep_dir, cache["representations"] = _stage(
         workdir, "representations", rep_key, use_cache,
-        lambda tmp: _compute_representations(config, manifest, net, geometry, tmp),
+        lambda tmp: _compute_representations(config, manifest, net, t_index, t1_spec, tmp),
     )
     with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crosspool.cli
 from crosspool.cli import main
 from crosspool.postproc import load_sign_stack, save_sign_stack, sign_quantize
 from crosspool.svm import SvmModel, kernels, load_svm, save_svm
@@ -235,6 +236,60 @@ def test_exit_code_pad_not_aligned_with_stride(tmp_path, capsys):
     assert code == 3
     assert "not aligned" in capsys.readouterr().err
     assert not (tmp_path / "v.fmat").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["extract", "--window", "0x3"], "--window"),
+    (["extract", "--window", "3x3", "--stride", "0"], "--stride"),
+    (["pool", "--scheme", "cross-layer", "--stride", "0"], "--stride"),
+    (["pool", "--scheme", "spp", "--stride", "0"], "--stride"),
+    (["pool", "--scheme", "spp", "--levels", "0"], "--levels"),
+    (["pool", "--scheme", "cross-layer", "--pad", "-1"], "--pad"),
+])
+def test_exit_code_bad_window_flags(tmp_path, capsys, monkeypatch, argv, flag):
+    """A window, stride, level or pad flag out of range is a config error,
+    found before any input is read."""
+    rng = np.random.default_rng(9)
+    layer_t, layer_t1 = tmp_path / "t.tens", tmp_path / "t1.tens"
+    for path, shape in ((layer_t, (8, 8, 2)), (layer_t1, (6, 6, 3))):
+        save_tensor(ActivationTensor(rng.random(shape), rectified=True), path)
+    reads, load = [], crosspool.cli.load_tensor
+
+    def recorded(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(crosspool.cli, "load_tensor", recorded)
+    inputs = {
+        "extract": ["--input", layer_t],
+        "pool": ["--input", layer_t, "--layer-t", layer_t, "--layer-t1", layer_t1],
+    }
+    code = run_cli(*argv, *inputs[argv[0]], "--out", tmp_path / "v.fmat")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "config error" in err and flag in err
+    assert reads == []
+    assert not (tmp_path / "v.fmat").exists()
+
+
+def test_exit_code_parts_too_small_for_the_head(dataset, tmp_path, capsys):
+    """2x2 blocks that the second convolution's 3x3 window cannot fit stop
+    the run with exit 3, and the representation stage publishes nothing."""
+    _, net, _ = dataset
+    rng = np.random.default_rng(4)
+    lines = []
+    for i, split in enumerate(("train", "train", "test", "test")):
+        save_tensor(ActivationTensor(rng.random((4, 4, 6))), tmp_path / f"{i}.tens")
+        lines.append(f"{i}.tens\t{split}\tc{i % 2}")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    workdir = tmp_path / "w"
+    code = run_cli("--workdir", workdir, "run", "--net", net, "--manifest", manifest,
+                   "--resolution", "both")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error" in err and "exceeds tensor 2x2" in err
+    assert list((workdir / "representations").iterdir()) == []
 
 
 def test_exit_code_config_error(dataset, tmp_path, capsys):

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from crosspool.errors import GeometryError, ValidationError
+from crosspool.errors import ValidationError
 from crosspool.multires import ResolutionConfig, iter_parts, partition_blocks
-from crosspool.network import (
-    ConvLayerSpec,
-    NetworkSpec,
-    ReluStage,
-    min_input_extent,
-    run_network,
-)
+from crosspool.network import ConvLayerSpec, NetworkSpec, ReluStage, run_network
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
 from crosspool.synth import generate
 from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_tensor
@@ -82,10 +76,11 @@ def test_blocks_cover_every_cell():
     assert covered.all()
 
 
-def test_min_block_size_enforced():
-    t = tensor(10, 10)
-    with pytest.raises(GeometryError):
-        partition_blocks(t, ResolutionConfig(blocks_m=4, blocks_n=4), min_h=3, min_w=3)
+def test_block_with_no_rows_rejected():
+    """Block sizes are left to the layers that run; only an empty block, cut
+    from an image with fewer rows than block rows, is rejected here."""
+    with pytest.raises(ValidationError, match="dimensions must be positive"):
+        partition_blocks(tensor(1, 3), ResolutionConfig(blocks_m=2, blocks_n=2))
 
 
 def test_config_validation():
@@ -124,16 +119,6 @@ def test_iter_parts_blocks_only():
     ]
 
 
-def small_net():
-    return NetworkSpec(
-        stages=[
-            ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2),
-            ReluStage(),
-        ],
-        seed=4,
-    )
-
-
 def test_parts_encoded_independently(tmp_path):
     """Each part's slice of a representation equals the representation of
     that part run on its own as a whole image."""
@@ -164,14 +149,6 @@ def test_parts_encoded_independently(tmp_path):
     ]
     for k, (_, start, length) in enumerate(parts):
         np.testing.assert_array_equal(rows[0, start : start + length], alone_rows[k])
-
-
-def test_blocks_below_network_minimum_rejected():
-    t = tensor(8, 8, 1, seed=7)
-    with pytest.raises(GeometryError):
-        iter_parts(
-            t, ResolutionConfig(blocks_m=4, blocks_n=4), *min_input_extent(small_net())
-        )
 
 
 def test_block_grid_doubles_spatial_units():

@@ -16,7 +16,6 @@ from crosspool.network import (
     conv_forward,
     lcg_uniform,
     maxpool_forward,
-    min_input_extent,
     parse_network_file,
     relu_forward,
     run_network,
@@ -250,21 +249,6 @@ def test_batched_forward_matches_per_image(stride, pad, count):
             assert b.data.shape == (count,) + s.data.shape
             assert b.rectified == s.rectified
             np.testing.assert_array_equal(b.data[n].view(np.uint32), s.data.view(np.uint32))
-
-
-def test_min_input_extent():
-    stages = [
-        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=1, out_depth=2),
-        ReluStage(),
-        ConvLayerSpec(kernel_h=3, kernel_w=3, in_depth=2, out_depth=2),
-        ReluStage(),
-    ]
-    net = NetworkSpec(stages=stages, seed=0)
-    mh, mw = min_input_extent(net)
-    assert (mh, mw) == (5, 5)
-    run_network(ActivationTensor(np.ones((5, 5, 1), dtype=np.float32)), net)
-    with pytest.raises(GeometryError):
-        run_network(ActivationTensor(np.ones((4, 4, 1), dtype=np.float32)), net)
 
 
 def test_parse_network_file_round_trip(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 import crosspool.network
 import crosspool.pipeline
 import crosspool.svm
-from crosspool.errors import ConfigError, ContractError, ValidationError
+from crosspool.errors import ConfigError, ContractError, GeometryError, ValidationError
 from crosspool.features import extract_local_features
 from crosspool.multires import ResolutionConfig, iter_parts
 from crosspool.network import (
@@ -23,7 +23,6 @@ from crosspool.network import (
     MaxPoolStage,
     NetworkSpec,
     ReluStage,
-    min_input_extent,
     parse_network_file,
     run_network,
     write_network_file,
@@ -169,6 +168,20 @@ def test_integer_svm_c_reuses_the_model(dataset, tmp_path):
     again = run_pipeline(PipelineConfig(network=net_path, svm_c=1), manifest, workdir)
     assert again["cache"] == ALL_HIT
     assert again["artifacts"]["model"] == first["artifacts"]["model"]
+
+
+def test_integer_overlap_reuses_every_stage(dataset, tmp_path):
+    """``overlap_fraction`` 0 in a config file and the ``both`` preset's 0.0
+    describe one block grid, so they share every stage."""
+    manifest, net_path = dataset
+    workdir = tmp_path / "work"
+    run_pipeline(PipelineConfig(network=net_path, resolution="both"), manifest, workdir)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"network": net_path, "resolution": {
+        "blocks_m": 2, "blocks_n": 2, "overlap_fraction": 0, "include_whole_image": True,
+    }}))
+    again = run_pipeline(load_config(cfg_path), manifest, workdir)
+    assert again["cache"] == ALL_HIT
 
 
 def test_synth_images_are_balanced():
@@ -401,7 +414,7 @@ def oracle_row(path, net, config, t_index, t1_index):
     conv = net.stages[t1_index - 1]
     offset = unit_offset(conv.pad, conv.stride)
     chunks = []
-    for _, _, part in iter_parts(load_tensor(path), config.resolution, 1, 1):
+    for _, _, part in iter_parts(load_tensor(path), config.resolution):
         outputs = run_network(part, net)
         grid = extract_local_features(
             outputs[t_index], conv.kernel_h, conv.kernel_w, conv.stride
@@ -513,6 +526,39 @@ def test_representations_match_the_full_forward_pass(
         assert_rows_match_oracle(report, manifest, net, config, 1, 3)
 
 
+def test_images_too_small_for_later_stages_are_encoded(tmp_path):
+    """Only the layers through t+1 must fit an image part: the maxpool and
+    4x4 conv past layer t+1, which a 6x6 image cannot pass through, never
+    run, and every scheme's rows equal the forward pass through the ReLU
+    after conv t+1, bit for bit."""
+    rng = np.random.default_rng(6)
+    head = [
+        ConvLayerSpec(3, 3, 4, 6, pad=1, bias=rng.normal(size=6) / 4),
+        ReluStage(),
+        ConvLayerSpec(3, 3, 6, 5, pad=1, bias=rng.normal(size=5) / 4),
+        ReluStage(),
+    ]
+    net_path = tmp_path / "net.spec"
+    stages = head + [MaxPoolStage(size=4, stride=4), ConvLayerSpec(4, 4, 5, 3)]
+    write_network_file(NetworkSpec(stages, seed=3), net_path)
+    lines = []
+    for i in range(8):
+        save_tensor(ActivationTensor(rng.uniform(size=(6, 6, 4))), tmp_path / f"{i}.tens")
+        lines.append(f"{i}.tens\t{('train', 'test')[i // 2 % 2]}\tc{i % 2}")
+    (tmp_path / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    manifest = parse_manifest(tmp_path / "manifest.tsv")
+    net = parse_network_file(net_path)
+    with pytest.raises(GeometryError, match="for input 1x1 .kernel 4x4"):
+        run_network(load_tensor(manifest.entries[0].path), net)
+    truncated = NetworkSpec(net.stages[: len(head)], seed=net.seed)
+    for scheme in ORACLE_POOLS:
+        config = PipelineConfig(network=str(net_path), scheme=scheme, resolution="both")
+        report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
+        if scheme == "cross-layer":
+            assert report["dims"]["parts"][0] == ["whole", 0, 270]
+        assert_rows_match_oracle(report, manifest, truncated, config, 1, 3)
+
+
 def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
     """Past ``pca_sample_cap`` descriptors, each resolution's model is the
     fit on the seeded ``rng.choice`` of the stacked training descriptors'
@@ -530,13 +576,13 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
         network=net_path, pca_dim=4, pca_sample_cap=60, resolution="both", seed=3
     )
     net = parse_network_file(net_path)
-    geometry = crosspool.pipeline._resolve_geometry(net, config)
+    t_index, conv = crosspool.pipeline._resolve_geometry(net, config)
     buckets = {}
     for entry in manifest.split("train"):
         image = load_tensor(entry.path)
-        for _, resolution, part in iter_parts(image, config.resolution, *min_input_extent(net)):
+        for _, resolution, part in iter_parts(image, config.resolution):
             grid = extract_local_features(
-                run_network(part, net)[geometry.t_index], *geometry.window, geometry.stride
+                run_network(part, net)[t_index], conv.kernel_h, conv.kernel_w, conv.stride
             )
             buckets.setdefault(resolution, []).append(grid.reshape(-1, grid.shape[-1]))
     assert len(buckets) == 2
