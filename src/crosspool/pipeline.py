@@ -29,7 +29,9 @@ t+1 unit, so the cross-layer scheme's layer t+1 is one product of the
 feature grids with the second convolution's kernel, followed by a ReLU,
 and holds exactly the units that pooling reads.  Stages past layer t never
 run.  Each part is then pooled and each image's row written into
-train.fmat or test.fmat as soon as it is encoded.
+train.fmat or test.fmat as soon as it is encoded.  A cross-layer part
+without PCA is pooled and power-normalized in float32; a PCA part and the
+other schemes in float64.
 
 No stage holds a whole (count, dim) representation matrix.  Without PCA
 the representation stage holds one forward batch, its feature

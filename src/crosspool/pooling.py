@@ -21,6 +21,9 @@ whole scheme is one product of the two grids' rows:
 
     A[o:o+gh, o:o+gw].reshape(-1, K).T @ X.reshape(-1, d)
 
+The product runs in the two grids' common dtype: float32 local features
+pool in float32, float64 ones and PCA projections in float64.
+
 Direct max pooling, direct sum-sqrt pooling, and spatial pyramid pooling
 over the anchor grid are kept as reference schemes.
 """
@@ -51,7 +54,7 @@ def cross_layer_pool(
 ) -> np.ndarray:
     """Pool layer t's (grid_h, grid_w, dim) local features, PCA-projected
     when a model is given, weighted by the rectified layer t+1 units from
-    ``offset`` on."""
+    ``offset`` on, in the common dtype of the features and the units."""
     require_single(layer_t1, "cross_layer_pool")
     if not layer_t1.rectified:
         raise ContractError("indicator weights must come from a rectified layer")
@@ -64,9 +67,12 @@ def cross_layer_pool(
     matrix = grid.reshape(gh * gw, dim)
     if pca is not None:
         matrix = pca_project(pca, matrix)
+    # cast both before the product: left to numpy's promotion inside it, a
+    # float64 product of 500 or more columns changes its bits
+    dtype = np.result_type(matrix, layer_t1.data)
     weights = layer_t1.data[offset : offset + gh, offset : offset + gw]
-    weights = weights.reshape(-1, layer_t1.depth).astype(np.float64)
-    return (weights.T @ matrix.astype(np.float64, copy=False)).ravel()
+    weights = weights.reshape(-1, layer_t1.depth).astype(dtype, copy=False)
+    return (weights.T @ matrix.astype(dtype, copy=False)).ravel()
 
 
 def _grid_shape(grid: np.ndarray) -> tuple[int, int, int]:

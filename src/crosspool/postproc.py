@@ -155,10 +155,13 @@ def pca_project(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
 
 
 def power_normalize(values: np.ndarray) -> np.ndarray:
-    """Signed square root, elementwise: sign(v) * sqrt(|v|), as float64.
+    """Signed square root, elementwise: sign(v) * sqrt(|v|), in float32 for
+    float32 input and in float64 for any other.
 
     Built in one output array; like ``np.sign``, both zeros give +0.0."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     out = np.abs(arr)
     np.sqrt(out, out=out)
     if (arr < 0).any():

@@ -244,23 +244,28 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     reps = rng.normal(size=(60, 24))
     assert np.array_equal(kernels(reps, reps[:0])[0], reps @ reps.T)
     # The pipeline itself is single-threaded; its parallelism is BLAS's, so
-    # each run is a fresh process with OpenBLAS held to 1 or 2 threads.
+    # each run is a fresh process with OpenBLAS held to 1 or 2 threads.  A
+    # PCA part pools in float64, a part without PCA in float32.
     manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=9)
     src = str(Path(crosspool.__file__).parent.parent)
-    for flag in ("--no-quantize", "--quantize"):
+    runs = (("8", "--no-quantize"), ("8", "--quantize"), ("0", "--no-quantize"))
+    for pca_dim, flag in runs:
         outputs = []
         for threads in ("1", "2"):
-            workdir = tmp_path / f"{flag.strip('-')}-{threads}"
+            workdir = tmp_path / f"pca{pca_dim}-{flag.strip('-')}-{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
             subprocess.run(
                 [sys.executable, "-m", "crosspool.cli", "--workdir", str(workdir),
                  "--seed", "9", "run", "--net", net_path, "--manifest", manifest_path,
-                 "--pca-dim", "8", flag],
+                 "--pca-dim", pca_dim, flag],
                 env=env, check=True, capture_output=True,
             )
+            (rep_dir,) = (workdir / "representations").iterdir()
             (kernel_dir,) = (workdir / "kernel").iterdir()
-            outputs.append([(kernel_dir / name).read_bytes()
-                             for name in ("gram.fmat", "rows.fmat")])
+            outputs.append([(rep_dir / name).read_bytes()
+                            for name in ("train.fmat", "test.fmat")]
+                           + [(kernel_dir / name).read_bytes()
+                              for name in ("gram.fmat", "rows.fmat")])
         assert outputs[0] == outputs[1]
 
     sep = np.vstack([rng.normal(size=(30, 5)) + 4, rng.normal(size=(30, 5)) - 4])
@@ -305,8 +310,8 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
     assert elapsed < 30.0
     report_line(
         9,
-        f"grams bitwise stable; separable 100%; oracle agreement "
-        f"{agreement:.0%} (in {elapsed:.1f}s)",
+        f"representations and grams bitwise stable; separable 100%; "
+        f"oracle agreement {agreement:.0%} (in {elapsed:.1f}s)",
     )
 
 
