@@ -128,6 +128,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_pca_fit(args) -> int:
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be positive, got {args.dim}")
     sample = load_features(args.features).data
     model = pca_fit(sample, args.dim)
     save_pca(model, args.out)
@@ -147,10 +149,12 @@ def cmd_pool(args) -> int:
             raise ConfigError("cross-layer pooling needs --layer-t and --layer-t1")
         layer_t = load_tensor(args.layer_t)
         layer_t1 = load_tensor(args.layer_t1)
+        if not layer_t1.rectified:
+            raise ContractError("indicator weights must come from a rectified layer")
         grid = extract_local_features(layer_t, *window)
         pca = load_pca(args.pca) if args.pca else None
         vector = cross_layer_pool(
-            grid, layer_t1, unit_offset(args.pad, args.stride), pca=pca
+            grid, layer_t1.data, unit_offset(args.pad, args.stride), pca=pca
         )
     elif args.scheme in ("direct-max", "direct-sum-sqrt"):
         if not args.features:
@@ -199,14 +203,18 @@ def cmd_gram(args) -> int:
 
 
 def _read_labels(path) -> list:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",") if p.strip()]
-            labels.append(parts[0] if len(parts) == 1 else frozenset(parts))
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",") if p.strip()]
+        labels.append(parts[0] if len(parts) == 1 else frozenset(parts))
     return labels
 
 

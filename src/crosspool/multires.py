@@ -4,16 +4,19 @@ Blocks tile the image row-major.  Nominal block height is height // M; the
 last row of blocks absorbs the remainder, and likewise for columns.  A
 positive overlap fraction f extends every block by floor(f * nominal) units
 on each side that faces another block, clamped to the image, so outer edges
-never grow.  The pipeline pushes each part through the network (stacked
-with the same-shape parts of other images) and encodes it on its own; an
-image's vector is the concatenation, with a part table recording (label,
-offset, length).  Part sizes are not checked here: a part too small for
-the layers that run is rejected by the layer that cannot fit it.
+never grow.  Parts are views of the image's array.  The pipeline pushes
+each part through the network (stacked with the same-shape parts of other
+images) and encodes it on its own; an image's vector is the concatenation,
+with a part table recording (label, offset, length).  Part sizes are not
+checked here: an empty block is rejected as its stack is built, and a part
+too small for the layers that run by the layer that cannot fit it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .tensor import ActivationTensor, require_single
@@ -67,29 +70,18 @@ def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:
     return spans
 
 
-def partition_blocks(
+def iter_parts(
     image: ActivationTensor, config: ResolutionConfig
-) -> list[tuple[tuple[int, int], ActivationTensor]]:
-    """Cut the image into the config's block grid, keyed (i, j) row-major."""
+) -> list[tuple[str, str, np.ndarray]]:
+    """(label, resolution, array) triples: the whole image's data first
+    when included, then its blocks row-major, each a view of that data."""
+    data = image.data
+    require_single(data, "iter_parts")
     row_spans = _edges(image.height, config.blocks_m, config.overlap_fraction)
     col_spans = _edges(image.width, config.blocks_n, config.overlap_fraction)
-    return [
-        ((i, j), ActivationTensor(image.data[r0:r1, c0:c1], rectified=image.rectified))
+    parts = [("whole", "whole", data)] if config.include_whole_image else []
+    return parts + [
+        (f"block({i},{j})", "block", data[r0:r1, c0:c1])
         for i, (r0, r1) in enumerate(row_spans)
         for j, (c0, c1) in enumerate(col_spans)
     ]
-
-
-def iter_parts(
-    image: ActivationTensor, config: ResolutionConfig
-) -> list[tuple[str, str, ActivationTensor]]:
-    """(label, resolution, tensor) triples: the whole image first when
-    included, then blocks row-major."""
-    require_single(image, "iter_parts")
-    parts = []
-    if config.include_whole_image:
-        parts.append(("whole", "whole", image))
-    for (i, j), block in partition_blocks(image, config):
-        parts.append((f"block({i},{j})", "block", block))
-    return parts
-

@@ -28,10 +28,12 @@ only through layer t: each local feature is the input window of one layer
 t+1 unit, so the cross-layer scheme's layer t+1 is one product of the
 feature grids with the second convolution's kernel, followed by a ReLU,
 and holds exactly the units that pooling reads.  Stages past layer t never
-run.  Each part is then pooled and each image's row written into
-train.fmat or test.fmat as soon as it is encoded.  A cross-layer part
-without PCA is pooled and power-normalized in float32; a PCA part and the
-other schemes in float64.
+run.  Parts, feature grids and layer t+1 units are plain arrays; only
+the stacks and the network's stage outputs are ``ActivationTensor``s.
+Each part is then pooled and each image's row written into train.fmat or
+test.fmat as soon as it is encoded.  A cross-layer part without PCA is
+pooled and power-normalized in float32; a PCA part and the other schemes
+in float64.
 
 No stage holds a whole (count, dim) representation matrix.  Without PCA
 the representation stage holds one forward batch, its feature
@@ -187,6 +189,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}, pick one of {SCHEMES}")
         if self.pca_dim < 0:
             raise ConfigError("pca_dim must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.pca_sample_cap < 2:
             raise ConfigError("pca_sample_cap must be at least 2")
         # a fit on n samples yields at most n - 1 components
@@ -428,12 +432,14 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
     t+1 output) parts, in manifest order.
 
     Images are read until their parts hold ``FORWARD_BATCH_BYTES`` of input
-    (always at least one image); the batch's parts are stacked by shape,
-    each stack goes through the network up to layer t in one call, and its
-    layer t output is cut into local features in one more.  For the
-    cross-layer scheme layer t+1 is one ``conv_product`` of the grids and a
-    ReLU: each window is one unit's input, so unit (i, j) sits over window
-    (i, j).  The other schemes get None.  Forward and product seconds go to
+    (always at least one image); the batch's parts are stacked by shape
+    alone, since the head ends at conv t or its ReLU and no input flag
+    reaches layer t.  Each stack goes through the network up to layer t in
+    one call, and its layer t output is cut into local features in one
+    more.  For the cross-layer scheme layer t+1 is one ``conv_product`` of
+    the grids and one ``np.maximum``, each part's units a slice of it: each
+    window is one unit's input, so unit (i, j) sits over window (i, j).
+    The other schemes get None.  Forward and product seconds go to
     ``timing["extraction"]``, local-feature extraction seconds to
     ``timing["pooling"]``; nothing is timed across a yield.
     """
@@ -444,7 +450,7 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
         for entry in entries:
             parts = iter_parts(load_tensor(entry.path), config.resolution)
             batch.append(parts)
-            held += sum(part.data.nbytes for _, _, part in parts)
+            held += sum(part.nbytes for _, _, part in parts)
             if held >= FORWARD_BATCH_BYTES:
                 break
         if not batch:
@@ -453,11 +459,11 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
         stacks = {}
         for i, parts in enumerate(batch):
             for j, (_, _, part) in enumerate(parts):
-                stacks.setdefault((part.data.shape, part.rectified), []).append((i, j))
+                stacks.setdefault(part.shape, []).append((i, j))
         outputs = {}
-        for (_, rectified), members in stacks.items():
-            stacked = np.stack([batch[i][j][2].data for i, j in members])
-            layer_t = run_network(ActivationTensor(stacked, rectified=rectified), head)[-1]
+        for members in stacks.values():
+            stacked = ActivationTensor(np.stack([batch[i][j][2] for i, j in members]))
+            layer_t = run_network(stacked, head)[-1]
             t0 = time.perf_counter()
             grids = extract_local_features(
                 layer_t, t1_spec.kernel_h, t1_spec.kernel_w, t1_spec.stride
@@ -465,8 +471,7 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
             extract_seconds += time.perf_counter() - t0
             units = [None] * len(members)
             if config.scheme == "cross-layer":
-                conv = conv_product(grids, t1_spec).astype(np.float32)
-                units = [ActivationTensor(u, rectified=True) for u in np.maximum(conv, 0.0)]
+                units = np.maximum(conv_product(grids, t1_spec).astype(np.float32), 0.0)
             outputs.update(zip(members, zip(grids, units)))
         timing["extraction"] += time.perf_counter() - start - extract_seconds
         timing["pooling"] += extract_seconds

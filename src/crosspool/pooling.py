@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, GeometryError, ValidationError
-from .postproc import PcaModel, pca_project
-from .tensor import ActivationTensor, require_single
+from .postproc import PcaModel, pca_project, power_normalize
+from .tensor import require_single
 
 
 def unit_offset(pad: int, stride: int) -> int:
@@ -48,30 +48,30 @@ def unit_offset(pad: int, stride: int) -> int:
 
 def cross_layer_pool(
     grid: np.ndarray,
-    layer_t1: ActivationTensor,
+    layer_t1: np.ndarray,
     offset: int,
     pca: PcaModel | None = None,
 ) -> np.ndarray:
     """Pool layer t's (grid_h, grid_w, dim) local features, PCA-projected
-    when a model is given, weighted by the rectified layer t+1 units from
-    ``offset`` on, in the common dtype of the features and the units."""
+    when a model is given, weighted by the (H, W, K) layer t+1 units from
+    ``offset`` on, in the common dtype of the features and the units.
+    Layer t+1 must be nonnegative, as a ReLU's output is; it is not checked."""
     require_single(layer_t1, "cross_layer_pool")
-    if not layer_t1.rectified:
-        raise ContractError("indicator weights must come from a rectified layer")
     gh, gw, dim = _grid_shape(grid)
-    if offset < 0 or offset + gh > layer_t1.height or offset + gw > layer_t1.width:
+    height, width, depth = layer_t1.shape
+    if offset < 0 or offset + gh > height or offset + gw > width:
         raise GeometryError(
             f"{gh}x{gw} windows at offset {offset} exceed indicator layer "
-            f"{layer_t1.height}x{layer_t1.width}"
+            f"{height}x{width}"
         )
     matrix = grid.reshape(gh * gw, dim)
     if pca is not None:
         matrix = pca_project(pca, matrix)
     # cast both before the product: left to numpy's promotion inside it, a
     # float64 product of 500 or more columns changes its bits
-    dtype = np.result_type(matrix, layer_t1.data)
-    weights = layer_t1.data[offset : offset + gh, offset : offset + gw]
-    weights = weights.reshape(-1, layer_t1.depth).astype(dtype, copy=False)
+    dtype = np.result_type(matrix, layer_t1)
+    weights = layer_t1[offset : offset + gh, offset : offset + gw]
+    weights = weights.reshape(-1, depth).astype(dtype, copy=False)
     return (weights.T @ matrix.astype(dtype, copy=False)).ravel()
 
 
@@ -97,8 +97,7 @@ def direct_sum_sqrt_pool(features: np.ndarray) -> np.ndarray:
     matrix = features.reshape(-1, features.shape[-1]).astype(np.float64)
     if matrix.shape[0] < 1:
         raise ContractError("cannot sum-pool an empty feature set")
-    total = matrix.sum(axis=0)
-    return np.sign(total) * np.sqrt(np.abs(total))
+    return power_normalize(matrix.sum(axis=0))
 
 
 def spp_pool(grid: np.ndarray, levels: Sequence[int]) -> np.ndarray:

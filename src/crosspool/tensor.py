@@ -48,8 +48,9 @@ class ActivationTensor:
     or a batch of N such grids stacked as (N, height, width, depth).
 
     ``height``, ``width`` and ``depth`` read the last three axes.  The
-    network's stages and local-feature extraction take either form; the
-    per-image consumers (saving, pooling, cutting into parts) reject a batch.
+    network's stages and local-feature extraction take either form; saving
+    and cutting into parts reject a batch.  Past the network, parts and
+    layer t+1 units travel as plain arrays.
     ``rectified`` marks the tensor as the output of a ReLU stage; setting it
     on data with negative entries is rejected.  The array is made read-only,
     so a tensor's values cannot change once it is built.
@@ -85,12 +86,11 @@ class ActivationTensor:
         return self.data.shape[-1]
 
 
-def require_single(tensor: ActivationTensor, what: str) -> None:
-    """Reject a batched tensor where one image's grid is expected."""
-    if tensor.data.ndim != 3:
+def require_single(data: np.ndarray, what: str) -> None:
+    """Reject a batch where one image's (height, width, depth) array is expected."""
+    if data.ndim != 3:
         raise ValidationError(
-            f"{what} takes one (height, width, depth) tensor, got shape "
-            f"{tensor.data.shape}"
+            f"{what} takes one (height, width, depth) tensor, got shape {data.shape}"
         )
 
 
@@ -145,7 +145,7 @@ def read_payload(fh, path, dtype, shape) -> np.ndarray:
 
 
 def save_tensor(tensor: ActivationTensor, path) -> None:
-    require_single(tensor, "save_tensor")
+    require_single(tensor.data, "save_tensor")
     payload = tensor.data.astype("<f4", copy=False).tobytes()
     header = TENSOR_MAGIC + _TENSOR_HEADER.pack(
         tensor.height, tensor.width, tensor.depth, int(tensor.rectified)

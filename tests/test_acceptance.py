@@ -28,7 +28,7 @@ from crosspool.postproc import pca_fit, pca_project, sign_quantize, sign_unpack
 from crosspool.svm import kernels, svm_predict, svm_train
 from crosspool.synth import generate
 from crosspool.tensor import ActivationTensor
-from crosspool.multires import ResolutionConfig, partition_blocks
+from crosspool.multires import ResolutionConfig, iter_parts
 from crosspool.network import NetworkSpec, ReluStage, run_network
 
 
@@ -71,8 +71,9 @@ def test_criterion_02_multiresolution_unit_count():
         seed=0,
     )
     total = 0
-    for _, block in partition_blocks(image, ResolutionConfig(blocks_m=2, blocks_n=2)):
-        out = run_network(block, net)[-1]
+    blocks = ResolutionConfig(blocks_m=2, blocks_n=2, include_whole_image=False)
+    for _, _, block in iter_parts(image, blocks):
+        out = run_network(ActivationTensor(block), net)[-1]
         assert (out.height, out.width) == (13, 13)
         total += out.height * out.width
     assert total == 676
@@ -94,7 +95,7 @@ def test_criterion_03_representation_dimension():
     t1 = relu_forward(conv_forward(t, spec))
     grid = extract_local_features(t, 3, 3, 1)
     pca = pca_fit(grid.reshape(-1, grid.shape[-1]), 20)
-    pooled = cross_layer_pool(grid, t1, 0, pca=pca)
+    pooled = cross_layer_pool(grid, t1.data, 0, pca=pca)
     assert pooled.shape == (160,)
     assert time.perf_counter() - start < 1.0
     report_line(3, "128000 = 500*256 asserted; d=20, K=8 pools to 160 dims")
@@ -128,7 +129,7 @@ def test_criterion_04_cross_layer_oracle_equivalence():
         t1 = relu_forward(conv_forward(t, spec))
         grid = extract_local_features(t, wh, ww, stride)
         assert grid.shape[0] * grid.shape[1] <= 50
-        pooled = cross_layer_pool(grid, t1, pad // stride)
+        pooled = cross_layer_pool(grid, t1.data, pad // stride)
 
         # The oracle walks the windows itself and pairs the window anchored
         # at (r, c) with the unit whose receptive field starts there.

@@ -238,6 +238,49 @@ def test_exit_code_pad_not_aligned_with_stride(tmp_path, capsys):
     assert not (tmp_path / "v.fmat").exists()
 
 
+def test_gather_requires_rectified(tmp_path, capsys):
+    """Cross-layer pooling takes its indicator weights only from a
+    ``--layer-t1`` file flagged rectified: an unflagged one is a data error
+    whatever its values, and nothing is written."""
+    rng = np.random.default_rng(9)
+    layer_t, layer_t1 = tmp_path / "t.tens", tmp_path / "t1.tens"
+    save_tensor(ActivationTensor(rng.random((4, 4, 2)), rectified=True), layer_t)
+    for fill in (-1.0, 1.0):
+        save_tensor(ActivationTensor(np.full((4, 4, 2), fill)), layer_t1)
+        code = run_cli(
+            "pool", "--scheme", "cross-layer", "--layer-t", layer_t,
+            "--layer-t1", layer_t1, "--window", "2x2", "--out", tmp_path / "v.fmat",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "data error: indicator weights must come from a rectified layer" in err
+        assert not (tmp_path / "v.fmat").exists()
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_exit_code_pca_dim_below_one(tmp_path, capsys, monkeypatch, dim):
+    """``pca-fit --dim`` below 1 is a config error found before
+    ``--features`` is read; a ``--dim`` larger than the sample supports
+    stays a data error."""
+    feats, model = tmp_path / "f.fmat", tmp_path / "m.pca"
+    save_features(np.random.default_rng(12).normal(size=(5, 4)), feats)
+    reads, load = [], crosspool.cli.load_features
+
+    def recorded(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(crosspool.cli, "load_features", recorded)
+    code = run_cli("pca-fit", "--features", feats, "--dim", dim, "--out", model)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: --dim must be positive, got {dim}" in err
+    assert reads == [] and not model.exists()
+    assert run_cli("pca-fit", "--features", feats, "--dim", "5", "--out", model) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["extract", "--window", "0x3"], "--window"),
     (["extract", "--window", "3x3", "--stride", "0"], "--stride"),
@@ -352,6 +395,26 @@ def test_exit_code_resolution_flag_out_of_range(dataset, tmp_path, capsys, flag,
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_exit_code_negative_seed(dataset, tmp_path, capsys, source):
+    """A negative seed is a config error before a workdir is created, from
+    a config file or from ``--seed``, on a set whose descriptors exceed the
+    PCA sample cap, where ``np.random.default_rng`` would refuse it."""
+    manifest, net, _ = dataset
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"network": net, "pca_dim": 2, "pca_sample_cap": 10, "seed": -1}
+        ))
+        argv = ["run", "--config", cfg, "--manifest", manifest]
+    else:
+        argv = ["--seed", "-1", "run", "--net", net, "--manifest", manifest,
+                "--pca-dim", "2"]
+    assert run_cli("--workdir", tmp_path / "w", *argv) == 2
+    assert "config error: seed must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
@@ -476,6 +539,7 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     ("network", 2, "config error"),
     ("config", 2, "config error"),
     ("model", 3, "data error"),
+    ("labels", 3, "data error"),
 ])
 def test_exit_code_non_utf8_input(dataset, tmp_path, capsys, kind, code, kind_of_error):
     """A stray 0xff byte in a text input or a model's class label maps to
@@ -492,6 +556,11 @@ def test_exit_code_non_utf8_input(dataset, tmp_path, capsys, kind, code, kind_of
     elif kind == "config":
         bad.write_bytes(b'{"network": "net.spec", "scheme": "cross-layer\xff"}')
         argv = [*workdir, "run", "--config", bad, "--manifest", manifest]
+    elif kind == "labels":
+        save_features(np.eye(2), tmp_path / "gram.fmat")
+        bad.write_bytes(b"cat\n\xffdog\n")
+        argv = ["train", "--gram", tmp_path / "gram.fmat", "--labels", bad,
+                "--out", tmp_path / "m.svm"]
     else:
         model = SvmModel(("a", "z"), np.zeros((2, 3)), np.zeros(2), 1.0)
         save_svm(model, bad)

@@ -131,9 +131,7 @@ def paired_units(grid, next_dims, offset):
     feature of a grid, in row-major order: identity features pooled against
     a layer whose two channels hold each unit's row and column."""
     rows, cols = np.meshgrid(*(np.arange(n) for n in next_dims), indexing="ij")
-    coords = ActivationTensor(
-        np.stack([rows, cols], axis=2).astype(np.float32), rectified=True
-    )
+    coords = np.stack([rows, cols], axis=2).astype(np.float32)
     grid_h, grid_w = grid.shape[:2]
     count = grid_h * grid_w
     probe = np.eye(count).reshape(grid_h, grid_w, count)

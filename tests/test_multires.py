@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crosspool.errors import ValidationError
-from crosspool.multires import ResolutionConfig, iter_parts, partition_blocks
+from crosspool.multires import ResolutionConfig, iter_parts
 from crosspool.network import ConvLayerSpec, NetworkSpec, ReluStage, run_network
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
 from crosspool.synth import generate
@@ -16,35 +16,44 @@ def tensor(h, w, d=1, seed=0):
     return ActivationTensor(rng.normal(size=(h, w, d)).astype(np.float32))
 
 
+def blocks_of(image, config):
+    """The blocks ``iter_parts`` cuts, keyed (i, j) as their labels read."""
+    return [
+        (tuple(int(k) for k in label[len("block("):-1].split(",")), block)
+        for label, resolution, block in iter_parts(image, config)
+        if resolution == "block"
+    ]
+
+
 def test_even_split():
     t = tensor(100, 100)
-    blocks = partition_blocks(t, ResolutionConfig(blocks_m=2, blocks_n=2))
+    blocks = blocks_of(t, ResolutionConfig(blocks_m=2, blocks_n=2))
     assert len(blocks) == 4
     for (i, j), b in blocks:
-        assert b.data.shape == (50, 50, 1)
-    np.testing.assert_array_equal(blocks[0][1].data, t.data[:50, :50])
-    np.testing.assert_array_equal(blocks[3][1].data, t.data[50:, 50:])
+        assert b.shape == (50, 50, 1)
+    np.testing.assert_array_equal(blocks[0][1], t.data[:50, :50])
+    np.testing.assert_array_equal(blocks[3][1], t.data[50:, 50:])
 
 
 def test_rectangular_grid():
     t = tensor(100, 60)
-    blocks = partition_blocks(t, ResolutionConfig(blocks_m=2, blocks_n=1))
+    blocks = blocks_of(t, ResolutionConfig(blocks_m=2, blocks_n=1))
     assert [key for key, _ in blocks] == [(0, 0), (1, 0)]
-    assert all(b.data.shape == (50, 60, 1) for _, b in blocks)
+    assert all(b.shape == (50, 60, 1) for _, b in blocks)
 
 
 def test_remainder_goes_to_last_block():
     t = tensor(13, 13)
-    blocks = partition_blocks(t, ResolutionConfig(blocks_m=3, blocks_n=3))
-    heights = {key: b.height for key, b in blocks}
+    blocks = blocks_of(t, ResolutionConfig(blocks_m=3, blocks_n=3))
+    heights = {key: b.shape[0] for key, b in blocks}
     assert heights[(0, 0)] == 4 and heights[(1, 0)] == 4 and heights[(2, 0)] == 5
-    np.testing.assert_array_equal(blocks[-1][1].data, t.data[8:, 8:])
+    np.testing.assert_array_equal(blocks[-1][1], t.data[8:, 8:])
 
 
 def test_overlap_extends_interior_sides():
     t = tensor(80, 80)
     config = ResolutionConfig(blocks_m=2, blocks_n=2, overlap_fraction=0.25)
-    blocks = partition_blocks(t, config)
+    blocks = blocks_of(t, config)
     # nominal 40 plus a 10-row extension on each interior side
     slices = {
         (0, 0): (slice(0, 50), slice(0, 50)),
@@ -53,8 +62,8 @@ def test_overlap_extends_interior_sides():
         (1, 1): (slice(30, 80), slice(30, 80)),
     }
     for key, b in blocks:
-        assert b.data.shape == (50, 50, 1)
-        np.testing.assert_array_equal(b.data, t.data[slices[key]])
+        assert b.shape == (50, 50, 1)
+        np.testing.assert_array_equal(b, t.data[slices[key]])
 
 
 def test_blocks_cover_every_cell():
@@ -62,25 +71,19 @@ def test_blocks_cover_every_cell():
     t = tensor(37, 23, 2, seed=8)
     config = ResolutionConfig(blocks_m=3, blocks_n=2, overlap_fraction=0.3)
     covered = np.zeros((37, 23), dtype=bool)
-    for _, b in partition_blocks(t, config):
+    for _, b in blocks_of(t, config):
+        height, width = b.shape[:2]
         found = False
-        for r in range(38 - b.height):
-            for c in range(24 - b.width):
-                if np.array_equal(t.data[r : r + b.height, c : c + b.width], b.data):
-                    covered[r : r + b.height, c : c + b.width] = True
+        for r in range(38 - height):
+            for c in range(24 - width):
+                if np.array_equal(t.data[r : r + height, c : c + width], b):
+                    covered[r : r + height, c : c + width] = True
                     found = True
                     break
             if found:
                 break
         assert found
     assert covered.all()
-
-
-def test_block_with_no_rows_rejected():
-    """Block sizes are left to the layers that run; only an empty block, cut
-    from an image with fewer rows than block rows, is rejected here."""
-    with pytest.raises(ValidationError, match="dimensions must be positive"):
-        partition_blocks(tensor(1, 3), ResolutionConfig(blocks_m=2, blocks_n=2))
 
 
 def test_config_validation():
@@ -101,7 +104,8 @@ def test_iter_parts_order():
     assert labels == ["whole", "block(0,0)", "block(0,1)", "block(1,0)", "block(1,1)"]
     resolutions = [res for _, res, _ in parts]
     assert resolutions == ["whole", "block", "block", "block", "block"]
-    np.testing.assert_array_equal(parts[0][2].data, t.data)
+    np.testing.assert_array_equal(parts[0][2], t.data)
+    assert all(np.shares_memory(part, t.data) for _, _, part in parts)
 
 
 def test_iter_parts_whole_only():
@@ -129,9 +133,9 @@ def test_parts_encoded_independently(tmp_path):
     image_path = manifest.split("train")[0].path
     image = load_tensor(image_path)
     lines = [f"{image_path}\ttrain\tx"]
-    for (i, j), block in partition_blocks(image, config.resolution):
+    for (i, j), block in blocks_of(image, config.resolution):
         path = tmp_path / f"block_{i}{j}.tens"
-        save_tensor(block, path)
+        save_tensor(ActivationTensor(block), path)
         lines.append(f"{path}\ttrain\tx")
     lines.append(f"{image_path}\ttest\tx")
     alone_manifest = tmp_path / "alone.tsv"
@@ -154,7 +158,7 @@ def test_parts_encoded_independently(tmp_path):
 def test_block_grid_doubles_spatial_units():
     """Splitting 2x2 turns one 13x13 unit grid into an effective 26x26."""
     t = tensor(26, 26, 1, seed=9)
-    blocks = partition_blocks(t, ResolutionConfig(blocks_m=2, blocks_n=2))
+    blocks = blocks_of(t, ResolutionConfig(blocks_m=2, blocks_n=2))
     net = NetworkSpec(
         stages=[
             ConvLayerSpec(kernel_h=1, kernel_w=1, in_depth=1, out_depth=2),
@@ -164,7 +168,7 @@ def test_block_grid_doubles_spatial_units():
     )
     total = 0
     for _, block in blocks:
-        out = run_network(block, net)[-1]
+        out = run_network(ActivationTensor(block), net)[-1]
         assert (out.height, out.width) == (13, 13)
         total += out.height * out.width
     assert total == 676

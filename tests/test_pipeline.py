@@ -415,11 +415,11 @@ def oracle_row(path, net, config, t_index, t1_index):
     offset = unit_offset(conv.pad, conv.stride)
     chunks = []
     for _, _, part in iter_parts(load_tensor(path), config.resolution):
-        outputs = run_network(part, net)
+        outputs = run_network(ActivationTensor(part), net)
         grid = extract_local_features(
             outputs[t_index], conv.kernel_h, conv.kernel_w, conv.stride
         )
-        v = ORACLE_POOLS[config.scheme](grid, outputs[t1_index], offset)
+        v = ORACLE_POOLS[config.scheme](grid, outputs[t1_index].data, offset)
         chunks.append(np.sign(v) * np.sqrt(np.abs(v)))
     return np.concatenate(chunks).astype(np.float32)
 
@@ -559,6 +559,22 @@ def test_images_too_small_for_later_stages_are_encoded(tmp_path):
         assert_rows_match_oracle(report, manifest, truncated, config, 1, 3)
 
 
+def test_block_with_no_rows_rejected(tmp_path):
+    """Block sizes are left to the layers that run; only an empty block, cut
+    from an image with fewer rows than block rows, is rejected, as its stack
+    is built, and the stage publishes nothing."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=2, n_test=2, seed=6)
+    manifest = parse_manifest(manifest_path)
+    depth = parse_network_file(net_path).input_depth()
+    save_tensor(
+        ActivationTensor(np.ones((1, 3, depth), dtype=np.float32)), manifest.entries[0].path
+    )
+    config = PipelineConfig(network=net_path, resolution="blocks")
+    with pytest.raises(ValidationError, match="dimensions must be positive"):
+        run_pipeline(config, manifest, tmp_path / "work", stages="representations")
+    assert os.listdir(tmp_path / "work" / "representations") == []
+
+
 def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
     """Past ``pca_sample_cap`` descriptors, each resolution's model is the
     fit on the seeded ``rng.choice`` of the stacked training descriptors'
@@ -582,7 +598,8 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
         image = load_tensor(entry.path)
         for _, resolution, part in iter_parts(image, config.resolution):
             grid = extract_local_features(
-                run_network(part, net)[t_index], conv.kernel_h, conv.kernel_w, conv.stride
+                run_network(ActivationTensor(part), net)[t_index],
+                conv.kernel_h, conv.kernel_w, conv.stride,
             )
             buckets.setdefault(resolution, []).append(grid.reshape(-1, grid.shape[-1]))
     assert len(buckets) == 2

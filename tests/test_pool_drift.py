@@ -58,8 +58,8 @@ def float64_pool(grid, layer_t1, offset, pca=None):
     matrix = grid.reshape(gh * gw, dim)
     if pca is not None:
         matrix = pca_project(pca, matrix)
-    weights = layer_t1.data[offset : offset + gh, offset : offset + gw]
-    weights = weights.reshape(-1, layer_t1.depth).astype(np.float64)
+    weights = layer_t1[offset : offset + gh, offset : offset + gw]
+    weights = weights.reshape(-1, layer_t1.shape[-1]).astype(np.float64)
     return (weights.T @ matrix.astype(np.float64, copy=False)).ravel()
 
 
@@ -118,11 +118,12 @@ def test_parts_rows_within_bound(tmp_path):
         for row, entry in zip(rows, manifest.split(split), strict=True):
             start = 0
             for _, _, part in iter_parts(load_tensor(entry.path), config.resolution):
-                layer_t, _, layer_t1 = run_network(part, net)[1:]
+                layer_t, _, layer_t1 = run_network(ActivationTensor(part), net)[1:]
+                layer_t1 = layer_t1.data
                 grid = extract_local_features(
                     layer_t, conv.kernel_h, conv.kernel_w, conv.stride
                 )
-                size = grid.shape[-1] * layer_t1.depth
+                size = grid.shape[-1] * layer_t1.shape[-1]
                 assert_within_bound(row[start : start + size], grid, layer_t1, offset)
                 padded = cross_layer_pool(
                     grid, layer_t1, unit_offset(conv.pad, conv.stride)
@@ -149,7 +150,7 @@ def pool_cases(draw):
     width = offset + gw + draw(st.integers(0, 2))
     grid = draw(arrays(np.float32, (gh, gw, dim), elements=ACTIVATIONS))
     units = draw(arrays(np.float32, (height, width, depth), elements=ACTIVATIONS))
-    return grid, ActivationTensor(units, rectified=True), offset
+    return grid, units, offset
 
 
 @settings(deadline=None)
@@ -173,7 +174,7 @@ def test_float64_operands_keep_the_float64_formula():
     for gh, gw, dim, depth in shapes:
         for offset in (0, 1, 2):
             units = np.abs(rng.normal(size=(gh + 2 * offset, gw + 2 * offset, depth)))
-            layer_t1 = ActivationTensor(units, rectified=True)
+            layer_t1 = units.astype(np.float32)
             grid = np.abs(rng.normal(size=(gh, gw, dim)))
             projected = min(dim, 500)
             pca = PcaModel(
@@ -222,7 +223,8 @@ def test_pca_rows_keep_the_float64_formula(tmp_path, monkeypatch):
             chunks = []
             parts = iter_parts(load_tensor(entry.path), config.resolution)
             for _, resolution, part in parts:
-                layer_t, _, layer_t1 = run_network(part, net)[1:]
+                layer_t, _, layer_t1 = run_network(ActivationTensor(part), net)[1:]
+                layer_t1 = layer_t1.data
                 grid = extract_local_features(
                     layer_t, conv.kernel_h, conv.kernel_w, conv.stride
                 )

@@ -34,14 +34,14 @@ def on_grid(features, grid_h, grid_w):
 
 
 def weight_layer(weights, grid_h, grid_w, offset=0):
-    """A rectified layer t+1 holding weight row i at unit i of the grid,
+    """A nonnegative layer t+1 holding weight row i at unit i of the grid,
     shifted by ``offset`` inside a border of other values."""
     k = weights.shape[1]
     data = np.full((grid_h + 2 * offset, grid_w + 2 * offset, k), 7.0, dtype=np.float32)
     data[offset : offset + grid_h, offset : offset + grid_w] = weights.reshape(
         grid_h, grid_w, k
     )
-    return ActivationTensor(data, rectified=True)
+    return data
 
 
 def pool(features, weights, grid_h, grid_w, offset=0):
@@ -98,21 +98,14 @@ def test_pooling_permutation_equivariance():
 def test_pool_count_mismatch():
     """A layer t+1 with fewer units than there are windows is rejected."""
     grid = on_grid(np.ones((6, 2)), 2, 3)
-    layer = ActivationTensor(np.ones((2, 2, 2), dtype=np.float32), rectified=True)
+    layer = np.ones((2, 2, 2), dtype=np.float32)
     with pytest.raises(GeometryError):
         cross_layer_pool(grid, layer, 0)
 
 
-def test_gather_requires_rectified():
-    grid = on_grid(np.ones((4, 2)), 2, 2)
-    t = ActivationTensor(np.ones((4, 4, 2), dtype=np.float32) * -1.0, rectified=False)
-    with pytest.raises(ContractError):
-        cross_layer_pool(grid, t, 0)
-
-
 def test_gather_bounds():
     grid = on_grid(np.ones((4, 2)), 2, 2)
-    t = ActivationTensor(np.ones((4, 4, 2), dtype=np.float32), rectified=True)
+    t = np.ones((4, 4, 2), dtype=np.float32)
     for offset in (-1, 3):
         with pytest.raises(GeometryError):
             cross_layer_pool(grid, t, offset)
@@ -123,8 +116,7 @@ def test_gather_values():
     the offset on, row-major."""
     rng = np.random.default_rng(35)
     data = np.abs(rng.normal(size=(5, 6, 3))).astype(np.float32)
-    t = ActivationTensor(data, rectified=True)
-    pooled = cross_layer_pool(on_grid(np.eye(6), 2, 3), t, 2)
+    pooled = cross_layer_pool(on_grid(np.eye(6), 2, 3), data, 2)
     gathered = pooled.reshape(3, 6).T
     np.testing.assert_array_equal(gathered, data[2:4, 2:5].reshape(6, 3))
 
@@ -163,7 +155,7 @@ def test_cross_layer_pool_matches_oracle(stride, pad):
     )
     t1 = relu_forward(conv_forward(t, spec))
     grid = extract_local_features(t, 3, 3, stride)
-    pooled = cross_layer_pool(grid, t1, pad // stride)
+    pooled = cross_layer_pool(grid, t1.data, pad // stride)
     expect = cross_layer_oracle(data, t1.data, (3, 3), stride, pad)
     np.testing.assert_allclose(pooled, expect, rtol=1e-4, atol=1e-4)
 
@@ -181,7 +173,7 @@ def test_cross_layer_pool_with_pca():
     grid = extract_local_features(t, 3, 3, 1)
     rows = grid.reshape(-1, grid.shape[-1])
     pca = pca_fit(rows, 5)
-    pooled = cross_layer_pool(grid, t1, 0, pca=pca)
+    pooled = cross_layer_pool(grid, t1.data, 0, pca=pca)
     assert pooled.shape == (5 * 3,)
 
     projected = (rows.astype(np.float64) - pca.mean) @ pca.basis.T
@@ -218,7 +210,7 @@ def test_grid_schemes_reject_a_stack_of_grids(scheme):
     """The grid schemes pool one image part's (grid_h, grid_w, dim) grid
     and refuse an (N, grid_h, grid_w, dim) stack."""
     stack = np.ones((2, 2, 2, 3), dtype=np.float32)
-    layer = ActivationTensor(np.ones((2, 2, 4), dtype=np.float32), rectified=True)
+    layer = np.ones((2, 2, 4), dtype=np.float32)
     with pytest.raises(ValidationError, match=r"one \(grid_h, grid_w, dim\) feature grid"):
         if scheme == "cross-layer":
             cross_layer_pool(stack, layer, 0)

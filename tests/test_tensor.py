@@ -65,7 +65,7 @@ def test_per_image_consumers_reject_a_batch(tmp_path, consumer):
     calls = {
         "save_tensor": lambda: save_tensor(batch, tmp_path / "b.tens"),
         "cross_layer_pool": lambda: cross_layer_pool(
-            extract_local_features(single, 2, 2), batch, 0
+            extract_local_features(single, 2, 2), batch.data, 0
         ),
         "iter_parts": lambda: iter_parts(batch, ResolutionConfig()),
     }
