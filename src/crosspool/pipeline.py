@@ -482,18 +482,18 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
             ]
 
 
-def _encode_part(grid, layer_t1, resolution, config, pca_models):
-    """Encode one part's feature grid into a vector under the config's
-    scheme; ``layer_t1`` holds the layer t+1 unit over each window."""
+def _encode_part(grid, layer_t1, resolution, config, pca_models, out):
+    """Pool one part's feature grid into ``out``, its slice of the row,
+    under the config's scheme; ``layer_t1`` holds the layer t+1 unit over
+    each window."""
     if config.scheme == "cross-layer":
-        vector = cross_layer_pool(grid, layer_t1, 0, pca=pca_models.get(resolution))
+        cross_layer_pool(grid, layer_t1, 0, pca=pca_models.get(resolution), out=out)
     elif config.scheme == "direct-max":
-        vector = direct_max_pool(grid)
+        out[:] = direct_max_pool(grid)
     elif config.scheme == "direct-sum-sqrt":
-        vector = direct_sum_sqrt_pool(grid)
+        out[:] = direct_sum_sqrt_pool(grid)
     else:
-        vector = spp_pool(grid, config.spp_levels)
-    return power_normalize(vector) if config.power_norm else vector
+        out[:] = spp_pool(grid, config.spp_levels)
 
 
 def _fit_pca_models(images, config):
@@ -515,37 +515,35 @@ def _fit_pca_models(images, config):
     return models, time.perf_counter() - start
 
 
-def _represent_images(images, count, config, pca_models, timing, path):
+def _represent_images(images, count, config, pca_models, part_dim, timing, path):
     """Encode ``count`` images, each given as its ``_forward_images`` parts,
     into the rows of a matrix file at ``path``; returns the part layout.
 
-    The first image fixes the layout and the header for all: the resolution
-    config fixes the parts, the scheme and the second convolution their
-    lengths.  Each image's part vectors are concatenated into one reused
-    float32 row, written as soon as the image arrives.  A generator of
+    Every part is ``part_dim`` long, so the first image's parts fix the
+    layout and the header for all.  Each part is pooled straight into its
+    slice of one reused row, the row is power-normalized once and written,
+    cast to float32, as soon as the image arrives.  The row is float32 for
+    a cross-layer config without PCA and float64 otherwise, so a PCA row
+    and a baseline's are square-rooted before the cast.  A generator of
     images is held one at a time and the matrix is never held whole.
     Encoding seconds go to ``timing["pooling"]``; the row writes are not
     timed there.
     """
-    layout = None
+    dtype = np.float32 if config.scheme == "cross-layer" and not pca_models else np.float64
+    row = None
     with open(path, "wb") as fh:
         for parts in images:
             t0 = time.perf_counter()
-            chunks = [
-                _encode_part(grid, layer_t1, resolution, config, pca_models)
-                for _, resolution, grid, layer_t1 in parts
-            ]
-            if layout is None:
-                layout, offset = [], 0
-                for (label, *_), vector in zip(parts, chunks):
-                    layout.append([label, offset, vector.size])
-                    offset += vector.size
-                row = np.empty(offset, dtype=np.float32)
-                fh.write(matrix_header(count, offset))
-            np.concatenate(chunks, out=row)
+            if row is None:
+                row = np.empty(len(parts) * part_dim, dtype)
+                fh.write(matrix_header(count, row.size))
+            for k, (_, resolution, grid, layer_t1) in enumerate(parts):
+                out = row[k * part_dim : (k + 1) * part_dim]
+                _encode_part(grid, layer_t1, resolution, config, pca_models, out)
+            encoded = power_normalize(row) if config.power_norm else row
             timing["pooling"] += time.perf_counter() - t0
-            fh.write(row)
-    return layout
+            fh.write(encoded.astype(np.float32, copy=False))
+    return [[label, k * part_dim, part_dim] for k, (label, *_) in enumerate(parts)]
 
 
 def _compute_representations(config, manifest, net, t_index, t1_spec, directory):
@@ -567,13 +565,20 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
         # are done.
         train_images = list(train_images)
         pca_models, pca_seconds = _fit_pca_models(train_images, config)
+    local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
+    if config.scheme == "cross-layer":
+        part_dim = t1_spec.out_depth * (config.pca_dim or local_dim)
+    elif config.scheme == "spp":
+        part_dim = sum(g * g for g in config.spp_levels) * local_dim
+    else:
+        part_dim = local_dim
     layout = _represent_images(
-        train_images, len(train_entries), config, pca_models, timing,
+        train_images, len(train_entries), config, pca_models, part_dim, timing,
         os.path.join(directory, "train.fmat"),
     )
     test_images = _forward_images(test_entries, net, t_index, t1_spec, config, timing)
     _represent_images(
-        test_images, len(test_entries), config, pca_models, timing,
+        test_images, len(test_entries), config, pca_models, part_dim, timing,
         os.path.join(directory, "test.fmat"),
     )
     for resolution, model in pca_models.items():
@@ -584,7 +589,7 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
         "parts": layout,
         "projected_dim": config.pca_dim if pca_models else None,
         "channels": t1_spec.out_depth if config.scheme == "cross-layer" else None,
-        "local_dim": t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth,
+        "local_dim": local_dim,
         "window": [t1_spec.kernel_h, t1_spec.kernel_w],
         "stride": t1_spec.stride,
         "timing": {

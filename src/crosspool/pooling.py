@@ -51,11 +51,16 @@ def cross_layer_pool(
     layer_t1: np.ndarray,
     offset: int,
     pca: PcaModel | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pool layer t's (grid_h, grid_w, dim) local features, PCA-projected
     when a model is given, weighted by the (H, W, K) layer t+1 units from
     ``offset`` on, in the common dtype of the features and the units.
-    Layer t+1 must be nonnegative, as a ReLU's output is; it is not checked."""
+    Layer t+1 must be nonnegative, as a ReLU's output is; it is not checked.
+
+    ``out``, when given, is a contiguous vector of K * dim entries in that
+    common dtype, such as a part's slice of a representation row; the
+    product is written straight into it and it is returned."""
     require_single(layer_t1, "cross_layer_pool")
     gh, gw, dim = _grid_shape(grid)
     height, width, depth = layer_t1.shape
@@ -72,7 +77,10 @@ def cross_layer_pool(
     dtype = np.result_type(matrix, layer_t1)
     weights = layer_t1[offset : offset + gh, offset : offset + gw]
     weights = weights.reshape(-1, depth).astype(dtype, copy=False)
-    return (weights.T @ matrix.astype(dtype, copy=False)).ravel()
+    if out is None:
+        out = np.empty(depth * matrix.shape[1], dtype)
+    np.matmul(weights.T, matrix.astype(dtype, copy=False), out=out.reshape(depth, -1))
+    return out
 
 
 def _grid_shape(grid: np.ndarray) -> tuple[int, int, int]:
