@@ -75,7 +75,10 @@ class ConvLayerSpec:
     ``weights`` has shape (out_depth, kernel_h, kernel_w, in_depth); a flat
     array of matching length is accepted and reshaped.  ``weights=None``
     stays unmaterialized until the layer joins a NetworkSpec, which fills it
-    from the network seed.
+    from the network seed.  ``weights`` and ``bias`` are kept in float64;
+    ``kernel32`` and ``bias32`` are them rounded to float32 once, as the
+    (out_depth, kernel_h*kernel_w*in_depth) kernel and the (out_depth,)
+    bias that ``conv_product`` computes with.
     """
 
     kernel_h: int
@@ -86,6 +89,8 @@ class ConvLayerSpec:
     pad: int = 0
     weights: np.ndarray | None = None
     bias: np.ndarray | None = None
+    kernel32: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    bias32: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("kernel_h", "kernel_w", "in_depth", "out_depth", "stride"):
@@ -110,6 +115,9 @@ class ConvLayerSpec:
                     f"conv bias holds {b.size} values, expected {self.out_depth}"
                 )
             self.bias = b
+        if self.weights is not None:
+            self.kernel32 = self.weights.reshape(self.out_depth, -1).astype(np.float32)
+        self.bias32 = self.bias.astype(np.float32)
 
     def output_dims(self, height: int, width: int) -> tuple[int, int]:
         oh = (height + 2 * self.pad - self.kernel_h) // self.stride + 1
@@ -192,22 +200,25 @@ def window_stack(data: np.ndarray, window_h: int, window_w: int, stride: int) ->
 
 
 def conv_product(windows: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
-    """The layer's float64 output at each window of ``windows``, an array
+    """The layer's float32 output at each window of ``windows``, an array
     of shape ``lead + (kernel_h*kernel_w*in_depth,)`` whose last axis holds
     one window flattened in (row, column, channel) order, like the kernel.
 
     Returns shape ``lead + (out_depth,)``.  Every convolution is this one
-    product.
+    float32 product with the layer's ``kernel32``, plus ``bias32``, so a
+    window's output may differ in its last bits with the number of windows
+    in the product.
     """
-    kernel = layer.weights.reshape(layer.out_depth, -1)
-    cols = windows.reshape(-1, kernel.shape[1]).astype(np.float64, copy=False)
-    return (cols @ kernel.T + layer.bias).reshape(windows.shape[:-1] + (layer.out_depth,))
+    cols = windows.reshape(-1, layer.kernel32.shape[1]).astype(np.float32, copy=False)
+    out = cols @ layer.kernel32.T
+    out += layer.bias32
+    return out.reshape(windows.shape[:-1] + (layer.out_depth,))
 
 
 def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTensor:
     """Zero-padded valid convolution; output is not marked rectified.
 
-    The input is written into a zeroed float64 array of the padded shape,
+    The input is written into a zeroed float32 array of the padded shape,
     whose windows go through ``conv_product``.
     """
     if tensor.depth != layer.in_depth:
@@ -224,7 +235,10 @@ def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTe
             f"stride {layer.stride}, pad {layer.pad})"
         )
     pad, (height, width) = layer.pad, (tensor.height, tensor.width)
-    data = np.zeros(tensor.data.shape[:-3] + (height + 2 * pad, width + 2 * pad, tensor.depth))
+    data = np.zeros(
+        tensor.data.shape[:-3] + (height + 2 * pad, width + 2 * pad, tensor.depth),
+        dtype=np.float32,
+    )
     data[..., pad : pad + height, pad : pad + width, :] = tensor.data
     patches = window_stack(data, layer.kernel_h, layer.kernel_w, layer.stride)
     cols = patches.reshape(patches.shape[:-3] + (-1,))

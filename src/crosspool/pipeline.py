@@ -471,7 +471,8 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
             extract_seconds += time.perf_counter() - t0
             units = [None] * len(members)
             if config.scheme == "cross-layer":
-                units = np.maximum(conv_product(grids, t1_spec).astype(np.float32), 0.0)
+                units = conv_product(grids, t1_spec)
+                np.maximum(units, 0.0, out=units)
             outputs.update(zip(members, zip(grids, units)))
         timing["extraction"] += time.perf_counter() - start - extract_seconds
         timing["pooling"] += extract_seconds

@@ -36,12 +36,6 @@ from crosspool.pipeline import (
     parse_manifest,
     run_pipeline,
 )
-from crosspool.pooling import (
-    cross_layer_pool,
-    direct_max_pool,
-    direct_sum_sqrt_pool,
-    unit_offset,
-)
 from crosspool.postproc import load_pca
 from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
@@ -51,6 +45,7 @@ from crosspool.tensor import (
     load_tensor,
     save_tensor,
 )
+from test_pool_drift import assert_rows_within_bound
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
 
@@ -399,44 +394,16 @@ def test_per_image_total_is_stage_wall_time(dataset, tmp_path):
         assert per_image["total"] * images <= elapsed
 
 
-ORACLE_POOLS = {
-    "cross-layer": cross_layer_pool,
-    "direct-max": lambda grid, *_: direct_max_pool(grid),
-    "direct-sum-sqrt": lambda grid, *_: direct_sum_sqrt_pool(grid),
-}
-
-
-def oracle_row(path, net, config, t_index, t1_index):
-    """One image's representation row from a full forward pass per part:
-    every stage runs, layer t+1 is ``run_network``'s output at
-    ``t1_index``, pooling starts at ``unit_offset(pad, stride)``, and power
-    normalization is ``np.sign(v) * np.sqrt(np.abs(v))``."""
-    conv = net.stages[t1_index - 1]
-    offset = unit_offset(conv.pad, conv.stride)
-    chunks = []
-    for _, _, part in iter_parts(load_tensor(path), config.resolution):
-        outputs = run_network(ActivationTensor(part), net)
-        grid = extract_local_features(
-            outputs[t_index], conv.kernel_h, conv.kernel_w, conv.stride
-        )
-        v = ORACLE_POOLS[config.scheme](grid, outputs[t1_index].data, offset)
-        chunks.append(np.sign(v) * np.sqrt(np.abs(v)))
-    return np.concatenate(chunks).astype(np.float32)
-
-
-def assert_rows_match_oracle(report, manifest, net, config, t_index, t1_index):
-    for split in ("train", "test"):
-        rows = load_features(f"{report['artifacts']['representations']}/{split}.fmat").data
-        for row, entry in zip(rows, manifest.split(split), strict=True):
-            want = oracle_row(entry.path, net, config, t_index, t1_index)
-            np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
+# the schemes whose rows the drift contract's oracle derives
+ORACLE_SCHEMES = ("cross-layer", "direct-max", "direct-sum-sqrt")
 
 
 def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
     """Parts of several images go through the network in one call per shape,
     each stack's layer t is cut into local features in one more call, and
-    every row equals the one a full per-part forward pass gives, bit for
-    bit, on a manifest that mixes 20x20 and 26x26 images."""
+    every row is within the drift contract's bound of the float64 oracle's
+    full per-part forward pass, on a manifest that mixes 20x20 and 26x26
+    images."""
     sets = []
     for sub, grid in (("small", 6), ("large", 8)):
         path, net_path = generate(tmp_path / sub, n_train=6, n_test=6, seed=grid, grid=grid)
@@ -467,7 +434,7 @@ def test_forward_batches_parts_by_shape(tmp_path, monkeypatch):
     assert {shape[1:3] for shape in calls} == {(20, 20), (10, 10), (26, 26), (13, 13)}
     assert extracts == [shape[0] for shape in calls]
     # synth's network: conv 1x1, relu (layer t), conv 3x3, relu (layer t+1)
-    assert_rows_match_oracle(report, manifest, parse_network_file(net_path), config, 1, 3)
+    assert_rows_within_bound(report, manifest, parse_network_file(net_path), config, 1, 3)
 
 
 @pytest.mark.parametrize(
@@ -477,9 +444,10 @@ def test_representations_match_the_full_forward_pass(
     tmp_path, monkeypatch, kernel, stride, pad
 ):
     """On a network with biases, a second conv padded or not and strided or
-    not, and stages past layer t+1, every scheme's rows equal the full
-    per-part forward pass's, bit for bit, while the pipeline runs the
-    network only through layer t: the one conv it runs is layer t's."""
+    not, and stages past layer t+1, every scheme's rows are within the
+    drift contract's bound of the float64 oracle's full per-part forward
+    pass, while the pipeline runs the network only through layer t: the one
+    conv it runs is layer t's."""
     rng = np.random.default_rng(10 * stride + pad)
     stages = [
         ConvLayerSpec(3, 3, 4, 6, pad=1, bias=rng.normal(size=6) / 4),
@@ -516,21 +484,21 @@ def test_representations_match_the_full_forward_pass(
 
     monkeypatch.setattr(crosspool.network, "conv_forward", recorded_conv)
     monkeypatch.setattr(crosspool.pipeline, "run_network", recorded_forward)
-    for scheme in ORACLE_POOLS:
+    for scheme in ORACLE_SCHEMES:
         config = PipelineConfig(network=str(net_path), scheme=scheme, resolution="both")
         convs.clear()
         forwards.clear()
         report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
         assert forwards and set(forwards) == {2}
         assert convs and set(convs) == {6}
-        assert_rows_match_oracle(report, manifest, net, config, 1, 3)
+        assert_rows_within_bound(report, manifest, net, config, 1, 3)
 
 
 def test_images_too_small_for_later_stages_are_encoded(tmp_path):
     """Only the layers through t+1 must fit an image part: the maxpool and
     4x4 conv past layer t+1, which a 6x6 image cannot pass through, never
-    run, and every scheme's rows equal the forward pass through the ReLU
-    after conv t+1, bit for bit."""
+    run, and every scheme's rows are within the drift contract's bound of
+    the float64 oracle's forward pass through the ReLU after conv t+1."""
     rng = np.random.default_rng(6)
     head = [
         ConvLayerSpec(3, 3, 4, 6, pad=1, bias=rng.normal(size=6) / 4),
@@ -551,12 +519,12 @@ def test_images_too_small_for_later_stages_are_encoded(tmp_path):
     with pytest.raises(GeometryError, match="for input 1x1 .kernel 4x4"):
         run_network(load_tensor(manifest.entries[0].path), net)
     truncated = NetworkSpec(net.stages[: len(head)], seed=net.seed)
-    for scheme in ORACLE_POOLS:
+    for scheme in ORACLE_SCHEMES:
         config = PipelineConfig(network=str(net_path), scheme=scheme, resolution="both")
         report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
         if scheme == "cross-layer":
             assert report["dims"]["parts"][0] == ["whole", 0, 270]
-        assert_rows_match_oracle(report, manifest, truncated, config, 1, 3)
+        assert_rows_within_bound(report, manifest, truncated, config, 1, 3)
 
 
 def test_block_with_no_rows_rejected(tmp_path):

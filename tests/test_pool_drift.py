@@ -1,24 +1,27 @@
-"""Drift of float32 cross-layer pooling against the float64 formula.
+"""The drift contract: the float32 forward pass and pooling against the
+float64 formula.
 
-``cross_layer_pool`` computes in the common dtype of its two operands and
-``power_normalize`` keeps float32 input float32.  Without PCA both
-operands are float32 (layer t's local features and the rectified layer
-t+1 units), so a part is pooled and square-rooted in float32; a PCA
-projection is float64, so a PCA part still pools in float64, bit for bit
-as the formula that casts both operands to float64 first.
+The network's convolutions and the layer t+1 product run in float32
+(``conv_product``).  ``cross_layer_pool`` computes in the common dtype of
+its two operands and ``power_normalize`` keeps float32 input float32.
+Without PCA both pooling operands are float32, so a part is pooled and
+square-rooted in float32; a PCA projection is float64, so a PCA part still
+pools in float64, bit for bit as the formula that casts both operands to
+float64 first.  The float64 forward pass, ``oracle_conv_product``, is kept
+here as the oracle.  Let u = 2**-24, the unit roundoff of float32, and
+gamma_n = n*u / (1 - n*u) (Higham, "Accuracy and Stability of Numerical
+Algorithms", section 3.1).
 
-The bound.  Let u = 2**-24, the unit roundoff of float32, and let a part
-have m windows.  One entry of the pooled vector is P = sum_i x_i * a_i
-with m nonnegative float32 terms.  Computed in float32 in any order, with
-or without fused multiply-adds, each term passes through at most m
-roundings, so the float32 sum is P * (1 + theta) with
-|theta| <= gamma_m = m*u / (1 - m*u) (Higham, "Accuracy and Stability of
-Numerical Algorithms", section 3.1; the terms are nonnegative, so the
-bound is relative to P itself).  The square root halves a relative error:
-|sqrt(1 + theta) - 1| <= gamma_m / 2 * (1 + gamma_m), and rounding it to
-float32 adds one more u.  The reference ``float32(sqrt(float64 pool))``
-is within u of sqrt(P), up to float64 terms of order m * 2**-53.  So each
-entry of the float32 row is within
+Pooling, from given float32 operands.  Let a part have m windows.  One
+entry of the pooled vector is P = sum_i x_i * a_i with m nonnegative
+float32 terms.  Computed in float32 in any order, with or without fused
+multiply-adds, each term passes through at most m roundings, so the
+float32 sum is P * (1 + theta) with |theta| <= gamma_m; the terms are
+nonnegative, so the bound is relative to P itself.  The square root
+halves a relative error: |sqrt(1 + theta) - 1| <= gamma_m / 2 *
+(1 + gamma_m), and rounding it to float32 adds one more u.  The reference
+``float32(sqrt(float64 pool))`` is within u of sqrt(P), up to float64
+terms of order m * 2**-53.  So each entry of the float32 row is within
 
     (m/2 + 2) * u
 
@@ -27,24 +30,104 @@ that covers the terms of order (m*u)**2 and m * 2**-53 while m stays in
 the thousands.  An entry whose reference is zero must be zero.  This holds
 while the products stay in float32's normal range: the drawn values keep
 them there, and so do the images' activations.
+
+Activations, a running bound.  The oracle carries, next to each float64
+activation y, a magnitude A >= |y| and an error bound E on the float32
+computation's distance from y.  The input tensor is float32 already:
+A = |x|, E = 0.  A convolution with K = kernel_h * kernel_w * in_depth
+computes y^ = fl(W~ x^ + b~), where W~ and b~ are the float64 weights and
+bias rounded to float32 once (|W~ - W| <= u |W|) and |x^ - x| <= E.  The
+float32 inner product of K terms plus the bias is within
+gamma_{K+1} (|W~| |x^| + |b~|) of its exact value, in any summation
+order.  With |W~| <= (1 + u) |W|, |x^| <= A + E and
+u + (1 + u) gamma_{K+1} <= gamma_{K+2} (Higham, lemma 3.3):
+
+    |y^ - y| <= |W| E + gamma_{K+2} (|W| (A + E) + |b|),
+    A' = |W| A + |b|.
+
+The same products of absolute values give both, so the bound is the
+oracle's own computation on |W|, |b|, A and E.  A ReLU is 1-Lipschitz and
+|max(y, 0)| <= A, so it passes A and E through, except that where
+y < -E both y and y^ are negative and the error is 0; a max pool takes
+the window maximum of each.  The layer t+1 product of the pipeline is the same
+convolution over layer t's windows.  The float64 oracle's own rounding,
+and the rounding of the bound's float64 arithmetic, are of order
+K * 2**-53 * A, below 2**-29 of the gamma_{K+2} A term that every bound
+holds; a factor ``SLACK`` = 1 + 2**-20 covers them.
+
+Representation rows.  With the grid x^ within E_x of the oracle's x and
+the units a^ within E_a of its a, over m windows, a cross-layer entry
+P = sum_i x_i a_i satisfies
+
+    |P^ - P| <= sum_i (|x_i| E_a + E_x a_i + E_x E_a)
+                + gamma_m sum_i (|x_i| + E_x)(a_i + E_a) = delta,
+
+with gamma_m in float32 without PCA and in float64 with it.  A PCA part
+first projects z = (x - mean) B^T in float64: |z^ - z| <= E_x |B| +
+gamma64_{d+1} (|x| + E_x + |mean|) |B|, and that takes the place of E_x.
+Direct max pooling moves by at most max_i E_x; direct sum pooling by
+sum_i E_x + gamma64_m sum_i (|x_i| + E_x), then its square root as below.
+The signed square root moves by at most delta / sqrt(|P|) where
+|P| > delta (no sign can change there), and by sqrt(2 delta) anywhere.
+Rounding the result to float32 adds u (|r| + bound).  Sign codes are
+quantized from the written row, so a code may differ from the oracle's
+only where the oracle's entry is within its bound of zero.
+
+Gram entries.  With |r^ - r| <= beta entrywise, a float Gram entry moves
+by at most |beta_i| |r_j| + |r_i| |beta_j| + |beta_i| |beta_j|; a sign
+Gram entry, whose terms are products of -1, 0 and 1, by at most twice the
+number of entries of the two rows that may change their code.  The kernel
+computes in float64 and ``gram.fmat`` holds float32, which adds
+u |G| + gamma64_dim |r^_i| |r^_j|.  On the configs below, that bound is
+under ``GRAM_FRACTION`` of the largest entry: 2**-10 for float rows, and
+2**-5 for sign codes, whose bound counts every entry within its bound of
+zero as a code that may change.  The Gram is checked against both.  Predictions have no bound: they, and criteria 7
+and 8's metrics, must equal those of a run whose forward pass is the
+float64 oracle rounded to float32, as the pipeline computed it before.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import crosspool.network
 import crosspool.pipeline
 from crosspool.features import extract_local_features
 from crosspool.multires import iter_parts
-from crosspool.network import parse_network_file, run_network
+from crosspool.network import (
+    ConvLayerSpec,
+    NetworkSpec,
+    ReluStage,
+    conv_product,
+    parse_network_file,
+    run_network,
+    window_stack,
+)
 from crosspool.pipeline import PipelineConfig, parse_manifest, run_pipeline
 from crosspool.pooling import cross_layer_pool, unit_offset
-from crosspool.postproc import PcaModel, pca_project, power_normalize
+from crosspool.postproc import (
+    PcaModel,
+    load_sign_stack,
+    pca_project,
+    power_normalize,
+    sign_unpack,
+)
+from crosspool.svm import load_svm, svm_predict
 from crosspool.synth import generate
 from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_tensor
 
 UNIT_ROUNDOFF = 2.0**-24
+UNIT_ROUNDOFF64 = 2.0**-53
+SLACK = 1 + 2.0**-20
+GRAM_FRACTION = {False: 2.0**-10, True: 2.0**-5}
+
+
+def gamma(n, unit=UNIT_ROUNDOFF):
+    return n * unit / (1 - n * unit)
 
 
 def drift_bound(windows):
@@ -75,6 +158,188 @@ def assert_within_bound(got, grid, layer_t1, offset):
     )
 
 
+# -- the float64 oracle and its running bound ------------------------------
+
+
+class Bounded(NamedTuple):
+    """A float64 oracle activation, a magnitude at least its absolute
+    value, and the bound on the float32 computation's distance from it."""
+
+    value: np.ndarray
+    magnitude: np.ndarray
+    error: np.ndarray
+
+
+def exact_input(data):
+    data = np.asarray(data, dtype=np.float64)
+    return Bounded(data, np.abs(data), np.zeros_like(data))
+
+
+def oracle_conv_product(windows, layer):
+    """``conv_product`` in float64: float64 windows times the layer's
+    float64 weights, plus its float64 bias."""
+    kernel = layer.weights.reshape(layer.out_depth, -1)
+    cols = windows.reshape(-1, kernel.shape[1]).astype(np.float64)
+    return (cols @ kernel.T + layer.bias).reshape(windows.shape[:-1] + (layer.out_depth,))
+
+
+def bounded_product(windows, layer):
+    """The oracle's product of bounded windows with the layer, and the
+    running bound of the module docstring."""
+    k = windows.value.shape[-1]
+    abs_kernel = np.abs(layer.weights.reshape(layer.out_depth, k)).T
+    abs_bias = np.abs(layer.bias)
+    return Bounded(
+        oracle_conv_product(windows.value, layer),
+        windows.magnitude @ abs_kernel + abs_bias,
+        windows.error @ abs_kernel
+        + gamma(k + 2) * ((windows.magnitude + windows.error) @ abs_kernel + abs_bias),
+    )
+
+
+def bounded_windows(x, window_h, window_w, stride, pad=0):
+    """The flattened (..., grid_h, grid_w, window_h*window_w*D) windows of
+    each field, zero-padded by ``pad``, as ``extract_local_features`` cuts
+    them."""
+
+    def cut(a):
+        a = np.pad(a, ((0, 0),) * (a.ndim - 3) + ((pad, pad), (pad, pad), (0, 0)))
+        windows = np.ascontiguousarray(window_stack(a, window_h, window_w, stride))
+        return windows.reshape(windows.shape[:-3] + (-1,))
+
+    return Bounded(*map(cut, x))
+
+
+def oracle_forward(data, stages):
+    """Each stage's bounded output on one (H, W, D) part or a stack."""
+    x, outputs = exact_input(data), []
+    for stage in stages:
+        if isinstance(stage, ConvLayerSpec):
+            x = bounded_product(bounded_windows(
+                x, stage.kernel_h, stage.kernel_w, stage.stride, stage.pad
+            ), stage)
+        elif isinstance(stage, ReluStage):
+            x = Bounded(
+                np.maximum(x.value, 0.0), x.magnitude, np.where(x.value < -x.error, 0.0, x.error)
+            )
+        else:
+            x = Bounded(*(
+                window_stack(a, stage.size, stage.size, stage.stride).max(axis=(-3, -2))
+                for a in x
+            ))
+        outputs.append(x)
+    return outputs
+
+
+def assert_within(got, want, bound, what="entry"):
+    """Entry by entry, ``got`` within ``bound`` (times ``SLACK``) of ``want``."""
+    assert got.shape == want.shape
+    error = np.abs(np.asarray(got, dtype=np.float64) - want)
+    ratio = np.divide(error, bound, out=np.zeros_like(error), where=bound > 0)
+    assert np.all(error <= bound * SLACK), (
+        f"{what}: largest error {error.max():.3g}, {ratio.max():.3g} times its bound"
+    )
+
+
+def signed_sqrt(value, delta):
+    """sign(v) sqrt(|v|) and its bound, for |v^ - v| <= delta."""
+    root = np.sqrt(np.abs(value))
+    far = np.abs(value) > delta
+    bound = np.where(far, delta / np.where(far, root, 1.0), np.sqrt(2 * delta))
+    return np.sign(value) * root, bound
+
+
+def pooled_with_bound(scheme, grid, units, pca):
+    """One part's pooled vector from the oracle's bounded (grid_h, grid_w,
+    dim) grid and units over the same windows, and its bound."""
+    gh, gw, dim = grid.value.shape
+    m = gh * gw
+    x, ex = grid.value.reshape(m, dim), grid.error.reshape(m, dim)
+    if scheme == "direct-max":
+        return x.max(axis=0), ex.max(axis=0)
+    if scheme == "direct-sum-sqrt":
+        total = x.sum(axis=0)
+        delta = ex.sum(axis=0) + gamma(m, UNIT_ROUNDOFF64) * (np.abs(x) + ex).sum(axis=0)
+        return signed_sqrt(total, delta)
+    assert scheme == "cross-layer"
+    unit = UNIT_ROUNDOFF
+    if pca is not None:
+        basis = np.abs(pca.basis).T
+        spread = (np.abs(x) + ex + np.abs(pca.mean)) @ basis
+        x, ex = pca_project(pca, x), ex @ basis + gamma(dim + 1, UNIT_ROUNDOFF64) * spread
+        unit = UNIT_ROUNDOFF64
+    a, ea = units.value.reshape(m, -1), units.error.reshape(m, -1)
+    ax = np.abs(x)
+    delta = ea.T @ ax + a.T @ ex + ea.T @ ex + gamma(m, unit) * ((a + ea).T @ (ax + ex))
+    return (a.T @ x).ravel(), delta.ravel()
+
+
+def oracle_row(path, net, config, t_index, t1_index, pca_models=None):
+    """One image's representation row from the float64 oracle on a full
+    forward pass per part, and the bound on each entry of the pipeline's
+    float32 row: layer t+1 is the oracle's output at ``t1_index`` and
+    pooling starts at ``unit_offset(pad, stride)``."""
+    conv = net.stages[t1_index - 1]
+    offset = unit_offset(conv.pad, conv.stride)
+    rows, bounds = [], []
+    for _, resolution, part in iter_parts(load_tensor(path), config.resolution):
+        outputs = oracle_forward(part, net.stages[: t1_index + 1])
+        grid = bounded_windows(outputs[t_index], conv.kernel_h, conv.kernel_w, conv.stride)
+        gh, gw = grid.value.shape[:2]
+        units = Bounded(*(a[offset : offset + gh, offset : offset + gw]
+                          for a in outputs[t1_index]))
+        pca = (pca_models or {}).get(resolution)
+        row, bound = pooled_with_bound(config.scheme, grid, units, pca)
+        if config.power_norm:
+            row, bound = signed_sqrt(row, bound)
+        rows.append(row)
+        bounds.append(bound + UNIT_ROUNDOFF * (np.abs(row) + bound))
+    return np.concatenate(rows), np.concatenate(bounds)
+
+
+def oracle_rows(report, manifest, net, config, t_index, t1_index, pca_models=None):
+    """Per split: the pipeline's rows, the oracle's rows and their bounds."""
+    rep_dir = report["artifacts"]["representations"]
+    out = {}
+    for split in ("train", "test"):
+        rows = load_features(f"{rep_dir}/{split}.fmat").data
+        entries = manifest.split(split)
+        assert len(rows) == len(entries)
+        want = [oracle_row(e.path, net, config, t_index, t1_index, pca_models)
+                for e in entries]
+        out[split] = (rows, np.array([w for w, _ in want]), np.array([b for _, b in want]))
+    return out
+
+
+def assert_rows_within_bound(report, manifest, net, config, t_index, t1_index,
+                             pca_models=None):
+    """Every entry of every row within its bound of the float64 oracle."""
+    found = oracle_rows(report, manifest, net, config, t_index, t1_index, pca_models)
+    for split, (rows, want, bound) in found.items():
+        assert_within(rows, want, bound, f"{split} rows")
+    return found
+
+
+def float64_forward(monkeypatch):
+    """Run the pipeline's products through the float64 oracle, rounded to
+    float32 as the pipeline computed them before."""
+
+    def product(windows, layer):
+        return oracle_conv_product(windows, layer).astype(np.float32)
+
+    monkeypatch.setattr(crosspool.network, "conv_product", product)
+    monkeypatch.setattr(crosspool.pipeline, "conv_product", product)
+
+
+def predictions(report):
+    model = load_svm(f"{report['artifacts']['model']}/model.svm")
+    rows = load_features(f"{report['artifacts']['kernel']}/rows.fmat").data
+    return svm_predict(model, rows)[0]
+
+
+# -- tests -----------------------------------------------------------------
+
+
 PARTS_NET = """\
 input_depth = 16
 seed = 7
@@ -85,54 +350,182 @@ relu
 """
 
 
-def test_parts_rows_within_bound(tmp_path):
-    """8x8x16 images encoded as the whole image plus 2x2 blocks, 9216-d per
-    part from 36 and 4 windows: every entry of every row is within the bound
-    of the float64 formula on a full forward pass per part, with the layer
-    t+1 unit over the first window at pad / stride.  Pooling that padded
-    layer t+1 from ``unit_offset`` on stays within the bound too."""
-    (tmp_path / "net.spec").write_text(PARTS_NET)
-    rng = np.random.default_rng(23)
+def parts_dataset(root, count=6, seed=23):
+    """8x8x16 images in two classes and the 16 -> 32 -> 32 network."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "net.spec").write_text(PARTS_NET)
+    rng = np.random.default_rng(seed)
     lines = []
-    for i in range(6):
+    for i in range(count):
         data = rng.uniform(0.0, 1.0, size=(8, 8, 16))
         data[:, :, 8 * (i % 2) : 8 * (i % 2) + 8] *= 1.5
-        save_tensor(ActivationTensor(data), tmp_path / f"{i}.tens")
-        lines.append(f"{i}.tens\t{('train', 'test')[i // 3]}\tc{i % 2}")
-    (tmp_path / "manifest.tsv").write_text("\n".join(lines) + "\n")
-    manifest = parse_manifest(tmp_path / "manifest.tsv")
-    net = parse_network_file(tmp_path / "net.spec")
+        save_tensor(ActivationTensor(data), root / f"{i}.tens")
+        lines.append(f"{i}.tens\t{('train', 'test')[2 * i // count]}\tc{i % 2}")
+    (root / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    return parse_manifest(root / "manifest.tsv"), str(root / "net.spec")
+
+
+ACTIVATION_NETS = {
+    "parts": (16, [
+        ConvLayerSpec(3, 3, 16, 32, pad=1), ReluStage(),
+        ConvLayerSpec(3, 3, 32, 32, pad=1), ReluStage(),
+    ]),
+    "strided-with-bias": (4, [
+        ConvLayerSpec(3, 3, 4, 6, pad=1, bias=np.linspace(-0.3, 0.3, 6)), ReluStage(),
+        ConvLayerSpec(3, 3, 6, 5, stride=2, pad=2, bias=np.linspace(0.2, -0.2, 5)),
+        ReluStage(),
+    ]),
+    "unpadded-3x2": (3, [
+        ConvLayerSpec(2, 2, 3, 24, stride=1, pad=0, bias=np.full(24, -0.1)), ReluStage(),
+        ConvLayerSpec(3, 2, 24, 7, pad=0), ReluStage(),
+    ]),
+}
+
+
+@pytest.mark.parametrize("stack", [1, 3, 17])
+@pytest.mark.parametrize("name", sorted(ACTIVATION_NETS))
+def test_activations_within_running_bound(name, stack):
+    """Layer t from ``run_network`` on a stack, and layer t+1 as the
+    pipeline computes it (the ReLU of ``conv_product`` over layer t's
+    windows), are float32 and within the running bound of the float64
+    oracle's full forward pass, image by image, at any stack size."""
+    depth, stages = ACTIVATION_NETS[name]
+    net = NetworkSpec(stages, seed=5)
+    conv = net.stages[2]
+    rng = np.random.default_rng(stack)
+    data = rng.uniform(-0.5, 1.0, size=(stack, 9, 9, depth)).astype(np.float32)
+    layer_t = run_network(ActivationTensor(data), NetworkSpec(net.stages[:2]))[-1]
+    grids = extract_local_features(layer_t, conv.kernel_h, conv.kernel_w, conv.stride)
+    units = np.maximum(conv_product(grids, conv), 0.0)
+    assert layer_t.data.dtype == units.dtype == np.float32
+    offset = unit_offset(conv.pad, conv.stride)
+    gh, gw = grids.shape[1:3]
+    for n in range(stack):
+        oracle = oracle_forward(data[n], net.stages)
+        assert_within(layer_t.data[n], oracle[1].value, oracle[1].error, "layer t")
+        t1 = Bounded(*(a[offset : offset + gh, offset : offset + gw] for a in oracle[3]))
+        assert_within(units[n], t1.value, t1.error, "layer t+1")
+
+
+def test_parts_rows_within_bound(tmp_path):
+    """8x8x16 images encoded as the whole image plus 2x2 blocks, 9216-d per
+    part from 36 and 4 windows: every entry of every row is within the
+    bound that the running activation bound gives on the float64 oracle's
+    full forward pass per part, with the layer t+1 unit over the first
+    window at pad / stride.  Pooling that padded float32 layer t+1 from
+    ``unit_offset`` on stays within the pooling bound of its own float64
+    formula too."""
+    manifest, net_path = parts_dataset(tmp_path / "data")
+    net = parse_network_file(net_path)
     config = PipelineConfig(
-        network=str(tmp_path / "net.spec"), layer_pair=(1, 2), resolution="both",
-        quantize=True, seed=1,
+        network=net_path, layer_pair=(1, 2), resolution="both", quantize=True, seed=1,
     )
     report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
     assert report["dims"]["representation_dim"] == 5 * 9216
+    assert_rows_within_bound(report, manifest, net, config, 1, 3)
 
-    rep_dir = report["artifacts"]["representations"]
     conv = net.stages[2]
-    offset = conv.pad // conv.stride
     windows = set()
-    for split in ("train", "test"):
-        rows = load_features(f"{rep_dir}/{split}.fmat").data
-        for row, entry in zip(rows, manifest.split(split), strict=True):
-            start = 0
-            for _, _, part in iter_parts(load_tensor(entry.path), config.resolution):
-                layer_t, _, layer_t1 = run_network(ActivationTensor(part), net)[1:]
-                layer_t1 = layer_t1.data
-                grid = extract_local_features(
-                    layer_t, conv.kernel_h, conv.kernel_w, conv.stride
-                )
-                size = grid.shape[-1] * layer_t1.shape[-1]
-                assert_within_bound(row[start : start + size], grid, layer_t1, offset)
-                padded = cross_layer_pool(
-                    grid, layer_t1, unit_offset(conv.pad, conv.stride)
-                )
-                assert_within_bound(power_normalize(padded), grid, layer_t1, offset)
-                windows.add(grid.shape[0] * grid.shape[1])
-                start += size
-            assert start == row.size
+    for entry in manifest.entries:
+        for _, _, part in iter_parts(load_tensor(entry.path), config.resolution):
+            layer_t, _, layer_t1 = run_network(ActivationTensor(part), net)[1:]
+            grid = extract_local_features(layer_t, conv.kernel_h, conv.kernel_w, conv.stride)
+            offset = unit_offset(conv.pad, conv.stride)
+            padded = cross_layer_pool(grid, layer_t1.data, offset)
+            assert_within_bound(power_normalize(padded), grid, layer_t1.data, offset)
+            windows.add(grid.shape[0] * grid.shape[1])
     assert windows == {36, 4}
+
+
+def record_pca_models(monkeypatch):
+    fitted = {}
+    fit = crosspool.pipeline._fit_pca_models
+
+    def recorded_fit(images, config):
+        models, seconds = fit(images, config)
+        fitted.update(models)
+        return models, seconds
+
+    monkeypatch.setattr(crosspool.pipeline, "_fit_pca_models", recorded_fit)
+    return fitted
+
+
+def gram_bound(train, quantized):
+    """The bound of the module docstring on each Gram entry, from the
+    pipeline's rows, the oracle's rows and their bounds."""
+    rows, want, bound = train
+    dim = rows.shape[1]
+    if quantized:
+        unsure = (np.abs(want) <= bound * SLACK).sum(axis=1, where=bound > 0)
+        moved = 2.0 * (unsure[:, None] + unsure[None, :])
+        gram = np.sign(want) @ np.sign(want).T
+    else:
+        a = np.abs(want)
+        moved = bound @ a.T + a @ bound.T + bound @ bound.T
+        got = np.abs(rows.astype(np.float64))
+        moved += gamma(dim, UNIT_ROUNDOFF64) * (got @ got.T)
+        gram = want @ want.T
+    return gram, moved + UNIT_ROUNDOFF * np.abs(gram)
+
+
+@pytest.mark.parametrize("case", ["pca", "quantized-parts"])
+def test_rows_gram_and_predictions_against_the_float64_forward(tmp_path, monkeypatch, case):
+    """A PCA config and a quantized whole+blocks config: every row entry
+    is within its bound of the oracle, given the stage's own PCA models;
+    every sign code equals the oracle's where the oracle's entry is farther
+    than its bound from zero; each Gram entry is within its bound of the
+    oracle rows' Gram, and that bound is under ``GRAM_FRACTION`` of the
+    largest entry; and predictions and metrics equal those of a run whose
+    forward pass is the float64 oracle."""
+    if case == "pca":
+        manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=5)
+        manifest = parse_manifest(manifest_path)
+        config = PipelineConfig(network=net_path, pca_dim=8, resolution="both", seed=1)
+    else:
+        manifest, net_path = parts_dataset(tmp_path / "data", count=16)
+        config = PipelineConfig(
+            network=net_path, resolution="both", quantize=True, seed=1,
+        )
+    fitted = record_pca_models(monkeypatch)
+    report = run_pipeline(config, manifest, tmp_path / "float32")
+    assert bool(fitted) == (case == "pca")
+    net = parse_network_file(net_path)
+    found = assert_rows_within_bound(report, manifest, net, config, 1, 3, fitted)
+
+    if config.quantize:
+        for split, (_, want, bound) in found.items():
+            codes, dim = load_sign_stack(f"{report['artifacts']['kernel']}/{split}.signs")
+            sure = (np.abs(want) > bound * SLACK) | (bound == 0)
+            assert sure.mean() > 0.99
+            signs = sign_unpack(codes)[:, :dim]
+            np.testing.assert_array_equal(signs[sure], np.sign(want[sure]))
+
+    gram = load_features(f"{report['artifacts']['kernel']}/gram.fmat").data
+    want, bound = gram_bound(found["train"], config.quantize)
+    assert_within(gram, want, bound, "Gram")
+    assert bound.max() <= GRAM_FRACTION[config.quantize] * np.abs(want).max()
+
+    float64_forward(monkeypatch)
+    oracle_report = run_pipeline(config, manifest, tmp_path / "float64")
+    assert predictions(report) == predictions(oracle_report)
+    assert report["metrics"] == oracle_report["metrics"]
+
+
+def test_criteria_7_and_8_metrics_match_the_float64_forward(tmp_path, monkeypatch):
+    """Criteria 7 and 8's five configs on their 300/300 set report the
+    same metrics with the float32 forward pass as with the float64 oracle."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=300, n_test=300, seed=7)
+    manifest = parse_manifest(manifest_path)
+    configs = [
+        PipelineConfig(network=net_path, pca_dim=20, seed=7),
+        PipelineConfig(network=net_path, pca_dim=20, seed=7, quantize=True),
+        PipelineConfig(network=net_path, scheme="direct-max", seed=7),
+        PipelineConfig(network=net_path, scheme="direct-sum-sqrt", seed=7),
+    ]
+    float32 = [run_pipeline(c, manifest, tmp_path / "float32")["metrics"] for c in configs]
+    float64_forward(monkeypatch)
+    float64 = [run_pipeline(c, manifest, tmp_path / "float64")["metrics"] for c in configs]
+    assert float32 == float64
 
 
 # zero, or far enough from both ends of float32 that every product is normal
@@ -194,41 +587,32 @@ def test_float64_operands_keep_the_float64_formula():
 
 
 def test_pca_rows_keep_the_float64_formula(tmp_path, monkeypatch):
-    """A PCA cross-layer config's rows are the float64 formula on a full
-    forward pass per part, square-rooted in float64 and rounded to float32,
-    bit for bit."""
+    """A PCA cross-layer config's rows are the float64 formula on the
+    stage's own feature grids and layer t+1 units, square-rooted in float64
+    and only then rounded to float32, bit for bit."""
     manifest_path, net_path = generate(tmp_path / "data", n_train=6, n_test=6, seed=23)
     manifest = parse_manifest(manifest_path)
-    net = parse_network_file(net_path)
     config = PipelineConfig(network=net_path, pca_dim=8, resolution="both", seed=1)
-    fitted = {}
-    fit = crosspool.pipeline._fit_pca_models
+    fitted = record_pca_models(monkeypatch)
+    pooled = []
+    pool = crosspool.pipeline.cross_layer_pool
 
-    def recorded_fit(images, config):
-        models, seconds = fit(images, config)
-        fitted.update(models)
-        return models, seconds
+    def recorded_pool(grid, layer_t1, offset, pca=None, out=None):
+        pooled.append((grid, layer_t1, offset, pca))
+        return pool(grid, layer_t1, offset, pca=pca, out=out)
 
-    monkeypatch.setattr(crosspool.pipeline, "_fit_pca_models", recorded_fit)
+    monkeypatch.setattr(crosspool.pipeline, "cross_layer_pool", recorded_pool)
     report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
-    assert fitted
+    assert fitted and {id(pca) for *_, pca in pooled} == {id(m) for m in fitted.values()}
 
-    # synth's network: conv 1x1, relu (layer t), conv 3x3, relu (layer t+1)
     rep_dir = report["artifacts"]["representations"]
-    conv = net.stages[2]
-    offset = conv.pad // conv.stride
+    calls = iter(pooled)
     for split in ("train", "test"):
-        rows = load_features(f"{rep_dir}/{split}.fmat").data
-        for row, entry in zip(rows, manifest.split(split), strict=True):
+        for row in load_features(f"{rep_dir}/{split}.fmat").data:
             chunks = []
-            parts = iter_parts(load_tensor(entry.path), config.resolution)
-            for _, resolution, part in parts:
-                layer_t, _, layer_t1 = run_network(ActivationTensor(part), net)[1:]
-                layer_t1 = layer_t1.data
-                grid = extract_local_features(
-                    layer_t, conv.kernel_h, conv.kernel_w, conv.stride
-                )
-                v = float64_pool(grid, layer_t1, offset, pca=fitted[resolution])
+            for _ in report["dims"]["parts"]:
+                v = float64_pool(*next(calls))
                 chunks.append(np.sign(v) * np.sqrt(np.abs(v)))
             want = np.concatenate(chunks).astype(np.float32)
             np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
+    assert next(calls, None) is None
