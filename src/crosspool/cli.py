@@ -468,6 +468,8 @@ def main(argv=None) -> int:
         ContractError,
         FileNotFoundError,
         IsADirectoryError,
+        NotADirectoryError,
+        FileExistsError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -363,10 +363,15 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> tuple[int, Co
     return t_index, t1_spec
 
 
-def network_digest(net: NetworkSpec) -> str:
+def network_digest(net: NetworkSpec, t1_spec: ConvLayerSpec) -> str:
+    """Hash of the seed and of the stages through the second convolution,
+    ``t1_spec``, and the ReLU after it; no stage past them runs."""
+    end = next(i for i, s in net.conv_stages() if s is t1_spec) + 1
+    if end < len(net.stages) and isinstance(net.stages[end], ReluStage):
+        end += 1
     h = hashlib.sha256()
     h.update(str(net.seed).encode())
-    for s in net.stages:
+    for s in net.stages[:end]:
         if isinstance(s, ConvLayerSpec):
             h.update(
                 f"conv {s.kernel_h} {s.kernel_w} {s.in_depth} {s.out_depth} "
@@ -644,7 +649,7 @@ def run_pipeline(
         {
             "stage": "representations",
             "version": __version__,
-            "network": network_digest(net),
+            "network": network_digest(net, t1_spec),
             "manifest": manifest_digest(manifest),
             "layer_pair": config.layer_pair,
             "window": (t1_spec.kernel_h, t1_spec.kernel_w),

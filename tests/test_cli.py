@@ -486,6 +486,24 @@ def test_exit_code_data_error(dataset, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "run", "forward"])
+def test_exit_code_path_through_a_regular_file(dataset, tmp_path, capsys, command):
+    """An output path or workdir that runs through a regular file is a data
+    error (exit 3), not a traceback."""
+    manifest, net, root = dataset
+    tensor = root / "tensors" / "train_0000.tens"
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = {
+        "extract": ["extract", "--input", tensor, "--window", "3x3",
+                    "--out", afile / "x.fmat"],
+        "run": ["--workdir", afile, "run", "--net", net, "--manifest", manifest],
+        "forward": ["forward", "--net", net, "--input", tensor, "--out-dir", afile],
+    }[command]
+    assert run_cli(*argv) == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def test_exit_code_corrupt_tensor(dataset, tmp_path, capsys):
     blob = tmp_path / "corrupt.tens"
     blob.write_bytes(b"CPTENS01" + b"\x01\x00\x00\x00" * 3 + b"\x00" + b"\xff")

@@ -345,6 +345,21 @@ def test_edited_tensors_miss_the_cache(tmp_path):
     assert rerun["metrics"] == fresh["metrics"]
 
 
+def test_stage_past_layer_t1_keeps_every_stage_cached(tmp_path):
+    """No stage past the ReLU after the second convolution runs, so a max
+    pool appended to the network file leaves every stage a cache hit."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=6, n_test=6, seed=5)
+    manifest = parse_manifest(manifest_path)
+    config = PipelineConfig(network=str(net_path), seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "work")
+    with open(net_path, "a", encoding="utf-8") as fh:
+        fh.write("maxpool size=2 stride=2\n")
+    assert len(parse_network_file(net_path).stages) == 5
+    rerun = run_pipeline(config, manifest, tmp_path / "work")
+    assert rerun["cache"] == ALL_HIT
+    assert rerun["metrics"] == first["metrics"]
+
+
 def test_run_pipeline_deterministic_across_workers(dataset, tmp_path):
     """``run_pipeline`` still accepts ``workers=1``, the way
     ``perfbench/run.py`` calls it, and the run equals one that does not pass it."""
