@@ -12,12 +12,16 @@ therefore always yields bitwise-identical activations.
 
 Every stage works on the last three (height, width, depth) axes, so a batch
 of same-shape images stacked as an (N, H, W, D) tensor goes through the
-network in one call.  Convolution writes its input into a zeroed float64
+network in one call.  Convolution writes its input into a zeroed float32
 array of the padded shape and takes every window of it as one strided
-view; ``conv_product`` then makes one float64 product of the flattened
-windows and the kernel over all N images, and each image's output is
-bitwise identical to its own forward pass.  The same product computes a
-layer from windows cut elsewhere, such as the pipeline's local features.
+view; ``conv_product`` then makes one float32 product of the flattened
+windows and the kernel over all N images.  The weights and bias are kept
+in float64 and rounded to float32 once per conv spec.  A float32 product's
+last bits may depend on how many windows it holds, so an image's output in
+a batch may differ from its own forward pass by float32 rounding;
+``tests/test_pool_drift.py`` bounds that drift against the float64
+product.  The same product computes a layer from windows cut elsewhere,
+such as the pipeline's local features.
 
 Network files are plain text.  Header lines ``input_depth = D`` and
 ``seed = S`` come first, then one line per stage in forward order::
@@ -235,10 +239,8 @@ def conv_forward(tensor: ActivationTensor, layer: ConvLayerSpec) -> ActivationTe
             f"stride {layer.stride}, pad {layer.pad})"
         )
     pad, (height, width) = layer.pad, (tensor.height, tensor.width)
-    data = np.zeros(
-        tensor.data.shape[:-3] + (height + 2 * pad, width + 2 * pad, tensor.depth),
-        dtype=np.float32,
-    )
+    padded = (height + 2 * pad, width + 2 * pad, tensor.depth)
+    data = np.zeros(tensor.data.shape[:-3] + padded, np.float32)
     data[..., pad : pad + height, pad : pad + width, :] = tensor.data
     patches = window_stack(data, layer.kernel_h, layer.kernel_w, layer.stride)
     cols = patches.reshape(patches.shape[:-3] + (-1,))

@@ -10,8 +10,9 @@ reuses the cached artifacts:
     model/<key>/             model.svm solver.json
     report/<key>.json
 
-The representation key covers the network weights, each tensor's path,
-size and mtime, the labels and the package version.  A stage is built in
+The representation key covers the network through the ReLU after the
+second convolution (no later stage runs), each tensor's path, size and
+mtime, the labels and the package version.  A stage is built in
 a fresh sibling directory whose name starts with ``.`` and renamed into
 place when complete, so a ``<stage>/<key>`` directory is always whole; the
 report goes through a temp file and a rename too.  Each stage reads its
@@ -25,15 +26,21 @@ The representation stage forwards images in batches of about
 ``FORWARD_BATCH_BYTES`` of part input, one network call and one
 local-feature extraction per same-shape stack of parts.  The network runs
 only through layer t: each local feature is the input window of one layer
-t+1 unit, so the cross-layer scheme's layer t+1 is one product of the
-feature grids with the second convolution's kernel, followed by a ReLU,
-and holds exactly the units that pooling reads.  Stages past layer t never
-run.  Parts, feature grids and layer t+1 units are plain arrays; only
-the stacks and the network's stage outputs are ``ActivationTensor``s.
-Each part is then pooled and each image's row written into train.fmat or
-test.fmat as soon as it is encoded.  A cross-layer part without PCA is
-pooled and power-normalized in float32; a PCA part and the other schemes
-in float64.
+t+1 unit, so the cross-layer scheme's layer t+1 is one float32 product of
+the feature grids with the second convolution's kernel, followed by a
+ReLU in place, and holds exactly the units that pooling reads.  Stages
+past layer t never run.  Parts, feature grids and layer t+1 units are
+plain arrays; only the stacks and the network's stage outputs are
+``ActivationTensor``s.
+
+Every part of a config has the same length, so each split keeps one
+reused row: each part is pooled straight into its slice, the row is
+power-normalized once and written into train.fmat or test.fmat, cast to
+float32, as soon as the image is encoded.  The forward pass and the layer
+t+1 product are float32.  The row of a cross-layer config without PCA is
+float32, so it is pooled and square-rooted in float32; a PCA row and the
+other schemes' rows are float64 (the projection is float64), square-rooted
+in float64 and only then cast.
 
 No stage holds a whole (count, dim) representation matrix.  Without PCA
 the representation stage holds one forward batch, its feature
@@ -441,8 +448,9 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
     alone, since the head ends at conv t or its ReLU and no input flag
     reaches layer t.  Each stack goes through the network up to layer t in
     one call, and its layer t output is cut into local features in one
-    more.  For the cross-layer scheme layer t+1 is one ``conv_product`` of
-    the grids and one ``np.maximum``, each part's units a slice of it: each
+    more.  For the cross-layer scheme layer t+1 is one float32
+    ``conv_product`` of the grids and one ``np.maximum`` in place, each
+    part's units a slice of it: each
     window is one unit's input, so unit (i, j) sits over window (i, j).
     The other schemes get None.  Forward and product seconds go to
     ``timing["extraction"]``, local-feature extraction seconds to
