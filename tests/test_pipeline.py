@@ -39,12 +39,7 @@ from crosspool.pipeline import (
 from crosspool.postproc import load_pca
 from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
-from crosspool.tensor import (
-    ActivationTensor,
-    load_features,
-    load_tensor,
-    save_tensor,
-)
+from crosspool.tensor import ActivationTensor, load_tensor, save_tensor
 from test_pool_drift import assert_rows_within_bound
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}

@@ -297,26 +297,21 @@ def oracle_row(path, net, config, t_index, t1_index, pca_models=None):
     return np.concatenate(rows), np.concatenate(bounds)
 
 
-def oracle_rows(report, manifest, net, config, t_index, t1_index, pca_models=None):
-    """Per split: the pipeline's rows, the oracle's rows and their bounds."""
+def assert_rows_within_bound(report, manifest, net, config, t_index, t1_index,
+                             pca_models=None):
+    """Every entry of every row within its bound of the float64 oracle;
+    returns, per split, the pipeline's rows, the oracle's and the bounds."""
     rep_dir = report["artifacts"]["representations"]
-    out = {}
+    found = {}
     for split in ("train", "test"):
         rows = load_features(f"{rep_dir}/{split}.fmat").data
         entries = manifest.split(split)
         assert len(rows) == len(entries)
-        want = [oracle_row(e.path, net, config, t_index, t1_index, pca_models)
-                for e in entries]
-        out[split] = (rows, np.array([w for w, _ in want]), np.array([b for _, b in want]))
-    return out
-
-
-def assert_rows_within_bound(report, manifest, net, config, t_index, t1_index,
-                             pca_models=None):
-    """Every entry of every row within its bound of the float64 oracle."""
-    found = oracle_rows(report, manifest, net, config, t_index, t1_index, pca_models)
-    for split, (rows, want, bound) in found.items():
+        want, bound = (np.array(a) for a in zip(*(
+            oracle_row(e.path, net, config, t_index, t1_index, pca_models) for e in entries
+        )))
         assert_within(rows, want, bound, f"{split} rows")
+        found[split] = rows, want, bound
     return found
 
 
