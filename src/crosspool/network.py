@@ -15,12 +15,12 @@ of same-shape images stacked as an (N, H, W, D) tensor goes through the
 network in one call.  Convolution writes its input into a zeroed float32
 array of the padded shape and takes every window of it as one strided
 view; ``conv_product`` then makes one float32 product of the flattened
-windows and the kernel over all N images.  The weights and bias are kept
-in float64 and rounded to float32 once per conv spec.  A float32 product's
-last bits may depend on how many windows it holds, so an image's output in
-a batch may differ from its own forward pass by float32 rounding;
-``tests/test_pool_drift.py`` bounds that drift against the float64
-product.  The same product computes a layer from windows cut elsewhere,
+windows and the kernel over all N images.  The weights and bias are held
+in float32, as the sidecar files store them.  A float32 product's last
+bits may depend on how many windows it holds, so an image's output in a
+batch may differ from its own forward pass by float32 rounding;
+``tests/test_pool_drift.py`` bounds that drift against a double-precision
+oracle.  The same product computes a layer from windows cut elsewhere,
 such as the pipeline's local features.
 
 Network files are plain text.  Header lines ``input_depth = D`` and
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -79,10 +79,8 @@ class ConvLayerSpec:
     ``weights`` has shape (out_depth, kernel_h, kernel_w, in_depth); a flat
     array of matching length is accepted and reshaped.  ``weights=None``
     stays unmaterialized until the layer joins a NetworkSpec, which fills it
-    from the network seed.  ``weights`` and ``bias`` are kept in float64;
-    ``kernel32`` and ``bias32`` are them rounded to float32 once, as the
-    (out_depth, kernel_h*kernel_w*in_depth) kernel and the (out_depth,)
-    bias that ``conv_product`` computes with.
+    from the network seed.  ``weights`` and ``bias`` are held in float32,
+    the dtype of their sidecar files and of ``conv_product``.
     """
 
     kernel_h: int
@@ -93,8 +91,6 @@ class ConvLayerSpec:
     pad: int = 0
     weights: np.ndarray | None = None
     bias: np.ndarray | None = None
-    kernel32: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    bias32: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("kernel_h", "kernel_w", "in_depth", "out_depth", "stride"):
@@ -104,24 +100,21 @@ class ConvLayerSpec:
             raise ValidationError("conv pad must be nonnegative")
         shape = (self.out_depth, self.kernel_h, self.kernel_w, self.in_depth)
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
+            w = np.asarray(self.weights, dtype=np.float32)
             if w.size != int(np.prod(shape)):
                 raise ValidationError(
                     f"conv weights hold {w.size} values, expected {int(np.prod(shape))}"
                 )
             self.weights = np.ascontiguousarray(w.reshape(shape))
         if self.bias is None:
-            self.bias = np.zeros(self.out_depth)
+            self.bias = np.zeros(self.out_depth, np.float32)
         else:
-            b = np.asarray(self.bias, dtype=np.float64).ravel()
+            b = np.asarray(self.bias, dtype=np.float32).ravel()
             if b.size != self.out_depth:
                 raise ValidationError(
                     f"conv bias holds {b.size} values, expected {self.out_depth}"
                 )
             self.bias = b
-        if self.weights is not None:
-            self.kernel32 = self.weights.reshape(self.out_depth, -1).astype(np.float32)
-        self.bias32 = self.bias.astype(np.float32)
 
     def output_dims(self, height: int, width: int) -> tuple[int, int]:
         oh = (height + 2 * self.pad - self.kernel_h) // self.stride + 1
@@ -209,13 +202,13 @@ def conv_product(windows: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:
     one window flattened in (row, column, channel) order, like the kernel.
 
     Returns shape ``lead + (out_depth,)``.  Every convolution is this one
-    float32 product with the layer's ``kernel32``, plus ``bias32``, so a
-    window's output may differ in its last bits with the number of windows
-    in the product.
+    float32 product with the layer's weights, plus its bias, so a window's
+    output may differ in its last bits with the number of windows in the
+    product.
     """
-    cols = windows.reshape(-1, layer.kernel32.shape[1]).astype(np.float32, copy=False)
-    out = cols @ layer.kernel32.T
-    out += layer.bias32
+    kernel = layer.weights.reshape(layer.out_depth, -1)
+    out = windows.reshape(-1, kernel.shape[1]).astype(np.float32, copy=False) @ kernel.T
+    out += layer.bias
     return out.reshape(windows.shape[:-1] + (layer.out_depth,))
 
 

@@ -34,13 +34,11 @@ plain arrays; only the stacks and the network's stage outputs are
 ``ActivationTensor``s.
 
 Every part of a config has the same length, so each split keeps one
-reused row: each part is pooled straight into its slice, the row is
-power-normalized once and written into train.fmat or test.fmat, cast to
-float32, as soon as the image is encoded.  The forward pass and the layer
-t+1 product are float32.  The row of a cross-layer config without PCA is
-float32, so it is pooled and square-rooted in float32; a PCA row and the
-other schemes' rows are float64 (the projection is float64), square-rooted
-in float64 and only then cast.
+reused float32 row: each part is pooled straight into its slice, the row is
+power-normalized once and written into train.fmat or test.fmat as soon as
+the image is encoded.  Every per-image value, from the forward pass to the
+row, is float32; only the PCA fit and the kernel stage, which combine many
+images, compute in float64.
 
 No stage holds a whole (count, dim) representation matrix.  Without PCA
 the representation stage holds one forward batch, its feature
@@ -371,13 +369,13 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> tuple[int, Co
 
 
 def network_digest(net: NetworkSpec, t1_spec: ConvLayerSpec) -> str:
-    """Hash of the seed and of the stages through the second convolution,
-    ``t1_spec``, and the ReLU after it; no stage past them runs."""
+    """Hash of the stages through the second convolution, ``t1_spec``, and
+    the ReLU after it; no stage past them runs.  The seed is not hashed:
+    it only fills in weights, which are."""
     end = next(i for i, s in net.conv_stages() if s is t1_spec) + 1
     if end < len(net.stages) and isinstance(net.stages[end], ReluStage):
         end += 1
     h = hashlib.sha256()
-    h.update(str(net.seed).encode())
     for s in net.stages[:end]:
         if isinstance(s, ConvLayerSpec):
             h.update(
@@ -535,28 +533,24 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
 
     Every part is ``part_dim`` long, so the first image's parts fix the
     layout and the header for all.  Each part is pooled straight into its
-    slice of one reused row, the row is power-normalized once and written,
-    cast to float32, as soon as the image arrives.  The row is float32 for
-    a cross-layer config without PCA and float64 otherwise, so a PCA row
-    and a baseline's are square-rooted before the cast.  A generator of
-    images is held one at a time and the matrix is never held whole.
-    Encoding seconds go to ``timing["pooling"]``; the row writes are not
-    timed there.
+    slice of one reused float32 row, the row is power-normalized once and
+    written as soon as the image arrives.  A generator of images is held
+    one at a time and the matrix is never held whole.  Encoding seconds go
+    to ``timing["pooling"]``; the row writes are not timed there.
     """
-    dtype = np.float32 if config.scheme == "cross-layer" and not pca_models else np.float64
     row = None
     with open(path, "wb") as fh:
         for parts in images:
             t0 = time.perf_counter()
             if row is None:
-                row = np.empty(len(parts) * part_dim, dtype)
+                row = np.empty(len(parts) * part_dim, np.float32)
                 fh.write(matrix_header(count, row.size))
             for k, (_, resolution, grid, layer_t1) in enumerate(parts):
                 out = row[k * part_dim : (k + 1) * part_dim]
                 _encode_part(grid, layer_t1, resolution, config, pca_models, out)
             encoded = power_normalize(row) if config.power_norm else row
             timing["pooling"] += time.perf_counter() - t0
-            fh.write(encoded.astype(np.float32, copy=False))
+            fh.write(encoded)
     return [[label, k * part_dim, part_dim] for k, (label, *_) in enumerate(parts)]
 
 

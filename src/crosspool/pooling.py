@@ -21,8 +21,7 @@ whole scheme is one product of the two grids' rows:
 
     A[o:o+gh, o:o+gw].reshape(-1, K).T @ X.reshape(-1, d)
 
-The product runs in the two grids' common dtype: float32 local features
-pool in float32, float64 ones and PCA projections in float64.
+Local features are float32, and every scheme pools them in float32.
 
 Direct max pooling, direct sum-sqrt pooling, and spatial pyramid pooling
 over the anchor grid are kept as reference schemes.
@@ -55,12 +54,12 @@ def cross_layer_pool(
 ) -> np.ndarray:
     """Pool layer t's (grid_h, grid_w, dim) local features, PCA-projected
     when a model is given, weighted by the (H, W, K) layer t+1 units from
-    ``offset`` on, in the common dtype of the features and the units.
-    Layer t+1 must be nonnegative, as a ReLU's output is; it is not checked.
+    ``offset`` on, in float32.  Layer t+1 must be nonnegative, as a ReLU's
+    output is; it is not checked.
 
-    ``out``, when given, is a contiguous vector of K * dim entries in that
-    common dtype, such as a part's slice of a representation row; the
-    product is written straight into it and it is returned."""
+    ``out``, when given, is a contiguous float32 vector of K * dim entries,
+    such as a part's slice of a representation row; the product is written
+    straight into it and it is returned."""
     require_single(layer_t1, "cross_layer_pool")
     gh, gw, dim = _grid_shape(grid)
     height, width, depth = layer_t1.shape
@@ -72,14 +71,10 @@ def cross_layer_pool(
     matrix = grid.reshape(gh * gw, dim)
     if pca is not None:
         matrix = pca_project(pca, matrix)
-    # cast both before the product: left to numpy's promotion inside it, a
-    # float64 product of 500 or more columns changes its bits
-    dtype = np.result_type(matrix, layer_t1)
-    weights = layer_t1[offset : offset + gh, offset : offset + gw]
-    weights = weights.reshape(-1, depth).astype(dtype, copy=False)
+    weights = layer_t1[offset : offset + gh, offset : offset + gw].reshape(-1, depth)
     if out is None:
-        out = np.empty(depth * matrix.shape[1], dtype)
-    np.matmul(weights.T, matrix.astype(dtype, copy=False), out=out.reshape(depth, -1))
+        out = np.empty(depth * matrix.shape[1], np.float32)
+    np.matmul(weights.T, matrix, out=out.reshape(depth, -1), dtype=np.float32)
     return out
 
 
@@ -96,13 +91,13 @@ def direct_max_pool(features: np.ndarray) -> np.ndarray:
     matrix = features.reshape(-1, features.shape[-1])
     if matrix.shape[0] < 1:
         raise ContractError("cannot max-pool an empty feature set")
-    return matrix.max(axis=0).astype(np.float64)
+    return matrix.max(axis=0)
 
 
 def direct_sum_sqrt_pool(features: np.ndarray) -> np.ndarray:
     """Column sums of the descriptors along the last axis, compressed by a
     signed square root."""
-    matrix = features.reshape(-1, features.shape[-1]).astype(np.float64)
+    matrix = features.reshape(-1, features.shape[-1])
     if matrix.shape[0] < 1:
         raise ContractError("cannot sum-pool an empty feature set")
     return power_normalize(matrix.sum(axis=0))
@@ -125,7 +120,6 @@ def spp_pool(grid: np.ndarray, levels: Sequence[int]) -> np.ndarray:
     gh, gw, dim = _grid_shape(grid)
     if gh * gw < 1:
         raise ContractError("cannot pool an empty feature set")
-    grid = grid.astype(np.float64)
     chunks = []
     for g in levels:
         # ceil(c * n / g) as -(-c * n // g)
@@ -134,5 +128,5 @@ def spp_pool(grid: np.ndarray, levels: Sequence[int]) -> np.ndarray:
         for r0, r1 in zip(row_edges, row_edges[1:]):
             for c0, c1 in zip(col_edges, col_edges[1:]):
                 cell = grid[r0:r1, c0:c1]
-                chunks.append(cell.max(axis=(0, 1)) if cell.size else np.zeros(dim))
+                chunks.append(cell.max(axis=(0, 1)) if cell.size else np.zeros(dim, grid.dtype))
     return np.concatenate(chunks)

@@ -1,5 +1,9 @@
 """PCA projection, power normalization, and 2-bit sign quantization.
 
+A PCA model is held in float32, as its file stores it: ``pca_fit``
+computes in float64, over many images, and rounds the model once, and
+``pca_project`` and ``power_normalize`` compute in float32.
+
 Quantization keeps only the sign of each dimension, two bits per dimension,
 four dimensions per byte: code 00 for zero, 01 for positive, 10 for
 negative; 11 never appears.  Dimension j occupies bits 2*(j % 4) and
@@ -52,7 +56,8 @@ _PACK_FACTOR = np.uint32(0x01041040)
 
 @dataclass
 class PcaModel:
-    """Affine projection onto the leading principal directions.
+    """Affine projection onto the leading principal directions, held in
+    float32 as ``CPPCA001`` stores it.
 
     ``basis`` rows are orthonormal and ordered by nonincreasing eigenvalue;
     each row's largest-magnitude entry is positive so a fit is reproducible
@@ -64,11 +69,9 @@ class PcaModel:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        mean = np.ascontiguousarray(np.asarray(self.mean, dtype=np.float64)).ravel()
-        basis = np.ascontiguousarray(np.asarray(self.basis, dtype=np.float64))
-        eigenvalues = np.ascontiguousarray(
-            np.asarray(self.eigenvalues, dtype=np.float64)
-        ).ravel()
+        mean = np.ascontiguousarray(self.mean, dtype=np.float32).ravel()
+        basis = np.ascontiguousarray(self.basis, dtype=np.float32)
+        eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=np.float32).ravel()
         if basis.ndim != 2:
             raise ValidationError(f"basis must be 2-d, got shape {basis.shape}")
         if basis.shape[1] != mean.size:
@@ -81,12 +84,12 @@ class PcaModel:
             )
         if eigenvalues.size and eigenvalues.min() < 0:
             raise ValidationError("eigenvalues must be nonnegative")
-        # Tolerance absorbs float32 rounding of near-equal eigenvalues on reload.
+        # Tolerance absorbs float32 rounding of near-equal eigenvalues.
         slack = 1e-5 * float(eigenvalues[0]) if eigenvalues.size else 0.0
         if np.any(np.diff(eigenvalues) > slack):
             raise ValidationError("eigenvalues must be nonincreasing")
-        gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-5):
+        rows = basis.astype(np.float64)
+        if not np.allclose(rows @ rows.T, np.eye(basis.shape[0]), atol=1e-5):
             raise ValidationError("basis rows are not orthonormal within 1e-5")
         self.mean = mean
         self.basis = basis
@@ -103,8 +106,9 @@ class PcaModel:
 
 def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
     """Fit by eigendecomposition of the covariance of a (count, dim) sample
-    (denominator count - 1); raises RankError when the sample cannot support
-    output_dim components."""
+    (denominator count - 1), in float64, and round the model to float32
+    once; raises RankError when the sample cannot support output_dim
+    components."""
     data = np.asarray(sample, dtype=np.float64)
     count, dim = data.shape
     if count < 2:
@@ -145,23 +149,21 @@ def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
 
 def pca_project(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
     """Center the (count, input_dim) rows by the model mean and project
-    them onto the basis rows."""
+    them onto the basis rows, in float32 for float32 rows."""
     if matrix.ndim != 2 or matrix.shape[1] != model.input_dim:
         raise ContractError(
             f"features of shape {matrix.shape} do not have the model's "
             f"input dim {model.input_dim}"
         )
-    return (matrix.astype(np.float64, copy=False) - model.mean) @ model.basis.T
+    return (matrix - model.mean) @ model.basis.T
 
 
 def power_normalize(values: np.ndarray) -> np.ndarray:
-    """Signed square root, elementwise: sign(v) * sqrt(|v|), in float32 for
-    float32 input and in float64 for any other.
+    """Signed square root, elementwise: sign(v) * sqrt(|v|) of the values
+    cast to float32, in float32.
 
     Built in one output array; like ``np.sign``, both zeros give +0.0."""
-    arr = np.asarray(values)
-    if arr.dtype != np.float32:
-        arr = arr.astype(np.float64, copy=False)
+    arr = np.asarray(values, dtype=np.float32)
     out = np.abs(arr)
     np.sqrt(out, out=out)
     if (arr < 0).any():
@@ -241,7 +243,7 @@ def load_pca(path) -> PcaModel:
             raise ValidationError(f"{path}: header declares a zero dimension")
         floats = read_payload(
             fh, path, "<f4", (input_dim + output_dim * input_dim + output_dim,)
-        ).astype(np.float64)
+        )
     mean = floats[:input_dim]
     basis = floats[input_dim : input_dim + output_dim * input_dim]
     eigenvalues = floats[input_dim + output_dim * input_dim :]

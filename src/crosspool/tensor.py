@@ -200,6 +200,8 @@ def load_features(path) -> FeatureMatrix:
     with open(path, "rb", buffering=0) as fh:
         shape = _read_matrix_header(fh, path)
         values = read_payload(fh, path, "<f4", shape)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{path}: feature matrix holds NaN or infinite values")
     return FeatureMatrix(values)
 
 

@@ -527,6 +527,32 @@ def test_exit_code_non_finite_tensor(tmp_path, capsys):
     assert not list((tmp_path / "w").glob("representations/*"))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["pca-fit", "pool", "train"])
+def test_exit_code_non_finite_features(tmp_path, capsys, command, value):
+    """A feature matrix holding one NaN or one infinity stops ``pca-fit``,
+    ``pool --scheme direct-max`` and ``train --gram`` with exit 3, naming
+    the file, and writes nothing."""
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(20, 6))
+    if command == "train":
+        data = data @ data.T
+    data[3, 2] = value
+    bad, out = tmp_path / "f.fmat", tmp_path / "out"
+    save_features(data, bad)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"c{i % 2}\n" for i in range(20)))
+    argv = {
+        "pca-fit": ["pca-fit", "--features", bad, "--dim", "3", "--out", out],
+        "pool": ["pool", "--scheme", "direct-max", "--features", bad, "--out", out],
+        "train": ["train", "--gram", bad, "--labels", labels, "--out", out],
+    }[command]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "f.fmat" in err and "NaN or infinite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dim,payload", [
     (1, [0b11]),        # code 11
     (1, [0b0100]),      # nonzero padding past dim

@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import json
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crosspool
 import crosspool.network
 import crosspool.pipeline
 import crosspool.svm
@@ -40,7 +42,7 @@ from crosspool.postproc import load_pca
 from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
 from crosspool.tensor import ActivationTensor, load_tensor, save_tensor
-from test_pool_drift import assert_rows_within_bound
+from test_pool_drift import assert_rows_within_bound, parts_dataset
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
 
@@ -353,6 +355,42 @@ def test_stage_past_layer_t1_keeps_every_stage_cached(tmp_path):
     rerun = run_pipeline(config, manifest, tmp_path / "work")
     assert rerun["cache"] == ALL_HIT
     assert rerun["metrics"] == first["metrics"]
+
+
+def test_package_version_matches_pyproject():
+    """The representation key holds ``crosspool.__version__``, so it must
+    be the version ``pyproject.toml`` declares (read with a regex, since
+    Python 3.10 has no ``tomllib``)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    declared = re.search(r'^\[project\][^\[]*?^version\s*=\s*"([^"]+)"', text, re.M | re.S)
+    assert declared and declared.group(1) == crosspool.__version__
+
+
+@pytest.mark.parametrize("weights", ["sidecars", "seeded"])
+def test_network_seed_keys_only_the_weights_it_draws(tmp_path, weights):
+    """The network file's ``seed`` only draws the weights of convolutions
+    that carry no sidecar files.  When every one carries them, editing the
+    seed reruns as three hits; when the weights are drawn from it, the
+    rerun misses all three stages."""
+    if weights == "sidecars":
+        manifest_path, net_path = generate(tmp_path / "data", n_train=6, n_test=6, seed=5)
+        manifest = parse_manifest(manifest_path)
+    else:
+        manifest, net_path = parts_dataset(tmp_path / "data")
+    config = PipelineConfig(network=str(net_path), seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "work")
+    text = Path(net_path).read_text(encoding="utf-8")
+    seed = parse_network_file(net_path).seed
+    assert f"seed = {seed}\n" in text
+    Path(net_path).write_text(text.replace(f"seed = {seed}\n", f"seed = {seed + 1}\n"))
+    assert parse_network_file(net_path).seed == seed + 1
+    rerun = run_pipeline(config, manifest, tmp_path / "work")
+    if weights == "sidecars":
+        assert rerun["cache"] == ALL_HIT
+        assert rerun["metrics"] == first["metrics"]
+    else:
+        assert set(rerun["cache"].values()) == {"miss"}
+        assert rerun["config_hash"] != first["config_hash"]
 
 
 def test_run_pipeline_deterministic_across_workers(dataset, tmp_path):

@@ -1,16 +1,15 @@
 """The drift contract: the float32 forward pass and pooling against the
 float64 formula.
 
-The network's convolutions and the layer t+1 product run in float32
-(``conv_product``).  ``cross_layer_pool`` computes in the common dtype of
-its two operands and ``power_normalize`` keeps float32 input float32.
-Without PCA both pooling operands are float32, so a part is pooled and
-square-rooted in float32; a PCA projection is float64, so a PCA part still
-pools in float64, bit for bit as the formula that casts both operands to
-float64 first.  The float64 forward pass, ``oracle_conv_product``, is kept
-here as the oracle.  Let u = 2**-24, the unit roundoff of float32, and
-gamma_n = n*u / (1 - n*u) (Higham, "Accuracy and Stability of Numerical
-Algorithms", section 3.1).
+Every per-image value is float32: the network's convolutions and the layer
+t+1 product (``conv_product``, with the float32 weights the network holds),
+the PCA projection (``pca_project`` with the float32 model), pooling
+(``cross_layer_pool`` and the reference schemes) and ``power_normalize``.
+The float64 forward pass, ``oracle_conv_product``, the float64 projection,
+``float64_project``, and the float64 pooling formula, ``float64_pool``, are
+kept here as the oracles.  Let u = 2**-24, the unit roundoff of float32,
+and gamma_n = n*u / (1 - n*u) (Higham, "Accuracy and Stability of
+Numerical Algorithms", section 3.1).
 
 Pooling, from given float32 operands.  Let a part have m windows.  One
 entry of the pooled vector is P = sum_i x_i * a_i with m nonnegative
@@ -35,14 +34,12 @@ Activations, a running bound.  The oracle carries, next to each float64
 activation y, a magnitude A >= |y| and an error bound E on the float32
 computation's distance from y.  The input tensor is float32 already:
 A = |x|, E = 0.  A convolution with K = kernel_h * kernel_w * in_depth
-computes y^ = fl(W~ x^ + b~), where W~ and b~ are the float64 weights and
-bias rounded to float32 once (|W~ - W| <= u |W|) and |x^ - x| <= E.  The
-float32 inner product of K terms plus the bias is within
-gamma_{K+1} (|W~| |x^| + |b~|) of its exact value, in any summation
-order.  With |W~| <= (1 + u) |W|, |x^| <= A + E and
-u + (1 + u) gamma_{K+1} <= gamma_{K+2} (Higham, lemma 3.3):
+computes y^ = fl(W x^ + b) with the float32 weights W and bias b, which
+the oracle holds exactly, and |x^ - x| <= E.  The float32 inner product of
+K terms plus the bias is within gamma_{K+1} (|W| |x^| + |b|) of its exact
+value, in any summation order, and |x^| <= A + E:
 
-    |y^ - y| <= |W| E + gamma_{K+2} (|W| (A + E) + |b|),
+    |y^ - y| <= |W| E + gamma_{K+1} (|W| (A + E) + |b|),
     A' = |W| A + |b|.
 
 The same products of absolute values give both, so the bound is the
@@ -60,18 +57,22 @@ the units a^ within E_a of its a, over m windows, a cross-layer entry
 P = sum_i x_i a_i satisfies
 
     |P^ - P| <= sum_i (|x_i| E_a + E_x a_i + E_x E_a)
-                + gamma_m sum_i (|x_i| + E_x)(a_i + E_a) = delta,
+                + gamma_m sum_i (|x_i| + E_x)(a_i + E_a) = delta.
 
-with gamma_m in float32 without PCA and in float64 with it.  A PCA part
-first projects z = (x - mean) B^T in float64: |z^ - z| <= E_x |B| +
-gamma64_{d+1} (|x| + E_x + |mean|) |B|, and that takes the place of E_x.
-Direct max pooling moves by at most max_i E_x; direct sum pooling by
-sum_i E_x + gamma64_m sum_i (|x_i| + E_x), then its square root as below.
-The signed square root moves by at most delta / sqrt(|P|) where
-|P| > delta (no sign can change there), and by sqrt(2 delta) anywhere.
-Rounding the result to float32 adds u (|r| + bound).  Sign codes are
-quantized from the written row, so a code may differ from the oracle's
-only where the oracle's entry is within its bound of zero.
+A PCA part first projects z = (x - mean) B^T with the float32 model: the
+float32 centering rounds each difference x^ - mean once, and the d-term
+float32 product adds gamma_d, so |z^ - z| <= E_x |B| + gamma_{d+1}
+(|x - mean| + E_x) |B|, and that takes the place of E_x.  Direct max
+pooling moves by at most max_i E_x; direct sum pooling by sum_i E_x +
+gamma_m sum_i (|x_i| + E_x), then its float32 square root as below.
+Where |P| > delta no sign can change and |P^| >= |P| - delta, so the
+signed square root moves by |P^ - P| / (sqrt(|P^|) + sqrt(|P|)) <=
+delta / (sqrt(|P|) + sqrt(|P| - delta)); anywhere it moves by at most
+sqrt(2 delta).  Each float32 result adds u (|r| + bound): the row's last
+rounding, and for direct sum pooling the square root inside the scheme
+too.  Sign codes are quantized from the written row, so a code may differ
+from the oracle's only where the oracle's entry is within its bound of
+zero.
 
 Gram entries.  With |r^ - r| <= beta entrywise, a float Gram entry moves
 by at most |beta_i| |r_j| + |r_i| |beta_j| + |beta_i| |beta_j|; a sign
@@ -112,7 +113,6 @@ from crosspool.pooling import cross_layer_pool, unit_offset
 from crosspool.postproc import (
     PcaModel,
     load_sign_stack,
-    pca_project,
     power_normalize,
     sign_unpack,
 )
@@ -135,15 +135,23 @@ def drift_bound(windows):
     return (windows / 2 + 2) * UNIT_ROUNDOFF * (1 + 2.0**-10)
 
 
+def float64_project(pca, matrix):
+    """The PCA projection in float64, with the model's float32 mean and
+    basis, each exact in float64."""
+    mean, basis = pca.mean.astype(np.float64), pca.basis.astype(np.float64)
+    return (np.asarray(matrix, dtype=np.float64) - mean) @ basis.T
+
+
 def float64_pool(grid, layer_t1, offset, pca=None):
-    """The float64 formula: both operands cast to float64 before the product."""
+    """The float64 formula: both operands, and the projection with the
+    model's float32 mean and basis, in float64."""
     gh, gw, dim = grid.shape
-    matrix = grid.reshape(gh * gw, dim)
+    matrix = grid.reshape(gh * gw, dim).astype(np.float64)
     if pca is not None:
-        matrix = pca_project(pca, matrix)
+        matrix = float64_project(pca, matrix)
     weights = layer_t1[offset : offset + gh, offset : offset + gw]
     weights = weights.reshape(-1, layer_t1.shape[-1]).astype(np.float64)
-    return (weights.T @ matrix.astype(np.float64, copy=False)).ravel()
+    return (weights.T @ matrix).ravel()
 
 
 def assert_within_bound(got, grid, layer_t1, offset):
@@ -177,8 +185,8 @@ def exact_input(data):
 
 def oracle_conv_product(windows, layer):
     """``conv_product`` in float64: float64 windows times the layer's
-    float64 weights, plus its float64 bias."""
-    kernel = layer.weights.reshape(layer.out_depth, -1)
+    float32 weights, plus its float32 bias, each exact in float64."""
+    kernel = layer.weights.reshape(layer.out_depth, -1).astype(np.float64)
     cols = windows.reshape(-1, kernel.shape[1]).astype(np.float64)
     return (cols @ kernel.T + layer.bias).reshape(windows.shape[:-1] + (layer.out_depth,))
 
@@ -193,7 +201,7 @@ def bounded_product(windows, layer):
         oracle_conv_product(windows.value, layer),
         windows.magnitude @ abs_kernel + abs_bias,
         windows.error @ abs_kernel
-        + gamma(k + 2) * ((windows.magnitude + windows.error) @ abs_kernel + abs_bias),
+        + gamma(k + 1) * ((windows.magnitude + windows.error) @ abs_kernel + abs_bias),
     )
 
 
@@ -245,7 +253,8 @@ def signed_sqrt(value, delta):
     """sign(v) sqrt(|v|) and its bound, for |v^ - v| <= delta."""
     root = np.sqrt(np.abs(value))
     far = np.abs(value) > delta
-    bound = np.where(far, delta / np.where(far, root, 1.0), np.sqrt(2 * delta))
+    nearest = np.sqrt(np.where(far, np.abs(value) - delta, 0.0))
+    bound = np.where(far, delta / np.where(far, root + nearest, 1.0), np.sqrt(2 * delta))
     return np.sign(value) * root, bound
 
 
@@ -259,18 +268,17 @@ def pooled_with_bound(scheme, grid, units, pca):
         return x.max(axis=0), ex.max(axis=0)
     if scheme == "direct-sum-sqrt":
         total = x.sum(axis=0)
-        delta = ex.sum(axis=0) + gamma(m, UNIT_ROUNDOFF64) * (np.abs(x) + ex).sum(axis=0)
-        return signed_sqrt(total, delta)
+        delta = ex.sum(axis=0) + gamma(m) * (np.abs(x) + ex).sum(axis=0)
+        root, bound = signed_sqrt(total, delta)
+        return root, bound + UNIT_ROUNDOFF * (np.abs(root) + bound)
     assert scheme == "cross-layer"
-    unit = UNIT_ROUNDOFF
     if pca is not None:
-        basis = np.abs(pca.basis).T
-        spread = (np.abs(x) + ex + np.abs(pca.mean)) @ basis
-        x, ex = pca_project(pca, x), ex @ basis + gamma(dim + 1, UNIT_ROUNDOFF64) * spread
-        unit = UNIT_ROUNDOFF64
+        basis = np.abs(pca.basis.astype(np.float64)).T
+        spread = (np.abs(x - pca.mean) + ex) @ basis
+        x, ex = float64_project(pca, x), ex @ basis + gamma(dim + 1) * spread
     a, ea = units.value.reshape(m, -1), units.error.reshape(m, -1)
     ax = np.abs(x)
-    delta = ea.T @ ax + a.T @ ex + ea.T @ ex + gamma(m, unit) * ((a + ea).T @ (ax + ex))
+    delta = ea.T @ ax + a.T @ ex + ea.T @ ex + gamma(m) * ((a + ea).T @ (ax + ex))
     return (a.T @ x).ravel(), delta.ravel()
 
 
@@ -463,24 +471,25 @@ def gram_bound(train, quantized):
     return gram, moved + UNIT_ROUNDOFF * np.abs(gram)
 
 
-@pytest.mark.parametrize("case", ["pca", "quantized-parts"])
+@pytest.mark.parametrize("case", ["pca", "quantized-parts", "sum-sqrt"])
 def test_rows_gram_and_predictions_against_the_float64_forward(tmp_path, monkeypatch, case):
-    """A PCA config and a quantized whole+blocks config: every row entry
-    is within its bound of the oracle, given the stage's own PCA models;
-    every sign code equals the oracle's where the oracle's entry is farther
-    than its bound from zero; each Gram entry is within its bound of the
-    oracle rows' Gram, and that bound is under ``GRAM_FRACTION`` of the
-    largest entry; and predictions and metrics equal those of a run whose
-    forward pass is the float64 oracle."""
-    if case == "pca":
-        manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=5)
-        manifest = parse_manifest(manifest_path)
-        config = PipelineConfig(network=net_path, pca_dim=8, resolution="both", seed=1)
-    else:
+    """A PCA config, a quantized whole+blocks config and a direct sum-sqrt
+    config: every row entry is within its bound of the oracle, given the
+    stage's own PCA models; every sign code equals the oracle's where the
+    oracle's entry is farther than its bound from zero; each Gram entry is
+    within its bound of the oracle rows' Gram, and that bound is under
+    ``GRAM_FRACTION`` of the largest entry; and predictions and metrics
+    equal those of a run whose forward pass is the float64 oracle."""
+    if case == "quantized-parts":
         manifest, net_path = parts_dataset(tmp_path / "data", count=16)
         config = PipelineConfig(
             network=net_path, resolution="both", quantize=True, seed=1,
         )
+    else:
+        manifest_path, net_path = generate(tmp_path / "data", n_train=12, n_test=12, seed=5)
+        manifest = parse_manifest(manifest_path)
+        scheme = {"pca": dict(pca_dim=8), "sum-sqrt": dict(scheme="direct-sum-sqrt")}[case]
+        config = PipelineConfig(network=net_path, resolution="both", seed=1, **scheme)
     fitted = record_pca_models(monkeypatch)
     report = run_pipeline(config, manifest, tmp_path / "float32")
     assert bool(fitted) == (case == "pca")
@@ -550,11 +559,14 @@ def test_float32_pool_within_bound(case):
     assert_within_bound(power_normalize(pooled), grid, layer_t1, offset)
 
 
-def test_float64_operands_keep_the_float64_formula():
-    """float64 features, or float32 features under a PCA model, pool in
-    float64 and bit for bit as the formula, at every offset.  At 500 and
-    more dimensions, leaving numpy to promote the float32 units inside the
-    product changes the bits."""
+def test_float64_and_pca_operands_pool_within_bound():
+    """float64 features, float32 features under a PCA model, and float64
+    features under one pool in float32, within delta of the module
+    docstring of the float64 formula, at every offset.  The units are
+    float32 and exact.  float64 features are rounded to float32 inside the
+    product, so without PCA they enter with E_x = u |x|; under PCA they
+    enter with E_x = 0, and the float64 centering and projection, rounded
+    once to float32, stay inside the float32 projection's bound."""
     rng = np.random.default_rng(230)
     shapes = (
         (1, 1, 3, 2), (4, 5, 7, 3), (6, 6, 288, 32), (4, 5, 600, 3), (11, 9, 40, 17)
@@ -563,6 +575,7 @@ def test_float64_operands_keep_the_float64_formula():
         for offset in (0, 1, 2):
             units = np.abs(rng.normal(size=(gh + 2 * offset, gw + 2 * offset, depth)))
             layer_t1 = units.astype(np.float32)
+            window_units = exact_input(layer_t1[offset : offset + gh, offset : offset + gw])
             grid = np.abs(rng.normal(size=(gh, gw, dim)))
             projected = min(dim, 500)
             pca = PcaModel(
@@ -570,21 +583,27 @@ def test_float64_operands_keep_the_float64_formula():
                 basis=np.linalg.qr(rng.normal(size=(dim, projected)))[0].T,
                 eigenvalues=np.arange(projected, 0, -1),
             )
-            for features, model in (
-                (grid, None),
-                (grid.astype(np.float32), pca),
-                (grid, pca),
+            rounded = Bounded(grid, grid, UNIT_ROUNDOFF * grid)
+            for features, model, operand in (
+                (grid, None, rounded),
+                (grid.astype(np.float32), pca, exact_input(grid.astype(np.float32))),
+                (grid, pca, exact_input(grid)),
             ):
                 got = cross_layer_pool(features, layer_t1, offset, pca=model)
-                want = float64_pool(features, layer_t1, offset, pca=model)
-                assert got.dtype == np.float64
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                want, delta = pooled_with_bound("cross-layer", operand, window_units, model)
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(
+                    want, float64_pool(features, layer_t1, offset, pca=model)
+                )
+                assert_within(got, want, delta, f"{gh}x{gw}x{dim} at offset {offset}")
 
 
-def test_pca_rows_keep_the_float64_formula(tmp_path, monkeypatch):
-    """A PCA cross-layer config's rows are the float64 formula on the
-    stage's own feature grids and layer t+1 units, square-rooted in float64
-    and only then rounded to float32, bit for bit."""
+def test_pca_rows_within_bound_of_their_own_operands(tmp_path, monkeypatch):
+    """A PCA cross-layer config's rows, float32 from the projection on, are
+    within the module docstring's bound (float32 projection, pooling,
+    signed square root and the row's rounding) of the float64 formula on
+    the stage's own feature grids, layer t+1 units and models, which enter
+    exact."""
     manifest_path, net_path = generate(tmp_path / "data", n_train=6, n_test=6, seed=23)
     manifest = parse_manifest(manifest_path)
     config = PipelineConfig(network=net_path, pca_dim=8, resolution="both", seed=1)
@@ -604,10 +623,14 @@ def test_pca_rows_keep_the_float64_formula(tmp_path, monkeypatch):
     calls = iter(pooled)
     for split in ("train", "test"):
         for row in load_features(f"{rep_dir}/{split}.fmat").data:
-            chunks = []
+            chunks, bounds = [], []
             for _ in report["dims"]["parts"]:
-                v = float64_pool(*next(calls))
-                chunks.append(np.sign(v) * np.sqrt(np.abs(v)))
-            want = np.concatenate(chunks).astype(np.float32)
-            np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32))
+                grid, layer_t1, offset, pca = next(calls)
+                gh, gw = grid.shape[:2]
+                units = exact_input(layer_t1[offset : offset + gh, offset : offset + gw])
+                value, delta = pooled_with_bound("cross-layer", exact_input(grid), units, pca)
+                value, bound = signed_sqrt(value, delta)
+                chunks.append(value)
+                bounds.append(bound + UNIT_ROUNDOFF * (np.abs(value) + bound))
+            assert_within(row, np.concatenate(chunks), np.concatenate(bounds), "PCA row")
     assert next(calls, None) is None

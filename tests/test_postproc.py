@@ -38,23 +38,35 @@ def pca_oracle(data, dim):
     return vals[order][:dim], vecs[:, order][:, :dim].T
 
 
+# float32's unit roundoff: the model is fitted in float64 and rounded to
+# float32 once, which moves each value by at most U of its magnitude
+U = 2.0**-24
+
+
 def test_pca_eigenvalues_match_cov_eig():
+    """float32 eigenvalues, each within the float64 fit's 1e-8 of the
+    oracle's plus one rounding, U."""
     rng = np.random.default_rng(70)
     data = rng.normal(size=(300, 8)) @ rng.normal(size=(8, 8))
     model = pca_fit(data, 8)
     vals, _ = pca_oracle(data, 8)
-    np.testing.assert_allclose(model.eigenvalues, vals, rtol=1e-8, atol=1e-10)
+    assert model.eigenvalues.dtype == np.float32
+    np.testing.assert_allclose(model.eigenvalues, vals, rtol=1e-8 + U, atol=1e-10)
 
 
 def test_pca_basis_spans_oracle_directions():
+    """Each float32 basis row is the float64 unit vector v plus e with
+    |e_j| <= U |v_j|, so its dot product with v moves by at most
+    U * sum v_j**2 = U from the float64 fit's 1 - 1e-8."""
     rng = np.random.default_rng(71)
     # distinct variances so eigenvectors are unique up to sign
     data = rng.normal(size=(500, 5)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5])
     model = pca_fit(data, 5)
     _, vecs = pca_oracle(data, 5)
+    assert model.basis.dtype == np.float32
     for row, oracle_row in zip(model.basis, vecs):
-        dot = abs(np.dot(row, oracle_row))
-        assert dot > 1 - 1e-8
+        dot = abs(np.dot(row.astype(np.float64), oracle_row))
+        assert dot > 1 - 1e-8 - U
 
 
 def test_pca_sign_convention():
@@ -104,14 +116,23 @@ def test_pca_contract_errors():
 
 
 def test_pca_projection_decorrelated():
+    """Projected through the float32 basis B + D, |D| <= U |B|, the sample
+    covariance is (B + D) C (B + D)^T.  Entry (i, j) of D C B^T is
+    lambda_j D_i . b_j, at most U lambda_j by Cauchy-Schwarz, so an
+    off-diagonal entry moves by U (lambda_i + lambda_j) and a diagonal one
+    by 2 U lambda_i, plus O(U**2); the float32 eigenvalue adds U lambda_i.
+    Centering by the rounded mean shifts every projection by one constant,
+    which the covariance removes.  The float64 fit's own 1e-8 stays."""
     rng = np.random.default_rng(76)
     data = rng.normal(size=(400, 6)) @ rng.normal(size=(6, 6))
     model = pca_fit(data, 4)
     projected = pca_project(model, data)
     cov = np.cov(projected, rowvar=False, ddof=1)
+    eigenvalues = model.eigenvalues.astype(np.float64)
     off = cov - np.diag(np.diag(cov))
-    assert np.abs(off).max() < 1e-8
-    np.testing.assert_allclose(np.diag(cov), model.eigenvalues, rtol=1e-8)
+    bound = 1e-8 + 1.001 * U * (eigenvalues[:, None] + eigenvalues[None, :])
+    assert np.all(np.abs(off) <= bound)
+    np.testing.assert_allclose(np.diag(cov), eigenvalues, rtol=1e-8 + 3.001 * U)
 
 
 def test_pca_reconstruction_error_nonincreasing():
