@@ -40,6 +40,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .pooling import (
+    SPP_LEVELS,
     cross_layer_pool,
     direct_max_pool,
     direct_sum_sqrt_pool,
@@ -74,16 +75,6 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise ConfigError(f"{flag} expects integers, got {text!r}") from None
-
-
-def _parse_levels(text: str) -> tuple[int, ...]:
-    try:
-        levels = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"--levels expects integers, got {text!r}") from None
-    if not levels or min(levels) < 1:
-        raise ConfigError(f"--levels expects positive integers, got {text!r}")
-    return levels
 
 
 def _parse_window(args) -> tuple[int, int, int]:
@@ -141,9 +132,10 @@ def cmd_pca_fit(args) -> int:
 
 def cmd_pool(args) -> int:
     window = _parse_window(args)
-    levels = _parse_levels(args.levels)
     if args.pad < 0:
         raise ConfigError(f"--pad must be nonnegative, got {args.pad}")
+    if args.pca and args.scheme != "cross-layer":
+        raise ConfigError(f"--pca applies to cross-layer pooling only, not {args.scheme}")
     if args.scheme == "cross-layer":
         if not args.layer_t or not args.layer_t1:
             raise ConfigError("cross-layer pooling needs --layer-t and --layer-t1")
@@ -165,11 +157,10 @@ def cmd_pool(args) -> int:
         if not args.input:
             raise ConfigError("spp pooling needs --input")
         grid = extract_local_features(load_tensor(args.input), *window)
-        vector = spp_pool(grid, levels)
-    if args.power_norm:
-        vector = power_normalize(vector)
-    save_features(np.asarray(vector).reshape(1, -1), args.out)
-    print(f"pooled vector of dim {np.asarray(vector).size} -> {args.out}")
+        vector = spp_pool(grid, SPP_LEVELS)
+    vector = power_normalize(vector)
+    save_features(vector.reshape(1, -1), args.out)
+    print(f"pooled vector of dim {vector.size} -> {args.out}")
     return 0
 
 
@@ -260,12 +251,8 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["layer_pair"] = _parse_pair(args.layer_pair, "--layer-pair")
     if args.pca_dim is not None:
         overrides["pca_dim"] = args.pca_dim
-    if args.levels:
-        overrides["spp_levels"] = _parse_levels(args.levels)
     if args.quantize is not None:
         overrides["quantize"] = args.quantize
-    if args.no_power_norm:
-        overrides["power_norm"] = False
     if args.svm_c is not None:
         overrides["svm_c"] = args.svm_c
     if args.svm_tol is not None:
@@ -346,11 +333,9 @@ def _add_pipeline_flags(sub) -> None:
     sub.add_argument("--scheme", choices=SCHEMES)
     sub.add_argument("--layer-pair", help="conv ordinals, e.g. 1,2")
     sub.add_argument("--pca-dim", type=int)
-    sub.add_argument("--levels", help="spp levels, e.g. 1,2")
     quantize = sub.add_mutually_exclusive_group()
     quantize.add_argument("--quantize", action="store_true", default=None)
     quantize.add_argument("--no-quantize", dest="quantize", action="store_false")
-    sub.add_argument("--no-power-norm", action="store_true")
     sub.add_argument("--svm-c", type=float)
     sub.add_argument("--svm-tol", type=float)
     sub.add_argument("--resolution", choices=sorted(RESOLUTION_PRESETS))
@@ -398,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--stride", type=int, default=1)
     sub.add_argument("--pad", type=int, default=0)
     sub.add_argument("--pca")
-    sub.add_argument("--levels", default="1,2")
-    sub.add_argument("--power-norm", action="store_true")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_pool)
 

@@ -11,11 +11,12 @@ reuses the cached artifacts:
     report/<key>.json
 
 The representation key covers the network through the ReLU after the
-second convolution (no later stage runs), each tensor's path, size and
-mtime, the labels and the package version.  A stage is built in
-a fresh sibling directory whose name starts with ``.`` and renamed into
-place when complete, so a ``<stage>/<key>`` directory is always whole; the
-report goes through a temp file and a rename too.  Each stage reads its
+second convolution (no later stage runs), which fixes the layer pair,
+window and stride, each tensor's path, size and mtime, the labels and the
+package version.  A stage is built in a fresh sibling directory whose name
+starts with ``.`` and renamed into place when complete, so a
+``<stage>/<key>`` directory is always whole; the report goes through a
+temp file and a rename too.  Each stage reads its
 inputs back from its parent's published files, built or cached, so a
 cached rerun sees the same float32 values and reproduces a fresh run's
 metrics exactly.  Timings in the report are informational and vary between
@@ -84,6 +85,7 @@ from .network import (
     run_network,
 )
 from .pooling import (
+    SPP_LEVELS,
     cross_layer_pool,
     direct_max_pool,
     direct_sum_sqrt_pool,
@@ -170,13 +172,11 @@ class PipelineConfig:
     network: str
     layer_pair: tuple[int, int] = (1, 2)
     scheme: str = "cross-layer"
-    spp_levels: tuple[int, ...] = (1, 2)
     pca_dim: int = 0
     pca_sample_cap: int = 100000
     resolution: ResolutionConfig = field(
         default_factory=lambda: ResolutionConfig(0, 0, 0.0, True)
     )
-    power_norm: bool = True
     quantize: bool = False
     svm_c: float = 1.0
     svm_tol: float = 1e-4
@@ -185,7 +185,7 @@ class PipelineConfig:
     def __post_init__(self):
         for names, kind, what in (
             (("pca_dim", "pca_sample_cap", "seed"), numbers.Integral, "an integer"),
-            (("power_norm", "quantize"), bool, "true or false"),
+            (("quantize",), bool, "true or false"),
             (("svm_c", "svm_tol"), numbers.Real, "a number"),
         ):
             for name in names:
@@ -210,15 +210,16 @@ class PipelineConfig:
             if not 0 < value <= sys.float_info.max:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
             setattr(self, name, float(value))
-        self.layer_pair = _integers("layer_pair", self.layer_pair, 2)
+        if not isinstance(self.layer_pair, (list, tuple)) or len(self.layer_pair) != 2:
+            raise ConfigError(f"layer_pair must be a list of 2 integers, got {self.layer_pair!r}")
+        self.layer_pair = tuple(
+            int(_typed("layer_pair", v, numbers.Integral, "integers")) for v in self.layer_pair
+        )
         if not 1 <= self.layer_pair[0] < self.layer_pair[1]:
             raise ConfigError(
                 f"layer_pair ordinals must increase from at least 1, "
                 f"got {self.layer_pair}"
             )
-        self.spp_levels = _integers("spp_levels", self.spp_levels)
-        if not self.spp_levels or min(self.spp_levels) < 1:
-            raise ConfigError(f"spp_levels must be positive integers, got {self.spp_levels}")
         self.resolution = resolve_resolution(self.resolution)
 
 
@@ -227,14 +228,6 @@ def _typed(name: str, value, kind, what: str):
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
-
-
-def _integers(name: str, values, count: int | None = None) -> tuple[int, ...]:
-    """A list or tuple of ``count`` (any number, if None) integers, as a tuple."""
-    if not isinstance(values, (list, tuple)) or count not in (None, len(values)):
-        raise ConfigError(f"{name} must be a list of {count or 'any number of'} "
-                          f"integers, got {values!r}")
-    return tuple(int(_typed(name, v, numbers.Integral, "integers")) for v in values)
 
 
 def load_config(path) -> PipelineConfig:
@@ -450,9 +443,9 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
     ``conv_product`` of the grids and one ``np.maximum`` in place, each
     part's units a slice of it: each
     window is one unit's input, so unit (i, j) sits over window (i, j).
-    The other schemes get None.  Forward and product seconds go to
-    ``timing["extraction"]``, local-feature extraction seconds to
-    ``timing["pooling"]``; nothing is timed across a yield.
+    The other schemes get None.  The forward pass, local-feature
+    extraction and the product are timed as ``timing["extraction"]``;
+    nothing is timed across a yield.
     """
     head = NetworkSpec(net.stages[: t_index + 1], seed=net.seed)
     entries = iter(entries)
@@ -466,7 +459,7 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
                 break
         if not batch:
             return
-        start, extract_seconds = time.perf_counter(), 0.0
+        start = time.perf_counter()
         stacks = {}
         for i, parts in enumerate(batch):
             for j, (_, _, part) in enumerate(parts):
@@ -475,18 +468,15 @@ def _forward_images(entries, net, t_index, t1_spec, config, timing):
         for members in stacks.values():
             stacked = ActivationTensor(np.stack([batch[i][j][2] for i, j in members]))
             layer_t = run_network(stacked, head)[-1]
-            t0 = time.perf_counter()
             grids = extract_local_features(
                 layer_t, t1_spec.kernel_h, t1_spec.kernel_w, t1_spec.stride
             )
-            extract_seconds += time.perf_counter() - t0
             units = [None] * len(members)
             if config.scheme == "cross-layer":
                 units = conv_product(grids, t1_spec)
                 np.maximum(units, 0.0, out=units)
             outputs.update(zip(members, zip(grids, units)))
-        timing["extraction"] += time.perf_counter() - start - extract_seconds
-        timing["pooling"] += extract_seconds
+        timing["extraction"] += time.perf_counter() - start
         for i, parts in enumerate(batch):
             yield [
                 (label, resolution, *outputs[i, j])
@@ -505,7 +495,7 @@ def _encode_part(grid, layer_t1, resolution, config, pca_models, out):
     elif config.scheme == "direct-sum-sqrt":
         out[:] = direct_sum_sqrt_pool(grid)
     else:
-        out[:] = spp_pool(grid, config.spp_levels)
+        out[:] = spp_pool(grid, SPP_LEVELS)
 
 
 def _fit_pca_models(images, config):
@@ -548,7 +538,7 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
             for k, (_, resolution, grid, layer_t1) in enumerate(parts):
                 out = row[k * part_dim : (k + 1) * part_dim]
                 _encode_part(grid, layer_t1, resolution, config, pca_models, out)
-            encoded = power_normalize(row) if config.power_norm else row
+            encoded = power_normalize(row)
             timing["pooling"] += time.perf_counter() - t0
             fh.write(encoded)
     return [[label, k * part_dim, part_dim] for k, (label, *_) in enumerate(parts)]
@@ -558,8 +548,9 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
     """Write the representation stage's artifacts into ``directory``.
 
     ``per_image.total`` is the stage's wall time per image, loading, the
-    PCA fit and writing included; ``extraction`` and ``pooling`` are the
-    forward and the extract-and-encode shares of it.
+    PCA fit and writing included; ``extraction`` is the share of the
+    forward pass, local-feature extraction and the layer t+1 product, and
+    ``pooling`` that of pooling and the rows' signed square roots.
     """
     start = time.perf_counter()
     timing = {"extraction": 0.0, "pooling": 0.0}
@@ -577,7 +568,7 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
     if config.scheme == "cross-layer":
         part_dim = t1_spec.out_depth * (config.pca_dim or local_dim)
     elif config.scheme == "spp":
-        part_dim = sum(g * g for g in config.spp_levels) * local_dim
+        part_dim = sum(g * g for g in SPP_LEVELS) * local_dim
     else:
         part_dim = local_dim
     layout = _represent_images(
@@ -653,15 +644,10 @@ def run_pipeline(
             "version": __version__,
             "network": network_digest(net, t1_spec),
             "manifest": manifest_digest(manifest),
-            "layer_pair": config.layer_pair,
-            "window": (t1_spec.kernel_h, t1_spec.kernel_w),
-            "stride": t1_spec.stride,
             "scheme": config.scheme,
-            "spp_levels": config.spp_levels,
             "pca_dim": config.pca_dim,
             "pca_sample_cap": config.pca_sample_cap,
             "resolution": dataclasses.asdict(config.resolution),
-            "power_norm": config.power_norm,
             "seed": config.seed,
         }
     )

@@ -24,7 +24,8 @@ whole scheme is one product of the two grids' rows:
 Local features are float32, and every scheme pools them in float32.
 
 Direct max pooling, direct sum-sqrt pooling, and spatial pyramid pooling
-over the anchor grid are kept as reference schemes.
+over the anchor grid are kept as reference schemes.  No scheme applies the
+signed square root itself: the pipeline takes it once, of the whole row.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, GeometryError, ValidationError
-from .postproc import PcaModel, pca_project, power_normalize
+from .postproc import PcaModel, pca_project
 from .tensor import require_single
+
+# The pyramid levels of the ``spp`` scheme: the whole grid, then 2 x 2 cells.
+SPP_LEVELS = (1, 2)
 
 
 def unit_offset(pad: int, stride: int) -> int:
@@ -95,12 +99,12 @@ def direct_max_pool(features: np.ndarray) -> np.ndarray:
 
 
 def direct_sum_sqrt_pool(features: np.ndarray) -> np.ndarray:
-    """Column sums of the descriptors along the last axis, compressed by a
-    signed square root."""
+    """Column sums of the descriptors along the last axis; the row's signed
+    square root makes them the sum-sqrt baseline."""
     matrix = features.reshape(-1, features.shape[-1])
     if matrix.shape[0] < 1:
         raise ContractError("cannot sum-pool an empty feature set")
-    return power_normalize(matrix.sum(axis=0))
+    return matrix.sum(axis=0)
 
 
 def spp_pool(grid: np.ndarray, levels: Sequence[int]) -> np.ndarray:

@@ -10,12 +10,23 @@ import pytest
 
 import crosspool.cli
 from crosspool.cli import main
-from crosspool.postproc import load_sign_stack, save_sign_stack, sign_quantize
+from crosspool.features import extract_local_features
+from crosspool.pooling import cross_layer_pool
+from crosspool.postproc import (
+    load_pca,
+    load_sign_stack,
+    pca_fit,
+    power_normalize,
+    save_pca,
+    save_sign_stack,
+    sign_quantize,
+)
 from crosspool.svm import SvmModel, kernels, load_svm, save_svm
 from crosspool.synth import generate
 from crosspool.tensor import (
     ActivationTensor,
     load_features,
+    load_tensor,
     save_features,
     save_tensor,
 )
@@ -194,6 +205,23 @@ def test_pca_fit_and_pool(dataset, tmp_path, capsys):
     assert load_features(tmp_path / "v.fmat").data.shape == (1, 6)
 
 
+@pytest.mark.parametrize("scheme,pool", [
+    ("direct-max", lambda m: m.max(axis=0)),
+    ("direct-sum-sqrt", lambda m: m.sum(axis=0)),
+])
+def test_pool_roots_the_direct_schemes_once(tmp_path, scheme, pool):
+    """``pool`` writes one signed square root of the float32 column maxima
+    or sums, bit for bit, as the pipeline does for a one-part image."""
+    feats = tmp_path / "f.fmat"
+    matrix = np.random.default_rng(8).uniform(-1.0, 3.0, size=(50, 6)).astype(np.float32)
+    save_features(matrix, feats)
+    assert run_cli("pool", "--scheme", scheme, "--features", feats,
+                   "--out", tmp_path / "v.fmat") == 0
+    got = load_features(tmp_path / "v.fmat").data
+    assert got.dtype == np.float32
+    assert got.tobytes() == power_normalize(pool(matrix)).tobytes()
+
+
 def test_pool_cross_layer_files(tmp_path):
     rng = np.random.default_rng(9)
     layer_t = tmp_path / "t.tens"
@@ -206,13 +234,22 @@ def test_pool_cross_layer_files(tmp_path):
         ActivationTensor(rng.random((6, 6, 3)).astype(np.float32), rectified=True),
         layer_t1,
     )
-    assert run_cli(
-        "pool", "--scheme", "cross-layer",
-        "--layer-t", layer_t, "--layer-t1", layer_t1,
-        "--window", "3x3", "--stride", "1", "--pad", "0",
-        "--out", tmp_path / "v.fmat",
-    ) == 0
-    assert load_features(tmp_path / "v.fmat").data.shape == (1, (3 * 3 * 2) * 3)
+    grid = extract_local_features(load_tensor(layer_t), 3, 3, 1)
+    save_pca(pca_fit(grid.reshape(-1, 18), 4), tmp_path / "m.pca")
+    for pca, dim in ((None, 18), (tmp_path / "m.pca", 4)):
+        flags = ["--pca", pca] if pca else []
+        assert run_cli(
+            "pool", "--scheme", "cross-layer",
+            "--layer-t", layer_t, "--layer-t1", layer_t1,
+            "--window", "3x3", "--stride", "1", "--pad", "0", *flags,
+            "--out", tmp_path / "v.fmat",
+        ) == 0
+        got = load_features(tmp_path / "v.fmat").data
+        assert got.shape == (1, dim * 3)
+        pooled = cross_layer_pool(
+            grid, load_tensor(layer_t1).data, 0, pca=load_pca(pca) if pca else None
+        )
+        assert got.tobytes() == power_normalize(pooled).tobytes()
 
 
 def test_exit_code_pad_not_aligned_with_stride(tmp_path, capsys):
@@ -286,16 +323,19 @@ def test_exit_code_pca_dim_below_one(tmp_path, capsys, monkeypatch, dim):
     (["extract", "--window", "3x3", "--stride", "0"], "--stride"),
     (["pool", "--scheme", "cross-layer", "--stride", "0"], "--stride"),
     (["pool", "--scheme", "spp", "--stride", "0"], "--stride"),
-    (["pool", "--scheme", "spp", "--levels", "0"], "--levels"),
+    (["pool", "--scheme", "spp", "--pca", "m.pca"], "--pca"),
     (["pool", "--scheme", "cross-layer", "--pad", "-1"], "--pad"),
 ])
 def test_exit_code_bad_window_flags(tmp_path, capsys, monkeypatch, argv, flag):
-    """A window, stride, level or pad flag out of range is a config error,
-    found before any input is read."""
+    """A window, stride or pad flag out of range, or a PCA model for a
+    scheme other than cross-layer, is a config error, found before any
+    input is read."""
     rng = np.random.default_rng(9)
     layer_t, layer_t1 = tmp_path / "t.tens", tmp_path / "t1.tens"
     for path, shape in ((layer_t, (8, 8, 2)), (layer_t1, (6, 6, 3))):
         save_tensor(ActivationTensor(rng.random(shape), rectified=True), path)
+    save_pca(pca_fit(rng.random((20, 18)), 4), tmp_path / "m.pca")
+    argv = [tmp_path / a if a == "m.pca" else a for a in argv]
     reads, load = [], crosspool.cli.load_tensor
 
     def recorded(path):
@@ -349,12 +389,12 @@ def test_exit_code_config_error(dataset, tmp_path, capsys):
     ("layer_pair", 3),
     ("layer_pair", [1, "x"]),
     ("pca_sample_cap", 20),
-    ("spp_levels", ["a"]),
-    ("spp_levels", [0, 2]),
+    ("layer_pair", [1, 2, 3]),
+    ("pca_dim", True),
     ("pca_dim", 2.5),
     ("quantize", "no"),
     ("seed", "abc"),
-    ("power_norm", 1),
+    ("quantize", 1),
     ("svm_c", "1.0"),
     ("svm_c", float("nan")),
     ("svm_tol", float("inf")),
@@ -367,10 +407,9 @@ def test_exit_code_config_error(dataset, tmp_path, capsys):
 ])
 def test_exit_code_config_value_of_wrong_type(dataset, tmp_path, capsys, field, value):
     """A config value of the wrong JSON type, a NaN or infinite SVM
-    parameter, or a value that no dataset could satisfy (a pyramid level
-    below 1, a PCA sample cap no larger than the 20 components it must
-    yield) is a config error before any stage runs, not a traceback or a
-    silently different run.  A resolution field is named as
+    parameter, or a value that no dataset could satisfy (a PCA sample cap
+    no larger than the 20 components it must yield) is a config error
+    before any stage runs, not a traceback or a silently different run.  A resolution field is named as
     ``resolution.<field>``."""
     manifest, net, _ = dataset
     cfg = tmp_path / "cfg.json"

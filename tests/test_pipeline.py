@@ -131,11 +131,27 @@ def test_config_file_round_trip(tmp_path, dataset):
     assert config.resolution.blocks_m == 2
 
 
+def test_readme_config_example_loads(tmp_path):
+    """The README's example config, the json block under "Pipeline config
+    (JSON)", loads as it is written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("### Pipeline config (JSON)", 1)[1]
+    example = re.search(r"^```json\n(.*?)^```$", section, re.M | re.S).group(1)
+    (tmp_path / "cfg.json").write_text(example)
+    config = load_config(tmp_path / "cfg.json")
+    assert config.network == str(tmp_path / "net.spec")
+    assert config.pca_dim == 20 and config.resolution.blocks_m == 2
+
+
 def test_config_rejects_unknown_keys(tmp_path):
+    """A misspelt key, or one that version 0.4.0 read and 0.5.0 fixed (every
+    row takes one signed square root; the pyramid has levels 1 and 2), is
+    named as unknown."""
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"network": "net.spec", "sceme": "cross-layer"}))
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for key, value in (("sceme", "cross-layer"), ("power_norm", True), ("spp_levels", [1, 2])):
+        path.write_text(json.dumps({"network": "net.spec", key: value}))
+        with pytest.raises(ConfigError, match=f"unknown config keys \\['{key}'\\]"):
+            load_config(path)
 
 
 def test_config_rejects_bad_values():
@@ -391,6 +407,25 @@ def test_network_seed_keys_only_the_weights_it_draws(tmp_path, weights):
     else:
         assert set(rerun["cache"].values()) == {"miss"}
         assert rerun["config_hash"] != first["config_hash"]
+
+
+def test_layer_pairs_key_apart_through_the_network_digest(tmp_path):
+    """The representation key holds no layer pair, window or stride: the
+    network digest, which ends at the second convolution's ReLU, fixes
+    them.  On a 3-conv seeded network, pairs (1, 2) and (2, 3) key apart in
+    one workdir, and (1, 2) then reruns as a hit."""
+    manifest, net_path = parts_dataset(tmp_path / "data")
+    with open(net_path, "a", encoding="utf-8") as fh:
+        fh.write("conv out_depth=8 kernel=3x3 stride=1 pad=1\nrelu\n")
+    reports = [
+        run_pipeline(PipelineConfig(network=net_path, layer_pair=pair, seed=1), manifest,
+                     tmp_path / "work", stages="representations")
+        for pair in ((1, 2), (2, 3), (1, 2))
+    ]
+    assert [r["dims"]["channels"] for r in reports] == [32, 8, 32]
+    assert reports[0]["config_hash"] != reports[1]["config_hash"]
+    assert reports[2]["config_hash"] == reports[0]["config_hash"]
+    assert [r["cache"]["representations"] for r in reports] == ["miss", "miss", "hit"]
 
 
 def test_run_pipeline_deterministic_across_workers(dataset, tmp_path):
@@ -828,7 +863,7 @@ def test_direct_schemes_run(dataset, tmp_path):
 
 def test_spp_scheme_dim(dataset, tmp_path):
     manifest, net_path = dataset
-    config = PipelineConfig(network=net_path, scheme="spp", spp_levels=(1, 2))
+    config = PipelineConfig(network=net_path, scheme="spp")
     report = run_pipeline(config, manifest, tmp_path / "work")
     assert report["dims"]["representation_dim"] == 5 * 9 * 6
 

@@ -63,14 +63,14 @@ A PCA part first projects z = (x - mean) B^T with the float32 model: the
 float32 centering rounds each difference x^ - mean once, and the d-term
 float32 product adds gamma_d, so |z^ - z| <= E_x |B| + gamma_{d+1}
 (|x - mean| + E_x) |B|, and that takes the place of E_x.  Direct max
-pooling moves by at most max_i E_x; direct sum pooling by sum_i E_x +
-gamma_m sum_i (|x_i| + E_x), then its float32 square root as below.
-Where |P| > delta no sign can change and |P^| >= |P| - delta, so the
-signed square root moves by |P^ - P| / (sqrt(|P^|) + sqrt(|P|)) <=
+pooling moves by at most max_i E_x; direct sum pooling, whose float32
+column sums are exactly the scheme's output, by sum_i E_x + gamma_m sum_i
+(|x_i| + E_x).  Every scheme's entries then take one signed square root,
+of the row.  Where |P| > delta no sign can change and |P^| >= |P| - delta,
+so the signed square root moves by |P^ - P| / (sqrt(|P^|) + sqrt(|P|)) <=
 delta / (sqrt(|P|) + sqrt(|P| - delta)); anywhere it moves by at most
-sqrt(2 delta).  Each float32 result adds u (|r| + bound): the row's last
-rounding, and for direct sum pooling the square root inside the scheme
-too.  Sign codes are quantized from the written row, so a code may differ
+sqrt(2 delta).  The float32 root adds u (|r| + bound), the row's only
+rounding after pooling.  Sign codes are quantized from the written row, so a code may differ
 from the oracle's only where the oracle's entry is within its bound of
 zero.
 
@@ -267,10 +267,7 @@ def pooled_with_bound(scheme, grid, units, pca):
     if scheme == "direct-max":
         return x.max(axis=0), ex.max(axis=0)
     if scheme == "direct-sum-sqrt":
-        total = x.sum(axis=0)
-        delta = ex.sum(axis=0) + gamma(m) * (np.abs(x) + ex).sum(axis=0)
-        root, bound = signed_sqrt(total, delta)
-        return root, bound + UNIT_ROUNDOFF * (np.abs(root) + bound)
+        return x.sum(axis=0), ex.sum(axis=0) + gamma(m) * (np.abs(x) + ex).sum(axis=0)
     assert scheme == "cross-layer"
     if pca is not None:
         basis = np.abs(pca.basis.astype(np.float64)).T
@@ -285,8 +282,9 @@ def pooled_with_bound(scheme, grid, units, pca):
 def oracle_row(path, net, config, t_index, t1_index, pca_models=None):
     """One image's representation row from the float64 oracle on a full
     forward pass per part, and the bound on each entry of the pipeline's
-    float32 row: layer t+1 is the oracle's output at ``t1_index`` and
-    pooling starts at ``unit_offset(pad, stride)``."""
+    float32 row: layer t+1 is the oracle's output at ``t1_index``, pooling
+    starts at ``unit_offset(pad, stride)`` and each pooled entry takes one
+    signed square root."""
     conv = net.stages[t1_index - 1]
     offset = unit_offset(conv.pad, conv.stride)
     rows, bounds = [], []
@@ -297,9 +295,7 @@ def oracle_row(path, net, config, t_index, t1_index, pca_models=None):
         units = Bounded(*(a[offset : offset + gh, offset : offset + gw]
                           for a in outputs[t1_index]))
         pca = (pca_models or {}).get(resolution)
-        row, bound = pooled_with_bound(config.scheme, grid, units, pca)
-        if config.power_norm:
-            row, bound = signed_sqrt(row, bound)
+        row, bound = signed_sqrt(*pooled_with_bound(config.scheme, grid, units, pca))
         rows.append(row)
         bounds.append(bound + UNIT_ROUNDOFF * (np.abs(row) + bound))
     return np.concatenate(rows), np.concatenate(bounds)

@@ -207,10 +207,11 @@ def test_direct_max_pool():
 
 
 def test_direct_sum_sqrt_signed():
-    """Sum first, then signed square root: column sums -1 and -3 give -1, -sqrt(3)."""
+    """The scheme is the signed column sums, -1 and -3; the row's signed
+    square root, not the scheme, takes their roots."""
     data = np.array([[-1.0, -1.0], [0.0, -2.0]])
     out = direct_sum_sqrt_pool(data)
-    np.testing.assert_allclose(out, [-1.0, -np.sqrt(3.0)])
+    np.testing.assert_array_equal(out, [-1.0, -3.0])
 
 
 @pytest.mark.parametrize("scheme", [direct_max_pool, direct_sum_sqrt_pool])
