@@ -35,7 +35,6 @@ from .pipeline import (
     compare_schemes,
     load_config,
     parse_manifest,
-    quantize_blocks,
     resolve_resolution,
     run_pipeline,
 )
@@ -54,8 +53,9 @@ from .postproc import (
     power_normalize,
     save_pca,
     save_sign_stack,
+    sign_quantize,
 )
-from .svm import kernels, load_svm, save_svm, svm_predict, svm_train
+from .svm import BLOCK_DIMS, kernels, load_svm, save_svm, svm_predict, svm_train
 from .tensor import (
     ColumnReader,
     MATRIX_MAGIC,
@@ -77,14 +77,14 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
         raise ConfigError(f"{flag} expects integers, got {text!r}") from None
 
 
-def _parse_window(args) -> tuple[int, int, int]:
+def _parse_window(window: str, stride: int) -> tuple[int, int, int]:
     """``--window`` and ``--stride`` as (window_h, window_w, stride)."""
-    wh, ww = _parse_pair(args.window, "--window")
+    wh, ww = _parse_pair(window, "--window")
     if wh < 1 or ww < 1:
-        raise ConfigError(f"--window must be positive, got {args.window!r}")
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be positive, got {args.stride}")
-    return wh, ww, args.stride
+        raise ConfigError(f"--window must be positive, got {window!r}")
+    if stride < 1:
+        raise ConfigError(f"--stride must be positive, got {stride}")
+    return wh, ww, stride
 
 
 def cmd_forward(args) -> int:
@@ -110,7 +110,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    window = _parse_window(args)
+    window = _parse_window(args.window, args.stride)
     grid = extract_local_features(load_tensor(args.input), *window)
     gh, gw, dim = grid.shape
     save_features(grid.reshape(gh * gw, dim), args.out)
@@ -130,12 +130,31 @@ def cmd_pca_fit(args) -> int:
     return 0
 
 
+# the optional ``pool`` flags that each scheme reads; any other one is a
+# config error, so that no flag is ignored silently
+_POOL_FLAGS = {
+    "cross-layer": ("layer_t", "layer_t1", "window", "stride", "pad", "pca"),
+    "direct-max": ("features",),
+    "direct-sum-sqrt": ("features",),
+    "spp": ("input", "window", "stride"),
+}
+
+
 def cmd_pool(args) -> int:
-    window = _parse_window(args)
-    if args.pad < 0:
-        raise ConfigError(f"--pad must be nonnegative, got {args.pad}")
-    if args.pca and args.scheme != "cross-layer":
-        raise ConfigError(f"--pca applies to cross-layer pooling only, not {args.scheme}")
+    window = _parse_window(
+        "3x3" if args.window is None else args.window,
+        1 if args.stride is None else args.stride,
+    )
+    pad = 0 if args.pad is None else args.pad
+    if pad < 0:
+        raise ConfigError(f"--pad must be nonnegative, got {pad}")
+    unread = [
+        "--" + name.replace("_", "-")
+        for name in ("layer_t", "layer_t1", "features", "input", "window", "stride", "pad", "pca")
+        if getattr(args, name) is not None and name not in _POOL_FLAGS[args.scheme]
+    ]
+    if unread:
+        raise ConfigError(f"{args.scheme} pooling does not read {', '.join(unread)}")
     if args.scheme == "cross-layer":
         if not args.layer_t or not args.layer_t1:
             raise ConfigError("cross-layer pooling needs --layer-t and --layer-t1")
@@ -145,9 +164,7 @@ def cmd_pool(args) -> int:
             raise ContractError("indicator weights must come from a rectified layer")
         grid = extract_local_features(layer_t, *window)
         pca = load_pca(args.pca) if args.pca else None
-        vector = cross_layer_pool(
-            grid, layer_t1.data, unit_offset(args.pad, args.stride), pca=pca
-        )
+        vector = cross_layer_pool(grid, layer_t1.data, unit_offset(pad, window[2]), pca=pca)
     elif args.scheme in ("direct-max", "direct-sum-sqrt"):
         if not args.features:
             raise ConfigError(f"{args.scheme} pooling needs --features")
@@ -165,9 +182,15 @@ def cmd_pool(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    # one column block at a time; the block width is a multiple of 4, so
+    # the blocks' codes join to exactly the whole matrix's codes
     with ColumnReader(args.input) as matrix:
-        codes = quantize_blocks(matrix)
-    count, dim = matrix.shape
+        count, dim = matrix.shape
+        codes = np.empty((count, (dim + 3) // 4), dtype=np.uint8)
+        for lo in range(0, dim, BLOCK_DIMS):
+            codes[:, lo // 4 : (lo + BLOCK_DIMS) // 4] = sign_quantize(
+                matrix[:, lo : lo + BLOCK_DIMS]
+            )
     save_sign_stack(codes, dim, args.out)
     print(f"{count} vectors quantized to {codes.shape[1]} bytes each -> {args.out}")
     return 0
@@ -379,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--layer-t1")
     sub.add_argument("--features")
     sub.add_argument("--input")
-    sub.add_argument("--window", default="3x3")
-    sub.add_argument("--stride", type=int, default=1)
-    sub.add_argument("--pad", type=int, default=0)
+    # None marks a flag not given; cmd_pool applies the defaults 3x3, 1, 0
+    sub.add_argument("--window")
+    sub.add_argument("--stride", type=int)
+    sub.add_argument("--pad", type=int)
     sub.add_argument("--pca")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_pool)

@@ -6,14 +6,17 @@ directory addressed by a hash of everything that stage depends on
 reuses the cached artifacts:
 
     representations/<key>/   train.fmat test.fmat meta.json pca_*.pca
-    kernel/<key>/            gram.fmat rows.fmat [train.signs test.signs]
+                             (train.signs test.signs in place of the
+                             .fmat files when quantized)
+    kernel/<key>/            gram.fmat rows.fmat
     model/<key>/             model.svm solver.json
     report/<key>.json
 
 The representation key covers the network through the ReLU after the
 second convolution (no later stage runs), which fixes the layer pair,
 window and stride, each tensor's path, size and mtime, the labels and the
-package version.  A stage is built in a fresh sibling directory whose name
+package version; it also covers ``quantize``, which says what the stage
+writes.  A stage is built in a fresh sibling directory whose name
 starts with ``.`` and renamed into place when complete, so a
 ``<stage>/<key>`` directory is always whole; the report goes through a
 temp file and a rename too.  Each stage reads its
@@ -35,21 +38,24 @@ plain arrays; only the stacks and the network's stage outputs are
 ``ActivationTensor``s.
 
 Every part of a config has the same length, so each split keeps one
-reused float32 row: each part is pooled straight into its slice, the row is
-power-normalized once and written into train.fmat or test.fmat as soon as
-the image is encoded.  Every per-image value, from the forward pass to the
-row, is float32; only the PCA fit and the kernel stage, which combine many
-images, compute in float64.
+reused float32 row: each part is pooled straight into its slice and the
+row is power-normalized once, then written into train.fmat or test.fmat
+as soon as the image is encoded.  A quantized config writes no floats:
+it sign-quantizes the row into its row of the split's codes, which go to
+train.signs or test.signs once the split is done.  Every per-image value,
+from the forward pass to the row, is float32; only the PCA fit and the
+kernel stage, which combine many images, compute in float64.
 
-No stage holds a whole (count, dim) representation matrix.  Without PCA
-the representation stage holds one forward batch, its feature
-grids and one row whatever the image count; a PCA config also holds
-every training image's parts until the fit and the encoding are done.
-The kernel stage reads the two files through ``ColumnReader``, one
-``svm.BLOCK_DIMS`` column block at a time: it holds about
-count * BLOCK_DIMS values per split, plus the Gram matrix, the kernel rows
-and, when quantized, the sign codes, 1/16 of the floats.  The model stage
-holds the Gram matrix and prediction the kernel rows.
+No stage holds a whole (count, dim) float representation matrix.  Without
+PCA the representation stage holds one forward batch, its feature grids
+and one row whatever the image count, and a quantized config the split's
+codes, count * ceil(dim/4) bytes; a PCA config also holds every training
+image's parts until the fit and the encoding are done.  The kernel stage
+reads float files through ``ColumnReader``, one ``svm.BLOCK_DIMS`` column
+block at a time, holding about count * BLOCK_DIMS values per split, or
+loads both sign stacks whole and unpacks one block at a time; it also
+holds the Gram matrix and the kernel rows.  The model stage holds the
+Gram matrix and prediction the kernel rows.
 
 Manifest lines are ``path<TAB>split<TAB>labels`` with comma-separated
 labels and split either ``train`` or ``test``; tensor paths are resolved
@@ -58,6 +64,7 @@ relative to the manifest file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -72,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, svm
+from . import __version__
 from .errors import ConfigError, ContractError, ValidationError
 from .features import extract_local_features
 from .multires import ResolutionConfig, iter_parts
@@ -93,6 +100,7 @@ from .pooling import (
     unit_offset,
 )
 from .postproc import (
+    load_sign_stack,
     pca_fit,
     power_normalize,
     save_pca,
@@ -519,28 +527,40 @@ def _fit_pca_models(images, config):
 
 def _represent_images(images, count, config, pca_models, part_dim, timing, path):
     """Encode ``count`` images, each given as its ``_forward_images`` parts,
-    into the rows of a matrix file at ``path``; returns the part layout.
+    into a matrix file of their rows at ``path``, or, when the config
+    quantizes, a sign stack of the rows' codes; returns the part layout.
 
     Every part is ``part_dim`` long, so the first image's parts fix the
     layout and the header for all.  Each part is pooled straight into its
-    slice of one reused float32 row, the row is power-normalized once and
-    written as soon as the image arrives.  A generator of images is held
-    one at a time and the matrix is never held whole.  Encoding seconds go
-    to ``timing["pooling"]``; the row writes are not timed there.
+    slice of one reused float32 row and the row is power-normalized once.
+    A float row is written as soon as the image arrives; a quantized row
+    fills its row of the split's codes, 1/16 of the floats' bytes, which
+    are written when the split is done.  A generator of images is held one
+    at a time and the float matrix is never held whole.  Encoding seconds,
+    quantization included, go to ``timing["pooling"]``; the writes are not
+    timed there.
     """
-    row = None
-    with open(path, "wb") as fh:
-        for parts in images:
+    row = codes = None
+    with contextlib.nullcontext() if config.quantize else open(path, "wb") as fh:
+        for i, parts in enumerate(images):
             t0 = time.perf_counter()
             if row is None:
                 row = np.empty(len(parts) * part_dim, np.float32)
-                fh.write(matrix_header(count, row.size))
+                if config.quantize:
+                    codes = np.empty((count, (row.size + 3) // 4), np.uint8)
+                else:
+                    fh.write(matrix_header(count, row.size))
             for k, (_, resolution, grid, layer_t1) in enumerate(parts):
                 out = row[k * part_dim : (k + 1) * part_dim]
                 _encode_part(grid, layer_t1, resolution, config, pca_models, out)
             encoded = power_normalize(row)
+            if codes is not None:
+                codes[i] = sign_quantize(encoded[None])[0]
             timing["pooling"] += time.perf_counter() - t0
-            fh.write(encoded)
+            if codes is None:
+                fh.write(encoded)
+    if codes is not None:
+        save_sign_stack(codes, row.size, path)
     return [[label, k * part_dim, part_dim] for k, (label, *_) in enumerate(parts)]
 
 
@@ -550,7 +570,8 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
     ``per_image.total`` is the stage's wall time per image, loading, the
     PCA fit and writing included; ``extraction`` is the share of the
     forward pass, local-feature extraction and the layer t+1 product, and
-    ``pooling`` that of pooling and the rows' signed square roots.
+    ``pooling`` that of pooling, the rows' signed square roots and, when
+    quantized, their sign codes.
     """
     start = time.perf_counter()
     timing = {"extraction": 0.0, "pooling": 0.0}
@@ -571,14 +592,15 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
         part_dim = sum(g * g for g in SPP_LEVELS) * local_dim
     else:
         part_dim = local_dim
+    suffix = ".signs" if config.quantize else ".fmat"
     layout = _represent_images(
         train_images, len(train_entries), config, pca_models, part_dim, timing,
-        os.path.join(directory, "train.fmat"),
+        os.path.join(directory, "train" + suffix),
     )
     test_images = _forward_images(test_entries, net, t_index, t1_spec, config, timing)
     _represent_images(
         test_images, len(test_entries), config, pca_models, part_dim, timing,
-        os.path.join(directory, "test.fmat"),
+        os.path.join(directory, "test" + suffix),
     )
     for resolution, model in pca_models.items():
         save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
@@ -603,19 +625,6 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
     }
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-
-
-def quantize_blocks(matrix) -> np.ndarray:
-    """``sign_quantize`` of a (count, dim) array or ``ColumnReader``, one
-    ``svm.BLOCK_DIMS`` column block at a time.  The block width is a
-    multiple of 4, so the blocks' codes join to exactly the whole matrix's
-    codes, and only one float block is held at a time."""
-    count, dim = matrix.shape
-    step = svm.BLOCK_DIMS
-    codes = np.empty((count, (dim + 3) // 4), dtype=np.uint8)
-    for lo in range(0, dim, step):
-        codes[:, lo // 4 : (lo + step) // 4] = sign_quantize(matrix[:, lo : lo + step])
-    return codes
 
 
 def run_pipeline(
@@ -648,6 +657,7 @@ def run_pipeline(
             "pca_dim": config.pca_dim,
             "pca_sample_cap": config.pca_sample_cap,
             "resolution": dataclasses.asdict(config.resolution),
+            "quantize": config.quantize,
             "seed": config.seed,
         }
     )
@@ -692,20 +702,21 @@ def run_pipeline(
 
     def build_kernel(tmp):
         t0 = time.perf_counter()
-        with ColumnReader(os.path.join(rep_dir, "train.fmat")) as train, \
-                ColumnReader(os.path.join(rep_dir, "test.fmat")) as test:
-            train_reps, test_reps = train, test
-            if config.quantize:
-                train_reps, test_reps = quantize_blocks(train), quantize_blocks(test)
-                save_sign_stack(train_reps, train.shape[1], os.path.join(tmp, "train.signs"))
-                save_sign_stack(test_reps, test.shape[1], os.path.join(tmp, "test.signs"))
-            gram, rows = kernels(train_reps, test_reps)
+        if config.quantize:
+            gram, rows = kernels(
+                load_sign_stack(os.path.join(rep_dir, "train.signs"))[0],
+                load_sign_stack(os.path.join(rep_dir, "test.signs"))[0],
+            )
+        else:
+            with ColumnReader(os.path.join(rep_dir, "train.fmat")) as train, \
+                    ColumnReader(os.path.join(rep_dir, "test.fmat")) as test:
+                gram, rows = kernels(train, test)
         timing["kernel_seconds"] = time.perf_counter() - t0
         save_features(gram, os.path.join(tmp, "gram.fmat"))
         save_features(rows, os.path.join(tmp, "rows.fmat"))
 
     timing.update(kernel_seconds=None, train_seconds=None)
-    kernel_key = _key({"stage": "kernel", "parent": rep_key, "quantize": config.quantize})
+    kernel_key = _key({"stage": "kernel", "parent": rep_key})
     kernel_dir, cache["kernel"] = _stage(workdir, "kernel", kernel_key, use_cache, build_kernel)
     report["artifacts"]["kernel"] = kernel_dir
 

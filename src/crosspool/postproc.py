@@ -206,10 +206,12 @@ def save_sign_stack(codes: np.ndarray, dim: int, path) -> None:
         raise ContractError(
             f"{codes.shape[1]} code bytes per row do not hold dim {dim}"
         )
+    # a uint8 matrix is written from its own buffer, without a bytes copy
+    payload = np.ascontiguousarray(codes, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(SIGN_STACK_MAGIC)
         fh.write(_HEADER.pack(codes.shape[0], dim))
-        fh.write(np.ascontiguousarray(codes, dtype=np.uint8).tobytes())
+        fh.write(payload)
 
 
 def load_sign_stack(path) -> tuple[np.ndarray, int]:

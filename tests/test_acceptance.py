@@ -263,8 +263,10 @@ def test_criterion_09_gram_determinism_and_svm_sanity(tmp_path):
             )
             (rep_dir,) = (workdir / "representations").iterdir()
             (kernel_dir,) = (workdir / "kernel").iterdir()
-            outputs.append([(rep_dir / name).read_bytes()
-                            for name in ("train.fmat", "test.fmat")]
+            # a quantized run writes its rows' sign codes in place of the rows
+            suffix = ".signs" if flag == "--quantize" else ".fmat"
+            outputs.append([(rep_dir / f"{split}{suffix}").read_bytes()
+                            for split in ("train", "test")]
                            + [(kernel_dir / name).read_bytes()
                               for name in ("gram.fmat", "rows.fmat")])
         assert outputs[0] == outputs[1]

@@ -355,6 +355,46 @@ def test_exit_code_bad_window_flags(tmp_path, capsys, monkeypatch, argv, flag):
     assert not (tmp_path / "v.fmat").exists()
 
 
+@pytest.mark.parametrize("scheme,reads,unread,named", [
+    ("direct-max", ["--features", "f.fmat"],
+     ["--window", "5x5", "--stride", "4", "--pad", "8"], "--window, --stride, --pad"),
+    ("direct-sum-sqrt", ["--features", "f.fmat"],
+     ["--layer-t", "t.tens", "--input", "t.tens", "--pca", "m.pca"],
+     "--layer-t, --input, --pca"),
+    ("spp", ["--input", "t.tens", "--window", "3x3", "--stride", "1"],
+     ["--pad", "8", "--layer-t1", "missing.tens"], "--layer-t1, --pad"),
+    ("cross-layer", ["--layer-t", "t.tens", "--layer-t1", "t1.tens", "--pad", "0",
+                     "--pca", "m.pca"],
+     ["--features", "f.fmat", "--input", "t.tens"], "--features, --input"),
+], ids=["direct-max", "direct-sum-sqrt", "spp", "cross-layer"])
+def test_pool_rejects_flags_its_scheme_does_not_read(
+    tmp_path, capsys, monkeypatch, scheme, reads, unread, named
+):
+    """``pool`` with only the flags its scheme reads writes its vector; one
+    more flag that the scheme does not read is a config error that names
+    every such flag, found before any input is read, and nothing is
+    written."""
+    rng = np.random.default_rng(9)
+    for name, shape in (("t.tens", (8, 8, 2)), ("t1.tens", (6, 6, 3))):
+        save_tensor(ActivationTensor(rng.random(shape), rectified=True), tmp_path / name)
+    save_features(rng.random((20, 18)), tmp_path / "f.fmat")
+    save_pca(pca_fit(rng.random((20, 18)), 4), tmp_path / "m.pca")
+    reads, unread = ([tmp_path / a if a.endswith((".tens", ".fmat", ".pca")) else a
+                      for a in argv] for argv in (reads, unread))
+    out = tmp_path / "v.fmat"
+    assert run_cli("pool", "--scheme", scheme, *reads, "--out", out) == 0
+    out.unlink()
+    loaded = []
+    for name in ("load_tensor", "load_features", "load_pca"):
+        monkeypatch.setattr(crosspool.cli, name, lambda path: loaded.append(path))
+    capsys.readouterr()
+    code = run_cli("pool", "--scheme", scheme, *reads, *unread, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error: {scheme} pooling does not read {named}" in err
+    assert loaded == [] and not out.exists()
+
+
 def test_exit_code_parts_too_small_for_the_head(dataset, tmp_path, capsys):
     """2x2 blocks that the second convolution's 3x3 window cannot fit stop
     the run with exit 3, and the representation stage publishes nothing."""

@@ -263,11 +263,13 @@ def test_failed_build_publishes_nothing(dataset, tmp_path, monkeypatch):
     assert again["metrics"] == clean["metrics"]
 
 
-def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch):
-    """With every stage cached, train.fmat and test.fmat are never opened,
-    through ``open`` or through ``os.open``."""
+@pytest.mark.parametrize("quantize", [False, True])
+def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch, quantize):
+    """With every stage cached, no representation file, train/test.fmat
+    or train/test.signs, is ever opened, through ``open`` or through
+    ``os.open``."""
     manifest, net_path = dataset
-    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1, quantize=quantize)
     first = run_pipeline(config, manifest, tmp_path / "work")
     opened = []
 
@@ -288,7 +290,7 @@ def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch):
     assert sorted(name for name in opened if name.endswith("solver.json")) == [
         f"{second['artifacts']['model']}/solver.json"
     ]
-    assert not names & {"train.fmat", "test.fmat"}
+    assert not names & {"train.fmat", "test.fmat", "train.signs", "test.signs"}
     assert second["metrics"] == first["metrics"]
     with open(second["artifacts"]["report"], encoding="utf-8") as fh:
         assert json.load(fh)["cache"] == ALL_HIT
@@ -333,8 +335,8 @@ def test_workdir_holds_only_published_stages(dataset, tmp_path):
         for stage in ("representations", "kernel", "model", "report")
     }
     assert contents == {
-        "representations": ["meta.json", "pca_whole.pca", "test.fmat", "train.fmat"],
-        "kernel": ["gram.fmat", "rows.fmat", "test.signs", "train.signs"],
+        "representations": ["meta.json", "pca_whole.pca", "test.signs", "train.signs"],
+        "kernel": ["gram.fmat", "rows.fmat"],
         "model": ["model.svm", "solver.json"],
         "report": [f"{first['artifacts']['model'].rsplit('/', 1)[-1]}.json"],
     }
@@ -691,8 +693,9 @@ def test_run_pipeline_quantize_reports_bytes(dataset, tmp_path):
 
 
 def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch):
-    """One quantized run quantizes and unpacks each column block of each
-    split once, and the kernel does not depend on the block size."""
+    """One quantized run quantizes each row once, whole, where it is
+    encoded, unpacks each column block of each split once, and the kernel
+    does not depend on the block size."""
     manifest, net_path = dataset
     config = PipelineConfig(network=net_path, pca_dim=0, resolution="both", quantize=True)
     unpack = crosspool.svm.sign_unpack
@@ -707,7 +710,7 @@ def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch
     quantized = []
 
     def counting_quantize(values):
-        quantized.append(values.shape[1])
+        quantized.append(values.shape)
         return quantize(values)
 
     monkeypatch.setattr(crosspool.pipeline, "sign_quantize", counting_quantize)
@@ -719,9 +722,8 @@ def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch
         report = run_pipeline(config, manifest, tmp_path / str(block_dims))
         blocks = -(-report["dims"]["packed_bytes_per_image"] // (block_dims // 4))
         assert len(calls) == 2 * blocks
-        # the codes are built from the floats one column block at a time too
         dim = report["dims"]["representation_dim"]
-        assert len(quantized) == 2 * blocks and max(quantized) == min(block_dims, dim)
+        assert quantized == [(1, dim)] * len(manifest.entries)
         kernel_dir = report["artifacts"]["kernel"]
         kernel_bytes.append([
             (Path(kernel_dir) / name).read_bytes() for name in ("gram.fmat", "rows.fmat")
@@ -773,33 +775,41 @@ def _traced_peak(run):
 def test_representation_memory_does_not_grow_with_images(wide_dataset, tmp_path):
     """Without PCA the representation stage holds one forward batch and one
     row: four times the training images leave its peak within 1.25x.  16
-    images fill a forward batch."""
+    images fill a forward batch.  Quantized, it also holds the split's
+    codes, ceil(dim/4) bytes per image, and writes them from their own
+    buffer: the 48 more images raise the peak by their codes and at most
+    64 KiB more."""
     manifest, config = wide_dataset
-    peaks = []
-    for n_train in (16, 64):
-        report, peak = _traced_peak(lambda: run_pipeline(
-            config, manifest(n_train), tmp_path / str(n_train), stages="representations"
-        ))
-        assert report["dims"]["representation_dim"] == 92160
-        peaks.append(peak)
-    assert peaks[1] <= 1.25 * peaks[0]
+    for quantize in (False, True):
+        config = dataclasses.replace(config, quantize=quantize)
+        peaks = []
+        for n_train in (16, 64):
+            report, peak = _traced_peak(lambda: run_pipeline(
+                config, manifest(n_train), tmp_path / f"{quantize}-{n_train}",
+                stages="representations",
+            ))
+            assert report["dims"]["representation_dim"] == 92160
+            peaks.append(peak)
+        if quantize:
+            assert peaks[1] - peaks[0] <= 48 * (92160 + 3) // 4 + 64 * 1024
+        else:
+            assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("quantize", [False, True])
 def test_kernel_stage_reads_column_blocks(wide_dataset, tmp_path, quantize):
     """The kernel stage, and the model and report after it, peak below a
-    quarter of the two representation files at 22.5 column blocks."""
+    quarter of the two splits' float32 rows at 22.5 column blocks, whether
+    it reads the rows or their sign codes."""
     manifest, config = wide_dataset
     config = dataclasses.replace(config, quantize=quantize)
     reps = run_pipeline(config, manifest(8), tmp_path, stages="representations")
-    files = sum(
-        (Path(reps["artifacts"]["representations"]) / name).stat().st_size
-        for name in ("train.fmat", "test.fmat")
-    )
+    dim = reps["dims"]["representation_dim"]
+    floats = (reps["dataset"]["train"] + reps["dataset"]["test"]) * dim * 4
     report, peak = _traced_peak(lambda: run_pipeline(config, manifest(8), tmp_path))
     assert report["cache"]["kernel"] == "miss"
-    assert reps["dims"]["representation_dim"] >= 8 * crosspool.svm.BLOCK_DIMS
-    assert peak < files / 4
+    assert dim >= 8 * crosspool.svm.BLOCK_DIMS
+    assert peak < floats / 4
 
 
 def test_failed_representation_build_leaves_nothing(dataset, tmp_path, monkeypatch):

@@ -70,9 +70,10 @@ of the row.  Where |P| > delta no sign can change and |P^| >= |P| - delta,
 so the signed square root moves by |P^ - P| / (sqrt(|P^|) + sqrt(|P|)) <=
 delta / (sqrt(|P|) + sqrt(|P| - delta)); anywhere it moves by at most
 sqrt(2 delta).  The float32 root adds u (|r| + bound), the row's only
-rounding after pooling.  Sign codes are quantized from the written row, so a code may differ
-from the oracle's only where the oracle's entry is within its bound of
-zero.
+rounding after pooling.  A quantized config quantizes each row where it
+is encoded, so its codes are exactly ``sign_quantize`` of the rows that its
+``quantize=False`` twin writes, and a code may differ from the oracle's
+only where the oracle's entry is within its bound of zero.
 
 Gram entries.  With |r^ - r| <= beta entrywise, a float Gram entry moves
 by at most |beta_i| |r_j| + |r_i| |beta_j| + |beta_i| |beta_j|; a sign
@@ -87,6 +88,7 @@ and 8's metrics, must equal those of a run whose forward pass is the
 float64 oracle rounded to float32, as the pipeline computed it before.
 """
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +116,7 @@ from crosspool.postproc import (
     PcaModel,
     load_sign_stack,
     power_normalize,
+    sign_quantize,
     sign_unpack,
 )
 from crosspool.svm import load_svm, svm_predict
@@ -319,6 +322,21 @@ def assert_rows_within_bound(report, manifest, net, config, t_index, t1_index,
     return found
 
 
+def float_twin_rows(report, manifest, net, config, t_index, t1_index, workdir):
+    """``assert_rows_within_bound`` on the rows of the config's
+    ``quantize=False`` twin, run in ``workdir``, and the exact check that
+    the quantized run's codes of each split are ``sign_quantize`` of them."""
+    twin = run_pipeline(dataclasses.replace(config, quantize=False), manifest, workdir,
+                        stages="representations")
+    found = assert_rows_within_bound(twin, manifest, net, config, t_index, t1_index)
+    for split, (rows, _, _) in found.items():
+        path = f"{report['artifacts']['representations']}/{split}.signs"
+        codes, dim = load_sign_stack(path)
+        assert dim == rows.shape[1]
+        np.testing.assert_array_equal(codes, sign_quantize(rows))
+    return found
+
+
 def float64_forward(monkeypatch):
     """Run the pipeline's products through the float64 oracle, rounded to
     float32 as the pipeline computed them before."""
@@ -411,7 +429,8 @@ def test_parts_rows_within_bound(tmp_path):
     part from 36 and 4 windows: every entry of every row is within the
     bound that the running activation bound gives on the float64 oracle's
     full forward pass per part, with the layer t+1 unit over the first
-    window at pad / stride.  Pooling that padded float32 layer t+1 from
+    window at pad / stride; the quantized config's codes are exactly those
+    of its float twin's rows.  Pooling that padded float32 layer t+1 from
     ``unit_offset`` on stays within the pooling bound of its own float64
     formula too."""
     manifest, net_path = parts_dataset(tmp_path / "data")
@@ -421,7 +440,7 @@ def test_parts_rows_within_bound(tmp_path):
     )
     report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
     assert report["dims"]["representation_dim"] == 5 * 9216
-    assert_rows_within_bound(report, manifest, net, config, 1, 3)
+    float_twin_rows(report, manifest, net, config, 1, 3, tmp_path / "work")
 
     conv = net.stages[2]
     windows = set()
@@ -471,11 +490,13 @@ def gram_bound(train, quantized):
 def test_rows_gram_and_predictions_against_the_float64_forward(tmp_path, monkeypatch, case):
     """A PCA config, a quantized whole+blocks config and a direct sum-sqrt
     config: every row entry is within its bound of the oracle, given the
-    stage's own PCA models; every sign code equals the oracle's where the
-    oracle's entry is farther than its bound from zero; each Gram entry is
-    within its bound of the oracle rows' Gram, and that bound is under
-    ``GRAM_FRACTION`` of the largest entry; and predictions and metrics
-    equal those of a run whose forward pass is the float64 oracle."""
+    stage's own PCA models (the quantized config's rows are its float
+    twin's, and its codes are exactly theirs); every sign code equals the
+    oracle's where the oracle's entry is farther than its bound from zero;
+    each Gram entry is within its bound of the oracle rows' Gram, and that
+    bound is under ``GRAM_FRACTION`` of the largest entry; and predictions
+    and metrics equal those of a run whose forward pass is the float64
+    oracle."""
     if case == "quantized-parts":
         manifest, net_path = parts_dataset(tmp_path / "data", count=16)
         config = PipelineConfig(
@@ -490,11 +511,14 @@ def test_rows_gram_and_predictions_against_the_float64_forward(tmp_path, monkeyp
     report = run_pipeline(config, manifest, tmp_path / "float32")
     assert bool(fitted) == (case == "pca")
     net = parse_network_file(net_path)
-    found = assert_rows_within_bound(report, manifest, net, config, 1, 3, fitted)
-
-    if config.quantize:
+    if not config.quantize:
+        found = assert_rows_within_bound(report, manifest, net, config, 1, 3, fitted)
+    else:
+        found = float_twin_rows(report, manifest, net, config, 1, 3, tmp_path / "float32")
         for split, (_, want, bound) in found.items():
-            codes, dim = load_sign_stack(f"{report['artifacts']['kernel']}/{split}.signs")
+            codes, dim = load_sign_stack(
+                f"{report['artifacts']['representations']}/{split}.signs"
+            )
             sure = (np.abs(want) > bound * SLACK) | (bound == 0)
             assert sure.mean() > 0.99
             signs = sign_unpack(codes)[:, :dim]
