@@ -9,9 +9,7 @@ failure).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import json
 import os
 import sys
 
@@ -27,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .features import extract_local_features
-from .network import ConvLayerSpec, MaxPoolStage, parse_network_file, run_network
+from .network import ConvLayerSpec, MaxPoolStage, ReluStage, parse_network_file, run_network
 from .pipeline import (
     PipelineConfig,
     RESOLUTION_PRESETS,
@@ -48,23 +46,16 @@ from .pooling import (
 )
 from .postproc import (
     load_pca,
-    load_sign_stack,
     pca_fit,
     power_normalize,
     save_pca,
     save_sign_stack,
     sign_quantize,
 )
-from .svm import BLOCK_DIMS, kernels, load_svm, save_svm, svm_predict, svm_train
-from .tensor import (
-    ColumnReader,
-    MATRIX_MAGIC,
-    load_features,
-    load_tensor,
-    save_features,
-    save_tensor,
-)
-from .postproc import SIGN_STACK_MAGIC
+from .svm import BLOCK_DIMS, kernels, load_svm, open_rows, save_svm, svm_predict, svm_train
+from .tensor import ColumnReader, load_features, load_tensor, save_features, save_tensor
+
+_STAGE_NAMES = {ConvLayerSpec: "conv", ReluStage: "relu", MaxPoolStage: "maxpool"}
 
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
@@ -91,17 +82,10 @@ def cmd_forward(args) -> int:
     net = parse_network_file(args.net)
     tensor = load_tensor(args.input)
     outputs = run_network(tensor, net)
-    names = []
-    for stage, out in zip(net.stages, outputs):
-        if isinstance(stage, ConvLayerSpec):
-            names.append("conv")
-        elif isinstance(stage, MaxPoolStage):
-            names.append("maxpool")
-        else:
-            names.append("relu")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    for index, (name, out) in enumerate(zip(names, outputs)):
+    for index, (stage, out) in enumerate(zip(net.stages, outputs)):
+        name = _STAGE_NAMES[type(stage)]
         print(f"stage {index} {name}: {out.height}x{out.width}x{out.depth}"
               f"{' rectified' if out.rectified else ''}")
         if args.out_dir:
@@ -196,20 +180,8 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def _magic_of(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read(8)
-
-
 def cmd_gram(args) -> int:
-    magic = _magic_of(args.reps)
-    with contextlib.ExitStack() as stack:
-        if magic == SIGN_STACK_MAGIC:
-            reps, _ = load_sign_stack(args.reps)
-        elif magic == MATRIX_MAGIC:
-            reps = stack.enter_context(ColumnReader(args.reps))
-        else:
-            raise FormatError(f"{args.reps}: expected a feature matrix or sign stack")
+    with open_rows(args.reps) as reps:
         gram, _ = kernels(reps, np.empty((0, reps.shape[1]), reps.dtype))
     save_features(gram, args.out)
     print(f"{len(gram)}x{len(gram)} Gram matrix -> {args.out}")
@@ -265,23 +237,16 @@ def _config_from_args(args) -> PipelineConfig:
         if not args.net:
             raise ConfigError("either --config or --net is required")
         config = PipelineConfig(network=os.path.abspath(args.net))
-    overrides = {}
+    # the flags whose dest is a config field override it by name
+    overrides = {
+        name: getattr(args, name)
+        for name in ("scheme", "pca_dim", "quantize", "svm_c", "svm_tol", "seed")
+        if getattr(args, name) is not None
+    }
     if args.net and args.config:
         overrides["network"] = os.path.abspath(args.net)
-    if args.scheme:
-        overrides["scheme"] = args.scheme
     if args.layer_pair:
         overrides["layer_pair"] = _parse_pair(args.layer_pair, "--layer-pair")
-    if args.pca_dim is not None:
-        overrides["pca_dim"] = args.pca_dim
-    if args.quantize is not None:
-        overrides["quantize"] = args.quantize
-    if args.svm_c is not None:
-        overrides["svm_c"] = args.svm_c
-    if args.svm_tol is not None:
-        overrides["svm_tol"] = args.svm_tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     resolution = dataclasses.asdict(resolve_resolution(args.resolution or config.resolution))
     if args.blocks:
         resolution["blocks_m"], resolution["blocks_n"] = _parse_pair(args.blocks, "--blocks")

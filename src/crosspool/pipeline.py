@@ -16,15 +16,18 @@ The representation key covers the network through the ReLU after the
 second convolution (no later stage runs), which fixes the layer pair,
 window and stride, each tensor's path, size and mtime, the labels and the
 package version; it also covers ``quantize``, which says what the stage
-writes.  A stage is built in a fresh sibling directory whose name
-starts with ``.`` and renamed into place when complete, so a
-``<stage>/<key>`` directory is always whole; the report goes through a
-temp file and a rename too.  Each stage reads its
-inputs back from its parent's published files, built or cached, so a
-cached rerun sees the same float32 values and reproduces a fresh run's
-metrics exactly.  Timings in the report are informational and vary between
-runs; everything under ``metrics`` and ``dims`` is deterministic for a
-fixed config, manifest, and seed.
+writes.  The representation stage is the one place that works out a
+representation's layout and storage: its meta.json holds the report's
+``dims`` and ``timing`` blocks as they are, and the kernel stage opens
+each split file by what it holds (``svm.open_rows``).  A stage is built
+in a fresh sibling directory whose name starts with ``.`` and renamed
+into place when complete, so a ``<stage>/<key>`` directory is always
+whole; the report goes through a temp file and a rename too.  Each stage
+reads its inputs back from its parent's published files, built or
+cached, so a cached rerun sees the same float32 values and reproduces a
+fresh run's metrics exactly.  Timings in the report are informational and
+vary between runs; everything under ``metrics`` and ``dims`` is
+deterministic for a fixed config, manifest, and seed.
 
 The representation stage forwards images in batches of about
 ``FORWARD_BATCH_BYTES`` of part input, one network call and one
@@ -52,8 +55,8 @@ and one row whatever the image count, and a quantized config the split's
 codes, count * ceil(dim/4) bytes; a PCA config also holds every training
 image's parts until the fit and the encoding are done.  The kernel stage
 reads float files through ``ColumnReader``, one ``svm.BLOCK_DIMS`` column
-block at a time, holding about count * BLOCK_DIMS values per split, or
-loads both sign stacks whole and unpacks one block at a time; it also
+block at a time, holding about count * BLOCK_DIMS values per split, and
+loads sign stacks whole and unpacks one block at a time; it also
 holds the Gram matrix and the kernel rows.  The model stage holds the
 Gram matrix and prediction the kernel rows.
 
@@ -99,29 +102,9 @@ from .pooling import (
     spp_pool,
     unit_offset,
 )
-from .postproc import (
-    load_sign_stack,
-    pca_fit,
-    power_normalize,
-    save_pca,
-    save_sign_stack,
-    sign_quantize,
-)
-from .svm import (
-    kernels,
-    load_svm,
-    save_svm,
-    svm_predict,
-    svm_train,
-)
-from .tensor import (
-    ActivationTensor,
-    ColumnReader,
-    load_features,
-    load_tensor,
-    matrix_header,
-    save_features,
-)
+from .postproc import pca_fit, power_normalize, save_pca, save_sign_stack, sign_quantize
+from .svm import kernels, load_svm, open_rows, save_svm, svm_predict, svm_train
+from .tensor import ActivationTensor, load_features, load_tensor, matrix_header, save_features
 
 SCHEMES = ("cross-layer", "direct-max", "direct-sum-sqrt", "spp")
 
@@ -332,10 +315,13 @@ def parse_manifest(path) -> DatasetManifest:
     return DatasetManifest(entries=entries)
 
 
-def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> tuple[int, ConvLayerSpec]:
-    """The index of the stage whose output is layer t, and the second
+def _resolve_geometry(
+    net: NetworkSpec, config: PipelineConfig
+) -> tuple[NetworkSpec, ConvLayerSpec, list]:
+    """The network through layer t, which is all that runs; the second
     convolution, whose kernel and stride are the local features' window
-    and stride."""
+    and stride; and the stages through it and the ReLU after it, which
+    are all that the representation key hashes."""
     convs = net.conv_stages()
     first, second = config.layer_pair
     if not 1 <= first < second <= len(convs):
@@ -349,15 +335,16 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> tuple[int, Co
     if t_index + 1 < len(net.stages) and isinstance(net.stages[t_index + 1], ReluStage):
         t_index += 1
     t1_conv_index, t1_spec = convs[second - 1]
+    end = t1_conv_index + 1
+    if end < len(net.stages) and isinstance(net.stages[end], ReluStage):
+        end += 1
     if config.scheme == "cross-layer":
         if t1_conv_index != t_index + 1:
             raise ConfigError(
                 "cross-layer pooling needs the second convolution to consume the "
                 "first one's output directly"
             )
-        if not (t1_conv_index + 1 < len(net.stages) and isinstance(
-            net.stages[t1_conv_index + 1], ReluStage
-        )):
+        if end == t1_conv_index + 1:
             raise ConfigError(
                 "cross-layer pooling needs a ReLU after the second convolution"
             )
@@ -366,18 +353,16 @@ def _resolve_geometry(net: NetworkSpec, config: PipelineConfig) -> tuple[int, Co
     local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
     if config.scheme == "cross-layer" and config.pca_dim > local_dim:
         raise ConfigError(f"pca_dim {config.pca_dim} exceeds local feature dim {local_dim}")
-    return t_index, t1_spec
+    head = NetworkSpec(net.stages[: t_index + 1], seed=net.seed)
+    return head, t1_spec, net.stages[:end]
 
 
-def network_digest(net: NetworkSpec, t1_spec: ConvLayerSpec) -> str:
-    """Hash of the stages through the second convolution, ``t1_spec``, and
-    the ReLU after it; no stage past them runs.  The seed is not hashed:
-    it only fills in weights, which are."""
-    end = next(i for i, s in net.conv_stages() if s is t1_spec) + 1
-    if end < len(net.stages) and isinstance(net.stages[end], ReluStage):
-        end += 1
+def network_digest(stages) -> str:
+    """Hash of the stages through the second convolution and the ReLU
+    after it; no stage past them runs.  The seed is not hashed: it only
+    fills in weights, which are."""
     h = hashlib.sha256()
-    for s in net.stages[:end]:
+    for s in stages:
         if isinstance(s, ConvLayerSpec):
             h.update(
                 f"conv {s.kernel_h} {s.kernel_w} {s.in_depth} {s.out_depth} "
@@ -438,24 +423,22 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
     return directory, "miss"
 
 
-def _forward_images(entries, net, t_index, t1_spec, config, timing):
+def _forward_images(entries, head, t1_spec, config, timing):
     """Yield each entry's (label, resolution, layer-t feature grid, layer
     t+1 output) parts, in manifest order.
 
     Images are read until their parts hold ``FORWARD_BATCH_BYTES`` of input
     (always at least one image); the batch's parts are stacked by shape
-    alone, since the head ends at conv t or its ReLU and no input flag
-    reaches layer t.  Each stack goes through the network up to layer t in
-    one call, and its layer t output is cut into local features in one
+    alone, since ``head`` ends at conv t or its ReLU and no input flag
+    reaches layer t.  Each stack goes through ``head``, the network through
+    layer t, in one call, and its output is cut into local features in one
     more.  For the cross-layer scheme layer t+1 is one float32
     ``conv_product`` of the grids and one ``np.maximum`` in place, each
-    part's units a slice of it: each
-    window is one unit's input, so unit (i, j) sits over window (i, j).
-    The other schemes get None.  The forward pass, local-feature
-    extraction and the product are timed as ``timing["extraction"]``;
-    nothing is timed across a yield.
+    part's units a slice of it: each window is one unit's input, so unit
+    (i, j) sits over window (i, j).  The other schemes get None.  The
+    forward pass, local-feature extraction and the product are timed as
+    ``timing["extraction"]``; nothing is timed across a yield.
     """
-    head = NetworkSpec(net.stages[: t_index + 1], seed=net.seed)
     entries = iter(entries)
     while True:
         batch, held = [], 0
@@ -564,7 +547,7 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
     return [[label, k * part_dim, part_dim] for k, (label, *_) in enumerate(parts)]
 
 
-def _compute_representations(config, manifest, net, t_index, t1_spec, directory):
+def _compute_representations(config, manifest, head, t1_spec, directory):
     """Write the representation stage's artifacts into ``directory``.
 
     ``per_image.total`` is the stage's wall time per image, loading, the
@@ -577,7 +560,7 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
     timing = {"extraction": 0.0, "pooling": 0.0}
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
-    train_images = _forward_images(train_entries, net, t_index, t1_spec, config, timing)
+    train_images = _forward_images(train_entries, head, t1_spec, config, timing)
     pca_models, pca_seconds = {}, 0.0
     if config.scheme == "cross-layer" and config.pca_dim:
         # One forward pass per training part feeds both the PCA fit and the
@@ -597,7 +580,7 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
         train_images, len(train_entries), config, pca_models, part_dim, timing,
         os.path.join(directory, "train" + suffix),
     )
-    test_images = _forward_images(test_entries, net, t_index, t1_spec, config, timing)
+    test_images = _forward_images(test_entries, head, t1_spec, config, timing)
     _represent_images(
         test_images, len(test_entries), config, pca_models, part_dim, timing,
         os.path.join(directory, "test" + suffix),
@@ -605,14 +588,16 @@ def _compute_representations(config, manifest, net, t_index, t1_spec, directory)
     for resolution, model in pca_models.items():
         save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
     images = len(train_entries) + len(test_entries)
+    dim = sum(size for _, _, size in layout)
     meta = {
-        "representation_dim": sum(size for _, _, size in layout),
-        "parts": layout,
-        "projected_dim": config.pca_dim if pca_models else None,
-        "channels": t1_spec.out_depth if config.scheme == "cross-layer" else None,
-        "local_dim": local_dim,
-        "window": [t1_spec.kernel_h, t1_spec.kernel_w],
-        "stride": t1_spec.stride,
+        "dims": {
+            "local_dim": local_dim,
+            "projected_dim": config.pca_dim if pca_models else None,
+            "channels": t1_spec.out_depth if config.scheme == "cross-layer" else None,
+            "representation_dim": dim,
+            "parts": layout,
+            "packed_bytes_per_image": (dim + 3) // 4 if config.quantize else None,
+        },
         "timing": {
             "images": images,
             "per_image": {
@@ -645,13 +630,12 @@ def run_pipeline(
     if stages not in ("all", "representations"):
         raise ConfigError(f"unknown stages selector {stages!r}")
     workdir = os.path.abspath(workdir)
-    net = parse_network_file(config.network)
-    t_index, t1_spec = _resolve_geometry(net, config)
+    head, t1_spec, digested = _resolve_geometry(parse_network_file(config.network), config)
     rep_key = _key(
         {
             "stage": "representations",
             "version": __version__,
-            "network": network_digest(net, t1_spec),
+            "network": network_digest(digested),
             "manifest": manifest_digest(manifest),
             "scheme": config.scheme,
             "pca_dim": config.pca_dim,
@@ -664,7 +648,7 @@ def run_pipeline(
     cache = {}
     rep_dir, cache["representations"] = _stage(
         workdir, "representations", rep_key, use_cache,
-        lambda tmp: _compute_representations(config, manifest, net, t_index, t1_spec, tmp),
+        lambda tmp: _compute_representations(config, manifest, head, t1_spec, tmp),
     )
     with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -682,16 +666,7 @@ def run_pipeline(
             "classes": manifest.classes(),
             "multi_label": not manifest.single_label,
         },
-        "dims": {
-            "local_dim": meta["local_dim"],
-            "projected_dim": meta["projected_dim"],
-            "channels": meta["channels"],
-            "representation_dim": meta["representation_dim"],
-            "parts": meta["parts"],
-            "packed_bytes_per_image": (meta["representation_dim"] + 3) // 4
-            if config.quantize
-            else None,
-        },
+        "dims": meta["dims"],
         "timing": timing,
         "cache": cache,
         "artifacts": {"representations": rep_dir},
@@ -702,15 +677,10 @@ def run_pipeline(
 
     def build_kernel(tmp):
         t0 = time.perf_counter()
-        if config.quantize:
-            gram, rows = kernels(
-                load_sign_stack(os.path.join(rep_dir, "train.signs"))[0],
-                load_sign_stack(os.path.join(rep_dir, "test.signs"))[0],
-            )
-        else:
-            with ColumnReader(os.path.join(rep_dir, "train.fmat")) as train, \
-                    ColumnReader(os.path.join(rep_dir, "test.fmat")) as test:
-                gram, rows = kernels(train, test)
+        # the representation stage wrote one train.* and one test.* file
+        files = {name.split(".")[0]: os.path.join(rep_dir, name) for name in os.listdir(rep_dir)}
+        with open_rows(files["train"]) as train, open_rows(files["test"]) as test:
+            gram, rows = kernels(train, test)
         timing["kernel_seconds"] = time.perf_counter() - t0
         save_features(gram, os.path.join(tmp, "gram.fmat"))
         save_features(rows, os.path.join(tmp, "rows.fmat"))

@@ -108,9 +108,9 @@ def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
     """Fit by eigendecomposition of the covariance of a (count, dim) sample
     (denominator count - 1), in float64, and round the model to float32
     once; raises RankError when the sample cannot support output_dim
-    components."""
-    data = np.asarray(sample, dtype=np.float64)
-    count, dim = data.shape
+    components.  The centered rows are the one float64 copy it makes."""
+    sample = np.asarray(sample)
+    count, dim = sample.shape
     if count < 2:
         raise ContractError(f"PCA needs at least 2 samples, got {count}")
     if output_dim < 1:
@@ -120,8 +120,8 @@ def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
         raise ContractError(
             f"output_dim {output_dim} exceeds min(count-1, dim) = {limit}"
         )
-    mean = data.mean(axis=0)
-    centered = data - mean
+    mean = sample.mean(axis=0, dtype=np.float64)
+    centered = sample - mean
     cov = centered.T @ centered / (count - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]

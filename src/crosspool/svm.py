@@ -9,6 +9,12 @@ matrix's block is upcast to float64, and a sign code matrix's block (see
 -1/0/+1.  Each training block is built once; ``t @ t.T`` is added into the
 Gram and ``q @ t.T`` into the rows.
 
+``open_rows(path)`` opens a representation file as its magic says, for
+the pipeline's kernel stage and ``crosspool gram`` alike: a ``CPSIGS01``
+sign stack is loaded whole through ``postproc.load_sign_stack``, a
+``CPFMAT01`` matrix file is opened as a ``tensor.ColumnReader``, and any
+other file is a FormatError.
+
 The sign kernel is exact.  Every partial sum inside a block's float32
 product is an integer of magnitude at most 4096, well below the 2**24 that
 float32 holds exactly, and the float64 sum over blocks stays exact up to
@@ -81,6 +87,7 @@ Model container (integers unsigned 32-bit LE, floats IEEE binary64 LE):
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import sys
@@ -96,8 +103,8 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .postproc import sign_unpack
-from .tensor import read_header
+from .postproc import SIGN_STACK_MAGIC, load_sign_stack, sign_unpack
+from .tensor import MATRIX_MAGIC, ColumnReader, read_header
 
 SVM_MAGIC = b"CPSVM001"
 _SVM_HEADER = struct.Struct("<IId")
@@ -183,6 +190,25 @@ def kernels(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray
         gram += t @ t.T
         rows += block(test, lo) @ t.T
     return gram, rows
+
+
+@contextlib.contextmanager
+def open_rows(path):
+    """The rows that a representation file holds, read as its magic says:
+    a sign stack's code matrix, loaded whole with its checks, or a
+    ``ColumnReader`` over a matrix file, closed on exit."""
+    with open(path, "rb", buffering=0) as fh:
+        magic = fh.read(len(MATRIX_MAGIC))
+    if magic == SIGN_STACK_MAGIC:
+        yield load_sign_stack(path)[0]
+    elif magic == MATRIX_MAGIC:
+        with ColumnReader(path) as reader:
+            yield reader
+    else:
+        raise FormatError(
+            f"{path}: bad magic, expected a feature matrix {MATRIX_MAGIC!r} "
+            f"or a sign stack {SIGN_STACK_MAGIC!r}"
+        )
 
 
 def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:

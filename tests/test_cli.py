@@ -145,6 +145,25 @@ def test_quantize_and_gram_read_column_blocks(tmp_path, capsys):
     assert "8 vectors quantized to 40960 bytes each" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("options,split", [
+    (["--pca-dim", "10"], "train.fmat"),
+    (["--quantize", "--resolution", "both"], "train.signs"),
+])
+def test_gram_of_a_split_file_is_the_kernel_stage_gram(dataset, tmp_path, capsys, options, split):
+    """``gram`` on the representation stage's training file, a matrix file
+    or a sign stack, writes the kernel stage's ``gram.fmat`` byte for byte."""
+    manifest, net, _ = dataset
+    code = run_cli("--workdir", tmp_path / "w", "run", "--net", net, "--manifest", manifest,
+                   *options)
+    assert code == 0
+    report_path = capsys.readouterr().out.rsplit("report:", 1)[1].strip()
+    artifacts = json.loads(Path(report_path).read_text())["artifacts"]
+    reps = Path(artifacts["representations"]) / split
+    assert run_cli("gram", "--reps", reps, "--out", tmp_path / "k.fmat") == 0
+    want = Path(artifacts["kernel"]) / "gram.fmat"
+    assert (tmp_path / "k.fmat").read_bytes() == want.read_bytes()
+
+
 def test_pool_quantize_gram_train_predict_chain(dataset, tmp_path, capsys):
     """Drive the plumbing commands end to end on a toy matrix."""
     rng = np.random.default_rng(7)
@@ -643,6 +662,18 @@ def test_exit_code_corrupt_sign_stack(tmp_path, capsys, dim, payload):
     path.write_bytes(b"CPSIGS01" + struct.pack("<II", 1, dim) + bytes(payload))
     assert run_cli("gram", "--reps", path, "--out", tmp_path / "k.fmat") == 3
     assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "k.fmat").exists()
+
+
+@pytest.mark.parametrize("blob", [b"", b"CPSIGS", b"CPTENS01" + bytes(16)])
+def test_exit_code_gram_of_neither_container(tmp_path, capsys, blob):
+    """``gram`` on a file that starts with neither a matrix file's nor a
+    sign stack's magic exits 3 with a message that names both."""
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    assert run_cli("gram", "--reps", path, "--out", tmp_path / "k.fmat") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "CPFMAT01" in err and "CPSIGS01" in err
     assert not (tmp_path / "k.fmat").exists()
 
 

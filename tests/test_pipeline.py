@@ -645,13 +645,13 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
         network=net_path, pca_dim=4, pca_sample_cap=60, resolution="both", seed=3
     )
     net = parse_network_file(net_path)
-    t_index, conv = crosspool.pipeline._resolve_geometry(net, config)
+    head, conv, _ = crosspool.pipeline._resolve_geometry(net, config)
     buckets = {}
     for entry in manifest.split("train"):
         image = load_tensor(entry.path)
         for _, resolution, part in iter_parts(image, config.resolution):
             grid = extract_local_features(
-                run_network(ActivationTensor(part), net)[t_index],
+                run_network(ActivationTensor(part), head)[-1],
                 conv.kernel_h, conv.kernel_w, conv.stride,
             )
             buckets.setdefault(resolution, []).append(grid.reshape(-1, grid.shape[-1]))

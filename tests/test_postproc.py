@@ -1,6 +1,7 @@
 """PCA, power normalization, and 2-bit sign code tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ def test_pca_reconstruction_error_nonincreasing():
         rebuilt = projected @ model.basis + model.mean
         errors.append(float(np.mean((rebuilt - data) ** 2)))
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
+
+
+def test_pca_fit_holds_one_float64_copy_of_the_sample():
+    """On a tall float32 sample the fit's peak is its one centered float64
+    copy, count * dim * 8 bytes, with a quarter to spare; a float64 copy
+    and a centered copy beside it would need twice that."""
+    count, dim = 40000, 40
+    sample = np.random.default_rng(78).standard_normal((count, dim), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        pca_fit(sample, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * count * dim * 8
 
 
 def test_pca_file_round_trip(tmp_path):
