@@ -29,6 +29,7 @@ from .network import ConvLayerSpec, MaxPoolStage, ReluStage, parse_network_file,
 from .pipeline import (
     PipelineConfig,
     RESOLUTION_PRESETS,
+    SCHEME_TABLE,
     SCHEMES,
     compare_schemes,
     load_config,
@@ -36,14 +37,7 @@ from .pipeline import (
     resolve_resolution,
     run_pipeline,
 )
-from .pooling import (
-    SPP_LEVELS,
-    cross_layer_pool,
-    direct_max_pool,
-    direct_sum_sqrt_pool,
-    spp_pool,
-    unit_offset,
-)
+from .pooling import cross_layer_pool, unit_offset
 from .postproc import (
     load_pca,
     pca_fit,
@@ -114,16 +108,6 @@ def cmd_pca_fit(args) -> int:
     return 0
 
 
-# the optional ``pool`` flags that each scheme reads; any other one is a
-# config error, so that no flag is ignored silently
-_POOL_FLAGS = {
-    "cross-layer": ("layer_t", "layer_t1", "window", "stride", "pad", "pca"),
-    "direct-max": ("features",),
-    "direct-sum-sqrt": ("features",),
-    "spp": ("input", "window", "stride"),
-}
-
-
 def cmd_pool(args) -> int:
     window = _parse_window(
         "3x3" if args.window is None else args.window,
@@ -132,14 +116,16 @@ def cmd_pool(args) -> int:
     pad = 0 if args.pad is None else args.pad
     if pad < 0:
         raise ConfigError(f"--pad must be nonnegative, got {pad}")
+    # a flag that the scheme does not read is a config error, never ignored
+    scheme = SCHEME_TABLE[args.scheme]
     unread = [
         "--" + name.replace("_", "-")
         for name in ("layer_t", "layer_t1", "features", "input", "window", "stride", "pad", "pca")
-        if getattr(args, name) is not None and name not in _POOL_FLAGS[args.scheme]
+        if getattr(args, name) is not None and name not in scheme.flags
     ]
     if unread:
         raise ConfigError(f"{args.scheme} pooling does not read {', '.join(unread)}")
-    if args.scheme == "cross-layer":
+    if "layer_t1" in scheme.flags:
         if not args.layer_t or not args.layer_t1:
             raise ConfigError("cross-layer pooling needs --layer-t and --layer-t1")
         layer_t = load_tensor(args.layer_t)
@@ -149,16 +135,14 @@ def cmd_pool(args) -> int:
         grid = extract_local_features(layer_t, *window)
         pca = load_pca(args.pca) if args.pca else None
         vector = cross_layer_pool(grid, layer_t1.data, unit_offset(pad, window[2]), pca=pca)
-    elif args.scheme in ("direct-max", "direct-sum-sqrt"):
-        if not args.features:
-            raise ConfigError(f"{args.scheme} pooling needs --features")
-        pool = direct_max_pool if args.scheme == "direct-max" else direct_sum_sqrt_pool
-        vector = pool(load_features(args.features).data)
     else:
-        if not args.input:
-            raise ConfigError("spp pooling needs --input")
-        grid = extract_local_features(load_tensor(args.input), *window)
-        vector = spp_pool(grid, SPP_LEVELS)
+        source = "features" if "features" in scheme.flags else "input"
+        if not getattr(args, source):
+            raise ConfigError(f"{args.scheme} pooling needs --{source}")
+        features = (load_features(args.features).data if source == "features"
+                    else extract_local_features(load_tensor(args.input), *window))
+        vector = np.empty(scheme.part_dim(features.shape[-1], None, 0), np.float32)
+        scheme.pool(features, None, None, vector)
     vector = power_normalize(vector)
     save_features(vector.reshape(1, -1), args.out)
     print(f"pooled vector of dim {vector.size} -> {args.out}")

@@ -15,19 +15,21 @@ reuses the cached artifacts:
 The representation key covers the network through the ReLU after the
 second convolution (no later stage runs), which fixes the layer pair,
 window and stride, each tensor's path, size and mtime, the labels and the
-package version; it also covers ``quantize``, which says what the stage
-writes.  The representation stage is the one place that works out a
-representation's layout and storage: its meta.json holds the report's
+package version; it also covers the scheme, the resolution, ``quantize``,
+which says what the stage writes, and the fields that ``SCHEME_TABLE``
+lists for the scheme: the PCA fields and the seed for cross-layer, none
+for a baseline.  The representation stage is the one place that works out
+a representation's layout and storage: its meta.json holds the report's
 ``dims`` and ``timing`` blocks as they are, and the kernel stage opens
-each split file by what it holds (``svm.open_rows``).  A stage is built
-in a fresh sibling directory whose name starts with ``.`` and renamed
-into place when complete, so a ``<stage>/<key>`` directory is always
-whole; the report goes through a temp file and a rename too.  Each stage
-reads its inputs back from its parent's published files, built or
-cached, so a cached rerun sees the same float32 values and reproduces a
-fresh run's metrics exactly.  Timings in the report are informational and
-vary between runs; everything under ``metrics`` and ``dims`` is
-deterministic for a fixed config, manifest, and seed.
+each split file by what it holds (``svm.open_rows``).  A stage is built in
+a fresh sibling directory whose name starts with ``.`` and renamed into
+place when complete, so a ``<stage>/<key>`` directory is always whole; the
+report goes through a temp file and a rename too.  Each stage reads its
+inputs back from its parent's published files, built or cached, so a
+cached rerun sees the same float32 values and reproduces a fresh run's
+metrics exactly.  Timings in the report are informational and vary between
+runs; everything under ``metrics`` and ``dims`` is deterministic for a
+fixed config, manifest, and seed.
 
 The representation stage forwards images in batches of about
 ``FORWARD_BATCH_BYTES`` of part input, one network call and one
@@ -77,6 +79,7 @@ import shutil
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,7 +109,35 @@ from .postproc import pca_fit, power_normalize, save_pca, save_sign_stack, sign_
 from .svm import kernels, load_svm, open_rows, save_svm, svm_predict, svm_train
 from .tensor import ActivationTensor, load_features, load_tensor, matrix_header, save_features
 
-SCHEMES = ("cross-layer", "direct-max", "direct-sum-sqrt", "spp")
+# One entry per scheme, read wherever the scheme matters: ``pool(grid,
+# units, pca, out)`` pools a part's local feature grid into ``out``, its
+# slice of the row, calling its pooling function by its name here;
+# ``part_dim`` is the slice's length; ``fields`` are the config fields the
+# scheme reads beyond the shared ones and ``flags`` its ``crosspool pool``
+# flags.  A scheme reads layer t+1 when ``layer_t1`` is among them.
+Scheme = namedtuple("Scheme", "pool part_dim fields flags")
+SCHEME_TABLE = {
+    "cross-layer": Scheme(
+        lambda grid, units, pca, out: cross_layer_pool(grid, units, 0, pca=pca, out=out),
+        lambda local_dim, channels, pca_dim: channels * (pca_dim or local_dim),
+        ("pca_dim", "pca_sample_cap", "seed"),
+        ("layer_t", "layer_t1", "window", "stride", "pad", "pca"),
+    ),
+    "direct-max": Scheme(
+        lambda grid, units, pca, out: np.copyto(out, direct_max_pool(grid)),
+        lambda local_dim, channels, pca_dim: local_dim, (), ("features",),
+    ),
+    "direct-sum-sqrt": Scheme(
+        lambda grid, units, pca, out: np.copyto(out, direct_sum_sqrt_pool(grid)),
+        lambda local_dim, channels, pca_dim: local_dim, (), ("features",),
+    ),
+    "spp": Scheme(
+        lambda grid, units, pca, out: np.copyto(out, spp_pool(grid, SPP_LEVELS)),
+        lambda local_dim, channels, pca_dim: sum(g * g for g in SPP_LEVELS) * local_dim,
+        (), ("input", "window", "stride"),
+    ),
+}
+SCHEMES = tuple(SCHEME_TABLE)
 
 # Input bytes of image parts that are forwarded together.  Larger batches
 # make fewer, bigger network calls but hold more activations at once.
@@ -190,7 +221,7 @@ class PipelineConfig:
         if self.pca_sample_cap < 2:
             raise ConfigError("pca_sample_cap must be at least 2")
         # a fit on n samples yields at most n - 1 components
-        if self.scheme == "cross-layer" and self.pca_sample_cap <= self.pca_dim:
+        if "pca_dim" in SCHEME_TABLE[self.scheme].fields and self.pca_sample_cap <= self.pca_dim:
             raise ConfigError(
                 f"pca_sample_cap must be larger than pca_dim {self.pca_dim}, "
                 f"got {self.pca_sample_cap}"
@@ -338,7 +369,7 @@ def _resolve_geometry(
     end = t1_conv_index + 1
     if end < len(net.stages) and isinstance(net.stages[end], ReluStage):
         end += 1
-    if config.scheme == "cross-layer":
+    if "layer_t1" in SCHEME_TABLE[config.scheme].flags:
         if t1_conv_index != t_index + 1:
             raise ConfigError(
                 "cross-layer pooling needs the second convolution to consume the "
@@ -351,7 +382,7 @@ def _resolve_geometry(
         # without it no layer t+1 unit sits over the first window
         unit_offset(t1_spec.pad, t1_spec.stride)
     local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
-    if config.scheme == "cross-layer" and config.pca_dim > local_dim:
+    if "pca_dim" in SCHEME_TABLE[config.scheme].fields and config.pca_dim > local_dim:
         raise ConfigError(f"pca_dim {config.pca_dim} exceeds local feature dim {local_dim}")
     head = NetworkSpec(net.stages[: t_index + 1], seed=net.seed)
     return head, t1_spec, net.stages[:end]
@@ -432,7 +463,7 @@ def _forward_images(entries, head, t1_spec, config, timing):
     alone, since ``head`` ends at conv t or its ReLU and no input flag
     reaches layer t.  Each stack goes through ``head``, the network through
     layer t, in one call, and its output is cut into local features in one
-    more.  For the cross-layer scheme layer t+1 is one float32
+    more.  For a scheme that reads layer t+1 it is one float32
     ``conv_product`` of the grids and one ``np.maximum`` in place, each
     part's units a slice of it: each window is one unit's input, so unit
     (i, j) sits over window (i, j).  The other schemes get None.  The
@@ -463,7 +494,7 @@ def _forward_images(entries, head, t1_spec, config, timing):
                 layer_t, t1_spec.kernel_h, t1_spec.kernel_w, t1_spec.stride
             )
             units = [None] * len(members)
-            if config.scheme == "cross-layer":
+            if "layer_t1" in SCHEME_TABLE[config.scheme].flags:
                 units = conv_product(grids, t1_spec)
                 np.maximum(units, 0.0, out=units)
             outputs.update(zip(members, zip(grids, units)))
@@ -473,20 +504,6 @@ def _forward_images(entries, head, t1_spec, config, timing):
                 (label, resolution, *outputs[i, j])
                 for j, (label, resolution, _) in enumerate(parts)
             ]
-
-
-def _encode_part(grid, layer_t1, resolution, config, pca_models, out):
-    """Pool one part's feature grid into ``out``, its slice of the row,
-    under the config's scheme; ``layer_t1`` holds the layer t+1 unit over
-    each window."""
-    if config.scheme == "cross-layer":
-        cross_layer_pool(grid, layer_t1, 0, pca=pca_models.get(resolution), out=out)
-    elif config.scheme == "direct-max":
-        out[:] = direct_max_pool(grid)
-    elif config.scheme == "direct-sum-sqrt":
-        out[:] = direct_sum_sqrt_pool(grid)
-    else:
-        out[:] = spp_pool(grid, SPP_LEVELS)
 
 
 def _fit_pca_models(images, config):
@@ -535,7 +552,7 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
                     fh.write(matrix_header(count, row.size))
             for k, (_, resolution, grid, layer_t1) in enumerate(parts):
                 out = row[k * part_dim : (k + 1) * part_dim]
-                _encode_part(grid, layer_t1, resolution, config, pca_models, out)
+                SCHEME_TABLE[config.scheme].pool(grid, layer_t1, pca_models.get(resolution), out)
             encoded = power_normalize(row)
             if codes is not None:
                 codes[i] = sign_quantize(encoded[None])[0]
@@ -561,20 +578,17 @@ def _compute_representations(config, manifest, head, t1_spec, directory):
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
     train_images = _forward_images(train_entries, head, t1_spec, config, timing)
+    scheme = SCHEME_TABLE[config.scheme]
     pca_models, pca_seconds = {}, 0.0
-    if config.scheme == "cross-layer" and config.pca_dim:
+    if "pca_dim" in scheme.fields and config.pca_dim:
         # One forward pass per training part feeds both the PCA fit and the
         # encoding, so the training set's parts stay in memory until both
         # are done.
         train_images = list(train_images)
         pca_models, pca_seconds = _fit_pca_models(train_images, config)
     local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
-    if config.scheme == "cross-layer":
-        part_dim = t1_spec.out_depth * (config.pca_dim or local_dim)
-    elif config.scheme == "spp":
-        part_dim = sum(g * g for g in SPP_LEVELS) * local_dim
-    else:
-        part_dim = local_dim
+    channels = t1_spec.out_depth if "layer_t1" in scheme.flags else None
+    part_dim = scheme.part_dim(local_dim, channels, config.pca_dim)
     suffix = ".signs" if config.quantize else ".fmat"
     layout = _represent_images(
         train_images, len(train_entries), config, pca_models, part_dim, timing,
@@ -593,7 +607,7 @@ def _compute_representations(config, manifest, head, t1_spec, directory):
         "dims": {
             "local_dim": local_dim,
             "projected_dim": config.pca_dim if pca_models else None,
-            "channels": t1_spec.out_depth if config.scheme == "cross-layer" else None,
+            "channels": channels,
             "representation_dim": dim,
             "parts": layout,
             "packed_bytes_per_image": (dim + 3) // 4 if config.quantize else None,
@@ -638,11 +652,9 @@ def run_pipeline(
             "network": network_digest(digested),
             "manifest": manifest_digest(manifest),
             "scheme": config.scheme,
-            "pca_dim": config.pca_dim,
-            "pca_sample_cap": config.pca_sample_cap,
             "resolution": dataclasses.asdict(config.resolution),
             "quantize": config.quantize,
-            "seed": config.seed,
+            **{name: getattr(config, name) for name in SCHEME_TABLE[config.scheme].fields},
         }
     )
     cache = {}
@@ -786,6 +798,9 @@ def compare_schemes(
         raise ContractError("schemes to compare must be distinct")
     # every variant is checked before the first one runs
     variants = [dataclasses.replace(config, scheme=scheme) for scheme in schemes]
+    net = parse_network_file(config.network)
+    for variant in variants:
+        _resolve_geometry(net, variant)
     rows = []
     for scheme, variant in zip(schemes, variants):
         report = run_pipeline(variant, manifest, workdir)

@@ -11,6 +11,8 @@ import pytest
 import crosspool.cli
 from crosspool.cli import main
 from crosspool.features import extract_local_features
+from crosspool.network import parse_network_file
+from crosspool.pipeline import SCHEME_TABLE, SCHEMES, PipelineConfig, parse_manifest, run_pipeline
 from crosspool.pooling import cross_layer_pool
 from crosspool.postproc import (
     load_pca,
@@ -30,6 +32,7 @@ from crosspool.tensor import (
     save_features,
     save_tensor,
 )
+from test_pool_drift import assert_within, oracle_row
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +242,45 @@ def test_pool_roots_the_direct_schemes_once(tmp_path, scheme, pool):
     got = load_features(tmp_path / "v.fmat").data
     assert got.dtype == np.float32
     assert got.tobytes() == power_normalize(pool(matrix)).tobytes()
+
+
+@pytest.mark.parametrize("scheme,pca_dim", [(s, 0) for s in SCHEMES] + [("cross-layer", 8)])
+def test_pool_writes_the_pipeline_row(tmp_path, scheme, pca_dim):
+    """``pool``, given the files that ``forward`` and ``extract`` save for
+    one whole image and the flags that the scheme's table entry lists,
+    writes the pipeline's row for that image.  The baselines pool the same
+    float32 layer t grid and agree bit for bit.  Cross-layer reads layer
+    t+1 from ``forward``'s conv output, where the pipeline takes the
+    float32 product of the feature grids, and the two round differently:
+    both are within the drift module's bound of the float64 oracle's row,
+    so they agree to within twice that bound, that is to float32 rounding."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=3, n_test=1, seed=5)
+    manifest = parse_manifest(manifest_path)
+    config = PipelineConfig(network=str(net_path), scheme=scheme, pca_dim=pca_dim)
+    report = run_pipeline(config, manifest, tmp_path / "work", stages="representations")
+    rep_dir = Path(report["artifacts"]["representations"])
+    row = load_features(rep_dir / "train.fmat").data[0]
+    image, stages = manifest.split("train")[0].path, tmp_path / "stages"
+    assert run_cli("forward", "--net", net_path, "--input", image, "--out-dir", stages) == 0
+    layer_t = stages / "stage_01_relu.tens"
+    assert run_cli("extract", "--input", layer_t, "--window", "3x3",
+                   "--out", tmp_path / "f.fmat") == 0
+    given = {"layer_t": layer_t, "layer_t1": stages / "stage_03_relu.tens",
+             "features": tmp_path / "f.fmat", "input": layer_t}
+    if pca_dim:
+        given["pca"] = rep_dir / "pca_whole.pca"
+    flags = [arg for name in SCHEME_TABLE[scheme].flags if name in given
+             for arg in ("--" + name.replace("_", "-"), given[name])]
+    assert run_cli("pool", "--scheme", scheme, *flags, "--out", tmp_path / "v.fmat") == 0
+    vector = load_features(tmp_path / "v.fmat").data[0]
+    assert vector.shape == row.shape == (report["dims"]["representation_dim"],)
+    if "layer_t1" not in SCHEME_TABLE[scheme].flags:
+        assert vector.tobytes() == row.tobytes()
+        return
+    models = {"whole": load_pca(given["pca"])} if pca_dim else None
+    want, bound = oracle_row(image, parse_network_file(net_path), config, 1, 3, models)
+    assert_within(row, want, bound, "pipeline row")
+    assert_within(vector, want, bound, "pool vector")
 
 
 def test_pool_cross_layer_files(tmp_path):
@@ -517,8 +559,8 @@ def test_exit_code_negative_seed(dataset, tmp_path, capsys, source):
 
 
 def test_compare_checks_every_scheme_before_running(dataset, tmp_path, capsys):
-    """A PCA sample cap that only the cross-layer scheme uses is rejected
-    before the direct scheme listed first runs."""
+    """A PCA sample cap, or a PCA dim, that only the cross-layer scheme
+    uses is rejected before the direct scheme listed first runs."""
     manifest, net, _ = dataset
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"network": net, "scheme": "direct-max",
@@ -527,6 +569,13 @@ def test_compare_checks_every_scheme_before_running(dataset, tmp_path, capsys):
                    "--manifest", manifest, "--schemes", "direct-max,cross-layer")
     assert code == 2
     assert "config error: pca_sample_cap must be" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+    # a pca_dim past the local feature dim, found once the network is read
+    cfg.write_text(json.dumps({"network": net, "pca_dim": 5000, "pca_sample_cap": 10**7}))
+    code = run_cli("--workdir", tmp_path / "w", "compare", "--config", cfg,
+                   "--manifest", manifest, "--schemes", "direct-max,cross-layer")
+    assert code == 2
+    assert "config error: pca_dim 5000 exceeds local feature dim 54" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 

@@ -817,16 +817,16 @@ def test_failed_representation_build_leaves_nothing(dataset, tmp_path, monkeypat
     its file and leaves no stage or temp directory."""
     manifest, net_path = dataset
     config = PipelineConfig(network=net_path, pca_dim=0)
-    encode = crosspool.pipeline._encode_part
+    pool = crosspool.pipeline.cross_layer_pool
     calls = []
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         calls.append(1)
         if len(calls) > 30:
             raise OSError("disk full")
-        return encode(*args)
+        return pool(*args, **kwargs)
 
-    monkeypatch.setattr(crosspool.pipeline, "_encode_part", failing)
+    monkeypatch.setattr(crosspool.pipeline, "cross_layer_pool", failing)
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(config, manifest, tmp_path / "work")
     assert list((tmp_path / "work" / "representations").iterdir()) == []
@@ -915,6 +915,36 @@ def test_report_written_to_workdir(dataset, tmp_path):
     on_disk = json.loads(Path(report["artifacts"]["report"]).read_text())
     assert on_disk["metrics"] == report["metrics"]
     assert str(workdir) in report["artifacts"]["report"]
+
+
+def _stage_files(report):
+    """The bytes of every file in the report's representation, kernel and
+    model stages, except meta.json, whose timing block varies by run."""
+    return {
+        (stage, path.name): path.read_bytes()
+        for stage in ("representations", "kernel", "model")
+        for path in Path(report["artifacts"][stage]).iterdir()
+        if path.name != "meta.json"
+    }
+
+
+@pytest.mark.parametrize("scheme", ["direct-max", "spp"])
+def test_baseline_key_leaves_out_the_fields_it_does_not_read(dataset, tmp_path, scheme):
+    """A baseline reads neither ``seed``, ``pca_dim`` nor ``pca_sample_cap``:
+    a rerun that changes only one of them hits all three stages, and a
+    fresh build with all three changed writes the same bytes."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, scheme=scheme)
+    first = run_pipeline(config, manifest, tmp_path / "w")
+    built = _stage_files(first)
+    changes = dict(seed=5, pca_dim=8, pca_sample_cap=50)
+    for name, value in changes.items():
+        rerun = run_pipeline(dataclasses.replace(config, **{name: value}), manifest, tmp_path / "w")
+        assert rerun["cache"] == ALL_HIT, name
+        assert _stage_files(rerun) == built
+    fresh = run_pipeline(dataclasses.replace(config, **changes), manifest, tmp_path / "fresh")
+    assert fresh["config_hash"] == first["config_hash"]
+    assert _stage_files(fresh) == built
 
 
 def test_seed_changes_network_hash(dataset, tmp_path):
