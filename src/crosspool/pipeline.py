@@ -17,17 +17,18 @@ second convolution (no later stage runs), which fixes the layer pair,
 window and stride, each tensor's path, size and mtime, the labels and the
 package version; it also covers the scheme, the resolution, ``quantize``,
 which says what the stage writes, and the fields that ``SCHEME_TABLE``
-lists for the scheme: the PCA fields and the seed for cross-layer, none
-for a baseline.  The representation stage is the one place that works out
-a representation's layout and storage: its meta.json holds the report's
-``dims`` and ``timing`` blocks as they are, and the kernel stage opens
-each split file by what it holds (``svm.open_rows``).  A stage is built in
-a fresh sibling directory whose name starts with ``.`` and renamed into
-place when complete, so a ``<stage>/<key>`` directory is always whole; the
-report goes through a temp file and a rename too.  Each stage reads its
-inputs back from its parent's published files, built or cached, so a
-cached rerun sees the same float32 values and reproduces a fresh run's
-metrics exactly.  Timings in the report are informational and vary between
+lists for the scheme and the config reads: for cross-layer ``pca_dim``,
+and ``pca_sample_cap`` and the seed only when ``pca_dim`` > 0, since only
+the PCA fit reads them; none for a baseline.  The representation stage
+is the one place that works out a representation's layout and storage:
+its meta.json holds the report's ``dims`` and ``timing`` blocks as they
+are, and the kernel stage opens each split file by what it holds
+(``svm.open_rows``).  A stage is built in a fresh sibling directory whose
+name starts with ``.`` and renamed into place when complete, so a
+``<stage>/<key>`` directory is always whole; the report goes through a
+temp file and a rename too.  Each stage reads its inputs back from its
+parent's published files, built or cached, so a cached rerun sees the
+same float32 values and reproduces a fresh run's metrics exactly.  Timings in the report are informational and vary between
 runs; everything under ``metrics`` and ``dims`` is deterministic for a
 fixed config, manifest, and seed.
 
@@ -45,11 +46,13 @@ plain arrays; only the stacks and the network's stage outputs are
 Every part of a config has the same length, so each split keeps one
 reused float32 row: each part is pooled straight into its slice and the
 row is power-normalized once, then written into train.fmat or test.fmat
-as soon as the image is encoded.  A quantized config writes no floats:
-it sign-quantizes the row into its row of the split's codes, which go to
-train.signs or test.signs once the split is done.  Every per-image value,
-from the forward pass to the row, is float32; only the PCA fit and the
-kernel stage, which combine many images, compute in float64.
+as soon as the image is encoded.  A quantized config writes no floats
+and takes no root: the signed square root keeps every sign, so it
+sign-quantizes the pooled row as it is into its row of the split's codes,
+which go to train.signs or test.signs once the split is done; the codes
+equal those of the rooted row byte for byte.  Every per-image value, from
+the forward pass to the row, is float32; only the PCA fit and the kernel
+stage, which combine many images, compute in float64.
 
 No stage holds a whole (count, dim) float representation matrix.  Without
 PCA the representation stage holds one forward batch, its feature grids
@@ -532,9 +535,10 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
 
     Every part is ``part_dim`` long, so the first image's parts fix the
     layout and the header for all.  Each part is pooled straight into its
-    slice of one reused float32 row and the row is power-normalized once.
-    A float row is written as soon as the image arrives; a quantized row
-    fills its row of the split's codes, 1/16 of the floats' bytes, which
+    slice of one reused float32 row.  A float row is power-normalized once
+    and written as soon as the image arrives.  A quantized row is
+    sign-coded as pooled, since the signed square root keeps every sign,
+    into its row of the split's codes, 1/16 of the floats' bytes, which
     are written when the split is done.  A generator of images is held one
     at a time and the float matrix is never held whole.  Encoding seconds,
     quantization included, go to ``timing["pooling"]``; the writes are not
@@ -553,9 +557,10 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
             for k, (_, resolution, grid, layer_t1) in enumerate(parts):
                 out = row[k * part_dim : (k + 1) * part_dim]
                 SCHEME_TABLE[config.scheme].pool(grid, layer_t1, pca_models.get(resolution), out)
-            encoded = power_normalize(row)
-            if codes is not None:
-                codes[i] = sign_quantize(encoded[None])[0]
+            if codes is None:
+                encoded = power_normalize(row)
+            else:
+                codes[i] = sign_quantize(row[None])[0]
             timing["pooling"] += time.perf_counter() - t0
             if codes is None:
                 fh.write(encoded)
@@ -570,8 +575,9 @@ def _compute_representations(config, manifest, head, t1_spec, directory):
     ``per_image.total`` is the stage's wall time per image, loading, the
     PCA fit and writing included; ``extraction`` is the share of the
     forward pass, local-feature extraction and the layer t+1 product, and
-    ``pooling`` that of pooling, the rows' signed square roots and, when
-    quantized, their sign codes.
+    ``pooling`` that of pooling and then either the rows' signed square
+    roots or, when quantized, the pooled rows' sign codes (the root keeps
+    every sign, so a quantized row takes none).
     """
     start = time.perf_counter()
     timing = {"extraction": 0.0, "pooling": 0.0}
@@ -654,7 +660,9 @@ def run_pipeline(
             "scheme": config.scheme,
             "resolution": dataclasses.asdict(config.resolution),
             "quantize": config.quantize,
-            **{name: getattr(config, name) for name in SCHEME_TABLE[config.scheme].fields},
+            # without PCA no field but pca_dim itself is read
+            **{name: getattr(config, name) for name in SCHEME_TABLE[config.scheme].fields
+               if name == "pca_dim" or config.pca_dim},
         }
     )
     cache = {}

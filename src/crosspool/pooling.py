@@ -25,7 +25,9 @@ Local features are float32, and every scheme pools them in float32.
 
 Direct max pooling, direct sum-sqrt pooling, and spatial pyramid pooling
 over the anchor grid are kept as reference schemes.  No scheme applies the
-signed square root itself: the pipeline takes it once, of the whole row.
+signed square root itself: the pipeline takes it once, of the whole float
+row, and sign-codes a quantized row as pooled, since the root keeps every
+sign.
 """
 
 from __future__ import annotations

@@ -10,9 +10,12 @@ negative; 11 never appears.  Dimension j occupies bits 2*(j % 4) and
 2*(j % 4) + 1 of byte j // 4, and padding bits in the last byte are zero.
 ``sign_quantize`` turns a (count, dim) matrix into a (count, ceil(dim/4))
 uint8 code matrix, comparing in the input's own dtype and packing four
-codes with one 32-bit product.  ``sign_unpack`` expands codes back to
-float32 -1/0/+1 by gathering one 16-byte row (four float32 signs) per code
-byte.  Because padding codes are zero, an unpacked block of whole bytes
+codes with one 32-bit product.  ``power_normalize`` keeps every sign: both
+zeros and every NaN code 00 before and after it, and infinities and
+subnormals keep theirs, so the codes of a rooted float32 row equal those
+of the row itself, and the pipeline sign-codes a quantized row as pooled.
+``sign_unpack`` expands codes back to float32 -1/0/+1 by gathering one
+16-byte row (four float32 signs) per code byte.  Because padding codes are zero, an unpacked block of whole bytes
 can enter an inner product as is: ``svm.kernels`` unpacks the codes one
 column block at a time and multiplies each block with one BLAS product,
 which is exact (see ``svm``).

@@ -38,10 +38,10 @@ from crosspool.pipeline import (
     parse_manifest,
     run_pipeline,
 )
-from crosspool.postproc import load_pca
+from crosspool.postproc import load_pca, load_sign_stack, sign_quantize
 from crosspool.svm import load_svm
 from crosspool.synth import generate, make_image
-from crosspool.tensor import ActivationTensor, load_tensor, save_tensor
+from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_tensor
 from test_pool_drift import assert_rows_within_bound, parts_dataset
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
@@ -732,6 +732,40 @@ def test_quantized_kernel_unpacks_each_block_once(dataset, tmp_path, monkeypatch
     assert kernel_bytes[0] == kernel_bytes[1]
 
 
+def test_quantized_rows_are_coded_unrooted(dataset, tmp_path, monkeypatch):
+    """A float config roots each row once; a quantized one roots none,
+    since the root keeps every sign, and its codes equal those of its
+    float twin's rooted rows.  PCA makes the rows signed."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, resolution="both")
+    root = crosspool.pipeline.power_normalize
+    rooted = []
+
+    def counting(values):
+        rooted.append(values.shape)
+        return root(values)
+
+    monkeypatch.setattr(crosspool.pipeline, "power_normalize", counting)
+    reports, roots = {}, {}
+    for quantize in (False, True):
+        rooted.clear()
+        reports[quantize] = run_pipeline(
+            dataclasses.replace(config, quantize=quantize), manifest, tmp_path / "work",
+            stages="representations",
+        )
+        roots[quantize] = list(rooted)
+    dim = reports[False]["dims"]["representation_dim"]
+    assert roots == {False: [(dim,)] * len(manifest.entries), True: []}
+    for split in ("train", "test"):
+        rows = load_features(f"{reports[False]['artifacts']['representations']}/{split}.fmat")
+        codes, code_dim = load_sign_stack(
+            f"{reports[True]['artifacts']['representations']}/{split}.signs"
+        )
+        assert code_dim == dim
+        assert (rows.data < 0).any()
+        np.testing.assert_array_equal(codes, sign_quantize(rows.data))
+
+
 @pytest.fixture(scope="module")
 def wide_dataset(tmp_path_factory):
     """64 training and 8 test 8x8x16 random images under a seeded 16 -> 32
@@ -945,6 +979,28 @@ def test_baseline_key_leaves_out_the_fields_it_does_not_read(dataset, tmp_path, 
     fresh = run_pipeline(dataclasses.replace(config, **changes), manifest, tmp_path / "fresh")
     assert fresh["config_hash"] == first["config_hash"]
     assert _stage_files(fresh) == built
+
+
+@pytest.mark.parametrize("pca_dim", [0, 6])
+def test_cross_layer_keys_pca_sample_fields_only_with_pca(tmp_path, pca_dim):
+    """Without PCA a cross-layer config reads neither ``seed`` nor
+    ``pca_sample_cap``: a rerun that changes only one of them hits all
+    three stages.  With PCA the fit reads both, so either change misses
+    the representation stage.  ``pca_dim`` itself is always keyed."""
+    manifest_path, net_path = generate(tmp_path / "data", n_train=6, n_test=6, seed=5)
+    manifest = parse_manifest(manifest_path)
+    config = PipelineConfig(network=str(net_path), pca_dim=pca_dim, pca_sample_cap=50, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "w")
+    built = _stage_files(first)
+    for name, value in (("seed", 2), ("pca_sample_cap", 40)):
+        rerun = run_pipeline(dataclasses.replace(config, **{name: value}), manifest, tmp_path / "w")
+        if pca_dim:
+            assert rerun["cache"]["representations"] == "miss", name
+        else:
+            assert rerun["cache"] == ALL_HIT, name
+            assert _stage_files(rerun) == built
+    other = dataclasses.replace(config, pca_dim=6 - pca_dim)
+    assert run_pipeline(other, manifest, tmp_path / "w")["cache"]["representations"] == "miss"
 
 
 def test_seed_changes_network_hash(dataset, tmp_path):

@@ -3,7 +3,8 @@ forms they replaced, kept here as oracles: every result must be equal bit
 for bit, except the float32 convolution, which must stay within the drift
 contract's bound (see ``test_pool_drift``) of its float64 im2col oracle.
 Power normalization computes in float32, and its oracle is the formula on
-the input cast to float32."""
+the input cast to float32.  The pipeline sign-codes a quantized row as
+pooled, and the codes of the rooted row are its oracle."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,12 +13,21 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from crosspool.network import ConvLayerSpec, conv_forward, window_stack
-from crosspool.postproc import power_normalize
+from crosspool.postproc import power_normalize, sign_quantize
 from crosspool.tensor import ActivationTensor
 from test_pool_drift import assert_within, gamma
 
 TINY = np.nextafter(np.float32(0.0), np.float32(1.0))
 HUGE = np.finfo(np.float32).max
+# float32 bit patterns: both zeros, both infinities, the smallest and
+# largest subnormals and the float32 maximum of either sign, and quiet and
+# signalling NaNs of either sign with the least and the most payload
+SPECIAL_BITS = np.array([
+    0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+    0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF,
+    0x7FC00000, 0xFFC00000, 0x7FFFFFFF, 0xFFFFFFFF,
+    0x7F800001, 0xFF800001, 0x7FBFFFFF, 0xFFBFFFFF,
+], np.uint32)
 
 
 def power_normalize_oracle(values):
@@ -77,6 +87,40 @@ def test_power_normalize_leaves_its_input_alone():
     values = np.array([-4.0, 0.0, 9.0])
     power_normalize(values)
     np.testing.assert_array_equal(values, [-4.0, 0.0, 9.0])
+
+
+@st.composite
+def float32_rows(draw):
+    """A float32 row of 1-4100 entries, each drawn from random bit
+    patterns, NaNs of either sign and any payload, subnormals of either
+    sign, or ``SPECIAL_BITS``."""
+    width = draw(st.integers(1, 4100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**32, size=width, dtype=np.uint32)
+    kind = rng.integers(0, 4, size=width)
+    nan = (bits & 0x807FFFFF) | 0x7F800000
+    nan[(nan & 0x007FFFFF) == 0] |= 1
+    bits = np.select(
+        [kind == 1, kind == 2, kind == 3],
+        [nan, bits & 0x807FFFFF, rng.choice(SPECIAL_BITS, size=width)],
+        bits,
+    )
+    return bits.astype(np.uint32).view(np.float32)
+
+
+@settings(deadline=None)
+@given(values=float32_rows())
+@example(values=SPECIAL_BITS.view(np.float32))
+@example(values=np.array([-0.0], np.float32))
+@example(values=np.full(4100, -TINY, np.float32))
+def test_sign_codes_of_rooted_rows_equal_codes_of_rows(values):
+    """The signed square root keeps every sign, so a row's sign codes do
+    not depend on whether it was rooted, byte for byte: both zeros and
+    every NaN code 00 either way, and infinities, subnormals and the
+    float32 maximum keep their signs."""
+    with np.errstate(invalid="ignore"):  # sqrt warns on signalling NaNs
+        rooted = power_normalize(values)
+    assert sign_quantize(rooted[None]).tobytes() == sign_quantize(values[None]).tobytes()
 
 
 @st.composite
