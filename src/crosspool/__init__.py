@@ -13,7 +13,7 @@ from .errors import (
     ValidationError,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "ConfigError",

@@ -70,6 +70,19 @@ def _edges(extent: int, blocks: int, overlap: float) -> list[tuple[int, int]]:
     return spans
 
 
+def _part_slices(height: int, width: int, config: ResolutionConfig) -> list[tuple]:
+    """(label, resolution, rows, columns) of each part: the whole image
+    first when included, then its blocks row-major."""
+    row_spans = _edges(height, config.blocks_m, config.overlap_fraction)
+    col_spans = _edges(width, config.blocks_n, config.overlap_fraction)
+    whole = [("whole", "whole", slice(0, height), slice(0, width))]
+    return (whole if config.include_whole_image else []) + [
+        (f"block({i},{j})", "block", slice(r0, r1), slice(c0, c1))
+        for i, (r0, r1) in enumerate(row_spans)
+        for j, (c0, c1) in enumerate(col_spans)
+    ]
+
+
 def iter_parts(
     image: ActivationTensor, config: ResolutionConfig
 ) -> list[tuple[str, str, np.ndarray]]:
@@ -77,11 +90,16 @@ def iter_parts(
     when included, then its blocks row-major, each a view of that data."""
     data = image.data
     require_single(data, "iter_parts")
-    row_spans = _edges(image.height, config.blocks_m, config.overlap_fraction)
-    col_spans = _edges(image.width, config.blocks_n, config.overlap_fraction)
-    parts = [("whole", "whole", data)] if config.include_whole_image else []
-    return parts + [
-        (f"block({i},{j})", "block", data[r0:r1, c0:c1])
-        for i, (r0, r1) in enumerate(row_spans)
-        for j, (c0, c1) in enumerate(col_spans)
+    return [
+        (label, resolution, data[rows, columns])
+        for label, resolution, rows, columns in _part_slices(image.height, image.width, config)
+    ]
+
+
+def part_shapes(height: int, width: int, config: ResolutionConfig) -> list[tuple[str, int, int]]:
+    """(resolution, height, width) of each part that ``iter_parts`` cuts
+    from a height x width image, in its order."""
+    return [
+        (resolution, rows.stop - rows.start, columns.stop - columns.start)
+        for _, resolution, rows, columns in _part_slices(height, width, config)
     ]

@@ -5,43 +5,57 @@ directory addressed by a hash of everything that stage depends on
 (upstream keys included), so rerunning with an unchanged configuration
 reuses the cached artifacts:
 
-    representations/<key>/   train.fmat test.fmat meta.json pca_*.pca
+    pca/<key>/               pca_*.pca meta.json (cross-layer with
+                             pca_dim > 0 only)
+    representations/<key>/   train.fmat test.fmat meta.json
                              (train.signs test.signs in place of the
                              .fmat files when quantized)
     kernel/<key>/            gram.fmat rows.fmat
     model/<key>/             model.svm solver.json
     report/<key>.json
 
-The representation key covers the network through the ReLU after the
-second convolution (no later stage runs), which fixes the layer pair,
-window and stride, each tensor's path, size and mtime, the labels and the
-package version; it also covers the scheme, the resolution, ``quantize``,
-which says what the stage writes, and the fields that ``SCHEME_TABLE``
-lists for the scheme and the config reads: for cross-layer ``pca_dim``,
-and ``pca_sample_cap`` and the seed only when ``pca_dim`` > 0, since only
-the PCA fit reads them; none for a baseline.  The representation stage
-is the one place that works out a representation's layout and storage:
-its meta.json holds the report's ``dims`` and ``timing`` blocks as they
-are, and the kernel stage opens each split file by what it holds
+The PCA key covers only what the fit reads: the network through the ReLU
+after the second convolution, the training entries' paths, sizes and
+mtimes (no labels, no test entry), ``pca_dim``, the resolution, the
+package version, and ``pca_sample_cap`` and the seed only when some
+resolution's training features, counted from the tensor headers before
+any forward pass, pass the cap, since only then does the fit draw from
+the seed.  The representation key covers that network, which fixes the
+layer pair, window and stride, each tensor's path, size and mtime, the
+labels and the package version; the scheme, the resolution,
+``quantize``, which says what the stage writes, and the PCA key, which
+fixes ``pca_dim``; a config without PCA reads no field of
+``SCHEME_TABLE``'s beyond these.  The representation stage is the one
+place that works out a representation's layout and storage: its
+meta.json holds the report's ``dims`` and ``timing`` blocks as they are,
+and the kernel stage opens each split file by what it holds
 (``svm.open_rows``).  A stage is built in a fresh sibling directory whose
 name starts with ``.`` and renamed into place when complete, so a
 ``<stage>/<key>`` directory is always whole; the report goes through a
 temp file and a rename too.  Each stage reads its inputs back from its
 parent's published files, built or cached, so a cached rerun sees the
-same float32 values and reproduces a fresh run's metrics exactly.  Timings in the report are informational and vary between
-runs; everything under ``metrics`` and ``dims`` is deterministic for a
-fixed config, manifest, and seed.
+same float32 values and reproduces a fresh run's metrics exactly.
+Timings in the report are informational and vary between runs;
+everything under ``metrics`` and ``dims`` is deterministic for a fixed
+config, manifest, and seed.
 
-The representation stage forwards images in batches of about
+The PCA and representation stages forward images in batches of about
 ``FORWARD_BATCH_BYTES`` of part input, one network call and one
 local-feature extraction per same-shape stack of parts.  The network runs
 only through layer t: each local feature is the input window of one layer
 t+1 unit, so the cross-layer scheme's layer t+1 is one float32 product of
 the feature grids with the second convolution's kernel, followed by a
-ReLU in place, and holds exactly the units that pooling reads.  Stages
-past layer t never run.  Parts, feature grids and layer t+1 units are
-plain arrays; only the stacks and the network's stage outputs are
+ReLU in place, and holds exactly the units that pooling reads; the PCA
+stage, which reads only the features, skips it.  Stages past layer t
+never run.  Parts, feature grids and layer t+1 units are plain arrays;
+only the stacks and the network's stage outputs are
 ``ActivationTensor``s.
+
+The PCA stage draws each resolution's sample indices before its one
+forward pass over the training images, copies the chosen rows into a
+preallocated float32 sample and drops every grid; ``pca_fit`` fits each
+sample in fixed row chunks.  The representation stage then encodes every
+split in one streamed pass, with the models the PCA stage saved.
 
 Every part of a config has the same length, so each split keeps one
 reused float32 row: each part is pooled straight into its slice and the
@@ -54,11 +68,13 @@ equal those of the rooted row byte for byte.  Every per-image value, from
 the forward pass to the row, is float32; only the PCA fit and the kernel
 stage, which combine many images, compute in float64.
 
-No stage holds a whole (count, dim) float representation matrix.  Without
-PCA the representation stage holds one forward batch, its feature grids
-and one row whatever the image count, and a quantized config the split's
-codes, count * ceil(dim/4) bytes; a PCA config also holds every training
-image's parts until the fit and the encoding are done.  The kernel stage
+No stage holds a whole (count, dim) float representation matrix, nor
+the training set's feature grids.  The PCA stage holds one forward batch
+and the samples, at most ``pca_sample_cap`` rows of ``local_dim`` float32
+per resolution, then one float64 chunk of a sample while it fits.  The
+representation stage holds one forward batch, its feature grids and one
+row whatever the image count, and a quantized config the split's codes,
+count * ceil(dim/4) bytes.  The kernel stage
 reads float files through ``ColumnReader``, one ``svm.BLOCK_DIMS`` column
 block at a time, holding about count * BLOCK_DIMS values per split, and
 loads sign stacks whole and unpacks one block at a time; it also
@@ -91,9 +107,10 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ContractError, ValidationError
 from .features import extract_local_features
-from .multires import ResolutionConfig, iter_parts
+from .multires import ResolutionConfig, iter_parts, part_shapes
 from .network import (
     ConvLayerSpec,
+    MaxPoolStage,
     NetworkSpec,
     ReluStage,
     conv_product,
@@ -108,9 +125,23 @@ from .pooling import (
     spp_pool,
     unit_offset,
 )
-from .postproc import pca_fit, power_normalize, save_pca, save_sign_stack, sign_quantize
+from .postproc import (
+    load_pca,
+    pca_fit,
+    power_normalize,
+    save_pca,
+    save_sign_stack,
+    sign_quantize,
+)
 from .svm import kernels, load_svm, open_rows, save_svm, svm_predict, svm_train
-from .tensor import ActivationTensor, load_features, load_tensor, matrix_header, save_features
+from .tensor import (
+    ActivationTensor,
+    load_features,
+    load_tensor,
+    matrix_header,
+    save_features,
+    tensor_shape,
+)
 
 # One entry per scheme, read wherever the scheme matters: ``pool(grid,
 # units, pca, out)`` pools a part's local feature grid into ``out``, its
@@ -411,15 +442,14 @@ def network_digest(stages) -> str:
     return h.hexdigest()
 
 
-def manifest_digest(manifest: DatasetManifest) -> str:
-    """Hash of each entry's path, split, labels, and tensor file size and mtime."""
+def manifest_digest(entries, labels: bool = True) -> str:
+    """Hash of each entry's path, split, labels (unless ``labels`` is
+    false), and tensor file size and mtime."""
     h = hashlib.sha256()
-    for e in manifest.entries:
+    for e in entries:
         st = os.stat(e.path)
-        h.update(
-            f"{e.path}\t{e.split}\t{','.join(sorted(e.labels))}\t"
-            f"{st.st_size}\t{st.st_mtime_ns}\n".encode()
-        )
+        names = ",".join(sorted(e.labels)) if labels else ""
+        h.update(f"{e.path}\t{e.split}\t{names}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
     return h.hexdigest()
 
 
@@ -457,19 +487,19 @@ def _stage(workdir, stage: str, key: str, use_cache: bool, build) -> tuple[str, 
     return directory, "miss"
 
 
-def _forward_images(entries, head, t1_spec, config, timing):
+def _forward_images(entries, head, t1_spec, resolution, layer_t1, timing):
     """Yield each entry's (label, resolution, layer-t feature grid, layer
-    t+1 output) parts, in manifest order.
+    t+1 output) parts, cut as ``resolution`` says, in manifest order.
 
     Images are read until their parts hold ``FORWARD_BATCH_BYTES`` of input
     (always at least one image); the batch's parts are stacked by shape
     alone, since ``head`` ends at conv t or its ReLU and no input flag
     reaches layer t.  Each stack goes through ``head``, the network through
     layer t, in one call, and its output is cut into local features in one
-    more.  For a scheme that reads layer t+1 it is one float32
+    more.  When ``layer_t1`` is true, layer t+1 is one float32
     ``conv_product`` of the grids and one ``np.maximum`` in place, each
     part's units a slice of it: each window is one unit's input, so unit
-    (i, j) sits over window (i, j).  The other schemes get None.  The
+    (i, j) sits over window (i, j).  Otherwise the units are None.  The
     forward pass, local-feature extraction and the product are timed as
     ``timing["extraction"]``; nothing is timed across a yield.
     """
@@ -477,7 +507,7 @@ def _forward_images(entries, head, t1_spec, config, timing):
     while True:
         batch, held = [], 0
         for entry in entries:
-            parts = iter_parts(load_tensor(entry.path), config.resolution)
+            parts = iter_parts(load_tensor(entry.path), resolution)
             batch.append(parts)
             held += sum(part.nbytes for _, _, part in parts)
             if held >= FORWARD_BATCH_BYTES:
@@ -497,7 +527,7 @@ def _forward_images(entries, head, t1_spec, config, timing):
                 layer_t, t1_spec.kernel_h, t1_spec.kernel_w, t1_spec.stride
             )
             units = [None] * len(members)
-            if "layer_t1" in SCHEME_TABLE[config.scheme].flags:
+            if layer_t1:
                 units = conv_product(grids, t1_spec)
                 np.maximum(units, 0.0, out=units)
             outputs.update(zip(members, zip(grids, units)))
@@ -509,23 +539,80 @@ def _forward_images(entries, head, t1_spec, config, timing):
             ]
 
 
-def _fit_pca_models(images, config):
-    """One PCA model per participating resolution, fitted on a seeded
-    subsample of the training parts' local features."""
+def _local_feature_counts(entries, head, t1_spec, resolution) -> dict[str, int]:
+    """Each resolution's count of local features over the entries' parts,
+    from each tensor's header and the stages' geometry, before any forward
+    pass.  A part too small for a stage fails its forward pass with that
+    stage's error; here it only must not make a count negative."""
+    counts = {}
+    for entry in entries:
+        height, width, _ = tensor_shape(entry.path)
+        for name, h, w in part_shapes(height, width, resolution):
+            for stage in head.stages:
+                if isinstance(stage, ConvLayerSpec):
+                    h, w = stage.output_dims(h, w)
+                elif isinstance(stage, MaxPoolStage):
+                    h, w = ((x - stage.size) // stage.stride + 1 for x in (h, w))
+            rows = (h - t1_spec.kernel_h) // t1_spec.stride + 1
+            columns = (w - t1_spec.kernel_w) // t1_spec.stride + 1
+            counts[name] = counts.get(name, 0) + max(rows, 0) * max(columns, 0)
+    return counts
+
+
+def _fit_pca_models(entries, counts, head, t1_spec, config, directory):
+    """Write the PCA stage's artifacts into ``directory``: one model per
+    participating resolution, ``pca_<resolution>.pca``, fitted on a sample
+    of the training parts' local features, and a meta.json.
+
+    ``counts`` holds each resolution's feature count.  Past
+    ``pca_sample_cap`` the sample is the rows at the seeded
+    ``rng.choice`` of that many indices, drawn before the forward pass and
+    kept in index order; otherwise it is every row.  Rows are indexed in
+    manifest order, then part order, then grid order.  One forward pass
+    through layer t, without the layer t+1 product, copies each part's
+    chosen rows into the resolution's preallocated float32 sample and
+    drops its grid, so the stage holds the samples and one forward batch.
+    """
     start = time.perf_counter()
-    buckets: dict[str, list[np.ndarray]] = {}
-    for parts in images:
-        for _, resolution, grid, _ in parts:
-            buckets.setdefault(resolution, []).append(grid.reshape(-1, grid.shape[-1]))
-    models = {}
-    for resolution in sorted(buckets):
-        stacked = np.concatenate(buckets[resolution], axis=0)
-        if stacked.shape[0] > config.pca_sample_cap:
+    local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
+    chosen, samples = {}, {}
+    for resolution, count in sorted(counts.items()):
+        chosen[resolution] = np.arange(count)
+        if count > config.pca_sample_cap:
             rng = np.random.default_rng(config.seed)
-            chosen = rng.choice(stacked.shape[0], config.pca_sample_cap, replace=False)
-            stacked = stacked[np.sort(chosen)]
-        models[resolution] = pca_fit(stacked, config.pca_dim)
-    return models, time.perf_counter() - start
+            chosen[resolution] = np.sort(rng.choice(count, config.pca_sample_cap, replace=False))
+        samples[resolution] = np.empty((chosen[resolution].size, local_dim), np.float32)
+    seen = dict.fromkeys(counts, 0)
+    timing = {"extraction": 0.0}
+    for parts in _forward_images(entries, head, t1_spec, config.resolution, False, timing):
+        for _, resolution, grid, _ in parts:
+            rows, first = grid.reshape(-1, local_dim), seen[resolution]
+            seen[resolution] += len(rows)
+            # the picks before this part's rows are the sample rows filled so far
+            picks = chosen[resolution]
+            lo, hi = np.searchsorted(picks, (first, seen[resolution]))
+            samples[resolution][lo:hi] = rows[picks[lo:hi] - first]
+    if seen != counts:
+        raise ContractError(
+            f"the training parts hold {seen} local features, their headers promise {counts}"
+        )
+    fit_seconds = 0.0
+    for resolution in sorted(samples):
+        t0 = time.perf_counter()
+        model = pca_fit(samples.pop(resolution), config.pca_dim)
+        fit_seconds += time.perf_counter() - t0
+        save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
+    meta = {
+        "descriptors": counts,
+        "sample_rows": {resolution: picks.size for resolution, picks in chosen.items()},
+        "timing": {
+            "total": time.perf_counter() - start,
+            "extraction": timing["extraction"],
+            "pca_fit_seconds": fit_seconds,
+        },
+    }
+    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2)
 
 
 def _represent_images(images, count, config, pca_models, part_dim, timing, path):
@@ -569,45 +656,47 @@ def _represent_images(images, count, config, pca_models, part_dim, timing, path)
     return [[label, k * part_dim, part_dim] for k, (label, *_) in enumerate(parts)]
 
 
-def _compute_representations(config, manifest, head, t1_spec, directory):
-    """Write the representation stage's artifacts into ``directory``.
+def _compute_representations(config, manifest, head, t1_spec, pca_dir, directory):
+    """Write the representation stage's artifacts into ``directory``, with
+    the PCA models of ``pca_dir`` when the config projects (else None).
 
-    ``per_image.total`` is the stage's wall time per image, loading, the
-    PCA fit and writing included; ``extraction`` is the share of the
-    forward pass, local-feature extraction and the layer t+1 product, and
-    ``pooling`` that of pooling and then either the rows' signed square
-    roots or, when quantized, the pooled rows' sign codes (the root keeps
-    every sign, so a quantized row takes none).
+    ``per_image.total`` is the wall time per image of building the
+    representations from the tensors: this stage's, loading and writing
+    included, plus the ``total`` that the PCA stage's meta.json records
+    for its own build, also when that stage was reused.  ``extraction`` is
+    this stage's share of the forward pass, local-feature extraction and
+    the layer t+1 product, and ``pooling`` that of pooling and then either
+    the rows' signed square roots or, when quantized, the pooled rows' sign
+    codes (the root keeps every sign, so a quantized row takes none).
+    ``pca_fit_seconds`` is the PCA stage's fit time.
     """
     start = time.perf_counter()
     timing = {"extraction": 0.0, "pooling": 0.0}
-    train_entries = manifest.split("train")
-    test_entries = manifest.split("test")
-    train_images = _forward_images(train_entries, head, t1_spec, config, timing)
+    pca_models, pca_timing = {}, {"total": 0.0, "pca_fit_seconds": 0.0}
+    if pca_dir is not None:
+        with open(os.path.join(pca_dir, "meta.json"), "r", encoding="utf-8") as fh:
+            pca_meta = json.load(fh)
+        pca_timing = pca_meta["timing"]
+        pca_models = {
+            resolution: load_pca(os.path.join(pca_dir, f"pca_{resolution}.pca"))
+            for resolution in pca_meta["sample_rows"]
+        }
     scheme = SCHEME_TABLE[config.scheme]
-    pca_models, pca_seconds = {}, 0.0
-    if "pca_dim" in scheme.fields and config.pca_dim:
-        # One forward pass per training part feeds both the PCA fit and the
-        # encoding, so the training set's parts stay in memory until both
-        # are done.
-        train_images = list(train_images)
-        pca_models, pca_seconds = _fit_pca_models(train_images, config)
     local_dim = t1_spec.kernel_h * t1_spec.kernel_w * t1_spec.in_depth
     channels = t1_spec.out_depth if "layer_t1" in scheme.flags else None
     part_dim = scheme.part_dim(local_dim, channels, config.pca_dim)
     suffix = ".signs" if config.quantize else ".fmat"
-    layout = _represent_images(
-        train_images, len(train_entries), config, pca_models, part_dim, timing,
-        os.path.join(directory, "train" + suffix),
-    )
-    test_images = _forward_images(test_entries, head, t1_spec, config, timing)
-    _represent_images(
-        test_images, len(test_entries), config, pca_models, part_dim, timing,
-        os.path.join(directory, "test" + suffix),
-    )
-    for resolution, model in pca_models.items():
-        save_pca(model, os.path.join(directory, f"pca_{resolution}.pca"))
-    images = len(train_entries) + len(test_entries)
+    images = 0
+    for split in ("train", "test"):
+        entries = manifest.split(split)
+        parts = _forward_images(
+            entries, head, t1_spec, config.resolution, "layer_t1" in scheme.flags, timing
+        )
+        layout = _represent_images(
+            parts, len(entries), config, pca_models, part_dim, timing,
+            os.path.join(directory, split + suffix),
+        )
+        images += len(entries)
     dim = sum(size for _, _, size in layout)
     meta = {
         "dims": {
@@ -623,9 +712,9 @@ def _compute_representations(config, manifest, head, t1_spec, directory):
             "per_image": {
                 "extraction": timing["extraction"] / images,
                 "pooling": timing["pooling"] / images,
-                "total": (time.perf_counter() - start) / images,
+                "total": (time.perf_counter() - start + pca_timing["total"]) / images,
             },
-            "pca_fit_seconds": pca_seconds,
+            "pca_fit_seconds": pca_timing["pca_fit_seconds"],
         },
     }
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
@@ -651,30 +740,53 @@ def run_pipeline(
         raise ConfigError(f"unknown stages selector {stages!r}")
     workdir = os.path.abspath(workdir)
     head, t1_spec, digested = _resolve_geometry(parse_network_file(config.network), config)
+    network = network_digest(digested)
+    train_entries = manifest.split("train")
+    test_entries = manifest.split("test")
+    cache, artifacts = {}, {}
+    pca_key = pca_dir = None
+    if "pca_dim" in SCHEME_TABLE[config.scheme].fields and config.pca_dim:
+        training = manifest_digest(train_entries, labels=False)
+        counts = _local_feature_counts(train_entries, head, t1_spec, config.resolution)
+        # the fit draws from the seed only where a resolution passes the cap
+        drawn = max(counts.values()) > config.pca_sample_cap
+        pca_key = _key(
+            {
+                "stage": "pca",
+                "version": __version__,
+                "network": network,
+                "train": training,
+                "pca_dim": config.pca_dim,
+                "resolution": dataclasses.asdict(config.resolution),
+                **({"pca_sample_cap": config.pca_sample_cap, "seed": config.seed}
+                   if drawn else {}),
+            }
+        )
+        pca_dir, cache["pca"] = _stage(
+            workdir, "pca", pca_key, use_cache,
+            lambda tmp: _fit_pca_models(train_entries, counts, head, t1_spec, config, tmp),
+        )
+        artifacts["pca"] = pca_dir
     rep_key = _key(
         {
             "stage": "representations",
             "version": __version__,
-            "network": network_digest(digested),
-            "manifest": manifest_digest(manifest),
+            "network": network,
+            "manifest": manifest_digest(manifest.entries),
             "scheme": config.scheme,
             "resolution": dataclasses.asdict(config.resolution),
             "quantize": config.quantize,
-            # without PCA no field but pca_dim itself is read
-            **{name: getattr(config, name) for name in SCHEME_TABLE[config.scheme].fields
-               if name == "pca_dim" or config.pca_dim},
+            # which fixes pca_dim; a config without PCA reads no such field
+            "pca": pca_key,
         }
     )
-    cache = {}
     rep_dir, cache["representations"] = _stage(
         workdir, "representations", rep_key, use_cache,
-        lambda tmp: _compute_representations(config, manifest, head, t1_spec, tmp),
+        lambda tmp: _compute_representations(config, manifest, head, t1_spec, pca_dir, tmp),
     )
+    artifacts["representations"] = rep_dir
     with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-
-    train_entries = manifest.split("train")
-    test_entries = manifest.split("test")
     timing = meta["timing"]
     report = {
         "config_hash": rep_key,
@@ -689,7 +801,7 @@ def run_pipeline(
         "dims": meta["dims"],
         "timing": timing,
         "cache": cache,
-        "artifacts": {"representations": rep_dir},
+        "artifacts": artifacts,
     }
     if stages == "representations":
         report["metrics"] = None

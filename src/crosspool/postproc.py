@@ -55,6 +55,9 @@ _BYTE_SIGNS16 = _BYTE_SIGNS.view(np.complex128).ravel()
 # i to bits 24 + 2i; every cross term lands on its own two bits below bit 24,
 # so no carry reaches the top byte
 _PACK_FACTOR = np.uint32(0x01041040)
+# Rows of a PCA sample centered in float64 at a time: 8 192 x 3 456 floats
+# at the paper's descriptor dim, about 226 MB.
+PCA_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -111,7 +114,15 @@ def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
     """Fit by eigendecomposition of the covariance of a (count, dim) sample
     (denominator count - 1), in float64, and round the model to float32
     once; raises RankError when the sample cannot support output_dim
-    components.  The centered rows are the one float64 copy it makes."""
+    components.
+
+    The mean is one float64 reduction over the whole sample.  The centered
+    cross-product is summed over chunks of ``PCA_CHUNK_ROWS`` rows, each
+    centered in float64 and multiplied on its own, so the one float64 copy
+    the fit makes is one chunk, whatever the sample's size.  A sample of at
+    most one chunk is fitted by the single centered product, as
+    ``centered.T @ centered / (count - 1)``; more chunks change only the
+    order in which the cross-product's terms are summed."""
     sample = np.asarray(sample)
     count, dim = sample.shape
     if count < 2:
@@ -124,8 +135,14 @@ def pca_fit(sample: np.ndarray, output_dim: int) -> PcaModel:
             f"output_dim {output_dim} exceeds min(count-1, dim) = {limit}"
         )
     mean = sample.mean(axis=0, dtype=np.float64)
-    centered = sample - mean
-    cov = centered.T @ centered / (count - 1)
+    cov = None
+    for lo in range(0, count, PCA_CHUNK_ROWS):
+        centered = sample[lo : lo + PCA_CHUNK_ROWS] - mean
+        product = centered.T @ centered
+        # the first chunk's product is the sum so far, as it is
+        cov = product if cov is None else np.add(cov, product, out=cov)
+    del centered, product
+    cov /= count - 1
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]

@@ -46,7 +46,10 @@ solves each distinct split once; every class still gets its own
 coefficients alpha * y, bias, diagnostics and convergence warning.
 
 The dual is solved by a dense primal-dual interior-point method with
-Mehrotra's predictor-corrector steps.  The upper slack s = C - alpha is a
+Mehrotra's predictor-corrector steps.  ``_solve_dual`` takes the linear
+term as a vector p, minimizing (1/2) alpha' Q alpha + p' alpha, and
+training passes p = -1: ``x + (-1.0)`` rounds exactly like ``x - 1.0``.
+The upper slack s = C - alpha is a
 variable of its own, since computing C - alpha near the upper bound loses
 it to rounding.  The iterate (alpha, s, z_l, z_u), where z_l and z_u are
 the multipliers of the two bounds, is held as the rows of one (4, n)
@@ -224,9 +227,9 @@ def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:
     return out
 
 
-def _projected_gradient(q: np.ndarray, alpha: np.ndarray, c: float) -> float:
+def _projected_gradient(q: np.ndarray, p: np.ndarray, alpha: np.ndarray, c: float) -> float:
     """Largest projected gradient of the dual at ``alpha``."""
-    grad = q @ alpha - 1.0
+    grad = q @ alpha + p
     grad = np.where(alpha <= 0.0, np.minimum(grad, 0.0),
                     np.where(alpha >= c, np.maximum(grad, 0.0), grad))
     return float(np.abs(grad).max())
@@ -242,7 +245,7 @@ def _longest_step(point, step) -> float:
     return float(np.fmin.reduce(ratios.min(axis=1), initial=1.0))
 
 
-def _face_minimizer(q, c, lower, upper) -> np.ndarray | None:
+def _face_minimizer(q, p, c, lower, upper) -> np.ndarray | None:
     """The dual's stationary point with ``lower`` at 0 and ``upper`` at C,
     clipped to the box; None when the free block is singular."""
     alpha = np.where(upper, c, 0.0)
@@ -250,20 +253,20 @@ def _face_minimizer(q, c, lower, upper) -> np.ndarray | None:
     if free.any():
         rows = q[free]
         try:
-            alpha[free] = np.linalg.solve(rows[:, free], 1.0 - rows @ alpha)
+            alpha[free] = np.linalg.solve(rows[:, free], -p[free] - rows @ alpha)
         except np.linalg.LinAlgError:
             return None
     return np.clip(alpha, 0.0, c)
 
 
-def _newton_step(q, point, ratio, c, reg):
+def _newton_step(q, p, point, ratio, c, reg):
     """Mehrotra's predictor-corrector direction at ``point``, the (4, n)
     rows alpha, slack, z_l and z_u, as another (4, n) array; None when it
     is not finite.  ``ratio`` holds the rows z_l / alpha and z_u / slack."""
     alpha, slack, z_l, z_u = point
     x, z = point[:2], point[2:]
     n = alpha.size
-    neg_r_d = -(q @ alpha - 1.0 - z_l + z_u)
+    neg_r_d = -(q @ alpha + p - z_l + z_u)
     r_p = alpha + slack - c
     neg_r_p = -r_p
     # one division gives r_l / alpha and (r_u - z_u r_p) / slack; r_l - 0.0 is r_l
@@ -297,8 +300,8 @@ def _newton_step(q, point, ratio, c, reg):
 # an iterate pressed against a bound can overflow z / alpha; the non-finite
 # step that follows is caught
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _solve_dual(q: np.ndarray, c: float, tol: float, max_iterations: int):
-    """Interior-point solve of min 1/2 a'Qa - sum(a) over 0 <= a <= c.
+def _solve_dual(q: np.ndarray, p: np.ndarray, c: float, tol: float, max_iterations: int):
+    """Interior-point solve of min 1/2 a'Qa + p'a over 0 <= a <= c.
 
     Returns alpha, the largest projected gradient at that alpha, the
     iterations taken, and whether the regularization was switched on.
@@ -309,17 +312,17 @@ def _solve_dual(q: np.ndarray, c: float, tol: float, max_iterations: int):
     reg = 0.0
     point = np.empty((4, n))
     point[:2] = 0.5 * c
-    grad = q @ point[0] - 1.0
+    grad = q @ point[0] + p
     point[2] = 1.0 + np.maximum(grad, 0.0)
     point[3] = 1.0 + np.maximum(-grad, 0.0)
     ratio = point[2:] / point[:2]
-    best, best_gradient = point[0], _projected_gradient(q, point[0], c)
+    best, best_gradient = point[0], _projected_gradient(q, p, point[0], c)
     faces = set()
     stalls = 0
     iteration = 0
     while iteration < max_iterations and best_gradient > tol:
         iteration += 1
-        step = _newton_step(q, point, ratio, c, reg)
+        step = _newton_step(q, p, point, ratio, c, reg)
         if step is None:
             if reg or not rho:
                 break
@@ -339,10 +342,10 @@ def _solve_dual(q: np.ndarray, c: float, tol: float, max_iterations: int):
         face = (lower.tobytes(), upper.tobytes())
         if face not in faces:
             faces.add(face)
-            candidates.append(_face_minimizer(q, c, lower, upper))
+            candidates.append(_face_minimizer(q, p, c, lower, upper))
         for candidate in candidates:
             if candidate is not None:
-                gradient = _projected_gradient(q, candidate, c)
+                gradient = _projected_gradient(q, p, candidate, c)
                 if gradient < best_gradient:
                     best, best_gradient = candidate, gradient
     return best, best_gradient, iteration, bool(reg)
@@ -397,7 +400,9 @@ def svm_train(
         y = np.where([name in s for s in label_sets], 1.0, -1.0)
         split = (y * y[0]).tobytes()
         if split not in solves:
-            solves[split] = _solve_dual(y[:, None] * augmented * y, c, tol, max_iterations)
+            solves[split] = _solve_dual(
+                y[:, None] * augmented * y, np.full(n, -1.0), c, tol, max_iterations
+            )
         alpha, gradient, iterations, regularized = solves[split]
         if gradient > tol:
             warnings.warn(

@@ -155,16 +155,26 @@ def save_tensor(tensor: ActivationTensor, path) -> None:
         fh.write(payload)
 
 
+def _read_tensor_header(fh, path) -> tuple[tuple[int, int, int], int]:
+    h, w, d, flag = read_header(fh, path, TENSOR_MAGIC, _TENSOR_HEADER, "tensor")
+    if min(h, w, d) < 1:
+        raise ValidationError(f"{path}: header declares a zero dimension ({h}, {w}, {d})")
+    if flag not in (0, 1):
+        raise FormatError(f"{path}: rectified flag must be 0 or 1, got {flag}")
+    return (h, w, d), flag
+
+
+def tensor_shape(path) -> tuple[int, int, int]:
+    """The (height, width, depth) that a tensor file's header declares,
+    read without its payload."""
+    with open(path, "rb", buffering=0) as fh:
+        return _read_tensor_header(fh, path)[0]
+
+
 def load_tensor(path) -> ActivationTensor:
     with open(path, "rb", buffering=0) as fh:
-        h, w, d, flag = read_header(fh, path, TENSOR_MAGIC, _TENSOR_HEADER, "tensor")
-        if min(h, w, d) < 1:
-            raise ValidationError(
-                f"{path}: header declares a zero dimension ({h}, {w}, {d})"
-            )
-        if flag not in (0, 1):
-            raise FormatError(f"{path}: rectified flag must be 0 or 1, got {flag}")
-        values = read_payload(fh, path, "<f4", (h, w, d))
+        shape, flag = _read_tensor_header(fh, path)
+        values = read_payload(fh, path, "<f4", shape)
     if not np.isfinite(values).all():
         raise ValidationError(f"{path}: tensor holds NaN or infinite values")
     return ActivationTensor(values, rectified=bool(flag))

@@ -268,7 +268,7 @@ def test_pool_writes_the_pipeline_row(tmp_path, scheme, pca_dim):
     given = {"layer_t": layer_t, "layer_t1": stages / "stage_03_relu.tens",
              "features": tmp_path / "f.fmat", "input": layer_t}
     if pca_dim:
-        given["pca"] = rep_dir / "pca_whole.pca"
+        given["pca"] = Path(report["artifacts"]["pca"]) / "pca_whole.pca"
     flags = [arg for name in SCHEME_TABLE[scheme].flags if name in given
              for arg in ("--" + name.replace("_", "-"), given[name])]
     assert run_cli("pool", "--scheme", scheme, *flags, "--out", tmp_path / "v.fmat") == 0
@@ -458,7 +458,10 @@ def test_pool_rejects_flags_its_scheme_does_not_read(
 
 def test_exit_code_parts_too_small_for_the_head(dataset, tmp_path, capsys):
     """2x2 blocks that the second convolution's 3x3 window cannot fit stop
-    the run with exit 3, and the representation stage publishes nothing."""
+    the run with exit 3, and the representation stage publishes nothing.
+    With PCA the header count gives those blocks no features, and the PCA
+    stage's forward pass stops the run the same way, before either stage
+    publishes a directory."""
     _, net, _ = dataset
     rng = np.random.default_rng(4)
     lines = []
@@ -467,13 +470,17 @@ def test_exit_code_parts_too_small_for_the_head(dataset, tmp_path, capsys):
         lines.append(f"{i}.tens\t{split}\tc{i % 2}")
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("\n".join(lines) + "\n")
-    workdir = tmp_path / "w"
-    code = run_cli("--workdir", workdir, "run", "--net", net, "--manifest", manifest,
-                   "--resolution", "both")
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "data error" in err and "exceeds tensor 2x2" in err
-    assert list((workdir / "representations").iterdir()) == []
+    for pca_dim in ("0", "4"):
+        workdir = tmp_path / f"w{pca_dim}"
+        code = run_cli("--workdir", workdir, "run", "--net", net, "--manifest", manifest,
+                       "--resolution", "both", "--pca-dim", pca_dim)
+        err = capsys.readouterr().err
+        assert code == 3, pca_dim
+        assert "data error" in err and "exceeds tensor 2x2" in err
+        assert "Traceback" not in err
+        for stage in ("pca", "representations"):
+            assert not (workdir / stage).is_dir() or list((workdir / stage).iterdir()) == []
+        assert (workdir / "pca").is_dir() == (pca_dim == "4")
 
 
 def test_exit_code_config_error(dataset, tmp_path, capsys):

@@ -45,6 +45,8 @@ from crosspool.tensor import ActivationTensor, load_features, load_tensor, save_
 from test_pool_drift import assert_rows_within_bound, parts_dataset
 
 ALL_HIT = {"representations": "hit", "kernel": "hit", "model": "hit"}
+# a cross-layer config with PCA also reports its PCA stage
+PCA_HIT = {"pca": "hit", **ALL_HIT}
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +260,8 @@ def test_failed_build_publishes_nothing(dataset, tmp_path, monkeypatch):
     assert not [p for p in workdir.rglob(".*")]
 
     again = run_pipeline(config, manifest, workdir)
-    assert again["cache"] == {"representations": "hit", "kernel": "hit", "model": "miss"}
+    assert again["cache"] == {"pca": "hit", "representations": "hit", "kernel": "hit",
+                              "model": "miss"}
     clean = run_pipeline(config, manifest, tmp_path / "clean")
     assert again["metrics"] == clean["metrics"]
 
@@ -284,7 +287,7 @@ def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch, qua
     monkeypatch.setattr(os, "open", recording(os.open))
     second = run_pipeline(config, manifest, tmp_path / "work")
     monkeypatch.undo()
-    assert second["cache"] == ALL_HIT
+    assert second["cache"] == PCA_HIT
     names = {name.rsplit("/", 1)[-1] for name in opened}
     assert "rows.fmat" in names and "model.svm" in names
     assert sorted(name for name in opened if name.endswith("solver.json")) == [
@@ -293,7 +296,7 @@ def test_all_hit_rerun_skips_representations(dataset, tmp_path, monkeypatch, qua
     assert not names & {"train.fmat", "test.fmat", "train.signs", "test.signs"}
     assert second["metrics"] == first["metrics"]
     with open(second["artifacts"]["report"], encoding="utf-8") as fh:
-        assert json.load(fh)["cache"] == ALL_HIT
+        assert json.load(fh)["cache"] == PCA_HIT
 
 
 def test_solver_diagnostics_in_report(dataset, tmp_path):
@@ -303,7 +306,7 @@ def test_solver_diagnostics_in_report(dataset, tmp_path):
     config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
     first = run_pipeline(config, manifest, tmp_path / "work")
     second = run_pipeline(config, manifest, tmp_path / "work")
-    assert second["cache"] == ALL_HIT
+    assert second["cache"] == PCA_HIT
     with open(f"{first['artifacts']['model']}/solver.json", encoding="utf-8") as fh:
         stored = json.load(fh)
     assert first["solver"] == second["solver"] == stored
@@ -332,10 +335,11 @@ def test_workdir_holds_only_published_stages(dataset, tmp_path):
     assert not [p for p in workdir.rglob(".*")]
     contents = {
         stage: sorted(p.name for p in (workdir / stage).rglob("*") if p.is_file())
-        for stage in ("representations", "kernel", "model", "report")
+        for stage in ("pca", "representations", "kernel", "model", "report")
     }
     assert contents == {
-        "representations": ["meta.json", "pca_whole.pca", "test.signs", "train.signs"],
+        "pca": ["meta.json", "pca_whole.pca"],
+        "representations": ["meta.json", "test.signs", "train.signs"],
         "kernel": ["gram.fmat", "rows.fmat"],
         "model": ["model.svm", "solver.json"],
         "report": [f"{first['artifacts']['model'].rsplit('/', 1)[-1]}.json"],
@@ -664,7 +668,7 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
             dataclasses.replace(config, seed=seed), manifest, tmp_path / "work",
             stages="representations",
         )
-        rep_dir = report["artifacts"]["representations"]
+        pca_dir = report["artifacts"]["pca"]
         for resolution, sample in zip(sorted(buckets), samples, strict=True):
             stacked = np.concatenate(buckets[resolution])
             assert stacked.shape[0] > config.pca_sample_cap
@@ -674,7 +678,7 @@ def test_pca_fit_subsamples_past_the_cap(dataset, tmp_path, monkeypatch):
             rows = stacked[np.sort(chosen)]
             assert sample.tobytes() == rows.tobytes()
             want = fit(rows, config.pca_dim)
-            got = load_pca(os.path.join(rep_dir, f"pca_{resolution}.pca"))
+            got = load_pca(os.path.join(pca_dir, f"pca_{resolution}.pca"))
             for name in ("mean", "basis", "eigenvalues"):
                 np.testing.assert_array_equal(
                     getattr(got, name), getattr(want, name).astype(np.float32)
@@ -812,19 +816,23 @@ def test_representation_memory_does_not_grow_with_images(wide_dataset, tmp_path)
     images fill a forward batch.  Quantized, it also holds the split's
     codes, ceil(dim/4) bytes per image, and writes them from their own
     buffer: the 48 more images raise the peak by their codes and at most
-    64 KiB more."""
+    64 KiB more.  With PCA, past the sample cap, the PCA stage holds one
+    forward batch and the fixed samples, so the bound is again 1.25x."""
     manifest, config = wide_dataset
-    for quantize in (False, True):
-        config = dataclasses.replace(config, quantize=quantize)
+    # 16 images already pass the PCA config's cap in both resolutions, so
+    # its PCA stage holds two fixed samples of 100 rows
+    pca = dataclasses.replace(config, pca_dim=8, pca_sample_cap=100)
+    for quantize, config in ((False, config), (True, dataclasses.replace(config, quantize=True)),
+                             ("pca", pca)):
         peaks = []
         for n_train in (16, 64):
             report, peak = _traced_peak(lambda: run_pipeline(
                 config, manifest(n_train), tmp_path / f"{quantize}-{n_train}",
                 stages="representations",
             ))
-            assert report["dims"]["representation_dim"] == 92160
+            assert report["dims"]["representation_dim"] == (2560 if config.pca_dim else 92160)
             peaks.append(peak)
-        if quantize:
+        if quantize is True:
             assert peaks[1] - peaks[0] <= 48 * (92160 + 3) // 4 + 64 * 1024
         else:
             assert peaks[1] <= 1.25 * peaks[0]
@@ -1003,15 +1011,32 @@ def test_cross_layer_keys_pca_sample_fields_only_with_pca(tmp_path, pca_dim):
     assert run_pipeline(other, manifest, tmp_path / "w")["cache"]["representations"] == "miss"
 
 
-def test_seed_changes_network_hash(dataset, tmp_path):
-    """Same config except the seed gives a different cache key."""
+def test_seed_and_cap_under_the_cap_reuse_every_stage(dataset, tmp_path):
+    """A PCA config whose training features stay under ``pca_sample_cap``
+    fits on every row and never draws from the seed, so a rerun that
+    changes only ``seed``, or only ``pca_sample_cap``, hits the PCA,
+    representation, kernel and model stages with the same bytes.  (Past
+    the cap both are keyed: see the 6/6 set at a cap of 50 above.)"""
     manifest, net_path = dataset
-    a = run_pipeline(
-        PipelineConfig(network=net_path, pca_dim=8, seed=1),
-        manifest, tmp_path / "w",
-    )
-    b = run_pipeline(
-        PipelineConfig(network=net_path, pca_dim=8, seed=2),
-        manifest, tmp_path / "w",
-    )
-    assert a["config_hash"] != b["config_hash"]
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "w")
+    built = _stage_files(first)
+    for name, value in (("seed", 2), ("pca_sample_cap", 50000)):
+        rerun = run_pipeline(dataclasses.replace(config, **{name: value}), manifest, tmp_path / "w")
+        assert rerun["cache"] == PCA_HIT, name
+        assert rerun["config_hash"] == first["config_hash"]
+        assert _stage_files(rerun) == built
+
+
+def test_changed_test_entries_reuse_the_pca_stage(dataset, tmp_path):
+    """The PCA fit reads only the training entries, so a run whose manifest
+    changes only its test entries hits the PCA stage and rebuilds the
+    representations with the same models."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "w")
+    fewer = DatasetManifest(manifest.split("train") + manifest.split("test")[:-3])
+    rerun = run_pipeline(config, fewer, tmp_path / "w")
+    assert rerun["cache"] == {"pca": "hit", "representations": "miss", "kernel": "miss",
+                              "model": "miss"}
+    assert rerun["artifacts"]["pca"] == first["artifacts"]["pca"]

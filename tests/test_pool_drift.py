@@ -91,6 +91,8 @@ float64 oracle rounded to float32, as the pipeline computed it before.
 import dataclasses
 from typing import NamedTuple
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -456,15 +458,17 @@ def test_parts_rows_within_bound(tmp_path):
 
 
 def record_pca_models(monkeypatch):
+    """The PCA models the representation stage loads from the PCA stage,
+    by resolution, recorded as it loads them."""
     fitted = {}
-    fit = crosspool.pipeline._fit_pca_models
+    load = crosspool.pipeline.load_pca
 
-    def recorded_fit(images, config):
-        models, seconds = fit(images, config)
-        fitted.update(models)
-        return models, seconds
+    def recorded_load(path):
+        model = load(path)
+        fitted[os.path.basename(path)[len("pca_"):-len(".pca")]] = model
+        return model
 
-    monkeypatch.setattr(crosspool.pipeline, "_fit_pca_models", recorded_fit)
+    monkeypatch.setattr(crosspool.pipeline, "load_pca", recorded_load)
     return fitted
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import crosspool.postproc
 from crosspool.errors import (
     ContractError,
     CorruptionError,
@@ -341,3 +342,81 @@ def test_sign_stack_dim_mismatch(tmp_path):
     codes = sign_quantize(np.ones((2, 4)))
     with pytest.raises(ContractError):
         save_sign_stack(codes, 5, tmp_path / "bad.sgns")
+
+
+def whole_sample_fit(sample, output_dim):
+    """The whole-sample PCA expression, the chunked fit's oracle: one
+    centered float64 copy and one cross-product; the eigenvalues and the
+    sign-fixed basis rows, in float64."""
+    mean = sample.mean(axis=0, dtype=np.float64)
+    centered = sample - mean
+    cov = centered.T @ centered / (sample.shape[0] - 1)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    order = np.argsort(eigenvalues)[::-1][:output_dim]
+    basis = eigenvectors[:, order].T.copy()
+    for row in basis:
+        if row[int(np.argmax(np.abs(row)))] < 0:
+            row *= -1.0
+    return mean, basis, eigenvalues[order], eigenvalues
+
+
+def test_pca_fit_in_one_chunk_is_the_whole_sample_expression():
+    """A sample of at most ``PCA_CHUNK_ROWS`` rows is fitted by the oracle's
+    expression: the model equals its float32 rounding bit for bit."""
+    sample = np.random.default_rng(80).standard_normal((300, 12)).astype(np.float32)
+    mean, basis, eigenvalues, _ = whole_sample_fit(sample, 5)
+    model = pca_fit(sample, 5)
+    for got, want in ((model.mean, mean), (model.basis, basis), (model.eigenvalues, eigenvalues)):
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 299])
+def test_chunked_pca_fit_is_within_rounding_of_the_whole_sample(monkeypatch, chunk):
+    """Fitted in chunks of ``chunk`` rows, the eigenvalues and projections
+    lie within a derived tolerance of the whole-sample oracle.
+
+    The two fits differ only in how the cross-product C = X'X of the
+    centered rows (n = 300 rows, d = 12, u = 2**-53) is summed, and in
+    their own ``eigh`` rounding.  Each entry of either sum is within
+    gamma_n * (|X|'|X|)_ij of the exact one (gamma_n = n u / (1 - n u)),
+    so after the division by n - 1 the covariances differ by a matrix E
+    with ||E||_2 <= ||E||_F <= 2 gamma_n ||X||_F^2 / (n - 1)
+    = 2 gamma_n trace(S), S the covariance.  ``eigh`` is backward stable:
+    each fit's eigenpairs are exact for its matrix plus a perturbation of
+    norm at most p(d) u ||S||_2; with p(d) = d, the two fits are exact for
+    matrices eps = 2 gamma_n trace(S) + 2 d u ||S||_2 apart.  Then:
+    - Weyl: each eigenvalue moves by at most eps; the model rounds it to
+      float32, one more relative 2**-24.
+    - Davis-Kahan: basis row i turns by sin(theta_i) <= eps / (g_i - eps),
+      g_i its eigenvalue's distance to the rest of the spectrum; with the
+      same sign convention ||b - b'|| <= sqrt(2) sin(theta_i).  A row x
+      projects, ((x - m) . b), differently by at most ||x - m|| times that,
+      plus the float32 rounding of the model's basis (2**-24 sqrt(d)
+      ||x - m||) and mean (2**-24 ||m||).
+    The sample's eigenvalues are spread 1 to 64, so every g_i is large
+    against eps and the tolerance is about 1e-13 relative for the
+    eigenvalues; float32 rounding dominates the projections."""
+    monkeypatch.setattr(crosspool.postproc, "PCA_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(81)
+    n, d, k = 300, 12, 5
+    scales = np.sqrt(np.geomspace(64.0, 1.0, d))
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    sample = ((rng.standard_normal((n, d)) * scales) @ rotation + 3.0).astype(np.float32)
+    mean, basis, eigenvalues, spectrum = whole_sample_fit(sample, k)
+    model = pca_fit(sample, k)
+
+    u, u32 = 2.0**-53, 2.0**-24
+    gamma = n * u / (1 - n * u)
+    eps = 2 * gamma * spectrum.sum() + 2 * d * u * spectrum.max()
+    np.testing.assert_array_less(
+        np.abs(model.eigenvalues - eigenvalues), eps + u32 * eigenvalues + 1e-300
+    )
+    order = np.sort(spectrum)[::-1]
+    gaps = np.array([np.min(np.abs(np.delete(order, i) - order[i])) for i in range(k)])
+    turn = np.sqrt(2) * eps / (gaps - eps)
+    rows = sample.astype(np.float64)
+    norms = np.linalg.norm(rows - mean, axis=1, keepdims=True)
+    tolerance = norms * (turn + u32 * np.sqrt(d)) + u32 * np.linalg.norm(mean)
+    got = (rows - model.mean.astype(np.float64)) @ model.basis.astype(np.float64).T
+    want = (rows - mean) @ basis.T
+    assert np.all(np.abs(got - want) <= tolerance)

@@ -30,14 +30,15 @@ from crosspool.svm import (
 )
 
 
-def projected_gradient_oracle(q, c, steps=200000, lr=None):
-    """Minimize 0.5 a'Qa - sum(a) over the box [0, c]^n by projected gradient."""
+def projected_gradient_oracle(q, c, steps=200000, lr=None, p=-1.0):
+    """Minimize 0.5 a'Qa + p'a over the box [0, c]^n by projected gradient;
+    the default p = -1 is the classifier's dual, 0.5 a'Qa - sum(a)."""
     n = q.shape[0]
     if lr is None:
         lr = 1.0 / np.linalg.eigvalsh(q).max()
     alpha = np.zeros(n)
     for _ in range(steps):
-        grad = q @ alpha - 1.0
+        grad = q @ alpha + p
         new = np.clip(alpha - lr * grad, 0.0, c)
         if np.abs(new - alpha).max() < 1e-12:
             alpha = new
@@ -105,7 +106,7 @@ def train_per_class(gram, label_sets, c=1.0, tol=1e-4, max_iterations=200):
     for name in classes:
         y = np.where([name in s for s in label_sets], 1.0, -1.0)
         alpha, gradient, iterations, regularized = _solve_dual(
-            y[:, None] * augmented * y, c, tol, max_iterations
+            y[:, None] * augmented * y, -np.ones(y.size), c, tol, max_iterations
         )
         dual.append(alpha * y)
         biases.append(offset * float(dual[-1].sum()))
@@ -291,6 +292,25 @@ def test_matches_projected_gradient_oracle():
     np.testing.assert_allclose(model.biases[0], offset * np.dot(alpha, y), atol=1e-5)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_solver_takes_any_linear_term(seed):
+    """With a seeded random linear term p, the solve of min 1/2 a'Qa + p'a
+    over the box lands on the projected-gradient oracle's minimizer: Q is
+    positive definite, so the minimizer is unique, and p mixes signs, so
+    some variables sit at 0, some at C and some between."""
+    rng = np.random.default_rng(120 + seed)
+    n = 12
+    features = rng.normal(size=(n, n + 4))
+    q = features @ features.T / n + 0.5 * np.eye(n)
+    p = rng.normal(scale=2.0, size=n)
+    c = 1.0
+    alpha, gradient, _, _ = _solve_dual(q, p, c, 1e-10, 200)
+    assert gradient <= 1e-10
+    want = projected_gradient_oracle(q, c, p=p)
+    np.testing.assert_allclose(alpha, want, atol=1e-8)
+    assert (want == 0.0).any() and (want == c).any() and ((want > 0.0) & (want < c)).any()
+
+
 def test_scale_covariance_power_of_two():
     """Scaling K by s^2 with C/s^2 rescales duals exactly and keeps scores."""
     rng = np.random.default_rng(99)
@@ -410,7 +430,7 @@ def test_solver_gradient_is_measured_at_returned_alpha():
     y = np.where(data[:, 0] > 0, 1.0, -1.0)
     _, q = dual_problem(kernels(data, data[:0])[0], y)
     for cap in (1, 3, 200):
-        alpha, gradient, iterations, _ = _solve_dual(q, 0.5, 1e-4, cap)
+        alpha, gradient, iterations, _ = _solve_dual(q, -np.ones(len(q)), 0.5, 1e-4, cap)
         assert 1 <= iterations <= cap
         assert alpha.min() >= 0.0 and alpha.max() <= 0.5
         assert gradient == projected_gradient(q, alpha, 0.5)
@@ -425,7 +445,7 @@ def test_crossover_solves_the_face_exactly():
     data = rng.normal(size=(40, 60))
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     _, q = dual_problem(data @ data.T, y)
-    alpha, gradient, iterations, _ = _solve_dual(q, 0.05, 1e-13, 200)
+    alpha, gradient, iterations, _ = _solve_dual(q, -np.ones(len(q)), 0.05, 1e-13, 200)
     assert gradient <= 1e-13 and iterations <= 10
     free = (alpha > 0.0) & (alpha < 0.05)
     assert free.any() and (alpha == 0.05).any()
@@ -447,7 +467,7 @@ def test_solver_matches_cyclic_oracle(rank, c):
     data = rng.normal(size=(n, 60)) if rank is None else low_rank_features(rng, n, 8, rank, 2.0)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     augmented, q = dual_problem(data @ data.T, y)
-    alpha, gradient, _, _ = _solve_dual(q, c, 1e-4, 200)
+    alpha, gradient, _, _ = _solve_dual(q, -np.ones(len(q)), c, 1e-4, 200)
     oracle = solve_binary_cyclic(augmented, y, c)
     assert gradient <= 1e-4
     assert projected_gradient(q, alpha, c) == gradient
@@ -584,7 +604,7 @@ def solve_dual_oracle(q, c, tol, max_iterations):
 def assert_solves_like_oracle(q, c, max_iterations, tol=1e-4):
     """The solver's alpha bytes, gradient, iterations and regularization
     flag equal the oracle's; returns the solver's result."""
-    result = _solve_dual(q, c, tol, max_iterations)
+    result = _solve_dual(q, -np.ones(len(q)), c, tol, max_iterations)
     alpha, gradient, iterations, regularized = solve_dual_oracle(q, c, tol, max_iterations)
     assert result[0].tobytes() == alpha.tobytes()
     assert result[1:] == (gradient, iterations, regularized)

@@ -37,7 +37,8 @@ def load_tracer(monkeypatch):
 def test_traced_cold_and_cached_runs(tmp_path, monkeypatch, options, parts):
     """Cold, then cached, with every span installed: nothing raises, the
     rerun hits every stage, accuracy equals an untraced run's, the conv
-    count is positive and every image is cut into the config's parts."""
+    count is positive and every image is cut into the config's parts,
+    each training image twice with PCA."""
     tracer_class = load_tracer(monkeypatch)
     manifest_path, net_path = generate(tmp_path / "data", n_train=6, n_test=6, seed=3)
     manifest = parse_manifest(manifest_path)
@@ -50,10 +51,15 @@ def test_traced_cold_and_cached_runs(tmp_path, monkeypatch, options, parts):
         cached = run_pipeline(config, manifest, tmp_path / "traced", workers=1)
     finally:
         tracer.uninstall()
-    assert cold["cache"] == ALL_MISS and cached["cache"] == ALL_HIT
+    # a PCA config also reports its PCA stage
+    pca = {"pca": ...} if options.get("pca_dim") else {}
+    assert cold["cache"] == {**dict.fromkeys(pca, "miss"), **ALL_MISS}
+    assert cached["cache"] == {**dict.fromkeys(pca, "hit"), **ALL_HIT}
     assert cold["metrics"]["accuracy"] == untraced["metrics"]["accuracy"]
     assert cached["metrics"]["accuracy"] == untraced["metrics"]["accuracy"]
     assert tracer.counts["network.conv_macs"] > 0
     calls, _, _ = tracer.summary()
-    assert calls["multires.iter_parts"] == len(manifest.entries)
-    assert tracer.counts["multires.parts"] == parts * len(manifest.entries)
+    # the PCA stage cuts each training image once more, for its sample
+    images = len(manifest.entries) + len(manifest.split("train")) * bool(pca)
+    assert calls["multires.iter_parts"] == images
+    assert tracer.counts["multires.parts"] == parts * images
