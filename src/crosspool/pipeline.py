@@ -12,7 +12,7 @@ reuses the cached artifacts:
                              .fmat files when quantized)
     kernel/<key>/            gram.fmat rows.fmat
     model/<key>/             model.svm solver.json
-    report/<key>.json
+    report/<model key>-<test labels digest>.json
 
 The PCA key covers only what the fit reads: the network through the ReLU
 after the second convolution, the training entries' paths, sizes and
@@ -21,11 +21,16 @@ package version, and ``pca_sample_cap`` and the seed only when some
 resolution's training features, counted from the tensor headers before
 any forward pass, pass the cap, since only then does the fit draw from
 the seed.  The representation key covers that network, which fixes the
-layer pair, window and stride, each tensor's path, size and mtime, the
-labels and the package version; the scheme, the resolution,
-``quantize``, which says what the stage writes, and the PCA key, which
-fixes ``pca_dim``; a config without PCA reads no field of
-``SCHEME_TABLE``'s beyond these.  The representation stage is the one
+layer pair, window and stride, each tensor's path, split, size and mtime
+(no labels: no stage before the model reads one) and the package version;
+the scheme, the resolution, ``quantize``, which says what the stage
+writes, and the PCA key, which fixes ``pca_dim``; a config without PCA
+reads no field of ``SCHEME_TABLE``'s beyond these.  The kernel key is the
+representation key's; the model key adds the training labels, in
+manifest order, and the SVM fields.  The report is named by the model key
+and a digest of the test labels, so that runs that differ only in those
+labels keep a report each; it records the package version and the key of
+each stage that ran.  The representation stage is the one
 place that works out a representation's layout and storage: its
 meta.json holds the report's ``dims`` and ``timing`` blocks as they are,
 and the kernel stage opens each split file by what it holds
@@ -442,15 +447,20 @@ def network_digest(stages) -> str:
     return h.hexdigest()
 
 
-def manifest_digest(entries, labels: bool = True) -> str:
-    """Hash of each entry's path, split, labels (unless ``labels`` is
-    false), and tensor file size and mtime."""
+def manifest_digest(entries) -> str:
+    """Hash of each entry's path, split, and tensor file size and mtime;
+    no label."""
     h = hashlib.sha256()
     for e in entries:
         st = os.stat(e.path)
-        names = ",".join(sorted(e.labels)) if labels else ""
-        h.update(f"{e.path}\t{e.split}\t{names}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
+        h.update(f"{e.path}\t{e.split}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
     return h.hexdigest()
+
+
+def labels_digest(entries) -> str:
+    """Hash of each entry's labels, in manifest order."""
+    text = "".join(",".join(sorted(e.labels)) + "\n" for e in entries)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _key(payload: dict) -> str:
@@ -743,10 +753,10 @@ def run_pipeline(
     network = network_digest(digested)
     train_entries = manifest.split("train")
     test_entries = manifest.split("test")
-    cache, artifacts = {}, {}
+    cache, artifacts, keys = {}, {}, {}
     pca_key = pca_dir = None
     if "pca_dim" in SCHEME_TABLE[config.scheme].fields and config.pca_dim:
-        training = manifest_digest(train_entries, labels=False)
+        training = manifest_digest(train_entries)
         counts = _local_feature_counts(train_entries, head, t1_spec, config.resolution)
         # the fit draws from the seed only where a resolution passes the cap
         drawn = max(counts.values()) > config.pca_sample_cap
@@ -766,7 +776,7 @@ def run_pipeline(
             workdir, "pca", pca_key, use_cache,
             lambda tmp: _fit_pca_models(train_entries, counts, head, t1_spec, config, tmp),
         )
-        artifacts["pca"] = pca_dir
+        artifacts["pca"], keys["pca"] = pca_dir, pca_key
     rep_key = _key(
         {
             "stage": "representations",
@@ -784,12 +794,14 @@ def run_pipeline(
         workdir, "representations", rep_key, use_cache,
         lambda tmp: _compute_representations(config, manifest, head, t1_spec, pca_dir, tmp),
     )
-    artifacts["representations"] = rep_dir
+    artifacts["representations"], keys["representations"] = rep_dir, rep_key
     with open(os.path.join(rep_dir, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     timing = meta["timing"]
     report = {
+        "version": __version__,
         "config_hash": rep_key,
+        "keys": keys,
         "scheme": config.scheme,
         "quantize": config.quantize,
         "dataset": {
@@ -820,7 +832,7 @@ def run_pipeline(
     timing.update(kernel_seconds=None, train_seconds=None)
     kernel_key = _key({"stage": "kernel", "parent": rep_key})
     kernel_dir, cache["kernel"] = _stage(workdir, "kernel", kernel_key, use_cache, build_kernel)
-    report["artifacts"]["kernel"] = kernel_dir
+    artifacts["kernel"], keys["kernel"] = kernel_dir, kernel_key
 
     def build_model(tmp):
         gram = load_features(os.path.join(kernel_dir, "gram.fmat")).data
@@ -843,10 +855,11 @@ def run_pipeline(
             "solver": "interior-point",
             "svm_c": config.svm_c,
             "svm_tol": config.svm_tol,
+            "labels": labels_digest(train_entries),
         }
     )
     model_dir, cache["model"] = _stage(workdir, "model", model_key, use_cache, build_model)
-    report["artifacts"]["model"] = model_dir
+    artifacts["model"], keys["model"] = model_dir, model_key
     with open(os.path.join(model_dir, "solver.json"), "r", encoding="utf-8") as fh:
         report["solver"] = json.load(fh)
 
@@ -860,16 +873,17 @@ def run_pipeline(
         [e.labels for e in test_entries],
         manifest.single_label,
     )
-    report_path = os.path.join(workdir, "report", f"{model_key}.json")
+    name = f"{model_key}-{labels_digest(test_entries)[:16]}"
+    report_path = os.path.join(workdir, "report", f"{name}.json")
     text = json.dumps(report, indent=2, default=str)
     # a rerun that reproduces the report leaves the file as it is
     if not os.path.isfile(report_path) or Path(report_path).read_text("utf-8") != text:
         os.makedirs(os.path.dirname(report_path), exist_ok=True)
-        tmp_path = os.path.join(workdir, "report", f".{model_key}-{os.getpid()}.json")
+        tmp_path = os.path.join(workdir, "report", f".{name}-{os.getpid()}.json")
         with open(tmp_path, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp_path, report_path)
-    report["artifacts"]["report"] = report_path
+    artifacts["report"] = report_path
     return report
 
 

@@ -45,6 +45,26 @@ training set the same way and have bitwise-equal Q and alpha.  Training
 solves each distinct split once; every class still gets its own
 coefficients alpha * y, bias, diagnostics and convergence warning.
 
+The distinct splits are solved in lockstep: ``_solve_dual`` takes a
+stack of k duals of one size, Q (k, n, n) and p (k, n), and makes one
+iteration for every member still in the stack; a member leaves once it
+converges, gives up or reaches the cap.  ``svm_train`` stacks as many
+splits as fit ``SOLVE_BATCH_BYTES`` (32 MiB) of Q, at least one: from
+n = 1449 on that is one, and memory is what one solve needs.
+
+Each member's output is bitwise what a solve of it alone gives, since
+nothing mixes members or regroups a member's arithmetic: elementwise
+operations round alike whatever the shape; each stacked product makes a
+lone product's BLAS call per member, a gemv for ``q @ v[..., None]`` and
+a dot for ``a[..., None, :] @ b[..., None]``; ``np.linalg.solve`` factors
+each member with the same LAPACK call; the reductions over a member's
+entries are minima and maxima, which are exact; and the centering target
+(mu_aff / mu)**3 mu is a numpy scalar per member, since an array power
+may round differently.  Face minimizers, stall counts, the switch to the
+regularization and the stop after an unusable step are per member; a
+stacked solve that raises ``LinAlgError`` is solved again one member at a
+time, and a member whose own solve raises takes the unusable-step path.
+
 The dual is solved by a dense primal-dual interior-point method with
 Mehrotra's predictor-corrector steps.  ``_solve_dual`` takes the linear
 term as a vector p, minimizing (1/2) alpha' Q alpha + p' alpha, and
@@ -52,19 +72,20 @@ training passes p = -1: ``x + (-1.0)`` rounds exactly like ``x - 1.0``.
 The upper slack s = C - alpha is a
 variable of its own, since computing C - alpha near the upper bound loses
 it to rounding.  The iterate (alpha, s, z_l, z_u), where z_l and z_u are
-the multipliers of the two bounds, is held as the rows of one (4, n)
+the multipliers of the two bounds, is held as the rows of one (4, k, n)
 array, and so is each Newton direction, so that a step, its length bound
-and its finiteness check are one numpy call each.  Each iteration solves
-the Newton matrix Q + diag(z_l / alpha + z_u / s) with ``np.linalg.solve``
-twice, for the predictor and for the corrector, and makes at most one
-more solve, on a face.  After each step the iterate names a face: a
-variable sits at a bound when that bound's ratio z / distance exceeds
-Q_ii, a rule that keeps its meaning when Q and C are rescaled; the same
-ratios give the next Newton matrix's diagonal.  Two candidates are
-measured, the iterate with those variables moved onto their bounds and
-(once per face) the exact minimizer on the face; the solver returns as
-soon as one has a projected gradient within tol, measured at that alpha,
-and otherwise returns the best one it saw, and training warns.
+and its finiteness check are one numpy call each for the whole stack.
+Each iteration solves each member's Newton matrix Q + diag(z_l / alpha +
+z_u / s) with ``np.linalg.solve`` twice, for the predictor and for the
+corrector, and makes at most one more solve, on a face.  After each step
+the iterate names a face: a variable sits at a bound when that bound's
+ratio z / distance exceeds Q_ii, a rule that keeps its meaning when Q and
+C are rescaled; the same ratios give the next Newton matrix's diagonal.
+Two candidates are measured, the iterate with those variables moved onto
+their bounds and (once per face) the exact minimizer on the face; a
+member leaves as soon as one has a projected gradient within tol,
+measured at that alpha, and otherwise ends with the best one it saw, and
+training warns.
 
 Gram matrices are read back from float32 files, so a Gram matrix of
 rank r < n carries rounding noise of either sign in its null space and Q
@@ -116,6 +137,9 @@ DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-4
 MAX_ITERATIONS = 200
 BLOCK_DIMS = 4096
+# Bytes of the Q matrices that training solves in one lockstep stack; a
+# Newton matrix of the same size is built from it at each iteration.
+SOLVE_BATCH_BYTES = 32 * 1024 * 1024
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -227,22 +251,37 @@ def _normalize_labels(labels: Sequence) -> list[frozenset[str]]:
     return out
 
 
-def _projected_gradient(q: np.ndarray, p: np.ndarray, alpha: np.ndarray, c: float) -> float:
-    """Largest projected gradient of the dual at ``alpha``."""
-    grad = q @ alpha + p
+def _gemv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``q @ v`` for each member of a stack, (k, n, n) by (k, n), or for one
+    (n, n) matrix and vector: each member is one BLAS gemv, the call that a
+    lone matrix-vector product makes."""
+    return (q @ v[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[..., i, :] @ b[..., i, :]`` for each row of two arrays of one
+    shape, each one BLAS dot, the call that a lone dot product makes."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _projected_gradient(q: np.ndarray, p: np.ndarray, alpha: np.ndarray, c: float):
+    """Largest projected gradient of the dual at ``alpha``, for one dual or
+    for each member of a stack."""
+    grad = _gemv(q, alpha) + p
     grad = np.where(alpha <= 0.0, np.minimum(grad, 0.0),
                     np.where(alpha >= c, np.maximum(grad, 0.0), grad))
-    return float(np.abs(grad).max())
+    return np.abs(grad).max(axis=-1)
 
 
-def _longest_step(point, step) -> float:
-    """Largest t <= 1 that keeps every ``point + t * step`` nonnegative.
+def _longest_step(point, step):
+    """Largest t <= 1 that keeps every ``point + t * step`` nonnegative, for
+    a (4, n) point or for each member of a (4, k, n) stack.
 
     Each row bounds t by its own smallest ratio; a row whose ratios hold a
     NaN bounds nothing, like a row with nothing shrinking."""
     shrinking = step < 0.0
     ratios = np.divide(-point, step, out=np.full(point.shape, np.inf), where=shrinking)
-    return float(np.fmin.reduce(ratios.min(axis=1), initial=1.0))
+    return np.fmin.reduce(ratios.min(axis=-1), axis=0, initial=1.0)
 
 
 def _face_minimizer(q, p, c, lower, upper) -> np.ndarray | None:
@@ -259,96 +298,140 @@ def _face_minimizer(q, p, c, lower, upper) -> np.ndarray | None:
     return np.clip(alpha, 0.0, c)
 
 
+def _solve_each(newton, rhs) -> np.ndarray:
+    """``newton[i]^-1 rhs[i]`` for each member, as one stacked solve.  When
+    that raises, each member is solved alone, and a singular member's row
+    is NaN."""
+    try:
+        return np.linalg.solve(newton, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (matrix, vector) in enumerate(zip(newton, rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(matrix, vector)
+        return out
+
+
 def _newton_step(q, p, point, ratio, c, reg):
-    """Mehrotra's predictor-corrector direction at ``point``, the (4, n)
-    rows alpha, slack, z_l and z_u, as another (4, n) array; None when it
-    is not finite.  ``ratio`` holds the rows z_l / alpha and z_u / slack."""
+    """Mehrotra's predictor-corrector directions at ``point``, the (4, k, n)
+    rows alpha, slack, z_l and z_u of k members, as another (4, k, n)
+    array, and which members' directions are usable: finite, so not from a
+    singular Newton matrix.  ``ratio`` holds the rows z_l / alpha and
+    z_u / slack, and ``reg`` each member's regularization."""
     alpha, slack, z_l, z_u = point
     x, z = point[:2], point[2:]
-    n = alpha.size
-    neg_r_d = -(q @ alpha + p - z_l + z_u)
+    k, n = alpha.shape
+    neg_r_d = -(_gemv(q, alpha) + p - z_l + z_u)
     r_p = alpha + slack - c
     neg_r_p = -r_p
     # one division gives r_l / alpha and (r_u - z_u r_p) / slack; r_l - 0.0 is r_l
-    shift = np.zeros((2, n))
+    shift = np.zeros((2, k, n))
     np.multiply(z_u, r_p, out=shift[1])
     xz = x * z
-    mu = (alpha @ z_l + slack @ z_u) / (2 * n)
+    mu = _dot(x, z)
+    mu = (mu[0] + mu[1]) / (2 * n)
     newton = q.copy()
-    newton.ravel()[:: n + 1] += ratio[0] + ratio[1] + reg
+    newton.reshape(k, -1)[:, :: n + 1] += ratio[0] + ratio[1] + reg[:, None]
 
     def direction(r):
         scaled = (r - shift) / x
-        d = np.empty((4, n))
-        d[0] = np.linalg.solve(newton, neg_r_d - scaled[0] + scaled[1])
+        d = np.empty((4, k, n))
+        d[0] = _solve_each(newton, neg_r_d - scaled[0] + scaled[1])
         np.subtract(neg_r_p, d[0], out=d[1])
         np.divide(-r - z * d[:2], x, out=d[2:])
         return d
 
-    try:
-        affine = direction(xz)
-        t = _longest_step(point, affine)
-        trial = point + t * affine
-        mu_affine = (trial[0] @ trial[2] + trial[1] @ trial[3]) / (2 * n)
-        target = (mu_affine / mu) ** 3 * mu
-        step = direction(xz + affine[:2] * affine[2:] - target)
-    except np.linalg.LinAlgError:
-        return None
-    return step if np.isfinite(step).all() else None
+    affine = direction(xz)
+    trial = point + _longest_step(point, affine)[:, None] * affine
+    mu_affine = _dot(trial[:2], trial[2:])
+    mu_affine = (mu_affine[0] + mu_affine[1]) / (2 * n)
+    # per member, as numpy scalars: an array power may round differently
+    target = np.array([(m_affine / m) ** 3 * m for m_affine, m in zip(mu_affine, mu)])
+    step = direction(xz + affine[:2] * affine[2:] - target[:, None])
+    return step, np.isfinite(step).all(axis=(0, 2))
 
 
 # an iterate pressed against a bound can overflow z / alpha; the non-finite
 # step that follows is caught
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve_dual(q: np.ndarray, p: np.ndarray, c: float, tol: float, max_iterations: int):
-    """Interior-point solve of min 1/2 a'Qa + p'a over 0 <= a <= c.
+    """Interior-point solves of min 1/2 a'Q_i a + p_i'a over 0 <= a <= c for
+    a stack of k duals of one size, ``q`` (k, n, n) and ``p`` (k, n), in
+    lockstep.
 
-    Returns alpha, the largest projected gradient at that alpha, the
-    iterations taken, and whether the regularization was switched on.
+    Returns, for each member, alpha, the largest projected gradient at that
+    alpha, the iterations taken, and whether the regularization was
+    switched on.
     """
-    n = q.shape[0]
-    diag = q.diagonal()
-    rho = 2.0 * np.sqrt(n) * 2.0**-24 * float(diag.max())
-    reg = 0.0
-    point = np.empty((4, n))
+    k, n = p.shape
+    rho = 2.0 * np.sqrt(n) * 2.0**-24 * q.diagonal(axis1=1, axis2=2).max(axis=1)
+    reg = np.zeros(k)
+    point = np.empty((4, k, n))
     point[:2] = 0.5 * c
-    grad = q @ point[0] + p
+    grad = _gemv(q, point[0]) + p
     point[2] = 1.0 + np.maximum(grad, 0.0)
     point[3] = 1.0 + np.maximum(-grad, 0.0)
     ratio = point[2:] / point[:2]
-    best, best_gradient = point[0], _projected_gradient(q, p, point[0], c)
-    faces = set()
-    stalls = 0
-    iteration = 0
-    while iteration < max_iterations and best_gradient > tol:
-        iteration += 1
-        step = _newton_step(q, p, point, ratio, c, reg)
-        if step is None:
-            if reg or not rho:
+    diag = q.diagonal(axis1=1, axis2=2)
+    # one entry per member: the best alpha and its gradient, the faces
+    # tried, the short steps in a row and whether it is still running
+    best = list(point[0].copy())
+    best_gradient = _projected_gradient(q, p, point[0], c).tolist()
+    faces = [set() for _ in range(k)]
+    stalls = [0] * k
+    live = [gradient > tol for gradient in best_gradient]
+    # each member's place in the stack as given, and its result once it leaves
+    members, results = list(range(k)), [None] * k
+    for iteration in range(max_iterations + 1):
+        if iteration == max_iterations:
+            live = [False] * len(members)
+        if not all(live):
+            for j, alive in enumerate(live):
+                if not alive:
+                    results[members[j]] = (best[j], best_gradient[j], iteration, bool(reg[j]))
+            if not any(live):
                 break
-            reg = rho
-            continue
+            members, best, best_gradient, faces, stalls = (
+                [x for x, kept in zip(xs, live) if kept]
+                for xs in (members, best, best_gradient, faces, stalls)
+            )
+            q, p, rho, reg = q[live], p[live], rho[live], reg[live]
+            point, ratio = point[:, live], ratio[:, live]
+            diag = q.diagonal(axis1=1, axis2=2)
+            live = [True] * len(members)
+        step, usable = _newton_step(q, p, point, ratio, c, reg)
         t = 0.99 * _longest_step(point, step)
-        point = point + t * step
+        moved = point + t[:, None] * step
+        if not usable.all():
+            moved[:, ~usable] = point[:, ~usable]
+        point = moved
         ratio = point[2:] / point[:2]
-        stalls = stalls + 1 if t < 0.1 else 0
-        if stalls == 3:
-            reg = rho
-
         above = ratio > diag
         lower = above[0] & (ratio[0] >= ratio[1])
         upper = above[1] & (ratio[1] > ratio[0])
-        candidates = [np.where(lower, 0.0, np.where(upper, c, point[0]))]
-        face = (lower.tobytes(), upper.tobytes())
-        if face not in faces:
-            faces.add(face)
-            candidates.append(_face_minimizer(q, p, c, lower, upper))
-        for candidate in candidates:
-            if candidate is not None:
-                gradient = _projected_gradient(q, p, candidate, c)
-                if gradient < best_gradient:
-                    best, best_gradient = candidate, gradient
-    return best, best_gradient, iteration, bool(reg)
+        candidates = np.where(lower, 0.0, np.where(upper, c, point[0]))
+        gradients = _projected_gradient(q, p, candidates, c).tolist()
+        for j, (usable_j, t_j) in enumerate(zip(usable.tolist(), t.tolist())):
+            if not usable_j:
+                # give up, or take the same step again regularized
+                live[j] = not (reg[j] or not rho[j])
+                reg[j] = rho[j]
+                continue
+            stalls[j] = stalls[j] + 1 if t_j < 0.1 else 0
+            if stalls[j] == 3:
+                reg[j] = rho[j]
+            if gradients[j] < best_gradient[j]:
+                best[j], best_gradient[j] = candidates[j], gradients[j]
+            face = (lower[j].tobytes(), upper[j].tobytes())
+            if face not in faces[j]:
+                faces[j].add(face)
+                alpha = _face_minimizer(q[j], p[j], c, lower[j], upper[j])
+                if alpha is not None:
+                    gradient = float(_projected_gradient(q[j], p[j], alpha, c))
+                    if gradient < best_gradient[j]:
+                        best[j], best_gradient[j] = alpha, gradient
+            live[j] = best_gradient[j] > tol
+    return results
 
 
 def svm_train(
@@ -394,16 +477,26 @@ def svm_train(
     offset = float(np.trace(gram)) / n
     augmented = gram + offset
 
-    dual, biases, diagnostics = [], [], []
+    # one dual per distinct split, posed by the first class that makes it
+    ys = [np.where([name in s for s in label_sets], 1.0, -1.0) for name in classes]
+    splits = {}
+    for y in ys:
+        splits.setdefault((y * y[0]).tobytes(), y)
+    splits = list(splits.items())
+    per_group = max(1, SOLVE_BATCH_BYTES // (8 * n * n))
     solves = {}
-    for name in classes:
-        y = np.where([name in s for s in label_sets], 1.0, -1.0)
-        split = (y * y[0]).tobytes()
-        if split not in solves:
-            solves[split] = _solve_dual(
-                y[:, None] * augmented * y, np.full(n, -1.0), c, tol, max_iterations
-            )
-        alpha, gradient, iterations, regularized = solves[split]
+    for lo in range(0, len(splits), per_group):
+        group = splits[lo : lo + per_group]
+        q = np.empty((len(group), n, n))
+        for member, (_, y) in zip(q, group):
+            np.multiply(y[:, None] * augmented, y, out=member)
+        results = _solve_dual(q, np.full((len(group), n), -1.0), c, tol, max_iterations)
+        del q  # before the next group's stack is allocated
+        solves.update(zip((split for split, _ in group), results))
+
+    dual, biases, diagnostics = [], [], []
+    for name, y in zip(classes, ys):
+        alpha, gradient, iterations, regularized = solves[(y * y[0]).tobytes()]
         if gradient > tol:
             warnings.warn(
                 f"class {name!r} not converged: max projected gradient "

@@ -342,8 +342,10 @@ def test_workdir_holds_only_published_stages(dataset, tmp_path):
         "representations": ["meta.json", "test.signs", "train.signs"],
         "kernel": ["gram.fmat", "rows.fmat"],
         "model": ["model.svm", "solver.json"],
-        "report": [f"{first['artifacts']['model'].rsplit('/', 1)[-1]}.json"],
+        "report": [Path(first["artifacts"]["report"]).name],
     }
+    # named by the model key and the test labels' digest
+    assert contents["report"][0].startswith(Path(first["artifacts"]["model"]).name + "-")
 
 
 def test_edited_tensors_miss_the_cache(tmp_path):
@@ -1040,3 +1042,44 @@ def test_changed_test_entries_reuse_the_pca_stage(dataset, tmp_path):
     assert rerun["cache"] == {"pca": "hit", "representations": "miss", "kernel": "miss",
                               "model": "miss"}
     assert rerun["artifacts"]["pca"] == first["artifacts"]["pca"]
+
+
+def test_relabeled_entries_miss_only_the_model(dataset, tmp_path):
+    """No stage before the model reads a label.  Relabeling one test entry
+    hits the PCA, representation, kernel and model stages, with the metrics
+    of a fresh workdir, and keeps a report of its own; relabeling one
+    training entry misses the model stage only.  Each report records the
+    package version and the key of every stage, so the keys tell which
+    stage missed."""
+    manifest, net_path = dataset
+    config = PipelineConfig(network=net_path, pca_dim=8, seed=1)
+    first = run_pipeline(config, manifest, tmp_path / "w")
+    assert first["version"] == crosspool.__version__
+    assert set(first["keys"]) == {"pca", "representations", "kernel", "model"}
+    assert first["keys"]["representations"] == first["config_hash"]
+    for stage, key in first["keys"].items():
+        assert Path(first["artifacts"][stage]).name == key
+
+    def relabeled(split):
+        entries = [dataclasses.replace(e) for e in manifest.entries]
+        entry = next(e for e in entries if e.split == split)
+        entry.labels = frozenset({next(c for c in manifest.classes() if c not in entry.labels)})
+        return DatasetManifest(entries)
+
+    test_relabeled = relabeled("test")
+    rerun = run_pipeline(config, test_relabeled, tmp_path / "w")
+    fresh = run_pipeline(config, test_relabeled, tmp_path / "fresh")
+    assert rerun["cache"] == PCA_HIT
+    assert rerun["keys"] == first["keys"]
+    assert rerun["metrics"] == fresh["metrics"] != first["metrics"]
+    assert rerun["artifacts"]["report"] != first["artifacts"]["report"]
+    assert json.loads(Path(first["artifacts"]["report"]).read_text())["metrics"] == first["metrics"]
+
+    train_relabeled = relabeled("train")
+    rerun = run_pipeline(config, train_relabeled, tmp_path / "w")
+    fresh = run_pipeline(config, train_relabeled, tmp_path / "fresh2")
+    assert rerun["cache"] == {**PCA_HIT, "model": "miss"}
+    assert {s: k for s, k in rerun["keys"].items() if k != first["keys"][s]} == {
+        "model": rerun["keys"]["model"]
+    }
+    assert rerun["metrics"] == fresh["metrics"]

@@ -5,7 +5,8 @@ optimizing the same box-constrained objective: projected gradient descent,
 which must land on the same stationary point for strictly convex problems,
 and a cyclic coordinate-descent solver, whose objective the
 interior-point solver must match or beat.  It must also match, bit for
-bit, the same method written with one array per iterate row.
+bit, the same method written with one array per iterate row, for
+every member of a stack of duals solved in lockstep.
 """
 
 import struct
@@ -96,6 +97,12 @@ def projected_gradient(q, alpha, c):
                            np.where(alpha >= c, np.maximum(grad, 0.0), grad))).max()
 
 
+def solve_one(q, p, c, tol, max_iterations):
+    """``_solve_dual`` on a stack of one dual: its alpha, gradient,
+    iterations and regularization flag."""
+    return _solve_dual(q[None], p[None], c, tol, max_iterations)[0]
+
+
 def train_per_class(gram, label_sets, c=1.0, tol=1e-4, max_iterations=200):
     """One-vs-rest training with one dual solve per class, none shared:
     the dual coefficients, biases and diagnostics of every class."""
@@ -105,7 +112,7 @@ def train_per_class(gram, label_sets, c=1.0, tol=1e-4, max_iterations=200):
     dual, biases, diagnostics = [], [], []
     for name in classes:
         y = np.where([name in s for s in label_sets], 1.0, -1.0)
-        alpha, gradient, iterations, regularized = _solve_dual(
+        alpha, gradient, iterations, regularized = solve_one(
             y[:, None] * augmented * y, -np.ones(y.size), c, tol, max_iterations
         )
         dual.append(alpha * y)
@@ -124,7 +131,8 @@ def train_per_class(gram, label_sets, c=1.0, tol=1e-4, max_iterations=200):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The Q matrices of the dual solves ``svm_train`` makes."""
+    """The (k, n, n) stacks of Q matrices that ``svm_train`` solves, one
+    entry per lockstep solve; each member is one dual."""
     calls = []
 
     def counting(q, *args):
@@ -304,7 +312,7 @@ def test_solver_takes_any_linear_term(seed):
     q = features @ features.T / n + 0.5 * np.eye(n)
     p = rng.normal(scale=2.0, size=n)
     c = 1.0
-    alpha, gradient, _, _ = _solve_dual(q, p, c, 1e-10, 200)
+    alpha, gradient, _, _ = solve_one(q, p, c, 1e-10, 200)
     assert gradient <= 1e-10
     want = projected_gradient_oracle(q, c, p=p)
     np.testing.assert_allclose(alpha, want, atol=1e-8)
@@ -362,14 +370,15 @@ def test_predict_tie_breaks_to_first_class():
     ([{"red", "big"}] * 8 + [{"blue"}] * 8 + [{"green"}] * 8, 3),
 ])
 def test_classes_with_one_split_share_a_solve(solves, labels, count):
-    """Classes whose label vectors are equal or negated make one solve,
-    and each class gets exactly what a solve of its own would give."""
+    """Classes whose label vectors are equal or negated make one member of
+    the one stacked solve, and each class gets exactly what a solve of its
+    own would give."""
     rng = np.random.default_rng(111)
     centers = np.array([[8.0, 0.0], [-8.0, 8.0], [0.0, -8.0]])
     data = np.vstack([rng.normal(size=(8, 2)) + c for c in centers])
     gram = kernels(data, data[:0])[0]
     model = svm_train(gram, labels)
-    assert len(solves) == count
+    assert [len(q) for q in solves] == [count]
     label_sets = [{x} if isinstance(x, str) else set(x) for x in labels]
     dual, biases, diagnostics = train_per_class(gram, label_sets)
     assert model.dual_coeffs.tobytes() == dual.tobytes()
@@ -408,7 +417,7 @@ def test_sweep_cap_warns(solves):
     labels = ["pos"] * 20 + ["neg"] * 20
     with pytest.warns(RuntimeWarning) as record:
         model = svm_train(gram, labels, max_iterations=1)
-    assert len(solves) == 1
+    assert [len(q) for q in solves] == [1]
     dual, biases, diagnostics = train_per_class(
         gram, [{x} for x in labels], max_iterations=1
     )
@@ -430,7 +439,7 @@ def test_solver_gradient_is_measured_at_returned_alpha():
     y = np.where(data[:, 0] > 0, 1.0, -1.0)
     _, q = dual_problem(kernels(data, data[:0])[0], y)
     for cap in (1, 3, 200):
-        alpha, gradient, iterations, _ = _solve_dual(q, -np.ones(len(q)), 0.5, 1e-4, cap)
+        alpha, gradient, iterations, _ = solve_one(q, -np.ones(len(q)), 0.5, 1e-4, cap)
         assert 1 <= iterations <= cap
         assert alpha.min() >= 0.0 and alpha.max() <= 0.5
         assert gradient == projected_gradient(q, alpha, 0.5)
@@ -445,7 +454,7 @@ def test_crossover_solves_the_face_exactly():
     data = rng.normal(size=(40, 60))
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     _, q = dual_problem(data @ data.T, y)
-    alpha, gradient, iterations, _ = _solve_dual(q, -np.ones(len(q)), 0.05, 1e-13, 200)
+    alpha, gradient, iterations, _ = solve_one(q, -np.ones(len(q)), 0.05, 1e-13, 200)
     assert gradient <= 1e-13 and iterations <= 10
     free = (alpha > 0.0) & (alpha < 0.05)
     assert free.any() and (alpha == 0.05).any()
@@ -467,7 +476,7 @@ def test_solver_matches_cyclic_oracle(rank, c):
     data = rng.normal(size=(n, 60)) if rank is None else low_rank_features(rng, n, 8, rank, 2.0)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     augmented, q = dual_problem(data @ data.T, y)
-    alpha, gradient, _, _ = _solve_dual(q, -np.ones(len(q)), c, 1e-4, 200)
+    alpha, gradient, _, _ = solve_one(q, -np.ones(len(q)), c, 1e-4, 200)
     oracle = solve_binary_cyclic(augmented, y, c)
     assert gradient <= 1e-4
     assert projected_gradient(q, alpha, c) == gradient
@@ -602,20 +611,27 @@ def solve_dual_oracle(q, c, tol, max_iterations):
 
 
 def assert_solves_like_oracle(q, c, max_iterations, tol=1e-4):
-    """The solver's alpha bytes, gradient, iterations and regularization
-    flag equal the oracle's; returns the solver's result."""
-    result = _solve_dual(q, -np.ones(len(q)), c, tol, max_iterations)
-    alpha, gradient, iterations, regularized = solve_dual_oracle(q, c, tol, max_iterations)
-    assert result[0].tobytes() == alpha.tobytes()
-    assert result[1:] == (gradient, iterations, regularized)
-    return result
+    """Each member of one lockstep solve of the (k, n, n) stack ``q`` has
+    the alpha bytes, gradient, iterations and regularization flag of the
+    oracle's solve of that member alone; returns the solver's results."""
+    results = _solve_dual(q, -np.ones(q.shape[:2]), c, tol, max_iterations)
+    assert len(results) == len(q)
+    for member, result in zip(q, results):
+        alpha, gradient, iterations, regularized = solve_dual_oracle(
+            member, c, tol, max_iterations
+        )
+        assert result[0].tobytes() == alpha.tobytes()
+        assert result[1:] == (gradient, iterations, regularized)
+    return results
 
 
 def solver_battery_case(seed, max_rows=100):
-    """A seeded dual of 2 to ``max_rows`` rows: the Gram of features of
-    rank 1 to 199, rectified and square-rooted for odd seeds, offset by 0,
-    1 or 100 and scaled by 1e-3, 1 or 1e3, rounded through float32 like
-    gram.fmat; with C in [1e-2, 1e2] and an iteration cap of 1, 3 or 200."""
+    """A seeded stack of 1 to 4 duals of 2 to ``max_rows`` rows on one
+    Gram, that of features of rank 1 to 199, rectified and square-rooted for
+    odd seeds, offset by 0, 1 or 100 and scaled by 1e-3, 1 or 1e3, rounded
+    through float32 like gram.fmat; each member with its own random labels,
+    the first drawn before C in [1e-2, 1e2] and an iteration cap of 1, 3 or
+    200, the others after."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_rows + 1))
     features = rng.normal(size=(n, int(rng.integers(1, 200))))
@@ -624,12 +640,14 @@ def solver_battery_case(seed, max_rows=100):
     features = (features + rng.choice([0.0, 1.0, 100.0])) * 10.0 ** rng.choice([-3, 0, 3])
     gram = (features @ features.T).astype(np.float32).astype(np.float64)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return dual_problem(gram, y)[1], 10.0 ** rng.uniform(-2.0, 2.0), int(rng.choice([1, 3, 200]))
+    c, cap = 10.0 ** rng.uniform(-2.0, 2.0), int(rng.choice([1, 3, 200]))
+    ys = [y, *np.where(rng.random((int(rng.integers(0, 4)), n)) < 0.5, 1.0, -1.0)]
+    return np.stack([dual_problem(gram, y)[1] for y in ys]), c, cap
 
 
 @pytest.mark.parametrize("block", range(6))
 def test_solver_matches_oracle_bitwise(block):
-    """150 seeded duals, 25 per test."""
+    """150 seeded stacks, 25 per test."""
     for seed in range(25 * block, 25 * (block + 1)):
         assert_solves_like_oracle(*solver_battery_case(seed))
 
@@ -637,35 +655,42 @@ def test_solver_matches_oracle_bitwise(block):
 def test_solver_matches_oracle_when_regularized():
     """150 rows of rank-2 features offset by 100 and scaled by 1e3: the
     float32 noise is large against 1 / C, the steps stall, and the + rho I
-    safeguard switches on; the solver stops at its cap above tol."""
+    safeguard switches on; the solver stops at its cap above tol.  The
+    second member of the stack, the same Gram split along a feature, leaves
+    the stack before the cap."""
     rng = np.random.default_rng(2)
     data = low_rank_features(rng, 150, 20, 2, 100.0) * 1e3
     gram = (data @ data.T).astype(np.float32).astype(np.float64)
     y = np.where(rng.random(150) < 0.5, 1.0, -1.0)
-    _, gradient, iterations, regularized = assert_solves_like_oracle(
-        dual_problem(gram, y)[1], 1.0, 200
+    split = np.where(data[:, 0] > np.median(data[:, 0]), 1.0, -1.0)
+    results = assert_solves_like_oracle(
+        np.stack([dual_problem(gram, y)[1], dual_problem(gram, split)[1]]), 1.0, 200
     )
+    _, gradient, iterations, regularized = results[0]
     assert regularized and iterations == 200 and gradient > 1e-4
+    assert results[1][2] < 200
 
 
 @pytest.mark.parametrize("cap", [1, 3])
 def test_solver_matches_oracle_under_small_caps(cap):
     rng = np.random.default_rng(115)
     data = rng.normal(size=(40, 6))
-    y = np.where(data[:, 0] > 0, 1.0, -1.0)
-    _, gradient, iterations, _ = assert_solves_like_oracle(
-        dual_problem(data @ data.T, y)[1], 1.0, cap
+    ys = np.where(data[:, :3].T > 0, 1.0, -1.0)
+    results = assert_solves_like_oracle(
+        np.stack([dual_problem(data @ data.T, y)[1] for y in ys]), 1.0, cap
     )
-    assert iterations == cap and gradient > 1e-4
+    for _, gradient, iterations, _ in results:
+        assert iterations == cap and gradient > 1e-4
 
 
 def test_solver_matches_oracle_on_a_singular_face(monkeypatch):
     """Every training point twice: a face that frees both copies of a point
-    has two equal rows in its free block, and its exact solve fails."""
+    has two equal rows in its free block, and its exact solve fails.  The
+    stack holds the duals of two labelings of the points."""
     rng = np.random.default_rng(116)
     points = rng.integers(-3, 4, size=(10, 3)).astype(np.float64)
     data = np.vstack([points, points])
-    y = np.tile(np.where(points[:, 0] > 0, 1.0, -1.0), 2)
+    ys = np.tile(np.where(points[:, :2].T > 0, 1.0, -1.0), 2)
     singular = []
     solve_face = crosspool.svm._face_minimizer
 
@@ -675,8 +700,67 @@ def test_solver_matches_oracle_on_a_singular_face(monkeypatch):
         return alpha
 
     monkeypatch.setattr(crosspool.svm, "_face_minimizer", face_minimizer)
-    assert_solves_like_oracle(dual_problem(data @ data.T, y)[1], 1.0, 200)
+    assert_solves_like_oracle(
+        np.stack([dual_problem(data @ data.T, y)[1] for y in ys]), 1.0, 200
+    )
     assert any(singular)
+
+
+@pytest.mark.parametrize("singular", ["always", "unregularized"])
+def test_singular_newton_member_takes_the_oracle_path(monkeypatch, singular):
+    """When one member's Newton matrix is singular, the stacked solve
+    raises and each member is solved alone: that member takes the oracle's
+    path for a step that is None, while the others go on as the oracle
+    does on each alone.  A member whose every Newton matrix is singular
+    stops after a regularized retry; one whose first matrix alone is
+    singular goes on, regularized, from the point it had."""
+    rng = np.random.default_rng(117)
+    data = rng.normal(size=(30, 4))
+    ys = np.where(data[:, :3].T > 0, 1.0, -1.0)
+    q = np.stack([dual_problem(data @ data.T, y)[1] for y in ys])
+    solve = np.linalg.solve
+    first, raised = [], []
+
+    def singular_member(a, b):
+        # a Newton matrix differs from its Q only on the diagonal
+        if a.shape[-2:] == q.shape[1:]:
+            for matrix in a.reshape(-1, *q.shape[1:]):
+                if (matrix[0, 1:] == q[1, 0, 1:]).all():
+                    first.append(matrix.copy())
+                    if singular == "always" or (matrix == first[0]).all():
+                        raised.append(a.ndim)
+                        raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_member)
+    results = assert_solves_like_oracle(q, 1.0, 200)
+    assert sorted(set(raised)) == [2, 3]
+    assert results[1][3]
+    if singular == "always":
+        assert results[1][0].tobytes() == np.full(len(q[1]), 0.5).tobytes()
+        assert results[1][2] == 2
+    else:
+        assert results[1][1] <= 1e-4 and results[1][2] > 2
+    assert all(result[1] <= 1e-4 for result in (results[0], results[2]))
+
+
+def test_solve_groups_leave_the_model_unchanged(solves, monkeypatch, tmp_path):
+    """With a group budget too small for two Q matrices, every split is a
+    stack of its own, and the model file and diagnostics are byte-identical
+    to those of one stack of all four splits."""
+    rng = np.random.default_rng(118)
+    centers = np.array([[6.0, 0.0], [-6.0, 6.0], [0.0, -6.0], [-6.0, -6.0]])
+    data = np.vstack([rng.normal(size=(8, 2)) + c for c in centers])
+    labels = [f"c{i}" for i in range(4) for _ in range(8)]
+    gram = kernels(data, data[:0])[0]
+    built = []
+    for budget in (crosspool.svm.SOLVE_BATCH_BYTES, 1):
+        monkeypatch.setattr(crosspool.svm, "SOLVE_BATCH_BYTES", budget)
+        model = svm_train(gram, labels)
+        save_svm(model, tmp_path / "m.svm")
+        built.append(((tmp_path / "m.svm").read_bytes(), model.solver))
+    assert [len(q) for q in solves] == [4, 1, 1, 1, 1]
+    assert built[0] == built[1]
 
 
 def test_longest_step_skips_nan_rows_and_rows_with_nothing_shrinking():
